@@ -21,9 +21,9 @@ from .exactalg import (
     express_in_echelon,
     matrix_from_json,
     matrix_to_json,
-    rank_and_kernel,
     same_field,
     solve,
+    solve_with_rank,
 )
 from .modcore import (
     FramedModule,
@@ -207,15 +207,14 @@ def factor_membership_detail(m1: FramedModule, m2: FramedModule,
                     rhs.append(f.zero())
     a_mat = Matrix.from_rows(f, rows)
     b_mat = Matrix.column(f, rhs)
-    x = solve(a_mat, b_mat)
+    x, rank = solve_with_rank(a_mat, b_mat)
     if x is None:
         return MembershipReport(found=False, point=None, solution_dim=None,
                                 reason="no pairing lift: target does not factor")
-    _, hom_kernel = rank_and_kernel(a_mat)
     pihat = Matrix(f, d3, dim, list(x.entries))
     point = BilinPoint(m1=m1, m2=m2, d3=d3, Z=tuple(m3framed.X), pihat=pihat)
     return MembershipReport(found=True, point=point,
-                            solution_dim=len(hom_kernel))
+                            solution_dim=nvars - rank)
 
 
 def factor_membership(m1: FramedModule, m2: FramedModule,
@@ -396,7 +395,7 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
             if m.rows and not all(f.is_zero(c) for c in m.matvec(list(v))):
                 raise ArithmeticError("gauge vector violates the deformation system")
     from .quot import _basis_mod_subspace
-    reps = _basis_mod_subspace(kernel, gauge, f)
+    reps = _basis_mod_subspace(kernel, gauge, f, nvars)
     basis = [_unpack_tangent(b, offsets, v) for v in reps]
     return BilinTangentReport(dim=nullity - gauge_dim, nullity=nullity,
                               gauge_dim=gauge_dim, basis=basis)

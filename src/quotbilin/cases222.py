@@ -18,6 +18,7 @@ from enum import Enum
 
 from .exactalg import (
     GF,
+    EchelonBasis,
     Field,
     Matrix,
     ParamTensor,
@@ -287,18 +288,14 @@ def _invariant_subspaces(actions, dim: int, sub_dim: int, field) -> list[list[tu
             for (r, c), v in zip(free_positions, values):
                 rows[r][c] = field.from_int(v)
             basis = [tuple(r) for r in rows]
-            if _is_invariant(actions, basis, field):
+            if _is_invariant(actions, basis, field, dim):
                 out.append(basis)
     return out
 
 
-def _is_invariant(actions, basis, field) -> bool:
-    from .exactalg import in_span
-    for a in actions:
-        for v in basis:
-            if not in_span(basis, a.matvec(list(v)), field):
-                return False
-    return True
+def _is_invariant(actions, basis, field, dim: int) -> bool:
+    span = EchelonBasis(field, dim, basis)
+    return all(span.contains(a.matvec(list(v))) for a in actions for v in basis)
 
 
 def enumerate_222(q: int, cap: int = 200_000) -> Census:
@@ -330,7 +327,9 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
             for basis in _invariant_subspaces(prod.actions, prod.dim12, sub_dim, field):
                 point = _assemble_point(m1, m2, prod, basis, field)
                 val = validate_bilin(point)
-                assert val.ok, "census point failed validation"
+                if not val.ok:
+                    raise ArithmeticError(
+                        f"census point failed validation: {val.failure or 'module/surjectivity'}")
                 try:
                     cls = classify_point_222(point)
                     label = cls.label.value

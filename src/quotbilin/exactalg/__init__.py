@@ -2,6 +2,7 @@
 
 from .field import Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, same_field
 from .matrix import (
+    EchelonBasis,
     LinearSystem,
     Matrix,
     ShapeError,
@@ -11,7 +12,7 @@ from .matrix import (
     quotient_map,
     rank_and_kernel,
     solve,
-    span_rank,
+    solve_with_rank,
 )
 from .unipoly import (
     UniPoly,
@@ -34,8 +35,9 @@ from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_ve
 __all__ = [
     "Field", "FieldError", "GF", "PrimeField", "QQ", "RationalField",
     "parse_field", "same_field",
-    "LinearSystem", "Matrix", "ShapeError", "in_span", "matrix_from_json",
-    "matrix_to_json", "quotient_map", "rank_and_kernel", "solve", "span_rank",
+    "EchelonBasis", "LinearSystem", "Matrix", "ShapeError", "in_span",
+    "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
+    "solve", "solve_with_rank",
     "UniPoly", "UniPolyMatrix", "char_poly", "column_echelon",
     "express_in_echelon", "hermite_kernel", "rational_roots",
     "roots_with_multiplicity", "truncated_colength", "truncated_kernel_dim",

@@ -32,5 +32,7 @@ def gaussian_binomial(d: int, r: int, q: int) -> int:
     for i in range(d):
         num *= q ** (r - i) - 1
         den *= q ** (d - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(
+            f"Gaussian binomial [{r} choose {d}]_{q}: {num} not divisible by {den}")
     return num // den

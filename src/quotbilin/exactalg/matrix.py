@@ -2,8 +2,10 @@
 
 Entries are raw field values stored row-major; the attached :class:`Field`
 supplies the arithmetic.  Matrices are immutable by convention: no method
-mutates ``entries`` after construction.  Everything reduces to reduced row
-echelon form computed by exact Gaussian elimination.
+mutates ``entries`` after construction.  Everything reduces to exact
+Gaussian elimination: reduced row echelon form for whole matrices, and the
+incremental semi-echelon basis of :class:`EchelonBasis` for spans grown one
+vector at a time.
 """
 
 from __future__ import annotations
@@ -289,25 +291,29 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
     Inconsistency means rank([a|b]) > rank(a); free variables are set to zero.
     """
+    return solve_with_rank(a, b)[0]
+
+
+def solve_with_rank(a: Matrix, b: Matrix) -> tuple[Optional[Matrix], int]:
+    """``solve(a, b)`` together with ``rank(a)``, from one elimination.
+
+    The left block of rref([a|b]) is rref(a), so its pivots give the rank of
+    ``a`` (and ``a.cols - rank`` the dimension of the solution space) without
+    a second elimination.
+    """
     if a.rows != b.rows:
         raise ShapeError("solve: row count mismatch")
     f = same_field(a.field, b.field)
     aug = a.hstack(b)
     r, pivots = aug.rref()
-    if any(p >= a.cols for p in pivots):
-        return None
+    rank = sum(1 for p in pivots if p < a.cols)
+    if rank < len(pivots):
+        return None, rank
     x = Matrix.zeros(f, a.cols, b.cols)
     for i, pc in enumerate(pivots):
         for j in range(b.cols):
             x.entries[pc * b.cols + j] = r[i, a.cols + j]
-    return x
-
-
-def span_rank(vectors: Sequence[Sequence], field: Field, dim: int) -> int:
-    """Rank of the span of row vectors of length ``dim``."""
-    if not vectors:
-        return 0
-    return Matrix.from_rows(field, [list(v) for v in vectors]).rank()
+    return x, rank
 
 
 def quotient_map(span_vectors: Sequence[Sequence], field: Field, dim: int
@@ -339,11 +345,64 @@ def quotient_map(span_vectors: Sequence[Sequence], field: Field, dim: int
 
 def in_span(vectors: Sequence[Sequence], v: Sequence, field: Field) -> bool:
     """Membership of ``v`` in the span of the given row vectors."""
-    if not vectors:
-        return all(field.is_zero(x) for x in v)
-    m = Matrix.from_rows(field, [list(w) for w in vectors])
-    a = m.transpose()
-    return solve(a, Matrix.column(field, list(v))) is not None
+    return EchelonBasis(field, len(v), vectors).contains(v)
+
+
+class EchelonBasis:
+    """Incrementally grown basis of a subspace of ``k^dim``, in semi-echelon form.
+
+    Each stored row has a pivot entry 1 at its first nonzero column and a zero
+    at the pivot column of every earlier row.  Reducing a vector is then one
+    pass over the rows in insertion order, O(rank * dim) field operations, so
+    "does this vector extend the span" costs no re-elimination of the span.
+    ``insert`` accepts a vector exactly when it is independent of the vectors
+    inserted before it, which keeps greedy basis choices identical to
+    comparing ranks of the growing matrix.
+    """
+
+    __slots__ = ("field", "dim", "rows", "pivots")
+
+    def __init__(self, field: Field, dim: int, vectors: Sequence[Sequence] = ()):
+        self.field = field
+        self.dim = dim
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence) -> list:
+        """``v`` minus the combination of stored rows that clears every pivot
+        column; zero exactly when ``v`` lies in the span."""
+        if len(v) != self.dim:
+            raise ShapeError(f"vector of length {len(v)} in a span of k^{self.dim}")
+        f = self.field
+        w = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = w[pc]
+            if f.is_zero(c):
+                continue
+            for j in range(pc, self.dim):
+                if not f.is_zero(row[j]):
+                    w[j] = f.sub(w[j], f.mul(c, row[j]))
+        return w
+
+    def contains(self, v: Sequence) -> bool:
+        return all(self.field.is_zero(x) for x in self.reduce(v))
+
+    def insert(self, v: Sequence) -> bool:
+        """Add ``v`` to the span; False (and no change) if it already lies in it."""
+        f = self.field
+        w = self.reduce(v)
+        pc = next((j for j, x in enumerate(w) if not f.is_zero(x)), None)
+        if pc is None:
+            return False
+        inv = f.inv(w[pc])
+        self.rows.append([f.mul(inv, x) for x in w])
+        self.pivots.append(pc)
+        return True
 
 
 class LinearSystem:

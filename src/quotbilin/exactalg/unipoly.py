@@ -415,7 +415,8 @@ def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
             frozen += 1
     kernel_cols = []
     for j in range(frozen, p.cols):
-        assert all(e.is_zero() for e in acols[j])
+        if not all(e.is_zero() for e in acols[j]):
+            raise ArithmeticError(f"non-pivot column {j} is not zero after column reduction")
         kernel_cols.append(ucols[j])
     out = UniPolyMatrix.from_columns(f, p.cols, kernel_cols)
     for col in kernel_cols:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactalg import (
+    EchelonBasis,
     Field,
     Matrix,
     ShapeError,
@@ -83,11 +84,10 @@ def krylov_span(X: Sequence[Matrix], vectors: Sequence[Sequence], field: Field,
     stabilizes; at most d rounds since the dimension strictly grows.
     """
     basis: list[tuple] = []
+    span = EchelonBasis(field, d)
 
     def absorb(v) -> bool:
-        rows = [list(b) for b in basis] + [list(v)]
-        m = Matrix.from_rows(field, rows)
-        if m.rank() > len(basis):
+        if span.insert(v):
             basis.append(tuple(v))
             return True
         return False
@@ -176,27 +176,18 @@ def annihilator_algebra_dim(m: FramedModule) -> int:
     """Dimension of the unital matrix algebra generated by the actions."""
     field = m.field
     d = m.d
-    basis: list[tuple] = []
-
-    def absorb(mat: Matrix) -> bool:
-        v = tuple(mat.entries)
-        rows = [list(b) for b in basis] + [list(v)]
-        if Matrix.from_rows(field, rows).rank() > len(basis):
-            basis.append(v)
-            return True
-        return False
-
-    absorb(Matrix.identity(field, d))
-    frontier = [Matrix.identity(field, d)]
+    eye = Matrix.identity(field, d)
+    span = EchelonBasis(field, d * d, [eye.entries])
+    frontier = [eye]
     while frontier:
         new_frontier = []
         for b in frontier:
             for x in m.X:
                 prod = x * b
-                if absorb(prod):
+                if span.insert(prod.entries):
                     new_frontier.append(prod)
         frontier = new_frontier
-    return len(basis)
+    return len(span)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .exactalg import (
     GF,
+    EchelonBasis,
     LinearSystem,
     Matrix,
     ParamMatrix,
@@ -86,28 +87,22 @@ def _gauge_vectors_quot(P: FramedModule) -> list[tuple]:
                 comm = delta * P.X[i] - P.X[i] * delta
                 vec.extend(comm.entries)
             vec.extend((delta * P.G).entries)
-            assert len(vec) == nvars
+            if len(vec) != nvars:
+                raise ArithmeticError(
+                    f"gauge vector has {len(vec)} entries, the system has {nvars} unknowns")
             out.append(tuple(vec))
     return out
 
 
-def _basis_mod_subspace(kernel: list[tuple], subspace: list[tuple], field) -> list[tuple]:
-    """Representatives extending the subspace to the full kernel span."""
-    rows: list[list] = []
-    rank = 0
-    for v in subspace:
-        rows.append(list(v))
-    if rows:
-        rank = Matrix.from_rows(field, rows).rank()
-    reps = []
-    for v in kernel:
-        trial = rows + [list(v)]
-        new_rank = Matrix.from_rows(field, trial).rank()
-        if new_rank > rank:
-            rows = trial
-            rank = new_rank
-            reps.append(v)
-    return reps
+def _basis_mod_subspace(kernel: list[tuple], subspace: list[tuple], field,
+                        dim: int) -> list[tuple]:
+    """Representatives extending the subspace to the full kernel span.
+
+    Greedy in kernel order: a kernel vector is kept exactly when it is
+    independent of the subspace and of the vectors kept before it.
+    """
+    span = EchelonBasis(field, dim, subspace)
+    return [v for v in kernel if span.insert(v)]
 
 
 def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
@@ -137,7 +132,7 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
         for v in gauge:
             if not all(f.is_zero(c) for c in m.matvec(list(v))):
                 raise ArithmeticError("gauge vector violates the deformation system")
-    reps = _basis_mod_subspace(kernel, gauge, f)
+    reps = _basis_mod_subspace(kernel, gauge, f, nvars)
     basis = []
     for v in reps:
         xdot = tuple(Matrix(f, d, d, list(v[offsets[i]: offsets[i] + d * d]))

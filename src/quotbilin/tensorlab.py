@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactalg import (
+    EchelonBasis,
     Field,
     GF,
     Matrix,
@@ -173,7 +174,8 @@ def tensor_from_bilin(b) -> Tensor3:
     """Structure tensor of a pairing point: coefficient (i, j, k) is the
     k-th coordinate of the pairing applied to basis pair (i, j)."""
     from .bilin import BilinPoint, validate_bilin
-    assert isinstance(b, BilinPoint)
+    if not isinstance(b, BilinPoint):
+        raise TypeError(f"tensor_from_bilin needs a BilinPoint, got {type(b).__name__}")
     if not validate_bilin(b).ok:
         raise ValueError("invalid pairing point")
     f = b.field
@@ -431,10 +433,10 @@ def multiplication_tensor(m: FramedModule, generator: int = 0) -> Tensor3:
     gen = list(m.G.col(generator))
     basis_vecs: list[tuple] = []
     basis_monos: list[tuple] = []
+    span = EchelonBasis(f, d)
 
     def absorb(vec, mono) -> bool:
-        rows = [list(v) for v in basis_vecs] + [list(vec)]
-        if Matrix.from_rows(f, rows).rank() > len(basis_vecs):
+        if span.insert(vec):
             basis_vecs.append(tuple(vec))
             basis_monos.append(mono)
             return True

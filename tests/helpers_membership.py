@@ -16,13 +16,18 @@ def assemble_from_kernel(m1, m2, kernel_basis):
 
 def random_target(rng, m1, m2):
     """Half genuine quotients of the tensor product, half arbitrary valid
-    rank-4 framed modules (which mostly fail to factor)."""
+    rank-4 framed modules (which mostly fail to factor).
+
+    A genuine quotient of the drawn dimension need not exist (the tensor
+    product may have no invariant subspace of that codimension); the
+    arbitrary branch is used then."""
     field = m1.field
     prod = tensor_over_S(m1, m2)
     if rng.random() < 0.5 and prod.dim12 >= 1:
         want = rng.randint(1, prod.dim12)
         cut = prod.dim12 - want
         subs = _invariant_subspaces(prod.actions, prod.dim12, cut, field)
-        basis = subs[rng.randrange(len(subs))]
-        return assemble_from_kernel(m1, m2, basis).target_module()
+        if subs:
+            basis = subs[rng.randrange(len(subs))]
+            return assemble_from_kernel(m1, m2, basis).target_module()
     return rand_framed_module(rng, field, 1, 2, 4)

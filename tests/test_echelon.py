@@ -1,0 +1,162 @@
+"""The incremental echelon engine against full re-elimination.
+
+``EchelonBasis`` replaces loops that re-ran a full rref of a growing matrix
+for every candidate vector; these tests pin its answers to that old
+behaviour: ranks, membership, and the greedy tangent representatives.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from quotbilin import quot
+from quotbilin.bilin import bilin_tangent, degenerate_point, main_component_point
+from quotbilin.exactalg import (
+    GF,
+    QQ,
+    EchelonBasis,
+    Matrix,
+    ShapeError,
+    in_span,
+    rand_invertible,
+    rank_and_kernel,
+    solve,
+    solve_with_rank,
+)
+from quotbilin.modcore import rand_framed_module
+from quotbilin.quot import quot_tangent
+
+FIELDS = [QQ, GF(2), GF(3), GF(101)]
+
+
+def solve_in_span(vectors, v, field):
+    """Membership by one exact solve of (vectors as columns) x = v."""
+    if not vectors:
+        return all(field.is_zero(x) for x in v)
+    a = Matrix.from_rows(field, [list(w) for w in vectors]).transpose()
+    return solve(a, Matrix.column(field, list(v))) is not None
+
+
+def rank_of(vectors, field):
+    return Matrix.from_rows(field, [list(w) for w in vectors]).rank() if vectors else 0
+
+
+def random_vectors(rng, field, count, dim, rank_cap):
+    """Vectors drawn from a random subspace of dimension <= rank_cap, mixed
+    with zero vectors and repeats, so spans are usually rank-deficient."""
+    gens = [[field.sample(rng) for _ in range(dim)] for _ in range(rank_cap)]
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(tuple([field.zero()] * dim))
+        elif kind < 0.3 and out:
+            out.append(rng.choice(out))
+        else:
+            v = [field.zero()] * dim
+            for g in gens:
+                c = field.sample(rng)
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, g)]
+            out.append(tuple(v))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS), st.integers(0, 6),
+       st.integers(0, 7), st.integers(0, 5))
+def test_echelon_basis_matches_rank_and_solve(seed, field, dim, count, rank_cap):
+    rng = random.Random(seed)
+    vectors = random_vectors(rng, field, count, dim, rank_cap)
+    probes = random_vectors(rng, field, 4, dim, rank_cap + 1)
+    span = EchelonBasis(field, dim)
+    for i, v in enumerate(vectors):
+        before = vectors[:i]
+        assert span.contains(v) == solve_in_span(before, v, field)
+        assert span.insert(v) == (rank_of(vectors[:i + 1], field) > rank_of(before, field))
+        assert len(span) == rank_of(vectors[:i + 1], field)
+    assert not any(span.insert(v) for v in vectors)
+    for w in probes + vectors:
+        inside = solve_in_span(vectors, w, field)
+        assert span.contains(w) == inside == in_span(vectors, w, field)
+        red = span.reduce(w)
+        assert all(field.is_zero(red[pc]) for pc in span.pivots)
+        # w - reduce(w) lies in the span, and reduce(w) is zero iff w does
+        diff = tuple(field.sub(a, b) for a, b in zip(w, red))
+        assert solve_in_span(vectors, diff, field)
+        assert all(field.is_zero(x) for x in red) == inside
+
+
+def test_echelon_basis_rejects_wrong_length():
+    span = EchelonBasis(QQ, 3, [(QQ.one(), QQ.zero(), QQ.zero())])
+    with pytest.raises(ShapeError):
+        span.insert((QQ.one(), QQ.zero()))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS), st.integers(1, 5),
+       st.integers(1, 5), st.integers(0, 4))
+def test_solve_with_rank_is_solve_plus_rank(seed, field, rows, cols, rank_cap):
+    rng = random.Random(seed)
+    a = Matrix.from_rows(field, [list(v) for v in random_vectors(rng, field, rows, cols, rank_cap)])
+    b = Matrix.column(field, [field.sample(rng) for _ in range(rows)])
+    x, rank = solve_with_rank(a, b)
+    assert x == solve(a, b)
+    assert rank == rank_and_kernel(a)[0]
+
+
+# -- greedy tangent representatives ------------------------------------------------
+
+def full_rref_greedy(kernel, subspace, field):
+    """The original representative choice: keep a kernel vector when the full
+    rref of the stacked rows gains rank."""
+    rows = [list(v) for v in subspace]
+    rank = Matrix.from_rows(field, rows).rank() if rows else 0
+    reps = []
+    for v in kernel:
+        trial = rows + [list(v)]
+        new_rank = Matrix.from_rows(field, trial).rank()
+        if new_rank > rank:
+            rows, rank = trial, new_rank
+            reps.append(v)
+    return reps
+
+
+def _main_point(field, d, seed):
+    rng = random.Random(seed)
+    points = [field.from_int(v) for v in rng.sample(range(-9, 10), d)]
+    return main_component_point(points, rand_invertible(rng, field, d),
+                                rand_invertible(rng, field, d))
+
+
+def _degenerate_d3():
+    pi = Matrix(QQ, 3, 9, [QQ.one() if j == 4 * i else QQ.zero()
+                           for i in range(3) for j in range(9)])
+    return degenerate_point(3, 3, 3, Matrix.identity(QQ, 3), Matrix.identity(QQ, 3), pi)
+
+
+TANGENT_CASES = {
+    "quot-Q-d3": lambda: quot_tangent(rand_framed_module(random.Random(0), QQ, 1, 3, 2)),
+    "quot-Q-d4": lambda: quot_tangent(rand_framed_module(random.Random(1), QQ, 1, 4, 2)),
+    "bilin-main-Q-d3": lambda: bilin_tangent(_main_point(QQ, 3, 0)),
+    "bilin-main-F101-d3": lambda: bilin_tangent(_main_point(GF(101), 3, 1)),
+    "bilin-degenerate-Q-d3": lambda: bilin_tangent(_degenerate_d3()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TANGENT_CASES))
+def test_tangent_representatives_equal_full_rref_greedy(monkeypatch, case):
+    calls = []
+    engine = quot._basis_mod_subspace
+
+    def spy(kernel, subspace, field, dim):
+        reps = engine(kernel, subspace, field, dim)
+        calls.append((kernel, subspace, field, reps))
+        return reps
+
+    monkeypatch.setattr(quot, "_basis_mod_subspace", spy)
+    report = TANGENT_CASES[case]()
+    (kernel, gauge, field, reps), = calls
+    assert reps == full_rref_greedy(kernel, gauge, field)
+    assert len(reps) == report.dim == len(report.basis)

@@ -66,6 +66,12 @@ def test_degenerate_point_tensor_third_factor_concise():
     assert conciseness(t)[2] is True
 
 
+def test_tensor_from_bilin_rejects_non_points():
+    # a framed module is not a pairing point; the check must survive python -O
+    with pytest.raises(TypeError, match="BilinPoint"):
+        tensor_from_bilin(cyclic_tuple_module([QQ.from_int(0), QQ.from_int(1)], QQ))
+
+
 # -- classification ---------------------------------------------------------------
 
 @pytest.mark.parametrize("name,rank,border,concise,label", [
