@@ -20,6 +20,7 @@ from .exactalg import (
     GF,
     EchelonBasis,
     Field,
+    InfeasibleEnumeration,
     Matrix,
     ParamTensor,
     UniPoly,
@@ -32,7 +33,7 @@ from .modcore import (
     validate_framed,
 )
 from .bilin import BilinPoint, factor_membership_detail, validate_bilin
-from .quot import InfeasibleEnumeration, NonSplitSupport
+from .quot import NonSplitSupport
 from .tensorlab import Classification222, Tensor3, classify_2x2x2, tensor_from_bilin
 
 
@@ -248,23 +249,32 @@ def _gl2(field) -> list[Matrix]:
 def enumerate_quot_classes_22(q: int) -> list[FramedModule]:
     """Representatives of rank-2, dimension-2 framed-module classes over F_q.
 
-    Classes are orbits of valid (X, G) under simultaneous change of basis;
-    the canonical representative is the minimum orbit encoding.
+    Classes are orbits of valid (X, G) under simultaneous change of basis
+    (g X g^-1, g G); the representative of a class is its first member in
+    enumeration order.  A pair is encoded as the integer sum of its eight
+    entries times powers of q, and a bitmap over all q^8 codes marks the
+    whole orbit of each new representative, so every later member is
+    skipped before validation.
     """
     field = GF(q)
     gl2 = [(g, g.inverse()) for g in _gl2(field)]
-    seen = set()
+    weights = [q ** i for i in range(8)]
+
+    def code(X: Matrix, G: Matrix) -> int:
+        return sum(w * e for w, e in zip(weights, X.entries + G.entries))
+
+    seen = bytearray(q ** 8)
     reps = []
     for X in _all_matrices(field, 2, 2):
         for G in _all_matrices(field, 2, 2):
+            if seen[code(X, G)]:
+                continue
             mod = FramedModule(1, 2, 2, (X,), G)
             if not validate_framed(mod).ok:
                 continue
-            key = min((((g * X * gi).key(), (g * G).key()) for g, gi in gl2))
-            if key in seen:
-                continue
-            seen.add(key)
             reps.append(mod)
+            for g, gi in gl2:
+                seen[code(g * X * gi, g * G)] = 1
     return reps
 
 

@@ -18,10 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .exactalg import FieldError, matrix_to_json, parse_field
+from .exactalg import FieldError, InfeasibleEnumeration, matrix_to_json, parse_field
 from .modcore import framed_from_json, validate_framed
 from .quot import (
-    InfeasibleEnumeration,
     NonSplitSupport,
     degenerate_grassmannian_check,
     hom_KM_univariate,
@@ -43,7 +42,6 @@ from .tensorlab import (
     tensor_from_json,
     tensor_to_json,
 )
-from .tensorlab import InfeasibleEnumeration as TensorCapError
 from .cases222 import enumerate_222, limit_target_name, named_tensor, verify_limit
 
 EXIT_OK = 0
@@ -352,7 +350,7 @@ def run(config: RunConfig) -> int:
     handler = _HANDLERS[config.command]
     try:
         return handler(config)
-    except (InfeasibleEnumeration, TensorCapError) as exc:
+    except InfeasibleEnumeration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (FieldError, NonSplitSupport, FileNotFoundError, ValueError,

@@ -29,7 +29,7 @@ from .unipoly import (
     weak_popov,
 )
 from .param import ParamMatrix, ParamTensor, evaluate_param
-from .count import gaussian_binomial, is_prime_power
+from .count import InfeasibleEnumeration, gaussian_binomial, is_prime_power
 from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_vector
 
 __all__ = [
@@ -43,6 +43,6 @@ __all__ = [
     "roots_with_multiplicity", "truncated_colength", "truncated_kernel_dim",
     "truncated_span_dim", "weak_popov",
     "ParamMatrix", "ParamTensor", "evaluate_param",
-    "gaussian_binomial", "is_prime_power",
+    "InfeasibleEnumeration", "gaussian_binomial", "is_prime_power",
     "rand_invertible", "rand_matrix", "rand_nonzero_vector", "rand_vector",
 ]

@@ -1,6 +1,11 @@
-"""Subspace counting over finite fields."""
+"""Subspace counting over finite fields, and the error raised when an
+exhaustive enumeration would exceed its cap."""
 
 from __future__ import annotations
+
+
+class InfeasibleEnumeration(RuntimeError):
+    """An exhaustive search would exceed the configured cap."""
 
 
 def is_prime_power(q: int) -> bool:

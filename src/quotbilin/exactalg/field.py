@@ -75,6 +75,11 @@ class Field:
     def eq(self, a, b) -> bool:
         raise NotImplementedError
 
+    def canonical(self, a):
+        """The representative of ``a`` shared by every element equal to it,
+        so that hashing it agrees with :meth:`eq`."""
+        raise NotImplementedError
+
     def fmt(self, a) -> str:
         raise NotImplementedError
 
@@ -135,6 +140,9 @@ class RationalField(Field):
     def eq(self, a, b):
         return a == b
 
+    def canonical(self, a):
+        return a
+
     def fmt(self, a):
         if a.denominator == 1:
             return str(a.numerator)
@@ -189,6 +197,9 @@ class PrimeField(Field):
 
     def eq(self, a, b):
         return (a - b) % self.p == 0
+
+    def canonical(self, a):
+        return a % self.p
 
     def fmt(self, a):
         return str(a % self.p)

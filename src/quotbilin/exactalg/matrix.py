@@ -6,10 +6,26 @@ mutates ``entries`` after construction.  Everything reduces to exact
 Gaussian elimination: reduced row echelon form for whole matrices, and the
 incremental semi-echelon basis of :class:`EchelonBasis` for spans grown one
 vector at a time.
+
+Whole-matrix elimination (``rref``, ``rank`` and everything built on them)
+runs in one kernel, :func:`_eliminate`, on plain ``int`` rows rather than
+one ``Field`` call per entry.  Over F_p the entries are reduced mod p once,
+on entry, and the row operations are inlined modular arithmetic.  Over Q
+each row is scaled to a primitive integer row (denominators cleared, content
+divided out); a row with entry c in the pivot column of a pivot row with
+pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``, and
+is divided by its content again.  Rows with a zero in the pivot column are
+not touched, and keeping every row primitive keeps the integers near the
+size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
+rescales every row at every step instead, which is slower on the sparse
+tangent systems.  Only ``rref`` builds ``Fraction`` values, once per entry
+at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, parse_field, same_field
@@ -88,7 +104,8 @@ class Matrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        c, e = self.cols, self.entries
+        return [e[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def key(self) -> tuple:
         """Hashable identity, usable as a dict key or for canonicalization."""
@@ -103,7 +120,8 @@ class Matrix:
         return all(f.eq(a, b) for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
-        return hash(self.key())
+        canon = tuple(map(self.field.canonical, self.entries))
+        return hash((self.field.name, self.rows, self.cols, canon))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in self.row(i)) for i in range(self.rows))
@@ -215,38 +233,20 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
         f = self.field
-        rows = self.row_lists()
-        nr, nc = self.rows, self.cols
-        pivots = []
-        pr = 0
-        for pc in range(nc):
-            pivot_row = None
-            for i in range(pr, nr):
-                if not f.is_zero(rows[i][pc]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = f.inv(rows[pr][pc])
-            rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-            for i in range(nr):
-                if i == pr:
-                    continue
-                c = rows[i][pc]
-                if f.is_zero(c):
-                    continue
-                rpr = rows[pr]
-                rows[i] = [f.sub(rows[i][j], f.mul(c, rpr[j])) for j in range(nc)]
-            pivots.append(pc)
-            pr += 1
-            if pr == nr:
-                break
-        flat = [x for row in rows for x in row]
-        return Matrix(f, nr, nc, flat), tuple(pivots)
+        rows, pivots = _eliminate(f, self.row_lists(), self.cols, reduced=True)
+        if f.characteristic:
+            flat = [x for row in rows for x in row]
+        else:
+            zero = Fraction(0)
+            flat = []
+            for row, pc in zip(rows, pivots):
+                pv = row[pc]
+                flat.extend(Fraction(x, pv) if x else zero for x in row)
+            flat.extend([zero] * ((self.rows - len(pivots)) * self.cols))
+        return Matrix(f, self.rows, self.cols, flat), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(self.field, self.row_lists(), self.cols, reduced=False)[1])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -263,6 +263,62 @@ class Matrix:
         for i in range(n):
             ents.extend(r.row(i)[n:])
         return Matrix(self.field, n, n, ents)
+
+
+def _primitive(row: Sequence) -> list[int]:
+    """The rational row scaled to a primitive integer row (coprime entries)."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
+               ) -> tuple[list[list[int]], list[int]]:
+    """Gaussian elimination on plain ``int`` rows; returns the rows and the
+    pivot columns.
+
+    Row i < rank is the pivot row of ``pivots[i]``; the rows past the rank are
+    zero.  Only the rows below each pivot are cleared, or every other row when
+    ``reduced``.  Over F_p the entries are reduced mod p on entry and each
+    pivot row is scaled to pivot 1, so with ``reduced`` the rows are the rref.
+    Over Q each row is a primitive integer row (see the module docstring), so
+    with ``reduced`` row i divided by its pivot entry is row i of the rref.
+    """
+    p = field.characteristic
+    work = [[x % p for x in row] for row in rows] if p else [_primitive(row) for row in rows]
+    nr = len(work)
+    pivots: list[int] = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        i = next((i for i in range(pr, nr) if work[i][pc]), None)
+        if i is None:
+            continue
+        work[pr], work[i] = work[i], work[pr]
+        rp = work[pr]
+        a = rp[pc]
+        if p and a != 1:
+            inv = pow(a, p - 2, p)
+            rp = work[pr] = [x * inv % p for x in rp]
+        tail = rp[pc:]
+        for i in range(0 if reduced else pr + 1, nr):
+            ri = work[i]
+            c = ri[pc]
+            if not c or i == pr:
+                continue
+            if p:
+                # rp is zero left of pc, so only the tail of ri changes.
+                ri[pc:] = [(x - c * y) % p for x, y in zip(ri[pc:], tail)]
+            else:
+                g = gcd(a, c)
+                a_g, c_g = a // g, c // g
+                ri = [a_g * x - c_g * y for x, y in zip(ri, rp)]
+                g = gcd(*ri)
+                work[i] = [x // g for x in ri] if g > 1 else ri
+        pivots.append(pc)
+    return work, pivots
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:

@@ -15,6 +15,7 @@ from typing import Optional
 from .exactalg import (
     GF,
     EchelonBasis,
+    InfeasibleEnumeration,
     LinearSystem,
     Matrix,
     ParamMatrix,
@@ -29,10 +30,6 @@ from .exactalg import (
     truncated_colength,
 )
 from .modcore import FramedModule, validate_framed
-
-
-class InfeasibleEnumeration(RuntimeError):
-    """An exhaustive search would exceed the configured cap."""
 
 
 @dataclass

@@ -18,6 +18,7 @@ from .exactalg import (
     EchelonBasis,
     Field,
     GF,
+    InfeasibleEnumeration,
     Matrix,
     QQ,
     ShapeError,
@@ -26,10 +27,6 @@ from .exactalg import (
     same_field,
 )
 from .modcore import FramedModule
-
-
-class InfeasibleEnumeration(RuntimeError):
-    pass
 
 
 class Tensor3:
@@ -76,7 +73,7 @@ class Tensor3:
         return all(f.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.field.name, self.dims, tuple(self.coeffs)))
+        return hash((self.field.name, self.dims, tuple(map(self.field.canonical, self.coeffs))))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         f = same_field(self.field, other.field)

@@ -177,6 +177,13 @@ def test_quot_classes_count_q2():
         assert validate_framed(m).ok
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_quot_classes_count_closed_form(q):
+    # q^4 + q^3 + q^2 classes, as for a cell decomposition of a
+    # four-dimensional Quot scheme
+    assert len(enumerate_quot_classes_22(q)) == q ** 4 + q ** 3 + q ** 2
+
+
 @pytest.fixture(scope="module")
 def census_q2():
     return enumerate_222(2)

@@ -162,6 +162,12 @@ def test_grcount_cap_exit(tmp_path):
                  "--cap", "100"]) == EXIT_CAP
 
 
+def test_bruteforce_rank_cap_exit():
+    # the tensorlab cap raises the same InfeasibleEnumeration as grcount
+    assert main(["bruteforce-rank", "--name", "mu2", "--field", "F:2", "--q", "2",
+                 "--cap", "1"]) == EXIT_CAP
+
+
 def test_bruteforce_rank_command(tmp_path):
     code, payload, _ = run_json(
         tmp_path, ["bruteforce-rank", "--name", "mu2", "--field", "F:2", "--q", "2"])

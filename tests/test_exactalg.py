@@ -243,3 +243,12 @@ def test_mixed_field_rejected():
     b = Matrix.identity(F5, 2)
     with pytest.raises(FieldError):
         a * b
+
+
+def test_equal_matrices_hash_equal():
+    # 7 and 2 are the same element of GF(5)
+    a, b = Matrix(F5, 1, 1, [7]), Matrix(F5, 1, 1, [2])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(Matrix(QQ, 1, 2, [Fraction(2), Fraction(1, 3)])) == \
+        hash(Matrix(QQ, 1, 2, [2, Fraction(2, 6)]))

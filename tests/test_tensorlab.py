@@ -232,6 +232,13 @@ def test_secant_monotone_in_r():
 
 # -- serialization ---------------------------------------------------------------------------
 
+def test_equal_tensors_hash_equal():
+    a = Tensor3(F5, (1, 1, 2), [7, -1])
+    b = Tensor3(F5, (1, 1, 2), [2, 4])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_tensor_json_round_trip():
     t = named_tensor("mu2", F5)
     obj = tensor_to_json(t)
