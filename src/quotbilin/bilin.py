@@ -19,14 +19,15 @@ from .exactalg import (
     ShapeError,
     UniPoly,
     express_in_echelon,
+    express_in_span,
     matrix_from_json,
     matrix_to_json,
     same_field,
-    solve,
     solve_with_rank,
 )
 from .modcore import (
     FramedModule,
+    InvalidPoint,
     framed_from_json,
     framed_to_json,
     make_degenerate,
@@ -373,7 +374,7 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
     """
     val = validate_bilin(b)
     if not val.ok:
-        raise ValueError(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
     f = b.field
     offsets, nvars = _layout(b)
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
@@ -567,7 +568,7 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
         # solve against the generators phi3 is defined on.
         if express_in_echelon(ech3, r1 * r2, vec_polys, f) is None:
             return None
-        coeffs = _express_against(gens3, r1 * r2, vec_polys, f)
+        coeffs = express_in_span(gens3, r1 * r2, vec_polys, f)
         if coeffs is None:
             return None
         acc = [f.zero()] * d3
@@ -615,45 +616,6 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
             if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
                 return False
     return True
-
-
-def _express_against(gens: list, height: int, target, f) -> Optional[list[UniPoly]]:
-    """Solve gens * c = target over k[x] by truncated linear algebra.
-
-    Coefficient degrees are searched up to a bound grown a few times; for
-    kernel presentations of finite-dimensional modules the solution degrees
-    are tiny, so the first bound almost always suffices.
-    """
-    maxdeg = max((e.degree for col in gens for e in col), default=0)
-    tdeg = max((e.degree for e in target), default=0)
-    bound = tdeg + maxdeg + 2
-    for _ in range(3):
-        ncoef = bound + 1
-        nvars = len(gens) * ncoef
-        rows = []
-        rhs = []
-        outdeg = bound + maxdeg
-        for i in range(height):
-            for e in range(outdeg + 1):
-                row = [f.zero()] * nvars
-                for j, col in enumerate(gens):
-                    pij = col[i]
-                    for bdeg in range(ncoef):
-                        a = e - bdeg
-                        cval = pij.coeff(a) if 0 <= a <= pij.degree else f.zero()
-                        if not f.is_zero(cval):
-                            row[j * ncoef + bdeg] = cval
-                tgt = target[i]
-                rows.append(row)
-                rhs.append(tgt.coeff(e) if e <= tgt.degree else f.zero())
-        sol = solve(Matrix.from_rows(f, rows), Matrix.column(f, rhs))
-        if sol is not None:
-            coeffs = []
-            for j in range(len(gens)):
-                coeffs.append(UniPoly(f, [sol.entries[j * ncoef + k] for k in range(ncoef)]))
-            return coeffs
-        bound += 4
-    return None
 
 
 def zero_triple(b: BilinPoint) -> HomTriple:

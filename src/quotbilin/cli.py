@@ -14,12 +14,11 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .exactalg import FieldError, InfeasibleEnumeration, matrix_to_json, parse_field
-from .modcore import framed_from_json, validate_framed
+from .modcore import InvalidPoint, framed_from_json, validate_framed
 from .quot import (
     NonSplitSupport,
     degenerate_grassmannian_check,
@@ -58,7 +57,6 @@ class RunConfig:
     out: Optional[str] = None
     cap: int = 2_000_000
     check: bool = False
-    workers: int = 1
     grid: Optional[str] = None
     args: dict = dc_field(default_factory=dict)
 
@@ -188,17 +186,11 @@ def _cmd_dims(config: RunConfig) -> int:
         cells = [(n, d, r1, r2) for n in ns for d in ds for r1 in r1s for r2 in r2s
                  if r1 >= d and r2 >= d]
 
-        def work(cell):
-            n, d, r1, r2 = cell
+        rows = []
+        for n, d, r1, r2 in cells:
             rep = bilin_dims(n, d, r1, r2)
-            return (n, d, r1, r2, rep.main_dim, rep.degenerate_dim,
-                    rep.reducible_by_count, rep.reducible_by_secant, rep.irreducible)
-
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                rows = list(pool.map(work, cells))
-        else:
-            rows = [work(c) for c in cells]
+            rows.append((n, d, r1, r2, rep.main_dim, rep.degenerate_dim,
+                         rep.reducible_by_count, rep.reducible_by_secant, rep.irreducible))
         rows.sort()
         header = ("n", "d", "r1", "r2", "main_dim", "degenerate_dim",
                   "reducible_by_count", "reducible_by_secant", "irreducible")
@@ -353,6 +345,9 @@ def run(config: RunConfig) -> int:
     except InfeasibleEnumeration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InvalidPoint as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (FieldError, NonSplitSupport, FileNotFoundError, ValueError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,7 +360,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="write JSON here (CSV alongside for tables)")
     p.add_argument("--cap", type=int, default=2_000_000, help="enumeration size cap")
     p.add_argument("--check", action="store_true", help="run debug consistency assertions")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     args = {k: v for k, v in vars(ns).items()
-            if k not in {"command", "field", "seed", "out", "cap", "check",
-                         "workers", "grid"}}
+            if k not in {"command", "field", "seed", "out", "cap", "check", "grid"}}
     return RunConfig(
         command=ns.command,
         field_spec=getattr(ns, "field", "Q"),
@@ -452,7 +445,6 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         out=getattr(ns, "out", None),
         cap=getattr(ns, "cap", 2_000_000),
         check=getattr(ns, "check", False),
-        workers=getattr(ns, "workers", 1),
         grid=getattr(ns, "grid", None),
         args=args,
     )

@@ -20,6 +20,7 @@ from .unipoly import (
     char_poly,
     column_echelon,
     express_in_echelon,
+    express_in_span,
     hermite_kernel,
     rational_roots,
     roots_with_multiplicity,
@@ -39,7 +40,7 @@ __all__ = [
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",
     "UniPoly", "UniPolyMatrix", "char_poly", "column_echelon",
-    "express_in_echelon", "hermite_kernel", "rational_roots",
+    "express_in_echelon", "express_in_span", "hermite_kernel", "rational_roots",
     "roots_with_multiplicity", "truncated_colength", "truncated_kernel_dim",
     "truncated_span_dim", "weak_popov",
     "ParamMatrix", "ParamTensor", "evaluate_param",

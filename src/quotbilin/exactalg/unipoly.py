@@ -4,6 +4,12 @@ Polynomials are coefficient tuples, lowest degree first, with no trailing
 zeros.  Polynomial matrices support the column-reduction kernel used to
 present kernels of maps between free k[x]-modules, plus the truncated linear
 algebra that certifies those kernels by degree stabilization.
+
+One Euclidean column reducer, :func:`_column_reduce`, serves both
+:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  One
+layout, :func:`_shifted_coefficients`, turns x^b * column into a coefficient
+vector for every truncated system: :func:`truncated_kernel_dim`,
+:func:`truncated_span_dim` and the k[x] solve :func:`express_in_span`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, same_field
-from .matrix import Matrix, ShapeError
+from .matrix import Matrix, ShapeError, solve
 
 
 class UniPoly:
@@ -376,6 +382,66 @@ def char_poly(m: Matrix) -> UniPoly:
 
 # -- kernel over k[x] --------------------------------------------------------
 
+def _column_reduce(cols: list[list[UniPoly]], height: int,
+                   transform: Optional[list[list[UniPoly]]] = None) -> int:
+    """Euclidean column reduction of ``cols`` in place; returns the pivot count.
+
+    Row by row, the active columns (those past the pivots found so far with a
+    nonzero entry in the row) are reduced against the one of lowest degree
+    there until at most one is left, which is swapped to the front and frozen.
+    Afterwards the first ``n_pivots`` columns have distinct, increasing first
+    nonzero rows and the rest are zero.  Columns that become zero stay in
+    place.  Every column operation is repeated on ``transform`` when given.
+    """
+    frozen = 0
+    for row in range(height):
+        while True:
+            active = [j for j in range(frozen, len(cols)) if not cols[j][row].is_zero()]
+            if len(active) <= 1:
+                break
+            jstar = min(active, key=lambda j: cols[j][row].degree)
+            piv = cols[jstar][row]
+            for j in active:
+                if j == jstar:
+                    continue
+                q, _ = cols[j][row].divmod(piv)
+                if q.is_zero():
+                    continue
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[jstar])]
+                if transform is not None:
+                    transform[j] = [a - q * b for a, b in zip(transform[j], transform[jstar])]
+        active = [j for j in range(frozen, len(cols)) if not cols[j][row].is_zero()]
+        if active:
+            j = active[0]
+            cols[frozen], cols[j] = cols[j], cols[frozen]
+            if transform is not None:
+                transform[frozen], transform[j] = transform[j], transform[frozen]
+            frozen += 1
+    return frozen
+
+
+def _shifted_coefficients(cols: Sequence[Sequence[UniPoly]], height: int,
+                          max_degree: int, shifts: Sequence[int], field: Field
+                          ) -> list[list]:
+    """Coefficient vectors of x^b * col for b < shifts[j], column by column.
+
+    The coefficient of x^a in entry i sits at ``i * (max_degree + 1) + a``:
+    ``height`` blocks of ``max_degree + 1`` coefficients, lowest degree first.
+    Every shifted entry must have degree at most ``max_degree``.
+    """
+    block = max_degree + 1
+    zero = field.zero()
+    out = []
+    for col, count in zip(cols, shifts):
+        for b in range(count):
+            vec = [zero] * (height * block)
+            for i, e in enumerate(col):
+                base = i * block + b
+                vec[base: base + len(e.coeffs)] = e.coeffs
+            out.append(vec)
+    return out
+
+
 def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
                    ) -> UniPolyMatrix:
     """Basis of the right kernel of a k[x]-matrix, as matrix columns.
@@ -391,28 +457,7 @@ def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
     acols = [list(c) for c in p.columns()]
     ucols = [[UniPoly.const(f, f.one()) if i == j else UniPoly.zero(f)
               for i in range(p.cols)] for j in range(p.cols)]
-    frozen = 0
-    for row in range(p.rows):
-        while True:
-            active = [j for j in range(frozen, p.cols) if not acols[j][row].is_zero()]
-            if len(active) <= 1:
-                break
-            jstar = min(active, key=lambda j: acols[j][row].degree)
-            piv = acols[jstar][row]
-            for j in active:
-                if j == jstar:
-                    continue
-                q, _ = acols[j][row].divmod(piv)
-                if q.is_zero():
-                    continue
-                acols[j] = [acols[j][i] - q * acols[jstar][i] for i in range(p.rows)]
-                ucols[j] = [ucols[j][i] - q * ucols[jstar][i] for i in range(p.cols)]
-        active = [j for j in range(frozen, p.cols) if not acols[j][row].is_zero()]
-        if active:
-            j = active[0]
-            acols[frozen], acols[j] = acols[j], acols[frozen]
-            ucols[frozen], ucols[j] = ucols[j], ucols[frozen]
-            frozen += 1
+    frozen = _column_reduce(acols, p.rows, ucols)
     kernel_cols = []
     for j in range(frozen, p.cols):
         if not all(e.is_zero() for e in acols[j]):
@@ -435,28 +480,14 @@ def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
 
 def truncated_kernel_dim(p: UniPolyMatrix, max_degree: int) -> int:
     """Dimension of {v in k[x]^c : p v = 0, deg v_j <= max_degree} over k."""
-    f = p.field
-    c = p.cols
-    nvars = c * (max_degree + 1)
     out_deg = max_degree + max(p.max_degree(), 0)
-    rows = []
-    for i in range(p.rows):
-        for e in range(out_deg + 1):
-            row = [f.zero()] * nvars
-            nonzero = False
-            for j in range(c):
-                pij = p[i, j]
-                for b in range(max_degree + 1):
-                    a = e - b
-                    coeff = pij.coeff(a) if 0 <= a <= pij.degree else f.zero()
-                    if not f.is_zero(coeff):
-                        row[j * (max_degree + 1) + b] = coeff
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
+    images = _shifted_coefficients(p.columns(), p.rows, out_deg,
+                                   [max_degree + 1] * p.cols, p.field)
+    # One row per output coefficient, one column per unknown coefficient.
+    rows = [row for row in zip(*images) if any(row)]
     if not rows:
-        return nvars
-    m = Matrix.from_rows(f, rows)
+        return p.cols * (max_degree + 1)
+    m = Matrix.from_rows(p.field, rows)
     return m.cols - m.rank()
 
 
@@ -511,18 +542,9 @@ def truncated_span_dim(cols: Sequence[Sequence[UniPoly]], height: int,
     generators x^e * col staying within ``max_degree`` span the truncation
     exactly; entries are laid out as coefficient vectors.
     """
-    rows = []
-    width = height * (max_degree + 1)
-    for col in weak_popov(cols, height, field):
-        top = max((e.degree for e in col), default=-1)
-        if top < 0:
-            continue
-        for shift in range(max_degree - top + 1):
-            row = [field.zero()] * width
-            for i, e in enumerate(col):
-                for a, cf in enumerate(e.coeffs):
-                    row[i * (max_degree + 1) + a + shift] = cf
-            rows.append(row)
+    reduced = weak_popov(cols, height, field)
+    shifts = [max_degree - max(e.degree for e in col) + 1 for col in reduced]
+    rows = _shifted_coefficients(reduced, height, max_degree, shifts, field)
     if not rows:
         return 0
     return Matrix.from_rows(field, rows).rank()
@@ -546,31 +568,8 @@ def column_echelon(cols: Sequence[Sequence[UniPoly]], height: int, field: Field
     Pure column operations: the span over k[x] is unchanged.  Zero columns
     are dropped.
     """
-    work = [list(c) for c in cols]
-    out = []
-    frozen = 0
-    work = [c for c in work if any(not e.is_zero() for e in c)]
-    for row in range(height):
-        while True:
-            active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
-            if len(active) <= 1:
-                break
-            jstar = min(active, key=lambda j: work[j][row].degree)
-            piv = work[jstar][row]
-            for j in active:
-                if j == jstar:
-                    continue
-                q, _ = work[j][row].divmod(piv)
-                if q.is_zero():
-                    continue
-                work[j] = [work[j][i] - q * work[jstar][i] for i in range(height)]
-        work = [c for c in work if any(not e.is_zero() for e in c)]
-        active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
-        if active:
-            j = active[0]
-            work[frozen], work[j] = work[j], work[frozen]
-            frozen += 1
-    return work
+    work = [list(c) for c in cols if any(not e.is_zero() for e in c)]
+    return work[:_column_reduce(work, height)]
 
 
 def express_in_echelon(echelon_cols: Sequence[Sequence[UniPoly]], height: int,
@@ -600,3 +599,32 @@ def express_in_echelon(echelon_cols: Sequence[Sequence[UniPoly]], height: int,
     if any(not e.is_zero() for e in rem):
         return None
     return coeffs
+
+
+def express_in_span(cols: Sequence[Sequence[UniPoly]], height: int,
+                    target: Sequence[UniPoly], field: Field
+                    ) -> Optional[list[UniPoly]]:
+    """Coefficients writing ``target`` as a k[x]-combination of any columns.
+
+    Solved by truncated linear algebra: coefficient degrees are searched up to
+    a bound grown a few times; for kernel presentations of finite-dimensional
+    modules the solution degrees are tiny, so the first bound almost always
+    suffices.  Returns None when no solution is found within the bounds.
+    """
+    maxdeg = max((e.degree for col in cols for e in col), default=0)
+    tdeg = max((e.degree for e in target), default=0)
+    bound = tdeg + maxdeg + 2
+    for _ in range(3):
+        ncoef = bound + 1
+        outdeg = bound + maxdeg
+        images = _shifted_coefficients(cols, height, outdeg, [ncoef] * len(cols), field)
+        (rhs,) = _shifted_coefficients([target], height, outdeg, [1], field)
+        # One row per output coefficient, one column per unknown coefficient.
+        a = Matrix(field, len(rhs), len(images),
+                   [v[k] for k in range(len(rhs)) for v in images])
+        sol = solve(a, Matrix.column(field, rhs))
+        if sol is not None:
+            return [UniPoly(field, sol.entries[j * ncoef: (j + 1) * ncoef])
+                    for j in range(len(cols))]
+        bound += 4
+    return None

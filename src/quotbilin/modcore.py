@@ -28,6 +28,10 @@ from .exactalg import (
 )
 
 
+class InvalidPoint(ValueError):
+    """A framed module or pairing point fails validation."""
+
+
 @dataclass(frozen=True)
 class FramedModule:
     n: int
@@ -58,10 +62,10 @@ class FramedModule:
     def __eq__(self, other):
         if not isinstance(other, FramedModule):
             return NotImplemented
-        return self.key() == other.key()
+        return self.field == other.field and self.X == other.X and self.G == other.G
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.X, self.G))
 
 
 @dataclass

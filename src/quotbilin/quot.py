@@ -29,7 +29,7 @@ from .exactalg import (
     char_poly,
     truncated_colength,
 )
-from .modcore import FramedModule, validate_framed
+from .modcore import FramedModule, InvalidPoint, validate_framed
 
 
 @dataclass
@@ -110,7 +110,7 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
     generates).  With ``check`` the gauge rank is verified explicitly.
     """
     if not validate_framed(P).ok:
-        raise ValueError("invalid framed module")
+        raise InvalidPoint("invalid framed module")
     f = P.field
     d, r, n = P.d, P.r, P.n
     nvars = n * d * d + d * r

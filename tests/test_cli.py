@@ -4,7 +4,7 @@ import pytest
 
 from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, main
 from quotbilin.exactalg import QQ, Matrix
-from quotbilin.modcore import framed_to_json, make_tuple_of_points
+from quotbilin.modcore import FramedModule, framed_to_json, make_tuple_of_points
 from quotbilin.bilin import bilin_to_json, main_component_point
 
 
@@ -188,12 +188,10 @@ def test_reports_identical_modulo_timestamp(tmp_path):
     assert a == b
 
 
-def test_dims_grid_workers_agree(tmp_path):
-    out1 = tmp_path / "w1.json"
-    out2 = tmp_path / "w4.json"
-    assert main(["dims", "--grid", "n=1..2 d=2..3 r=2..4", "--out", str(out1)]) == EXIT_OK
-    assert main(["dims", "--grid", "n=1..2 d=2..3 r=2..4", "--workers", "4",
-                 "--out", str(out2)]) == EXIT_OK
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    assert a["cells"] == b["cells"]
+def test_tangent_at_invalid_point_exits_like_validate(tmp_path):
+    # d = 2, r = 1, X = 0, G = e_1: the framing does not generate.
+    m = FramedModule(1, 2, 1, (Matrix.zeros(QQ, 2, 2),), Matrix.column(QQ, [1, 0]))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(framed_to_json(m)))
+    assert main(["validate", "--point", str(path)]) == EXIT_INVALID
+    assert main(["tangent", "quot", "--point", str(path)]) == EXIT_INVALID

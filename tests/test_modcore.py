@@ -218,3 +218,13 @@ def test_gauge_transform_preserves_validity():
 def test_framed_json_round_trip():
     m = make_tuple_of_points([QQ.from_int(0), QQ.from_int(1)], Matrix.identity(QQ, 2))
     assert framed_from_json(framed_to_json(m)) == m
+
+
+def test_framed_equality_and_hash_follow_matrix_equality():
+    one = Matrix(F5, 1, 1, [1])
+    a = FramedModule(1, 1, 1, (Matrix(F5, 1, 1, [7]),), one)
+    c = FramedModule(1, 1, 1, (Matrix(F5, 1, 1, [2]),), one)
+    assert a.X[0] == c.X[0]
+    assert a == c and hash(a) == hash(c) and len({a, c}) == 1
+    assert a != FramedModule(1, 1, 1, (Matrix(F5, 1, 1, [3]),), one)
+    assert a != FramedModule(1, 1, 1, (Matrix(QQ, 1, 1, [2]),), Matrix(QQ, 1, 1, [1]))
