@@ -11,6 +11,8 @@ framed module of rank r1*r2 and is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .exactalg import (
@@ -23,8 +25,8 @@ from .exactalg import (
     matrix_from_json,
     matrix_to_json,
     same_field,
-    solve_with_rank,
 )
+from .exactalg.matrix import _eliminate
 from .modcore import (
     FramedModule,
     InvalidPoint,
@@ -151,6 +153,100 @@ class MembershipReport:
     reason: Optional[str] = None
 
 
+class MembershipSystem:
+    """The pairing-lift equations of (M1, M2, Z), eliminated once, ready to
+    be solved for any target framing G.
+
+    Unknowns are the entries of Pihat (d3 x d1*d2, row-major).  The framing
+    rows say Pihat sends each g_a (x) h_b to column (a, b) of G; the
+    equivariance rows say Pihat intertwines both module actions with Z.  The
+    matrix A of these equations depends on (M1, M2, Z) only; G is the
+    right-hand side, and only of the framing rows.  So [A | E], with E the
+    identity on the f = r1*r2*d3 framing rows and zero on the others, is
+    reduced once; its right block T turns g = vec(G), in framing-row order,
+    into the reduced right-hand side T g.  A target is consistent iff the
+    rows past rank(A) give zero; the solution with every free variable zero
+    then puts entry i of T g at the pivot column of row i.  It is the
+    solution rref([A | b]) gives, since T b = rref(A) x0 whenever A x0 = b.
+    """
+
+    def __init__(self, m1: FramedModule, m2: FramedModule, Z: tuple[Matrix, ...]):
+        if m1.n != m2.n or m1.n != len(Z):
+            raise ShapeError("variable count mismatch")
+        f = same_field(m1.field, m2.field, *(z.field for z in Z))
+        d1, d2, d3 = m1.d, m2.d, Z[0].rows
+        if any((z.rows, z.cols) != (d3, d3) for z in Z):
+            raise ShapeError("target action shape mismatch")
+        self.m1, self.m2, self.Z = m1, m2, tuple(Z)
+        self.field, self.d3 = f, d3
+        dim = d1 * d2
+        nvars = d3 * dim
+        nab = m1.r * m2.r
+        nf = nab * d3
+        rows = []
+        # Framing rows, (a, b, k) in order: (Pihat (g_a (x) h_b))[k] = G[k, (a, b)].
+        # Column a*r2 + b of G1 (x) G2 is g_a (x) h_b.
+        gh = m1.G.kron(m2.G).entries
+        for ab in range(nab):
+            w = gh[ab::nab]
+            for k in range(d3):
+                row = [0] * (nvars + nf)
+                row[k * dim:(k + 1) * dim] = w
+                row[nvars + ab * d3 + k] = 1
+                rows.append(row)
+        # Equivariance rows: Pihat (X_i (x) 1) = Z_i Pihat and the
+        # second-factor twin, entry (k, c) of each.
+        eye1 = Matrix.identity(f, d1)
+        eye2 = Matrix.identity(f, d2)
+        for x1, x2, z in zip(m1.X, m2.X, self.Z):
+            ze = z.entries
+            for mat in (x1.kron(eye2), eye1.kron(x2)):
+                me = mat.entries
+                for k in range(d3):
+                    zk = ze[k * d3:(k + 1) * d3]
+                    for c in range(dim):
+                        row = [0] * (nvars + nf)
+                        # (Pihat mat)[k,c] = sum_s Pihat[k,s] mat[s,c]
+                        row[k * dim:(k + 1) * dim] = me[c::dim]
+                        # -(Z Pihat)[k,c] = -sum_s Z[k,s] Pihat[s,c]
+                        for s, zv in enumerate(zk):
+                            row[s * dim + c] -= zv
+                        rows.append(row)
+        work, pivots = _eliminate(f, rows, nvars + nf, reduced=True)
+        rank = sum(1 for pc in pivots if pc < nvars)
+        self.nvars = nvars
+        self.rank = rank
+        # Over F_p each pivot is 1; over Q row i is primitive, with pivot pv.
+        self._solved = [(pc, work[i][pc], work[i][nvars:])
+                        for i, pc in enumerate(pivots[:rank])]
+        self._checks = [work[i][nvars:] for i in range(rank, len(pivots))]
+
+    def solve(self, G: Matrix) -> MembershipReport:
+        """The pairing lift sending g_a (x) h_b to column (a, b) of G."""
+        nab = self.m1.r * self.m2.r
+        if G.cols != nab:
+            raise ShapeError("target framing rank must be r1*r2")
+        if G.rows != self.d3:
+            raise ShapeError("target framing shape mismatch")
+        f = same_field(self.field, G.field)
+        p = f.characteristic
+        ge = G.entries
+        g = [x for ab in range(nab) for x in ge[ab::nab]]
+        for t in self._checks:
+            s = sum(map(mul, t, g))
+            if (s % p) if p else s:
+                return MembershipReport(found=False, point=None, solution_dim=None,
+                                        reason="no pairing lift: target does not factor")
+        x = [f.zero()] * self.nvars
+        for pc, pv, t in self._solved:
+            s = sum(map(mul, t, g))
+            x[pc] = s % p if p else Fraction(s, pv)
+        pihat = Matrix(f, self.d3, self.m1.d * self.m2.d, x)
+        point = BilinPoint(m1=self.m1, m2=self.m2, d3=self.d3, Z=self.Z, pihat=pihat)
+        return MembershipReport(found=True, point=point,
+                                solution_dim=self.nvars - self.rank)
+
+
 def factor_membership_detail(m1: FramedModule, m2: FramedModule,
                              m3framed: FramedModule) -> MembershipReport:
     """Solve for the pairing lift realizing a target framed module.
@@ -160,62 +256,13 @@ def factor_membership_detail(m1: FramedModule, m2: FramedModule,
     both module actions with the target action.  A solution exists iff the
     target quotient factors through M1 (x)_S M2; it is then unique because
     the generator pair tensors generate the full tensor product.
+
+    The matrix A of these equations depends on (M1, M2, Z); the target
+    framing G is the right-hand side.  A loop over many targets that share
+    (M1, M2, Z) should build one :class:`MembershipSystem` and call its
+    ``solve`` for each target framing.
     """
-    if m1.n != m2.n or m1.n != m3framed.n:
-        raise ShapeError("variable count mismatch")
-    if m3framed.r != m1.r * m2.r:
-        raise ShapeError("target framing rank must be r1*r2")
-    f = same_field(m1.field, m2.field, m3framed.field)
-    d1, d2, d3 = m1.d, m2.d, m3framed.d
-    dim = d1 * d2
-    nvars = d3 * dim
-    rows = []
-    rhs = []
-    # Framing equations: Pihat (g_a (x) h_b) = target column (a, b).
-    for a in range(m1.r):
-        ga = m1.G.col(a)
-        for bcol in range(m2.r):
-            hb = m2.G.col(bcol)
-            w = [f.zero()] * dim
-            for i in range(d1):
-                if f.is_zero(ga[i]):
-                    continue
-                for j in range(d2):
-                    w[i * d2 + j] = f.mul(ga[i], hb[j])
-            target_col = m3framed.G.col(a * m2.r + bcol)
-            for k in range(d3):
-                row = [f.zero()] * nvars
-                for c in range(dim):
-                    row[k * dim + c] = w[c]
-                rows.append(row)
-                rhs.append(target_col[k])
-    # Equivariance: Pihat (X_i (x) 1) = Z_i Pihat and the second-factor twin.
-    eye1 = Matrix.identity(f, d1)
-    eye2 = Matrix.identity(f, d2)
-    for i in range(m1.n):
-        for mat in (m1.X[i].kron(eye2), eye1.kron(m2.X[i])):
-            z = m3framed.X[i]
-            for k in range(d3):
-                for c in range(dim):
-                    row = [f.zero()] * nvars
-                    # (Pihat mat)[k,c] = sum_s Pihat[k,s] mat[s,c]
-                    for s in range(dim):
-                        row[k * dim + s] = f.add(row[k * dim + s], mat[s, c])
-                    # -(Z Pihat)[k,c] = -sum_s Z[k,s] Pihat[s,c]
-                    for s in range(d3):
-                        row[s * dim + c] = f.sub(row[s * dim + c], z[k, s])
-                    rows.append(row)
-                    rhs.append(f.zero())
-    a_mat = Matrix.from_rows(f, rows)
-    b_mat = Matrix.column(f, rhs)
-    x, rank = solve_with_rank(a_mat, b_mat)
-    if x is None:
-        return MembershipReport(found=False, point=None, solution_dim=None,
-                                reason="no pairing lift: target does not factor")
-    pihat = Matrix(f, d3, dim, list(x.entries))
-    point = BilinPoint(m1=m1, m2=m2, d3=d3, Z=tuple(m3framed.X), pihat=pihat)
-    return MembershipReport(found=True, point=point,
-                            solution_dim=nvars - rank)
+    return MembershipSystem(m1, m2, m3framed.X).solve(m3framed.G)
 
 
 def factor_membership(m1: FramedModule, m2: FramedModule,

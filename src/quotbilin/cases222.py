@@ -32,7 +32,7 @@ from .modcore import (
     tensor_over_S,
     validate_framed,
 )
-from .bilin import BilinPoint, factor_membership_detail, validate_bilin
+from .bilin import BilinPoint, MembershipSystem, validate_bilin
 from .quot import NonSplitSupport
 from .tensorlab import Classification222, Tensor3, classify_2x2x2, tensor_from_bilin
 
@@ -374,7 +374,9 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
 
     For a few module pairs, enumerate every valid rank-4 target framed
     module over F_q, run the membership solver, deduplicate surviving
-    points by pairing kernel, and compare with the subspace count.
+    points by pairing kernel, and compare with the subspace count.  Each
+    target action Z gives one membership system per pair, against which the
+    framing of every valid target with that action is solved.
     """
     field = GF(q)
     reps = enumerate_quot_classes_22(q)
@@ -386,23 +388,20 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
                 pairs.append((m1, m2, prod))
     step = max(1, len(pairs) // pair_sample)
     chosen = pairs[::step][:pair_sample]
-    for m1, m2, prod in chosen:
-        expected = len(_invariant_subspaces(prod.actions, prod.dim12,
-                                            prod.dim12 - 2, field))
-        found = set()
-        for Z in _all_matrices(field, 2, 2):
-            for F3 in _all_matrices(field, 2, 4):
-                target = FramedModule(1, 2, 4, (Z,), F3)
-                if not validate_framed(target).ok:
-                    continue
-                rep = factor_membership_detail(m1, m2, target)
-                if rep.point is None:
-                    continue
-                ker = _pairing_kernel_key(rep.point, prod, field)
-                found.add(ker)
-        if len(found) != expected:
-            return False
-    return True
+    found = [set() for _ in chosen]
+    for Z in _all_matrices(field, 2, 2):
+        systems = [MembershipSystem(m1, m2, (Z,)) for m1, m2, _ in chosen]
+        for F3 in _all_matrices(field, 2, 4):
+            if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
+                continue
+            for system, (_, _, prod), keys in zip(systems, chosen, found):
+                rep = system.solve(F3)
+                if rep.found:
+                    keys.add(_pairing_kernel_key(rep.point, prod, field))
+    return all(
+        len(keys) == len(_invariant_subspaces(prod.actions, prod.dim12,
+                                              prod.dim12 - 2, field))
+        for (_, _, prod), keys in zip(chosen, found))
 
 
 def _pairing_kernel_key(point: BilinPoint, prod, field) -> tuple:

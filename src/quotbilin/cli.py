@@ -404,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("secant-dim", help="Terracini secant dimension of the triple Segre")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=int, default=5,
+                   help="at most this many random trials; they stop at the first that "
+                        "reaches the bound, and per_trial lists the trials run")
     _common_flags(p)
 
     p = sub.add_parser("classify222", help="classify a 2x2x2 tensor or run the census")

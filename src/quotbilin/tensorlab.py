@@ -488,7 +488,9 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
     Per trial: r random points a (x) b (x) c, tangent spaces spanned by
     replacing one factor by the full space; the projective secant dimension
     is the rank of the stacked spans minus one.  The maximum over trials is
-    reported and never exceeds min(ambient, r(3(d-1)+1) - 1).
+    reported and never exceeds ``bound`` = min(ambient, r(3(d-1)+1) - 1), so
+    the trials stop at the first one that reaches it: ``per_trial`` lists
+    the trials run, at most ``trials`` of them.
     """
     if d < 1 or r < 1:
         raise ValueError("need d, r >= 1")
@@ -517,6 +519,8 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
                 rows.append(rank_one(field, a, b, list(eye.col(i))).coeffs)
         rank = Matrix.from_rows(field, rows).rank()
         per_trial.append(rank - 1)
+        if rank - 1 == bound:
+            break
     terracini = max(per_trial)
     return SecantReport(d=d, r=r, ambient=ambient, bound=bound,
                         terracini_dim=terracini,

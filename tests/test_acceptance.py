@@ -144,7 +144,7 @@ def test_criterion_5_sigma2_fills_for_d2():
     assert rep.terracini_dim == 7 == rep.ambient
     assert rep.fills_ambient
     assert all(v == 7 for v in rep.per_trial)
-    budget.done(5, "five seeded trials all reach the full ambient dimension 7")
+    budget.done(5, "the first seeded trial reaches the full ambient dimension 7")
 
 
 def test_criterion_6_classification_2x2x2():

@@ -13,6 +13,7 @@ from quotbilin.bilin import (
 )
 from quotbilin.quot import NonSplitSupport
 from quotbilin.tensorlab import LABEL_GENERIC, LABEL_NON_CONCISE, LABEL_W_TYPE
+from quotbilin import cases222
 from quotbilin.cases222 import (
     CaseLabel,
     ModuleType,
@@ -243,7 +244,14 @@ def test_census_cap_guard():
 
 
 def test_census_matches_direct_membership_loop():
-    assert census_cross_check(2, pair_sample=2)
+    assert census_cross_check(2)
+
+
+def test_census_cross_check_fails_when_kernels_collapse(monkeypatch):
+    # With every found pairing keyed alike, each pair's found count is 1,
+    # short of its subspace count: the cross-check can fail.
+    monkeypatch.setattr(cases222, "_pairing_kernel_key", lambda point, prod, field: ("same",))
+    assert census_cross_check(2) is False
 
 
 # -- label vs tensor class -----------------------------------------------------------------

@@ -3,9 +3,17 @@ import json
 import pytest
 
 from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, main
-from quotbilin.exactalg import QQ, Matrix
-from quotbilin.modcore import FramedModule, framed_to_json, make_tuple_of_points
-from quotbilin.bilin import bilin_to_json, main_component_point
+from quotbilin.exactalg import GF, QQ, Matrix, UniPoly
+from quotbilin.modcore import (
+    FramedModule,
+    cyclic_module_univariate,
+    framed_to_json,
+    make_degenerate,
+    make_tuple_of_points,
+)
+from quotbilin.bilin import bilin_to_json, degenerate_point, main_component_point
+
+F3 = GF(3)
 
 
 @pytest.fixture()
@@ -91,6 +99,46 @@ def test_member_success_round_trip(tmp_path, main_point_file):
     point_path = tmp_path / "point.json"
     point_path.write_text(json.dumps(payload["point"]))
     assert main(["validate", "--point", str(point_path)]) == EXIT_OK
+
+
+def write_member_files(tmp_path, m1, m2, m3):
+    paths = []
+    for name, m in (("m1", m1), ("m2", m2), ("m3", m3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(framed_to_json(m)))
+        paths += [f"--{name}", str(path)]
+    return ["member"] + paths
+
+
+def test_member_round_trip_over_f3(tmp_path):
+    # The F_3 degenerate point of acceptance criterion 9.
+    b = degenerate_point(2, 2, 2, Matrix.identity(F3, 2), Matrix.identity(F3, 2),
+                         Matrix.from_int_rows(F3, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    code, payload, _ = run_json(
+        tmp_path, write_member_files(tmp_path, b.m1, b.m2, b.target_module()))
+    assert code == EXIT_OK
+    assert payload["found"] and payload["solution_dim"] == 0
+    assert payload["point"] == bilin_to_json(b)
+    point_path = tmp_path / "point.json"
+    point_path.write_text(json.dumps(payload["point"]))
+    assert main(["validate", "--point", str(point_path)]) == EXIT_OK
+
+
+def test_member_non_factoring_target_over_f3(tmp_path):
+    # Supports {0, 1} and {0, 2}: the tensor product is 1-dimensional, so a
+    # 2-dimensional target cannot factor through it.
+    m1 = cyclic_module_univariate(UniPoly.from_ints(F3, [0, -1, 1]))
+    m2 = cyclic_module_univariate(UniPoly.from_ints(F3, [0, -2, 1]))
+    code, payload, _ = run_json(tmp_path, write_member_files(tmp_path, m1, m2, m1))
+    assert code == EXIT_INVALID
+    assert not payload["found"] and payload["solution_dim"] is None
+    assert "point" not in payload
+
+
+def test_member_wrong_target_rank_is_malformed(tmp_path):
+    m = make_degenerate(2, 2, Matrix.identity(F3, 2))
+    args = write_member_files(tmp_path, m, m, m)  # target rank 2, not 2*2
+    assert main(args) == EXIT_MALFORMED
 
 
 def test_dims_grid_csv(tmp_path):

@@ -221,6 +221,21 @@ def test_secant_segre_itself():
     assert rep.terracini_dim == 3
 
 
+@pytest.mark.parametrize("d,r", [(2, 2), (3, 3)])
+def test_secant_stops_at_the_first_trial_reaching_the_bound(d, r):
+    rep = secant_dimension(d, r, trials=5, seed=0)
+    assert rep.per_trial == [rep.bound]
+    assert rep.terracini_dim == rep.bound
+
+
+def test_secant_defective_case_runs_every_trial():
+    # sigma_4 of P^2 x P^2 x P^2 is defective: expected 26, actual 25.
+    rep = secant_dimension(3, 4, trials=5, seed=0)
+    assert rep.bound == 26 == rep.ambient
+    assert rep.per_trial == [25] * 5
+    assert rep.terracini_dim == 25 and not rep.fills_ambient
+
+
 def test_secant_monotone_in_r():
     prev = -1
     for r in range(1, 5):
