@@ -600,6 +600,8 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     On generators kappa of K1 and free basis vectors e of F2 (and the
     mirror), the image of kappa (x) e under phi3 must equal the pairing
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
+    Raises ArithmeticError when a member of K3 cannot be written in the
+    generators of K3, so that a failed solve never reads as incompatible.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
@@ -617,7 +619,9 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
             return None
         coeffs = express_in_span(gens3, r1 * r2, vec_polys, f)
         if coeffs is None:
-            return None
+            raise ArithmeticError(
+                "a vector in the echelon span of K3 is not expressed in its generators "
+                "by express_in_span, though both span K3")
         acc = [f.zero()] * d3
         for j, c in enumerate(coeffs):
             add = c.eval_matrix(Z).matvec(list(triple.phi3.col(j)))

@@ -24,10 +24,6 @@ from .unipoly import (
     hermite_kernel,
     rational_roots,
     roots_with_multiplicity,
-    truncated_colength,
-    truncated_kernel_dim,
-    truncated_span_dim,
-    weak_popov,
 )
 from .param import ParamMatrix, ParamTensor, evaluate_param
 from .count import InfeasibleEnumeration, gaussian_binomial, is_prime_power
@@ -41,8 +37,7 @@ __all__ = [
     "solve", "solve_with_rank",
     "UniPoly", "UniPolyMatrix", "char_poly", "column_echelon",
     "express_in_echelon", "express_in_span", "hermite_kernel", "rational_roots",
-    "roots_with_multiplicity", "truncated_colength", "truncated_kernel_dim",
-    "truncated_span_dim", "weak_popov",
+    "roots_with_multiplicity",
     "ParamMatrix", "ParamTensor", "evaluate_param",
     "InfeasibleEnumeration", "gaussian_binomial", "is_prime_power",
     "rand_invertible", "rand_matrix", "rand_nonzero_vector", "rand_vector",

@@ -2,14 +2,15 @@
 
 Polynomials are coefficient tuples, lowest degree first, with no trailing
 zeros.  Polynomial matrices support the column-reduction kernel used to
-present kernels of maps between free k[x]-modules, plus the truncated linear
-algebra that certifies those kernels by degree stabilization.
+present kernels of maps between free k[x]-modules.
 
 One Euclidean column reducer, :func:`_column_reduce`, serves both
-:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  One
+:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  The
+echelon form is also the exact colength certificate: r k[x]-independent
+columns in k[x]^r reduce to a lower triangular matrix, whose determinant
+degree, the colength of their span, is the sum of the diagonal degrees.  One
 layout, :func:`_shifted_coefficients`, turns x^b * column into a coefficient
-vector for every truncated system: :func:`truncated_kernel_dim`,
-:func:`truncated_span_dim` and the k[x] solve :func:`express_in_span`.
+vector for the truncated system of the k[x] solve :func:`express_in_span`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class UniPoly:
         return all(f.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.field.name, self.coeffs))
+        return hash((self.field.name, tuple(map(self.field.canonical, self.coeffs))))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         f = same_field(self.field, other.field)
@@ -336,9 +337,6 @@ class UniPolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
-    def max_degree(self) -> int:
-        return max((e.degree for e in self.entries), default=-1)
-
     def determinant(self) -> UniPoly:
         """Cofactor expansion; intended for small matrices."""
         if self.rows != self.cols:
@@ -442,16 +440,14 @@ def _shifted_coefficients(cols: Sequence[Sequence[UniPoly]], height: int,
     return out
 
 
-def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
-                   ) -> UniPolyMatrix:
+def hermite_kernel(p: UniPolyMatrix) -> UniPolyMatrix:
     """Basis of the right kernel of a k[x]-matrix, as matrix columns.
 
     Column reduction with Euclidean pivoting on degrees; the transformation
     columns hitting zero give a free basis of ``{v : p v = 0}``.  Output
-    membership is verified by substitution.  When ``certify_degree`` is set,
-    generation is certified by comparing the degree-truncated span of the
-    output against the brute-force truncated kernel at that degree and two
-    higher.
+    membership is verified by substitution, so the columns span a submodule
+    of the kernel; callers that need equality certify it themselves (see
+    :func:`quotbilin.quot.kernel_presentation`).
     """
     f = p.field
     acols = [list(c) for c in p.columns()]
@@ -468,97 +464,7 @@ def hermite_kernel(p: UniPolyMatrix, certify_degree: Optional[int] = None
         residual = p.apply(col)
         if not all(e.is_zero() for e in residual):
             raise ArithmeticError("kernel column fails substitution check")
-    if certify_degree is not None:
-        for d in (certify_degree, certify_degree + 2):
-            want = truncated_kernel_dim(p, d)
-            got = truncated_span_dim(kernel_cols, p.cols, d, f)
-            if want != got:
-                raise ArithmeticError(
-                    f"kernel generation certificate failed at degree {d}: {got} < {want}")
     return out
-
-
-def truncated_kernel_dim(p: UniPolyMatrix, max_degree: int) -> int:
-    """Dimension of {v in k[x]^c : p v = 0, deg v_j <= max_degree} over k."""
-    out_deg = max_degree + max(p.max_degree(), 0)
-    images = _shifted_coefficients(p.columns(), p.rows, out_deg,
-                                   [max_degree + 1] * p.cols, p.field)
-    # One row per output coefficient, one column per unknown coefficient.
-    rows = [row for row in zip(*images) if any(row)]
-    if not rows:
-        return p.cols * (max_degree + 1)
-    m = Matrix.from_rows(p.field, rows)
-    return m.cols - m.rank()
-
-
-def weak_popov(cols: Sequence[Sequence[UniPoly]], height: int, field: Field
-               ) -> list[list[UniPoly]]:
-    """Degree-reduce columns to weak Popov form (distinct leading positions).
-
-    The leading position of a column is the bottom-most row achieving its
-    maximal entry degree; while two columns collide there, the higher-degree
-    one is reduced by a monomial multiple of the other.  The span over k[x]
-    is unchanged, zero columns are dropped, and the result satisfies the
-    predictable degree property: no k[x]-combination drops below the maximal
-    shifted degree, so degree-truncated spans of the output are exact.
-    """
-    work = [list(c) for c in cols if any(not e.is_zero() for e in c)]
-
-    def col_degree(col):
-        return max(e.degree for e in col)
-
-    def leading_position(col):
-        d = col_degree(col)
-        return max(i for i, e in enumerate(col) if e.degree == d)
-
-    while True:
-        by_lp: dict[int, int] = {}
-        clash = None
-        for j, col in enumerate(work):
-            lp = leading_position(col)
-            if lp in by_lp:
-                clash = (by_lp[lp], j, lp)
-                break
-            by_lp[lp] = j
-        if clash is None:
-            return work
-        j1, j2, lp = clash
-        if col_degree(work[j1]) < col_degree(work[j2]):
-            j1, j2 = j2, j1
-        hi, lo = work[j1], work[j2]
-        shift = col_degree(hi) - col_degree(lo)
-        c = field.div(hi[lp].lead(), lo[lp].lead())
-        mono = UniPoly(field, [field.zero()] * shift + [c])
-        work[j1] = [hi[i] - mono * lo[i] for i in range(height)]
-        if all(e.is_zero() for e in work[j1]):
-            del work[j1]
-
-
-def truncated_span_dim(cols: Sequence[Sequence[UniPoly]], height: int,
-                       max_degree: int, field: Field) -> int:
-    """k-dimension of the degree-truncated k[x]-span of the given columns.
-
-    The columns are first reduced to weak Popov form so that shifted
-    generators x^e * col staying within ``max_degree`` span the truncation
-    exactly; entries are laid out as coefficient vectors.
-    """
-    reduced = weak_popov(cols, height, field)
-    shifts = [max_degree - max(e.degree for e in col) + 1 for col in reduced]
-    rows = _shifted_coefficients(reduced, height, max_degree, shifts, field)
-    if not rows:
-        return 0
-    return Matrix.from_rows(field, rows).rank()
-
-
-def truncated_colength(cols: Sequence[Sequence[UniPoly]], height: int,
-                       max_degree: int, field: Field) -> int:
-    """Codimension of the truncated span inside truncated k[x]^height.
-
-    For a submodule of finite colength this stabilizes to the true colength
-    once ``max_degree`` is large enough.
-    """
-    total = height * (max_degree + 1)
-    return total - truncated_span_dim(cols, height, max_degree, field)
 
 
 def column_echelon(cols: Sequence[Sequence[UniPoly]], height: int, field: Field

@@ -27,7 +27,6 @@ from .exactalg import (
     hermite_kernel,
     roots_with_multiplicity,
     char_poly,
-    truncated_colength,
 )
 from .modcore import FramedModule, InvalidPoint, validate_framed
 
@@ -159,9 +158,13 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
 
     Uses the free presentation of M by x*I - X: K is the projection to the
     first r coordinates of ker[G | X - x*I], computed by column reduction
-    over k[x].  The colength of K in k[x]^r equals the dimension of the
-    image of the evaluation map (= d when the framing generates), checked by
-    truncated linear algebra.
+    over k[x].  The generators pass a substitution check, so they span some
+    K' inside K.  K has colength dim(image of the evaluation map) (= d when
+    the framing generates) and is free of rank r, since k[x] is a PID.  The
+    echelon of K' is certified to have r columns, hence to be lower
+    triangular, with colength deg det = the sum of its diagonal degrees
+    equal to that image dimension; a submodule of equal finite colength is
+    K itself.
     """
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
@@ -178,19 +181,17 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
                 e = e - x
             ents.append(e)
     big = UniPolyMatrix(f, d, r + d, ents)
-    ker = hermite_kernel(big, certify_degree=d + 1)
+    ker = hermite_kernel(big)
     cols = [col[:r] for col in ker.columns()]
     cols = [c for c in cols if any(not e.is_zero() for e in c)]
     gens = UniPolyMatrix.from_columns(f, r, cols)
     ech = column_echelon(cols, r, f)
-    # Colength stabilization: image dimension of the evaluation map.
     img_dim = len(_image_basis(P))
-    degree = d + 1
-    c1 = truncated_colength(ech, r, degree, f)
-    c2 = truncated_colength(ech, r, degree + 2, f)
-    if not (c1 == c2 == img_dim):
+    colength = sum(col[j].degree for j, col in enumerate(ech))
+    if len(ech) != r or colength != img_dim:
         raise ArithmeticError(
-            f"kernel colength {c1}/{c2} does not stabilize to image dim {img_dim}")
+            f"kernel generators give {len(ech)} echelon columns of pivot-degree sum "
+            f"{colength}; K needs {r} columns of colength {img_dim} (image dimension)")
     return KernelPresentation(r=r, gens=gens, echelon=ech)
 
 

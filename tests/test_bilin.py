@@ -12,6 +12,7 @@ from quotbilin.modcore import (
     rand_framed_module,
     validate_framed,
 )
+from quotbilin import bilin
 from quotbilin.bilin import (
     BilinPoint,
     HomTriple,
@@ -248,6 +249,15 @@ def test_extracted_triples_pass_nilpotent_case():
     rep = bilin_tangent(b)
     for tv in rep.basis[:4]:
         assert hom_triple_check(b, extract_hom_triple(b, tv))
+
+
+def test_hom_triple_check_raises_when_a_member_is_not_expressed(monkeypatch):
+    # A failed solve for a vector of K3 must not read as an incompatible triple.
+    b = canonical_main()
+    triple = zero_triple(b)
+    monkeypatch.setattr(bilin, "express_in_span", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="express_in_span"):
+        hom_triple_check(b, triple)
 
 
 def test_random_triple_fails():

@@ -13,7 +13,9 @@ from quotbilin.exactalg import (
     ParamMatrix,
     UniPoly,
     UniPolyMatrix,
+    column_echelon,
     evaluate_param,
+    express_in_echelon,
     gaussian_binomial,
     hermite_kernel,
     matrix_from_json,
@@ -21,10 +23,8 @@ from quotbilin.exactalg import (
     parse_field,
     rank_and_kernel,
     solve,
-    truncated_colength,
-    truncated_kernel_dim,
-    truncated_span_dim,
 )
+from test_kx_reduction import reference_truncated_kernel_basis, same_span
 
 F5 = GF(5)
 
@@ -124,13 +124,12 @@ def test_solve_exact_or_certified(seed, rows, cols, bcols):
 def test_hermite_kernel_x2_x():
     x = UniPoly.x(QQ)
     p = UniPolyMatrix(QQ, 1, 2, [x * x, x])
-    k = hermite_kernel(p, certify_degree=3)
+    k = hermite_kernel(p)
     # honest kernel of the free-module map: spanned by (1, -x)
     assert k.cols == 1
     assert (p * k).is_zero()
     expected = [[UniPoly.from_ints(QQ, [1]), UniPoly.from_ints(QQ, [0, -1])]]
-    assert truncated_span_dim(k.columns(), 2, 4, QQ) == \
-        truncated_span_dim(expected, 2, 4, QQ)
+    assert same_span(k.columns(), expected, 2, QQ)
 
 
 def test_hermite_kernel_identity_empty():
@@ -154,20 +153,11 @@ def test_hermite_kernel_membership_and_stability(seed, rows, cols):
     p = UniPolyMatrix(F5, rows, cols, ents)
     k = hermite_kernel(p)
     assert (p * k).is_zero()
-    d1 = truncated_span_dim(k.columns(), cols, 4, F5)
-    assert d1 == truncated_kernel_dim(p, 4)
-    d2 = truncated_span_dim(k.columns(), cols, 6, F5)
-    assert d2 == truncated_kernel_dim(p, 6)
-
-
-def test_truncated_colength_framing_example():
-    # Columns (1, -x), (0, x) span the kernel of the evaluation framed by
-    # (x^2, x) into the 2-dimensional cyclic module; colength 1.
-    one = UniPoly.from_ints(QQ, [1])
-    x = UniPoly.x(QQ)
-    cols = [[one, -x], [UniPoly.zero(QQ), x]]
-    assert truncated_colength(cols, 2, 4, QQ) == 1
-    assert truncated_colength(cols, 2, 6, QQ) == 1
+    # The output generates: every kernel vector of bounded degree lies in its span.
+    ech = column_echelon(k.columns(), cols, F5)
+    for deg in (4, 6):
+        for v in reference_truncated_kernel_basis(p, deg):
+            assert express_in_echelon(ech, cols, v, F5) is not None
 
 
 # -- gaussian binomials ------------------------------------------------------------
@@ -252,3 +242,10 @@ def test_equal_matrices_hash_equal():
     assert len({a, b}) == 1
     assert hash(Matrix(QQ, 1, 2, [Fraction(2), Fraction(1, 3)])) == \
         hash(Matrix(QQ, 1, 2, [2, Fraction(2, 6)]))
+
+
+def test_equal_polynomials_hash_equal():
+    # 7 and 2 are the same element of GF(5)
+    a, b = UniPoly(F5, [7, 1]), UniPoly(F5, [2, 1])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1

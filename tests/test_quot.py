@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from quotbilin import quot
 from quotbilin.exactalg import (
     GF,
     QQ,
     Matrix,
     UniPoly,
+    UniPolyMatrix,
     rand_invertible,
-    truncated_colength,
+    rand_matrix,
 )
 from quotbilin.modcore import (
     FramedModule,
@@ -31,6 +33,7 @@ from quotbilin.quot import (
     quot_dims,
     quot_tangent,
 )
+from test_kx_reduction import same_span
 
 F5 = GF(5)
 
@@ -107,21 +110,97 @@ def test_kernel_presentation_framing_example():
     G = Matrix.from_int_rows(QQ, [[0, 0], [0, 1]])
     m = FramedModule(1, 2, 2, (X,), G)
     pres = kernel_presentation(m)
-    assert truncated_colength(pres.echelon, 2, 5, QQ) == 1
+    assert pivot_degree_sum(pres.echelon) == 1
     # both stated generating sets have this same span
     one = UniPoly.from_ints(QQ, [1])
     x = UniPoly.x(QQ)
-    from quotbilin.exactalg import truncated_span_dim
     stated = [[one, -x], [UniPoly.zero(QQ), x]]
-    for deg in (3, 5):
-        assert truncated_span_dim(pres.echelon, 2, deg, QQ) == \
-            truncated_span_dim(stated, 2, deg, QQ)
+    assert same_span(pres.echelon, stated, 2, QQ)
 
 
 def test_kernel_presentation_colength_is_d_when_generating():
     m = cyclic_module_univariate(UniPoly.from_ints(QQ, [0, -1, 1]))  # S/(x(x-1))
     pres = kernel_presentation(m)
-    assert truncated_colength(pres.echelon, m.r, m.d + 3, QQ) == m.d
+    assert pivot_degree_sum(pres.echelon) == m.d
+
+
+def pivot_degree_sum(echelon):
+    """Colength of the span of r echelon columns in k[x]^r: deg det."""
+    return sum(col[j].degree for j, col in enumerate(echelon))
+
+
+def krylov_rank(m):
+    """Rank of [G, XG, ..., X^(d-1) G]: the dimension of the image of k[x]^r."""
+    block, krylov = m.G, m.G
+    for _ in range(m.d - 1):
+        block = m.X[0] * block
+        krylov = krylov.hstack(block)
+    return krylov.rank()
+
+
+@st.composite
+def univariate_modules(draw):
+    """Framed univariate modules whose framing generates, need not generate,
+    provably does not generate (it lies in a proper invariant subspace), or
+    is zero."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101)]))
+    d, r = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["generating", "random", "invariant", "zero"]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if kind == "generating":
+        return rand_framed_module(rng, field, 1, d, r)
+    X = rand_matrix(rng, field, d, d)
+    G = rand_matrix(rng, field, d, r)
+    if kind == "invariant" and d:
+        # span(e_0, ..., e_{k-1}) is X-invariant and holds every framing column.
+        k = rng.randrange(d)
+        X = Matrix(field, d, d, [field.zero() if i >= k > j else X[i, j]
+                                 for i in range(d) for j in range(d)])
+        G = Matrix(field, d, r, [field.zero() if i >= k else G[i, j]
+                                 for i in range(d) for j in range(r)])
+    elif kind == "zero":
+        G = Matrix.zeros(field, d, r)
+    return FramedModule(1, d, r, (X,), G)
+
+
+@settings(deadline=None, max_examples=120)
+@given(univariate_modules())
+def test_kernel_presentation_colength_is_krylov_rank(m):
+    pres = kernel_presentation(m)
+    assert len(pres.echelon) == m.r
+    assert pivot_degree_sum(pres.echelon) == krylov_rank(m)
+
+
+def _scale_first_by_x(cols, field):
+    return [[UniPoly.x(field) * e for e in cols[0]]] + cols[1:]
+
+
+def _drop_first(cols, field):
+    return cols[1:]
+
+
+def _drop_last(cols, field):
+    return cols[:-1]
+
+
+@pytest.mark.parametrize("mutate", [_scale_first_by_x, _drop_first, _drop_last])
+@pytest.mark.parametrize("module", [
+    cyclic_module_univariate(UniPoly.from_ints(QQ, [0, -1, 1])),
+    rand_framed_module(random.Random(3), GF(101), 1, 4, 2),
+    FramedModule(1, 2, 2, (Matrix.identity(F5, 2),), Matrix.zeros(F5, 2, 2)),
+], ids=["cyclic-q", "generating-f101", "zero-framing-f5"])
+def test_kernel_certificate_rejects_a_smaller_span(monkeypatch, module, mutate):
+    # Each mutation keeps the columns inside the kernel but shrinks their span.
+    real = quot.hermite_kernel
+
+    def mutated(p):
+        ker = real(p)
+        return UniPolyMatrix.from_columns(p.field, ker.rows, mutate(ker.columns(), p.field))
+
+    kernel_presentation(module)  # passes unmutated
+    monkeypatch.setattr(quot, "hermite_kernel", mutated)
+    with pytest.raises(ArithmeticError, match="echelon columns"):
+        kernel_presentation(module)
 
 
 def test_hom_oracle_cyclic_x2():
