@@ -7,7 +7,7 @@ Usage: python scripts/census_222.py [q]
 import sys
 import time
 
-from quotbilin.cases222 import enumerate_222
+from quotbilin.cases222 import enumerate_222, enumerate_quot_classes_22
 
 
 def main() -> int:
@@ -15,8 +15,10 @@ def main() -> int:
     start = time.time()
     census = enumerate_222(q)
     elapsed = time.time() - start
+    actions = len({m.X for m in enumerate_quot_classes_22(q)})
     print(f"census over F_{q}: {census.total_points} points from "
-          f"{census.quot_classes}^2 framed-module class pairs ({elapsed:.1f}s)")
+          f"{census.quot_classes}^2 framed-module class pairs with "
+          f"{actions} distinct actions ({elapsed:.1f}s)")
     print(f"{'label':<22} {'tensor class':<18} {'count':>6}")
     print("-" * 48)
     for label, tlabel, count in census.rows():

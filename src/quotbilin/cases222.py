@@ -4,6 +4,13 @@ Named tensors and degeneration families for the five module-type cases,
 point classification by the isomorphism types of the two source modules, and
 the exhaustive census over a small prime field.
 
+A module's type and support depend only on its action matrix, and the
+tensor product, its invariant subspaces and the pairing (Z, Pihat) only on
+the action pair (X1, X2); the framings decide only whether a class
+generates.  The census therefore groups the class representatives by
+action and assembles, validates and classifies each (X1, X2, kernel) family
+once, counting it for every class pair that shares it.
+
 Two additional split-mixed labels cover pairs (tuple-of-points, semisimple
 double point): such points are valid (the tensor product localizes onto the
 common support) even though only one source is a tuple of points.  Their
@@ -23,18 +30,20 @@ from .exactalg import (
     InfeasibleEnumeration,
     Matrix,
     ParamTensor,
+    ShapeError,
     UniPoly,
 )
 from .modcore import (
     FramedModule,
-    annihilator_algebra_dim,
-    support_univariate,
+    InvalidPoint,
+    _algebra_dim,
+    _support,
     tensor_over_S,
     validate_framed,
 )
 from .bilin import BilinPoint, MembershipSystem, validate_bilin
 from .quot import NonSplitSupport
-from .tensorlab import Classification222, Tensor3, classify_2x2x2, tensor_from_bilin
+from .tensorlab import Classification222, Tensor3, _pairing_tensor, classify_2x2x2
 
 
 class ModuleType(Enum):
@@ -161,14 +170,27 @@ class PointClassification:
 
 def module_type_222(m: FramedModule) -> ModuleType:
     """Isomorphism type of a dimension-2 univariate module via support
-    multiplicity and the dimension of the algebra generated by the action."""
-    supp = support_univariate(m)
+    multiplicity and the dimension of the algebra generated by the action.
+
+    The rule (two support points, else algebra dimension 2 or 1) holds only
+    for n = 1 and d = 2, so other shapes raise ShapeError.
+    """
+    if m.n != 1 or m.d != 2:
+        raise ShapeError(f"module_type_222 needs n=1 and d=2, got n={m.n}, d={m.d}")
+    return _action_facts(m.X[0])[0]
+
+
+def _action_facts(X: Matrix) -> tuple[ModuleType, list]:
+    """Type and sorted support keys of the dimension-2 univariate module
+    with action X; neither depends on the framing."""
+    supp = _support(X)
+    keys = sorted(map(_supp_key, supp.points))
     if not supp.split:
-        return ModuleType.NON_SPLIT
+        return ModuleType.NON_SPLIT, keys
     if len(supp.points) == 2:
-        return ModuleType.TUPLE
-    alg = annihilator_algebra_dim(m)
-    return ModuleType.JORDAN if alg == 2 else ModuleType.SEMISIMPLE
+        return ModuleType.TUPLE, keys
+    alg = _algebra_dim((X,))
+    return (ModuleType.JORDAN if alg == 2 else ModuleType.SEMISIMPLE), keys
 
 
 def classify_point_222(b: BilinPoint) -> PointClassification:
@@ -182,31 +204,39 @@ def classify_point_222(b: BilinPoint) -> PointClassification:
     """
     if b.n != 1 or (b.m1.d, b.m2.d, b.d3) != (2, 2, 2):
         raise ValueError("classification needs n=1 and all dimensions 2")
-    if not validate_bilin(b).ok:
-        raise ValueError("invalid pairing point")
-    t1 = module_type_222(b.m1)
-    t2 = module_type_222(b.m2)
-    m3 = b.target_module()
-    t3 = module_type_222(m3)
+    val = validate_bilin(b)
+    if not val.ok:
+        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+    return _classify_valid(b, *(_action_facts(X) for X in (b.m1.X[0], b.m2.X[0], b.Z[0])))
+
+
+def _classify_valid(b: BilinPoint, facts1, facts2, facts3) -> PointClassification:
+    """classify_point_222 of a valid point, given the _action_facts of the
+    actions of M1, M2 and M3 (that is, of Z)."""
+    t1, supp1 = facts1
+    t2, supp2 = facts2
+    t3, supp3 = facts3
     if ModuleType.NON_SPLIT in (t1, t2, t3):
         raise NonSplitSupport("module support does not split over the field")
     label = _PAIR_LABELS[(t1, t2)]
-    tensor = classify_2x2x2(tensor_from_bilin(b))
-    forced = True
+    tensor = classify_2x2x2(_pairing_tensor(b))
+    return PointClassification(label=label, m1_type=t1, m2_type=t2, m3_type=t3,
+                               tensor=tensor,
+                               forced_ok=_forced_ok(label, t3, supp1, supp2, supp3))
+
+
+def _forced_ok(label: CaseLabel, t3: ModuleType, supp1, supp2, supp3) -> bool:
+    """The forced consequences of the case analysis for M3's type and the
+    sorted support keys of M1, M2, M3."""
     if label in (CaseLabel.MIXED_12, CaseLabel.MIXED_21,
                  CaseLabel.SPLIT_MIXED_12, CaseLabel.SPLIT_MIXED_21,
                  CaseLabel.TOTALLY_DEGENERATE):
-        forced = forced and t3 == ModuleType.SEMISIMPLE
+        return t3 == ModuleType.SEMISIMPLE
     if label == CaseLabel.CYCLIC_NILPOTENT:
-        forced = forced and t3 == ModuleType.JORDAN
+        return t3 == ModuleType.JORDAN
     if label == CaseLabel.MAIN_SPLIT:
-        forced = forced and t3 == ModuleType.TUPLE
-        supp1 = sorted(map(_supp_key, support_univariate(b.m1).points))
-        supp2 = sorted(map(_supp_key, support_univariate(b.m2).points))
-        supp3 = sorted(map(_supp_key, support_univariate(m3).points))
-        forced = forced and supp1 == supp2 == supp3
-    return PointClassification(label=label, m1_type=t1, m2_type=t2, m3_type=t3,
-                               tensor=tensor, forced_ok=forced)
+        return t3 == ModuleType.TUPLE and supp1 == supp2 == supp3
+    return True
 
 
 def _supp_key(point_mult):
@@ -308,6 +338,15 @@ def _is_invariant(actions, basis, field, dim: int) -> bool:
     return all(span.contains(a.matvec(list(v))) for a in actions for v in basis)
 
 
+def _action_groups(reps: list[FramedModule]) -> dict:
+    """The class representatives grouped by action, in order of first
+    appearance."""
+    groups: dict = {}
+    for m in reps:
+        groups.setdefault(m.X[0], []).append(m)
+    return groups
+
+
 def enumerate_222(q: int, cap: int = 200_000) -> Census:
     """Exhaustive census of (2,2,2; 2,2) pairing points over F_q.
 
@@ -317,6 +356,24 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     lifts deduplicated by kernel equality.  Every enumerated point must
     validate; the census asserts no border-rank-3 tensor and every forced
     consequence of the case analysis.
+
+    The work is done in layers.  The class representatives are grouped by
+    action X (12 actions for 117 classes at q = 3, 6 for 28 at q = 2), and
+    each action's type and support are computed once.  The tensor product
+    and its invariant subspaces depend on the action pair (X1, X2) alone, so
+    each pair gets one tensor product.  Each (X1, X2, kernel) family is then
+    assembled, validated and classified once, with M3's facts looked up by
+    its action Z, and counted len(group1) * len(group2) times, once per
+    class pair sharing it.
+
+    This still checks every point.  validate_bilin(point) is m1-ok and
+    m2-ok and Z commuting and equivariance and surjectivity.  The last three
+    read only (X1, X2, Z, Pihat), and tensor_over_S and _assemble_point read
+    no framing, so they depend on (X1, X2, kernel) alone; the family's check
+    is every member's check.  enumerate_quot_classes_22 validates each
+    representative's framing once, which is m1-ok and m2-ok for every point.
+    The types, supports, tensor and forced consequences read no framing
+    either.
     """
     if q not in (2, 3):
         raise InfeasibleEnumeration("census is supported for q in {2, 3}")
@@ -324,35 +381,42 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     reps = enumerate_quot_classes_22(q)
     if len(reps) ** 2 > cap:
         raise InfeasibleEnumeration(f"{len(reps)}^2 pairs exceeds cap {cap}")
+    groups = _action_groups(reps)
+    facts = {X: _action_facts(X) for X in groups}
     counts: dict = {}
     total = 0
     border3 = 0
     forced_failures = 0
-    for m1 in reps:
-        for m2 in reps:
-            prod = tensor_over_S(m1, m2)
+    for X1, group1 in groups.items():
+        for X2, group2 in groups.items():
+            prod = tensor_over_S(group1[0], group2[0])
             if prod.dim12 < 2:
                 continue
+            weight = len(group1) * len(group2)
             sub_dim = prod.dim12 - 2
             for basis in _invariant_subspaces(prod.actions, prod.dim12, sub_dim, field):
-                point = _assemble_point(m1, m2, prod, basis, field)
+                point = _assemble_point(group1[0], group2[0], prod, basis, field)
                 val = validate_bilin(point)
                 if not val.ok:
                     raise ArithmeticError(
-                        f"census point failed validation: {val.failure or 'module/surjectivity'}")
+                        f"census point failed validation: {val.failure or 'module/surjectivity'}"
+                        f" at actions X1 = {X1!r}, X2 = {X2!r}, kernel basis {basis}")
+                # Z is conjugate to a table action but need not equal one.
+                Z = point.Z[0]
+                facts3 = facts[Z] if Z in facts else _action_facts(Z)
                 try:
-                    cls = classify_point_222(point)
+                    cls = _classify_valid(point, facts[X1], facts[X2], facts3)
                     label = cls.label.value
                     tlabel = cls.tensor.label
                     if not cls.forced_ok:
-                        forced_failures += 1
+                        forced_failures += weight
                     if cls.tensor.border_rank >= 3:
-                        border3 += 1
+                        border3 += weight
                 except NonSplitSupport:
                     label = CaseLabel.NON_SPLIT.value
-                    tlabel = classify_2x2x2(tensor_from_bilin(point)).label
-                counts[(label, tlabel)] = counts.get((label, tlabel), 0) + 1
-                total += 1
+                    tlabel = classify_2x2x2(_pairing_tensor(point)).label
+                counts[(label, tlabel)] = counts.get((label, tlabel), 0) + weight
+                total += weight
     return Census(q=q, counts=counts, quot_classes=len(reps),
                   total_points=total, border_rank_3=border3,
                   forced_failures=forced_failures)
@@ -379,15 +443,7 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
     framing of every valid target with that action is solved.
     """
     field = GF(q)
-    reps = enumerate_quot_classes_22(q)
-    pairs = []
-    for m1 in reps:
-        for m2 in reps:
-            prod = tensor_over_S(m1, m2)
-            if prod.dim12 >= 2:
-                pairs.append((m1, m2, prod))
-    step = max(1, len(pairs) // pair_sample)
-    chosen = pairs[::step][:pair_sample]
+    chosen = _cross_check_pairs(q, pair_sample)
     found = [set() for _ in chosen]
     for Z in _all_matrices(field, 2, 2):
         systems = [MembershipSystem(m1, m2, (Z,)) for m1, m2, _ in chosen]
@@ -402,6 +458,25 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
         len(keys) == len(_invariant_subspaces(prod.actions, prod.dim12,
                                               prod.dim12 - 2, field))
         for (_, _, prod), keys in zip(chosen, found))
+
+
+def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
+    """The (m1, m2, tensor product) triples census_cross_check checks:
+    pair_sample of the class pairs whose tensor product has dimension at
+    least 2, evenly spaced in class order.  The products are computed once
+    per action pair."""
+    reps = enumerate_quot_classes_22(q)
+    groups = _action_groups(reps)
+    prods = {(X1, X2): tensor_over_S(group1[0], group2[0])
+             for X1, group1 in groups.items() for X2, group2 in groups.items()}
+    pairs = []
+    for m1 in reps:
+        for m2 in reps:
+            prod = prods[m1.X[0], m2.X[0]]
+            if prod.dim12 >= 2:
+                pairs.append((m1, m2, prod))
+    step = max(1, len(pairs) // pair_sample)
+    return pairs[::step][:pair_sample]
 
 
 def _pairing_kernel_key(point: BilinPoint, prod, field) -> tuple:

@@ -178,15 +178,20 @@ def tensor_over_S(m1: FramedModule, m2: FramedModule) -> TensorProductResult:
 
 def annihilator_algebra_dim(m: FramedModule) -> int:
     """Dimension of the unital matrix algebra generated by the actions."""
-    field = m.field
-    d = m.d
+    return _algebra_dim(m.X)
+
+
+def _algebra_dim(actions: tuple[Matrix, ...]) -> int:
+    """annihilator_algebra_dim of any module with these (n >= 1) actions."""
+    field = actions[0].field
+    d = actions[0].rows
     eye = Matrix.identity(field, d)
     span = EchelonBasis(field, d * d, [eye.entries])
     frontier = [eye]
     while frontier:
         new_frontier = []
         for b in frontier:
-            for x in m.X:
+            for x in actions:
                 prod = x * b
                 if span.insert(prod.entries):
                     new_frontier.append(prod)
@@ -215,7 +220,12 @@ class SupportReport:
 def support_univariate(m: FramedModule) -> SupportReport:
     if m.n != 1:
         raise ShapeError("support computation is univariate only")
-    cp = char_poly(m.X[0])
+    return _support(m.X[0])
+
+
+def _support(X: Matrix) -> SupportReport:
+    """support_univariate of any module with the single action X."""
+    cp = char_poly(X)
     roots, cofactor = roots_with_multiplicity(cp)
     split = cofactor.degree <= 0
     return SupportReport(split=split, points=tuple(roots))

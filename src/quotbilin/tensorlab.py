@@ -26,7 +26,7 @@ from .exactalg import (
     rand_nonzero_vector,
     same_field,
 )
-from .modcore import FramedModule
+from .modcore import FramedModule, InvalidPoint
 
 
 class Tensor3:
@@ -173,8 +173,14 @@ def tensor_from_bilin(b) -> Tensor3:
     from .bilin import BilinPoint, validate_bilin
     if not isinstance(b, BilinPoint):
         raise TypeError(f"tensor_from_bilin needs a BilinPoint, got {type(b).__name__}")
-    if not validate_bilin(b).ok:
-        raise ValueError("invalid pairing point")
+    val = validate_bilin(b)
+    if not val.ok:
+        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+    return _pairing_tensor(b)
+
+
+def _pairing_tensor(b) -> Tensor3:
+    """tensor_from_bilin of a pairing point already known to be valid."""
     f = b.field
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
     t = Tensor3.zeros(f, (d1, d2, d3))

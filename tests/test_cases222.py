@@ -1,18 +1,44 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quotbilin.exactalg import GF, QQ, Matrix, ParamTensor, evaluate_param, rand_invertible
-from quotbilin.modcore import FramedModule, validate_framed
+from helpers_census import reference_census, reference_cross_check_pairs, reference_module_type
+from quotbilin.exactalg import (
+    GF,
+    QQ,
+    Matrix,
+    ParamTensor,
+    ShapeError,
+    evaluate_param,
+    rand_invertible,
+)
+from quotbilin.modcore import (
+    FramedModule,
+    InvalidPoint,
+    support_univariate,
+    tensor_over_S,
+    validate_framed,
+)
 from quotbilin.bilin import (
     BilinPoint,
+    BilinValidation,
     degenerate_point,
     gauge_transform_bilin,
     main_component_point,
     validate_bilin,
 )
 from quotbilin.quot import NonSplitSupport
-from quotbilin.tensorlab import LABEL_GENERIC, LABEL_NON_CONCISE, LABEL_W_TYPE
+from quotbilin.tensorlab import (
+    LABEL_GENERIC,
+    LABEL_NON_CONCISE,
+    LABEL_W_TYPE,
+    classify_2x2x2,
+    tensor_from_bilin,
+)
 from quotbilin import cases222
 from quotbilin.cases222 import (
     CaseLabel,
@@ -29,6 +55,21 @@ from quotbilin.cases222 import (
 
 F2 = GF(2)
 F5 = GF(5)
+
+# The q = 3 census as recorded at the seed commit: 117 = 3^4 + 3^3 + 3^2
+# quot classes, 2154 points, no border-rank-3 tensor, no forced failure.
+CENSUS_Q3_COUNTS = {
+    ("CYCLIC_NILPOTENT", LABEL_W_TYPE): 432,
+    ("MAIN_SPLIT", LABEL_GENERIC): 768,
+    ("MIXED_12", LABEL_NON_CONCISE): 36,
+    ("MIXED_21", LABEL_NON_CONCISE): 36,
+    ("NON_SPLIT", LABEL_GENERIC): 300,
+    ("SPLIT_MIXED_12", LABEL_NON_CONCISE): 96,
+    ("SPLIT_MIXED_21", LABEL_NON_CONCISE): 96,
+    ("TOTALLY_DEGENERATE", LABEL_W_TYPE): 96,
+    ("TOTALLY_DEGENERATE", LABEL_GENERIC): 270,
+    ("TOTALLY_DEGENERATE", LABEL_NON_CONCISE): 24,
+}
 
 
 def nilpotent_pair_point(field=QQ):
@@ -114,6 +155,18 @@ def test_module_types():
     assert module_type_222(comp) == ModuleType.NON_SPLIT
 
 
+def test_module_type_rejects_other_shapes():
+    # a 3-dimensional module with two support points: the d = 2 rule would
+    # misread it, so it must not answer
+    diag3 = FramedModule(1, 3, 3, (Matrix.diag(QQ, [QQ.from_int(v) for v in (0, 0, 1)]),),
+                         Matrix.identity(QQ, 3))
+    with pytest.raises(ShapeError, match="d=3"):
+        module_type_222(diag3)
+    bivariate = FramedModule(2, 2, 2, (Matrix.zeros(QQ, 2, 2),) * 2, Matrix.identity(QQ, 2))
+    with pytest.raises(ShapeError, match="n=2"):
+        module_type_222(bivariate)
+
+
 def test_classify_main_point():
     b = main_component_point([QQ.from_int(0), QQ.from_int(1)],
                              Matrix.identity(QQ, 2), Matrix.identity(QQ, 2))
@@ -167,6 +220,25 @@ def test_classify_non_split_raises():
     assert validate_bilin(b).ok
     with pytest.raises(NonSplitSupport):
         classify_point_222(b)
+
+
+def test_classify_names_the_failed_invariant():
+    b = main_component_point([QQ.from_int(0), QQ.from_int(1)],
+                             Matrix.identity(QQ, 2), Matrix.identity(QQ, 2))
+    entries = list(b.pihat.entries)
+    entries[5] = QQ.one()  # e_0 (x) e_1 now also hits the second coordinate
+    bad = BilinPoint(m1=b.m1, m2=b.m2, d3=b.d3, Z=b.Z, pihat=Matrix(QQ, 2, 4, entries))
+    with pytest.raises(InvalidPoint, match="invalid pairing point: X-equivariance at index 0"):
+        classify_point_222(bad)
+
+
+def test_forced_consequences_of_main_split_need_equal_supports():
+    two = [("0", 1), ("1", 1)]
+    assert cases222._forced_ok(CaseLabel.MAIN_SPLIT, ModuleType.TUPLE, two, two, two)
+    other = [("0", 1), ("2", 1)]
+    for supports in ((other, two, two), (two, other, two), (two, two, other)):
+        assert not cases222._forced_ok(CaseLabel.MAIN_SPLIT, ModuleType.TUPLE, *supports)
+    assert not cases222._forced_ok(CaseLabel.MAIN_SPLIT, ModuleType.SEMISIMPLE, two, two, two)
 
 
 # -- census ----------------------------------------------------------------------------------
@@ -252,6 +324,101 @@ def test_census_cross_check_fails_when_kernels_collapse(monkeypatch):
     # short of its subspace count: the cross-check can fail.
     monkeypatch.setattr(cases222, "_pairing_kernel_key", lambda point, prod, field: ("same",))
     assert census_cross_check(2) is False
+
+
+def test_census_matches_per_class_pair_loop_q2(census_q2):
+    assert census_q2 == reference_census(2)
+
+
+def test_census_q3_matches_recorded_table():
+    census = enumerate_222(3)
+    assert census.quot_classes == 117
+    assert census.total_points == 2154
+    assert census.border_rank_3 == 0
+    assert census.forced_failures == 0
+    assert census.counts == CENSUS_Q3_COUNTS
+
+
+def test_action_table_matches_module_type_on_q3_classes():
+    reps = enumerate_quot_classes_22(3)
+    groups = cases222._action_groups(reps)
+    assert len(groups) == 12
+    assert sum(map(len, groups.values())) == len(reps)
+    for X, group in groups.items():
+        for m in group:
+            assert m.X[0] == X
+            supp = sorted(map(cases222._supp_key, support_univariate(m).points))
+            assert cases222._action_facts(X) == (reference_module_type(m), supp)
+            assert module_type_222(m) == reference_module_type(m)
+
+
+def test_classify_point_matches_census_core_per_family_q2():
+    # The census classifies each (X1, X2, kernel) family once with the first
+    # class of each action; the public classifier, on the point built from
+    # the last class of each action, must agree.
+    groups = cases222._action_groups(enumerate_quot_classes_22(2))
+    families = 0
+    for X1, group1 in groups.items():
+        for X2, group2 in groups.items():
+            prod = tensor_over_S(group1[0], group2[0])
+            if prod.dim12 < 2:
+                continue
+            for basis in cases222._invariant_subspaces(prod.actions, prod.dim12,
+                                                       prod.dim12 - 2, F2):
+                families += 1
+                first = cases222._assemble_point(group1[0], group2[0], prod, basis, F2)
+                last = cases222._assemble_point(group1[-1], group2[-1], prod, basis, F2)
+                facts = [cases222._action_facts(X) for X in (X1, X2, first.Z[0])]
+                try:
+                    core = cases222._classify_valid(first, *facts)
+                except NonSplitSupport:
+                    with pytest.raises(NonSplitSupport):
+                        classify_point_222(last)
+                    assert (classify_2x2x2(cases222._pairing_tensor(first)).label
+                            == classify_2x2x2(tensor_from_bilin(last)).label)
+                    continue
+                public = classify_point_222(last)
+                assert (public.label, public.tensor.label, public.forced_ok) == (
+                    core.label, core.tensor.label, core.forced_ok)
+                assert public.m3_type == core.m3_type
+    assert families > 0
+
+
+def test_census_failure_names_actions_and_kernel(monkeypatch):
+    def failing(point):
+        return BilinValidation(ok=False, m1_ok=True, m2_ok=True, z_commutes=True,
+                               equivariant=False, surjective=True,
+                               failure="X-equivariance at index 0", residual=None)
+
+    monkeypatch.setattr(cases222, "validate_bilin", failing)
+    # the first action pair is (0, 0), whose tensor product is 4-dimensional
+    with pytest.raises(ArithmeticError) as err:
+        enumerate_222(2)
+    assert str(err.value) == (
+        "census point failed validation: X-equivariance at index 0 at actions "
+        "X1 = Matrix(F:2, 2x2: 0 0; 0 0), X2 = Matrix(F:2, 2x2: 0 0; 0 0), "
+        "kernel basis [(1, 0, 0, 0), (0, 1, 0, 0)]")
+
+
+def test_cross_check_pairs_match_per_class_pair_construction():
+    for pair_sample in (2, 4, 7):
+        chosen = cases222._cross_check_pairs(2, pair_sample)
+        reference = reference_cross_check_pairs(2, pair_sample)
+        assert len(chosen) == len(reference) == pair_sample
+        for (m1, m2, prod), (r1, r2, rprod) in zip(chosen, reference):
+            assert (m1, m2) == (r1, r2)
+            assert prod == rprod
+
+
+def test_census_script_reports_the_q2_census():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "census_222.py"), "2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    header = run.stdout.splitlines()[0]
+    assert "308 points" in header
+    assert "6 distinct actions" in header
 
 
 # -- label vs tensor class -----------------------------------------------------------------

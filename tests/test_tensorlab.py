@@ -4,8 +4,13 @@ import random
 import pytest
 
 from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible
-from quotbilin.modcore import cyclic_module_univariate, cyclic_tuple_module, make_degenerate
-from quotbilin.bilin import degenerate_point, main_component_point
+from quotbilin.modcore import (
+    InvalidPoint,
+    cyclic_module_univariate,
+    cyclic_tuple_module,
+    make_degenerate,
+)
+from quotbilin.bilin import BilinPoint, degenerate_point, main_component_point
 from quotbilin.tensorlab import (
     LABEL_GENERIC,
     LABEL_NON_CONCISE,
@@ -70,6 +75,16 @@ def test_tensor_from_bilin_rejects_non_points():
     # a framed module is not a pairing point; the check must survive python -O
     with pytest.raises(TypeError, match="BilinPoint"):
         tensor_from_bilin(cyclic_tuple_module([QQ.from_int(0), QQ.from_int(1)], QQ))
+
+
+def test_tensor_from_bilin_names_the_failed_invariant():
+    b = main_component_point([QQ.from_int(0), QQ.from_int(1)],
+                             Matrix.identity(QQ, 2), Matrix.identity(QQ, 2))
+    entries = list(b.pihat.entries)
+    entries[5] = QQ.one()  # e_0 (x) e_1 now also hits the second coordinate
+    bad = BilinPoint(m1=b.m1, m2=b.m2, d3=b.d3, Z=b.Z, pihat=Matrix(QQ, 2, 4, entries))
+    with pytest.raises(InvalidPoint, match="invalid pairing point: X-equivariance at index 0"):
+        tensor_from_bilin(bad)
 
 
 # -- classification ---------------------------------------------------------------
