@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Optional
 
+from . import quot
 from .exactalg import (
-    LinearSystem,
     Matrix,
     ShapeError,
     UniPoly,
@@ -36,7 +37,15 @@ from .modcore import (
     make_tuple_of_points,
     validate_framed,
 )
-from .quot import KernelPresentation, kernel_presentation
+from .quot import (
+    KernelPresentation,
+    _commutation_rows,
+    _family_gauge,
+    _intertwiner_rows,
+    _module_gauge,
+    _unit_action,
+    kernel_presentation,
+)
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,20 @@ class MembershipReport:
     reason: Optional[str] = None
 
 
+def _equivariance_rows(m1: FramedModule, m2: FramedModule,
+                       Z: tuple[Matrix, ...]) -> list[list]:
+    """Rows of Pihat -> Pihat A_i - Z_i Pihat on vec(Pihat), with A_i = X_i (x) 1
+    and then 1 (x) Y_i for each i, entry (k, c) within each."""
+    f = m1.field
+    eye1 = Matrix.identity(f, m1.d)
+    eye2 = Matrix.identity(f, m2.d)
+    rows = []
+    for x, y, z in zip(m1.X, m2.X, Z):
+        rows.extend(_intertwiner_rows(x.kron(eye2), z))
+        rows.extend(_intertwiner_rows(eye1.kron(y), z))
+    return rows
+
+
 class MembershipSystem:
     """The pairing-lift equations of (M1, M2, Z), eliminated once, ready to
     be solved for any target framing G.
@@ -195,23 +218,9 @@ class MembershipSystem:
                 row[nvars + ab * d3 + k] = 1
                 rows.append(row)
         # Equivariance rows: Pihat (X_i (x) 1) = Z_i Pihat and the
-        # second-factor twin, entry (k, c) of each.
-        eye1 = Matrix.identity(f, d1)
-        eye2 = Matrix.identity(f, d2)
-        for x1, x2, z in zip(m1.X, m2.X, self.Z):
-            ze = z.entries
-            for mat in (x1.kron(eye2), eye1.kron(x2)):
-                me = mat.entries
-                for k in range(d3):
-                    zk = ze[k * d3:(k + 1) * d3]
-                    for c in range(dim):
-                        row = [0] * (nvars + nf)
-                        # (Pihat mat)[k,c] = sum_s Pihat[k,s] mat[s,c]
-                        row[k * dim:(k + 1) * dim] = me[c::dim]
-                        # -(Z Pihat)[k,c] = -sum_s Z[k,s] Pihat[s,c]
-                        for s, zv in enumerate(zk):
-                            row[s * dim + c] -= zv
-                        rows.append(row)
+        # second-factor twin.
+        pad = [0] * nf
+        rows.extend(row + pad for row in _equivariance_rows(m1, m2, self.Z))
         work, pivots = _eliminate(f, rows, nvars + nf, reduced=True)
         rank = sum(1 for pc in pivots if pc < nvars)
         self.nvars = nvars
@@ -311,104 +320,59 @@ def _layout(b: BilinPoint):
     return offsets, pos
 
 
-def _add_equivariance_rows(sys: LinearSystem, b: BilinPoint, offsets):
-    """First-order double equivariance:
-    Pihatdot (A_i) + Pihat (Adot_i) = Zdot_i Pihat + Z_i Pihatdot
+def _first_order_rows(b: BilinPoint, offsets, nvars: int) -> list[list]:
+    """The first-order system at a pairing point: commutation for the three
+    action families plus the linearised double equivariance
+    Pihatdot A_i + Pihat Adot_i = Zdot_i Pihat + Z_i Pihatdot,
     once with A = X (x) 1 and once with A = 1 (x) Y."""
-    f = b.field
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
     dim = d1 * d2
-    eye1 = Matrix.identity(f, d1)
-    eye2 = Matrix.identity(f, d2)
-    for i in range(b.n):
-        for side in ("x", "y"):
-            amat = b.m1.X[i].kron(eye2) if side == "x" else eye1.kron(b.m2.X[i])
-            for k in range(d3):
-                for c in range(dim):
-                    row = sys.new_row()
-                    # Pihatdot A: sum_s Pihatdot[k,s] A[s,c]
-                    for s in range(dim):
-                        v = amat[s, c]
-                        if not f.is_zero(v):
-                            sys.add_to_row(row, offsets["pihatdot"] + k * dim + s, v)
-                    # -Z Pihatdot: -sum_s Z[k,s] Pihatdot[s,c]
-                    for s in range(d3):
-                        v = b.Z[i][k, s]
-                        if not f.is_zero(v):
-                            sys.add_to_row(row, offsets["pihatdot"] + s * dim + c, f.neg(v))
-                    # Pihat (Adot): for X-side Adot = Xdot_i (x) 1:
-                    #   (Pihat (Xdot (x) 1))[k, (p,q)] = sum_u Pihat[k, (u,q)] Xdot[u,p]
-                    p, q = divmod(c, d2)
-                    if side == "x":
-                        for u in range(d1):
-                            v = b.pihat[k, u * d2 + q]
-                            if not f.is_zero(v):
-                                sys.add_to_row(row, offsets["xdot"] + i * d1 * d1 + u * d1 + p, v)
-                    else:
-                        # Adot = 1 (x) Ydot_i: column (p,q) has entries Ydot[u,q] at (p,u)
-                        for u in range(d2):
-                            v = b.pihat[k, p * d2 + u]
-                            if not f.is_zero(v):
-                                sys.add_to_row(row, offsets["ydot"] + i * d2 * d2 + u * d2 + q, v)
-                    # -Zdot Pihat: -sum over Zdot[k,s] Pihat[s,c]
-                    for s in range(d3):
-                        v = b.pihat[s, c]
-                        if not f.is_zero(v):
-                            sys.add_to_row(row, offsets["zdot"] + i * d3 * d3 + k * d3 + s, f.neg(v))
-
-
-def _add_family_commutation(sys: LinearSystem, X: tuple[Matrix, ...], base: int, d: int):
-    from .quot import _add_commutation_rows
-    offsets = [base + i * d * d for i in range(len(X))]
-    _add_commutation_rows(sys, X, offsets, d)
+    pe = b.pihat.entries
+    rows = (_commutation_rows(b.m1.X, offsets["xdot"], nvars)
+            + _commutation_rows(b.m2.X, offsets["ydot"], nvars)
+            + _commutation_rows(b.Z, offsets["zdot"], nvars))
+    p0 = offsets["pihatdot"]
+    entries = product(range(b.n), ("x", "y"), range(d3), range(dim))
+    for (i, side, k, c), op in zip(entries, _equivariance_rows(b.m1, b.m2, b.Z)):
+        row = [0] * nvars
+        row[p0:p0 + d3 * dim] = op
+        p, q = divmod(c, d2)
+        if side == "x":
+            # (Pihat (Xdot_i (x) 1))[k,(p,q)] = sum_u Pihat[k,(u,q)] Xdot_i[u,p]
+            xb = offsets["xdot"] + i * d1 * d1
+            for u in range(d1):
+                row[xb + u * d1 + p] = pe[k * dim + u * d2 + q]
+        else:
+            # (Pihat (1 (x) Ydot_i))[k,(p,q)] = sum_u Pihat[k,(p,u)] Ydot_i[u,q]
+            yb = offsets["ydot"] + i * d2 * d2
+            for u in range(d2):
+                row[yb + u * d2 + q] = pe[k * dim + p * d2 + u]
+        # -(Zdot_i Pihat)[k,c] = -sum_s Zdot_i[k,s] Pihat[s,c]
+        zb = offsets["zdot"] + i * d3 * d3
+        for s in range(d3):
+            row[zb + k * d3 + s] = -pe[s * dim + c]
+        rows.append(row)
+    return rows
 
 
 def _gauge_vectors_bilin(b: BilinPoint) -> list[tuple]:
-    """Simultaneous infinitesimal basis changes (Delta1, Delta2, Delta3)."""
+    """Simultaneous infinitesimal basis changes (Delta1, Delta2, Delta3), each
+    running over the units E_ac in (a, c) order, first Delta1, then Delta2,
+    then Delta3.  The pairing lift moves by Delta3 Pihat - Pihat (Delta1 (x) 1
+    + 1 (x) Delta2)."""
     f = b.field
-    n = b.n
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    dim = d1 * d2
-    offsets, nvars = _layout(b)
-    eye1 = Matrix.identity(f, d1)
-    eye2 = Matrix.identity(f, d2)
-    out = []
-
-    def unit(d, a, bb):
-        m = Matrix.zeros(f, d, d)
-        m.entries[a * d + bb] = f.one()
-        return m
-
-    def pack(delta1, delta2, delta3):
-        vec = [f.zero()] * nvars
-
-        def put(name, mat, block, dsize):
-            base = offsets[name] + block * dsize * dsize if name in ("xdot", "ydot", "zdot") else offsets[name]
-            for idx, val in enumerate(mat.entries):
-                vec[base + idx] = val
-
-        for i in range(n):
-            put("xdot", delta1 * b.m1.X[i] - b.m1.X[i] * delta1, i, d1)
-            put("ydot", delta2 * b.m2.X[i] - b.m2.X[i] * delta2, i, d2)
-            put("zdot", delta3 * b.Z[i] - b.Z[i] * delta3, i, d3)
-        put("gdot", delta1 * b.m1.G, 0, 0)
-        put("hdot", delta2 * b.m2.G, 0, 0)
-        pihd = delta3 * b.pihat - b.pihat * (delta1.kron(eye2) + eye1.kron(delta2))
-        put("pihatdot", pihd, 0, 0)
-        return tuple(vec)
-
-    z1 = Matrix.zeros(f, d1, d1)
-    z2 = Matrix.zeros(f, d2, d2)
-    z3 = Matrix.zeros(f, d3, d3)
-    for a in range(d1):
-        for bb in range(d1):
-            out.append(pack(unit(d1, a, bb), z2, z3))
-    for a in range(d2):
-        for bb in range(d2):
-            out.append(pack(z1, unit(d2, a, bb), z3))
-    for a in range(d3):
-        for bb in range(d3):
-            out.append(pack(z1, z2, unit(d3, a, bb)))
+    offsets, _ = _layout(b)
+    y0, z0, p0 = offsets["ydot"], offsets["zdot"], offsets["pihatdot"]
+    zero = [f.zero()]
+    out = [tuple(_module_gauge(b.m1, a, c) + zero * (p0 - y0)
+                 + _unit_action(f, b.pihat, cols=[(a * d2 + q, c * d2 + q) for q in range(d2)]))
+           for a in range(d1) for c in range(d1)]
+    out += [tuple(zero * y0 + _module_gauge(b.m2, a, c) + zero * (p0 - z0)
+                  + _unit_action(f, b.pihat, cols=[(p * d2 + a, p * d2 + c) for p in range(d1)]))
+            for a in range(d2) for c in range(d2)]
+    out += [tuple(zero * z0 + _family_gauge(f, b.Z, a, c) + _unit_action(f, b.pihat, (a, c)))
+            for a in range(d3) for c in range(d3)]
     return out
 
 
@@ -422,31 +386,13 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
     val = validate_bilin(b)
     if not val.ok:
         raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
-    f = b.field
     offsets, nvars = _layout(b)
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    sys = LinearSystem(f, nvars)
-    _add_family_commutation(sys, b.m1.X, offsets["xdot"], d1)
-    _add_family_commutation(sys, b.m2.X, offsets["ydot"], d2)
-    _add_family_commutation(sys, b.Z, offsets["zdot"], d3)
-    _add_equivariance_rows(sys, b, offsets)
-    kernel = sys.kernel_basis()
-    nullity = len(kernel)
     gauge = _gauge_vectors_bilin(b)
-    gauge_dim = d1 * d1 + d2 * d2 + d3 * d3
-    if check:
-        actual = Matrix.from_rows(f, [list(v) for v in gauge]).rank()
-        if actual != gauge_dim:
-            raise ArithmeticError(f"gauge rank {actual} != {gauge_dim}")
-        m = sys.matrix()
-        for v in gauge:
-            if m.rows and not all(f.is_zero(c) for c in m.matvec(list(v))):
-                raise ArithmeticError("gauge vector violates the deformation system")
-    from .quot import _basis_mod_subspace
-    reps = _basis_mod_subspace(kernel, gauge, f, nvars)
+    nullity, reps = quot._tangent_tail(_first_order_rows(b, offsets, nvars), gauge,
+                                       b.field, nvars, check)
     basis = [_unpack_tangent(b, offsets, v) for v in reps]
-    return BilinTangentReport(dim=nullity - gauge_dim, nullity=nullity,
-                              gauge_dim=gauge_dim, basis=basis)
+    return BilinTangentReport(dim=nullity - len(gauge), nullity=nullity,
+                              gauge_dim=len(gauge), basis=basis)
 
 
 def _unpack_tangent(b: BilinPoint, offsets, v: tuple) -> BilinTangentVector:

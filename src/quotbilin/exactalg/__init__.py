@@ -3,7 +3,6 @@
 from .field import Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, same_field
 from .matrix import (
     EchelonBasis,
-    LinearSystem,
     Matrix,
     ShapeError,
     in_span,
@@ -32,7 +31,7 @@ from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_ve
 __all__ = [
     "Field", "FieldError", "GF", "PrimeField", "QQ", "RationalField",
     "parse_field", "same_field",
-    "EchelonBasis", "LinearSystem", "Matrix", "ShapeError", "in_span",
+    "EchelonBasis", "Matrix", "ShapeError", "in_span",
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",
     "UniPoly", "UniPolyMatrix", "char_poly", "column_echelon",

@@ -326,6 +326,8 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:
 
     Returns ``(rank, basis)`` where basis vectors are tuples of field values
     spanning ``{v : m v = 0}``; ``rank + len(basis) == m.cols`` always.
+    Basis vector a is read off rref(m): it is 1 at the a-th non-pivot column,
+    zero at the other non-pivot columns and zero past its own.
     """
     f = m.field
     r, pivots = m.rref()
@@ -380,21 +382,15 @@ def quotient_map(span_vectors: Sequence[Sequence], field: Field, dim: int
     whose kernel is exactly the span (s = span rank), and ``lift`` a
     ``dim x (dim - s)`` section of ``q`` (``q * lift = identity``).
     """
-    if span_vectors:
-        m = Matrix.from_rows(field, [list(v) for v in span_vectors])
-        r, pivots = m.rref()
-    else:
-        r, pivots = Matrix.zeros(field, 0, dim), ()
-    pivset = set(pivots)
-    nonpiv = [j for j in range(dim) if j not in pivset]
-    qdim = len(nonpiv)
-    q = Matrix.zeros(field, qdim, dim)
-    for a, c in enumerate(nonpiv):
-        q.entries[a * dim + c] = field.one()
-        for i, pc in enumerate(pivots):
-            q.entries[a * dim + pc] = field.neg(r[i, c])
+    m = Matrix(field, len(span_vectors), dim, [x for v in span_vectors for x in v])
+    _, kernel = rank_and_kernel(m)
+    qdim = len(kernel)
+    q = Matrix(field, qdim, dim, [x for v in kernel for x in v])
     lift = Matrix.zeros(field, dim, qdim)
-    for a, c in enumerate(nonpiv):
+    for a, v in enumerate(kernel):
+        # Its free column is its last nonzero entry (see rank_and_kernel),
+        # and the other kernel vectors vanish there.
+        c = max(j for j, x in enumerate(v) if not field.is_zero(x))
         lift.entries[c * qdim + a] = field.one()
     return q, lift
 
@@ -459,37 +455,6 @@ class EchelonBasis:
         self.rows.append([f.mul(inv, x) for x in w])
         self.pivots.append(pc)
         return True
-
-
-class LinearSystem:
-    """Accumulates homogeneous equations in ``nvars`` unknowns.
-
-    Rows are added as (index, coefficient) updates; ``kernel_basis`` returns
-    the solution space.  An empty system has full kernel.
-    """
-
-    def __init__(self, field: Field, nvars: int):
-        self.field = field
-        self.nvars = nvars
-        self.rows: list[list] = []
-
-    def new_row(self) -> list:
-        row = [self.field.zero()] * self.nvars
-        self.rows.append(row)
-        return row
-
-    def add_to_row(self, row: list, var: int, coeff):
-        row[var] = self.field.add(row[var], coeff)
-
-    def matrix(self) -> Matrix:
-        flat = [x for row in self.rows for x in row]
-        return Matrix(self.field, len(self.rows), self.nvars, flat)
-
-    def kernel_basis(self) -> list[tuple]:
-        if not self.rows:
-            eye = Matrix.identity(self.field, self.nvars)
-            return [eye.col(j) for j in range(self.nvars)]
-        return rank_and_kernel(self.matrix())[1]
 
 
 # -- JSON ------------------------------------------------------------------

@@ -337,45 +337,40 @@ class UniPolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
-    def determinant(self) -> UniPoly:
-        """Cofactor expansion; intended for small matrices."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of non-square matrix")
-        n = self.rows
-
-        def det(rows_idx, cols_idx):
-            if len(rows_idx) == 1:
-                return self[rows_idx[0], cols_idx[0]]
-            acc = UniPoly.zero(self.field)
-            i = rows_idx[0]
-            sign = 1
-            for pos, j in enumerate(cols_idx):
-                a = self[i, j]
-                if not a.is_zero():
-                    sub = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
-                    term = a * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            return acc
-
-        if n == 0:
-            return UniPoly.const(self.field, self.field.one())
-        return det(tuple(range(n)), tuple(range(n)))
-
 
 def char_poly(m: Matrix) -> UniPoly:
-    """Characteristic polynomial det(x*I - m)."""
+    """Characteristic polynomial det(x*I - m), by Berkowitz's division-free
+    algorithm, O(d^4) field operations.
+
+    Write the trailing block m[k:, k:] as [[a, R], [C, M]].  The coefficient
+    vector of its characteristic polynomial, highest degree first, is T times
+    that of M, where T is the lower triangular Toeplitz matrix with first
+    column (1, -a, -R C, -R M C, -R M^2 C, ...).  Starting from the empty
+    block (polynomial 1), k runs from d - 1 down to 0.
+    """
     f = m.field
     n = m.rows
-    x = UniPoly.x(f)
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            e = UniPoly.const(f, f.neg(m[i, j]))
-            if i == j:
-                e = e + x
-            ents.append(e)
-    return UniPolyMatrix(f, n, n, ents).determinant()
+    if m.cols != n:
+        raise ShapeError("characteristic polynomial of non-square matrix")
+
+    def dot(u, w):
+        acc = f.zero()
+        for x, y in zip(u, w):
+            acc = f.add(acc, f.mul(x, y))
+        return acc
+
+    poly = [f.one()]
+    for k in range(n - 1, -1, -1):
+        rest = range(k + 1, n)
+        R = [m[k, j] for j in rest]
+        M = [[m[i, j] for j in rest] for i in rest]
+        v = [m[i, k] for i in rest]  # M^j C, from j = 0
+        col = [f.one(), f.neg(m[k, k])]
+        for _ in rest:
+            col.append(f.neg(dot(R, v)))
+            v = [dot(row, v) for row in M]
+        poly = [dot(col[i::-1], poly) for i in range(len(poly) + 1)]
+    return UniPoly(f, poly[::-1])
 
 
 # -- kernel over k[x] --------------------------------------------------------

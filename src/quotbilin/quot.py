@@ -10,13 +10,12 @@ kernel presentation, by entirely different linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactalg import (
     GF,
     EchelonBasis,
     InfeasibleEnumeration,
-    LinearSystem,
     Matrix,
     ParamMatrix,
     ShapeError,
@@ -25,6 +24,7 @@ from .exactalg import (
     column_echelon,
     gaussian_binomial,
     hermite_kernel,
+    rank_and_kernel,
     roots_with_multiplicity,
     char_poly,
 )
@@ -45,49 +45,84 @@ class QuotTangentReport:
     basis: list[QuotTangentVector]
 
 
-def _add_commutation_rows(sys: LinearSystem, X: tuple[Matrix, ...],
-                          offsets: list[int], d: int):
+def _intertwiner_rows(A: Matrix, B: Matrix) -> list[list]:
+    """Rows of the operator M -> M A - B M on vec(M), row-major, one row per
+    entry (k, c) of M A - B M in row-major order.
+
+    Both the first-order commutation of an action family (A = B = X_j) and
+    the equivariance of a pairing lift (A = X_i (x) 1 or 1 (x) Y_i, B = Z_i)
+    are this operator.  Entries are raw field values, left unreduced.
+    """
+    m, n = B.rows, A.rows
+    ae, be = A.entries, B.entries
+    rows = []
+    for k in range(m):
+        bk = be[k * m:(k + 1) * m]
+        for c in range(n):
+            row = [0] * (m * n)
+            # (M A)[k,c] = sum_s M[k,s] A[s,c]
+            row[k * n:(k + 1) * n] = ae[c::n]
+            # -(B M)[k,c] = -sum_s B[k,s] M[s,c]
+            for s, bv in enumerate(bk):
+                row[s * n + c] -= bv
+            rows.append(row)
+    return rows
+
+
+def _commutation_rows(X: tuple[Matrix, ...], base: int, nvars: int) -> list[list]:
     """First-order commutation rows: perturbing X_i, X_j must keep them
-    commuting to order one.  Unknown layout: vec(Xdot_i) at offsets[i]."""
-    f = sys.field
-    n = len(X)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # Xdot_i X_j + X_i Xdot_j - Xdot_j X_i - X_j Xdot_i = 0
-            for p in range(d):
-                for q in range(d):
-                    row = sys.new_row()
-                    for s in range(d):
-                        # (Xdot_i X_j)[p,q] += Xdot_i[p,s] X_j[s,q]
-                        sys.add_to_row(row, offsets[i] + p * d + s, X[j][s, q])
-                        # (X_i Xdot_j)[p,q] += X_i[p,s] Xdot_j[s,q]
-                        sys.add_to_row(row, offsets[j] + s * d + q, X[i][p, s])
-                        # -(Xdot_j X_i)[p,q]
-                        sys.add_to_row(row, offsets[j] + p * d + s, f.neg(X[i][s, q]))
-                        # -(X_j Xdot_i)[p,q]
-                        sys.add_to_row(row, offsets[i] + s * d + q, f.neg(X[j][p, s]))
+    commuting to order one, [Xdot_i, X_j] + [X_i, Xdot_j] = 0 for i < j.
+    Unknown layout: vec(Xdot_i) at base + i*d*d in k^nvars."""
+    dd = X[0].rows ** 2
+    ops = [_intertwiner_rows(x, x) for x in X]  # Xdot -> Xdot X - X Xdot
+    rows = []
+    for i in range(len(X)):
+        bi = base + i * dd
+        for j in range(i + 1, len(X)):
+            bj = base + j * dd
+            for oi, oj in zip(ops[j], ops[i]):
+                row = [0] * nvars
+                row[bi:bi + dd] = oi
+                row[bj:bj + dd] = [-v for v in oj]
+                rows.append(row)
+    return rows
+
+
+def _unit_action(f, M: Matrix, row: Optional[tuple[int, int]] = None,
+                 cols: Sequence[tuple[int, int]] = ()) -> list:
+    """vec(E M - M E') for 0/1 matrices E and E' in closed form.
+
+    ``row`` = (a, b) means E = E_ab, and E_ab M is row b of M moved to row
+    a.  Each pair (c, c') in ``cols`` is a 1 of E' at (c, c'), and M E'
+    holds column c of M in column c'.  So [E_ab, X] is row=(a, b),
+    cols=[(a, b)], and -Pihat (E_ab (x) 1) is cols=[((a, q), (b, q)) for
+    each q], with the column pair (p, q) at p*d2 + q.
+    """
+    w = M.cols
+    out = [f.zero()] * (M.rows * w)
+    if row is not None:
+        a, b = row
+        out[a * w:(a + 1) * w] = M.row(b)
+    for c, c2 in cols:
+        for k in range(M.rows):
+            out[k * w + c2] = f.sub(out[k * w + c2], M[k, c])
+    return out
+
+
+def _family_gauge(f, X: tuple[Matrix, ...], a: int, b: int) -> list:
+    """The gauge direction E_ab on an action family: vec([E_ab, X_i]) for each i."""
+    return [v for x in X for v in _unit_action(f, x, (a, b), [(a, b)])]
+
+
+def _module_gauge(P: FramedModule, a: int, b: int) -> list:
+    """The gauge direction E_ab at a framed module: ([E_ab, X_i]), E_ab G."""
+    return _family_gauge(P.field, P.X, a, b) + _unit_action(P.field, P.G, (a, b))
 
 
 def _gauge_vectors_quot(P: FramedModule) -> list[tuple]:
-    """Images of the trivial deformations Delta -> (([Delta, X_i]), Delta G)."""
-    f = P.field
-    d, r, n = P.d, P.r, P.n
-    nvars = n * d * d + d * r
-    out = []
-    for a in range(d):
-        for b in range(d):
-            delta = Matrix.zeros(f, d, d)
-            delta.entries[a * d + b] = f.one()
-            vec = []
-            for i in range(n):
-                comm = delta * P.X[i] - P.X[i] * delta
-                vec.extend(comm.entries)
-            vec.extend((delta * P.G).entries)
-            if len(vec) != nvars:
-                raise ArithmeticError(
-                    f"gauge vector has {len(vec)} entries, the system has {nvars} unknowns")
-            out.append(tuple(vec))
-    return out
+    """Images of the trivial deformations Delta -> (([Delta, X_i]), Delta G),
+    for Delta = E_ab in (a, b) order."""
+    return [tuple(_module_gauge(P, a, b)) for a in range(P.d) for b in range(P.d)]
 
 
 def _basis_mod_subspace(kernel: list[tuple], subspace: list[tuple], field,
@@ -101,6 +136,32 @@ def _basis_mod_subspace(kernel: list[tuple], subspace: list[tuple], field,
     return [v for v in kernel if span.insert(v)]
 
 
+def _kernel_of_rows(f, rows: list[list], nvars: int) -> tuple[Matrix, list[tuple]]:
+    """The matrix of the equations ``rows`` in nvars unknowns and its kernel
+    basis; no rows means the whole space."""
+    m = Matrix(f, len(rows), nvars, [x for row in rows for x in row])
+    return m, rank_and_kernel(m)[1]
+
+
+def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
+                  check: bool) -> tuple[int, list[tuple]]:
+    """Nullity of a first-order system and representatives of its kernel
+    modulo the gauge directions.
+
+    With ``check`` the gauge vectors are verified to be independent and to
+    solve the system, which makes dim = nullity - len(gauge) exact.
+    """
+    m, kernel = _kernel_of_rows(f, rows, nvars)
+    if check:
+        actual = Matrix.from_rows(f, [list(v) for v in gauge]).rank()
+        if actual != len(gauge):
+            raise ArithmeticError(f"gauge map rank {actual} != {len(gauge)}")
+        for v in gauge:
+            if not all(f.is_zero(c) for c in m.matvec(list(v))):
+                raise ArithmeticError("gauge vector violates the deformation system")
+    return len(kernel), _basis_mod_subspace(kernel, gauge, f, nvars)
+
+
 def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
     """Tangent dimension and basis representatives at a framed module.
 
@@ -112,31 +173,15 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
         raise InvalidPoint("invalid framed module")
     f = P.field
     d, r, n = P.d, P.r, P.n
-    nvars = n * d * d + d * r
-    offsets = [i * d * d for i in range(n)]
-    sys = LinearSystem(f, nvars)
-    _add_commutation_rows(sys, P.X, offsets, d)
-    kernel = sys.kernel_basis()
-    nullity = len(kernel)
+    dd = d * d
+    nvars = n * dd + d * r
     gauge = _gauge_vectors_quot(P)
-    gauge_dim = d * d
-    if check:
-        actual = Matrix.from_rows(f, [list(v) for v in gauge]).rank() if gauge else 0
-        if actual != gauge_dim:
-            raise ArithmeticError(f"gauge map rank {actual} != {gauge_dim}")
-        m = sys.matrix()
-        for v in gauge:
-            if not all(f.is_zero(c) for c in m.matvec(list(v))):
-                raise ArithmeticError("gauge vector violates the deformation system")
-    reps = _basis_mod_subspace(kernel, gauge, f, nvars)
-    basis = []
-    for v in reps:
-        xdot = tuple(Matrix(f, d, d, list(v[offsets[i]: offsets[i] + d * d]))
-                     for i in range(n))
-        gdot = Matrix(f, d, r, list(v[n * d * d:]))
-        basis.append(QuotTangentVector(xdot=xdot, gdot=gdot))
-    return QuotTangentReport(dim=nullity - gauge_dim, nullity=nullity,
-                             gauge_dim=gauge_dim, basis=basis)
+    nullity, reps = _tangent_tail(_commutation_rows(P.X, 0, nvars), gauge, f, nvars, check)
+    basis = [QuotTangentVector(
+        xdot=tuple(Matrix(f, d, d, list(v[i * dd:(i + 1) * dd])) for i in range(n)),
+        gdot=Matrix(f, d, r, list(v[n * dd:]))) for v in reps]
+    return QuotTangentReport(dim=nullity - len(gauge), nullity=nullity,
+                             gauge_dim=len(gauge), basis=basis)
 
 
 # -- univariate kernel presentation and Hom oracle ---------------------------
@@ -224,17 +269,14 @@ def hom_KM_univariate(P: FramedModule) -> HomReport:
     if s == 0:
         return HomReport(dim=0, gens=pres.gens, basis=[])
     syz = hermite_kernel(pres.gens)
-    sys = LinearSystem(f, d * s)
     X = P.X[0]
+    rows = []
     for col in syz.columns():
         # sum_j col_j(X) . m_j = 0, one block of d rows per syzygy
         coeff_mats = [c.eval_matrix(X) for c in col]
         for p in range(d):
-            row = sys.new_row()
-            for j in range(s):
-                for qcol in range(d):
-                    sys.add_to_row(row, j * d + qcol, coeff_mats[j][p, qcol])
-    kernel = sys.kernel_basis()
+            rows.append([x for cm in coeff_mats for x in cm.row(p)])
+    kernel = _kernel_of_rows(f, rows, d * s)[1]
     basis = []
     for v in kernel:
         m = Matrix.zeros(f, d, s)

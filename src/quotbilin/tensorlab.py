@@ -293,7 +293,10 @@ def _has_sqrt(f: Field, v) -> bool:
             return False
         num, den = v.numerator, v.denominator
         return _int_is_square(num) and _int_is_square(den)
-    return any(f.eq(f.mul(a, a), v) for a in f.elements())
+    # Euler's criterion: a nonzero v is a square iff v^((p-1)/2) = 1.
+    p = f.characteristic
+    v = f.canonical(v)
+    return v == 0 or pow(v, (p - 1) // 2, p) == 1
 
 
 def _int_is_square(n: int) -> bool:

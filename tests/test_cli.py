@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -243,3 +244,18 @@ def test_tangent_at_invalid_point_exits_like_validate(tmp_path):
     path.write_text(json.dumps(framed_to_json(m)))
     assert main(["validate", "--point", str(path)]) == EXIT_INVALID
     assert main(["tangent", "quot", "--point", str(path)]) == EXIT_INVALID
+
+
+def test_classify222_over_a_large_prime_is_fast(tmp_path):
+    # Slices I and [[0, 1], [5, 0]]: the pencil discriminant 20 is not a
+    # square mod 10^9 + 7, so no square root can be found by luck.
+    field = "F:1000000007"
+    tensor = {"field": field, "dims": [2, 2, 2],
+              "coeffs": ["1", "0", "0", "1", "0", "5", "1", "0"]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    t0 = time.perf_counter()
+    code, payload, _ = run_json(tmp_path, ["classify222", "--tensor", str(path), "--field", field])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK
+    assert payload["pencil_separable"] and not payload["pencil_split"]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from quotbilin.exactalg import (
     ParamMatrix,
     UniPoly,
     UniPolyMatrix,
+    char_poly,
     column_echelon,
     evaluate_param,
     express_in_echelon,
@@ -21,6 +23,7 @@ from quotbilin.exactalg import (
     matrix_from_json,
     matrix_to_json,
     parse_field,
+    rand_matrix,
     rank_and_kernel,
     solve,
 )
@@ -249,3 +252,75 @@ def test_equal_polynomials_hash_equal():
     a, b = UniPoly(F5, [7, 1]), UniPoly(F5, [2, 1])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- characteristic polynomial ---------------------------------------------------
+
+def cofactor_determinant(m: UniPolyMatrix) -> UniPoly:
+    """Cofactor expansion along the first row, O(d!); the reference for
+    char_poly, which it computed before Berkowitz's algorithm."""
+    n = m.rows
+
+    def det(rows_idx, cols_idx):
+        if len(rows_idx) == 1:
+            return m[rows_idx[0], cols_idx[0]]
+        acc = UniPoly.zero(m.field)
+        i = rows_idx[0]
+        sign = 1
+        for pos, j in enumerate(cols_idx):
+            a = m[i, j]
+            if not a.is_zero():
+                sub = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
+                term = a * sub
+                acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        return acc
+
+    if n == 0:
+        return UniPoly.const(m.field, m.field.one())
+    return det(tuple(range(n)), tuple(range(n)))
+
+
+def cofactor_char_poly(m: Matrix) -> UniPoly:
+    f = m.field
+    n = m.rows
+    x = UniPoly.x(f)
+    ents = []
+    for i in range(n):
+        for j in range(n):
+            e = UniPoly.const(f, f.neg(m[i, j]))
+            if i == j:
+                e = e + x
+            ents.append(e)
+    return cofactor_determinant(UniPolyMatrix(f, n, n, ents))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=lambda f: f.name)
+def test_char_poly_matches_cofactor_expansion(field):
+    rng = random.Random(7)
+    for d in range(8):
+        for _ in range(3 if d < 7 else 1):
+            m = rand_matrix(rng, field, d, d)
+            # zero some entries so that sparse and reducible shapes occur
+            m = Matrix(field, d, d, [x if rng.random() < 0.7 else field.zero()
+                                     for x in m.entries])
+            assert char_poly(m) == cofactor_char_poly(m)
+
+
+def test_char_poly_of_companion_and_scalar_matrices():
+    # the companion matrix of x^3 - 2x + 5 over Q
+    comp = mat(QQ, [[0, 0, -5], [1, 0, 2], [0, 1, 0]])
+    assert char_poly(comp) == UniPoly.from_ints(QQ, [5, -2, 0, 1])
+    assert char_poly(Matrix.identity(F5, 4).scale(2)) == UniPoly.from_ints(F5, [16, -32, 24, -8, 1])
+    assert char_poly(Matrix.zeros(QQ, 0, 0)) == UniPoly.from_ints(QQ, [1])
+
+
+def test_char_poly_at_d12_is_fast():
+    rng = random.Random(12)
+    m = rand_matrix(rng, QQ, 12, 12)
+    t0 = time.perf_counter()
+    cp = char_poly(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert cp.degree == 12 and QQ.eq(cp.lead(), QQ.one())
+    # minus the trace is the x^11 coefficient
+    assert QQ.eq(cp.coeff(11), QQ.neg(sum(m[i, i] for i in range(12))))

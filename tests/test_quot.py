@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -343,3 +347,12 @@ def test_family_translated_point():
     fiber = fam.evaluate(f.one())
     rep = support_univariate(fiber)
     assert sorted(str(v) for v, _ in rep.points) == ["3", "4"]
+
+
+def test_tangent_sweep_script_finds_no_mismatch():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "tangent_sweep.py"), "5", "0", "F:5"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "5 samples over F:5, 0 mismatches" in run.stdout

@@ -12,6 +12,7 @@ from quotbilin.modcore import (
 )
 from quotbilin.bilin import BilinPoint, degenerate_point, main_component_point
 from quotbilin.tensorlab import (
+    _has_sqrt,
     LABEL_GENERIC,
     LABEL_NON_CONCISE,
     LABEL_RANK_ONE,
@@ -147,6 +148,15 @@ def test_hyperdeterminant_zero_locus_matches_pencil():
             assert not F5.is_zero(hyperdeterminant_222(t))
         if cls.label == LABEL_W_TYPE:
             assert F5.is_zero(hyperdeterminant_222(t))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_has_sqrt_matches_a_scan_of_the_squares(p):
+    f = GF(p)
+    squares = {f.mul(a, a) for a in f.elements()}
+    for v in f.elements():
+        assert _has_sqrt(f, v) == (v in squares)
+    assert _has_sqrt(f, p + 1) and _has_sqrt(f, -1) == ((p - 1) in squares)
 
 
 # -- rank bounds against brute force -------------------------------------------------
