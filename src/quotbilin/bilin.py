@@ -446,45 +446,19 @@ def tangent_residuals(b: BilinPoint, tv: BilinTangentVector) -> bool:
 
 # -- homomorphism-triple oracle (univariate) -----------------------------------
 
-def _poly_matrix_derivative(poly: UniPoly, X: Matrix, Xdot: Matrix) -> Matrix:
-    """Directional derivative of p(X) in direction Xdot:
-    sum_m p_m sum_{u+v=m-1} X^u Xdot X^v."""
-    f = X.field
-    d = X.rows
-    out = Matrix.zeros(f, d, d)
-    powers = [Matrix.identity(f, d)]
-    for _ in range(max(poly.degree, 0)):
-        powers.append(powers[-1] * X)
-    for m, c in enumerate(poly.coeffs):
-        if f.is_zero(c) or m == 0:
-            continue
-        for u in range(m):
-            out = out + (powers[u] * Xdot * powers[m - 1 - u]).scale(c)
-    return out
-
-
 def _deformed_image(gens_cols, X: Matrix, G: Matrix, Xdot: Matrix, Gdot: Matrix) -> Matrix:
     """phi(kappa) = -(directional derivative of evaluation) applied to each
-    generator column; returns d x s with column j the image of generator j."""
-    f = X.field
-    d = X.rows
-    out_cols = []
-    for col in gens_cols:
-        acc = [f.zero()] * d
-        for a, poly in enumerate(col):
-            if poly.is_zero():
-                continue
-            pa = poly.eval_matrix(X)
-            term = pa.matvec(list(Gdot.col(a)))
-            dterm = _poly_matrix_derivative(poly, X, Xdot).matvec(list(G.col(a)))
-            for i in range(d):
-                acc[i] = f.add(acc[i], f.add(term[i], dterm[i]))
-        out_cols.append([f.neg(v) for v in acc])
-    ents = []
-    for i in range(d):
-        for c in out_cols:
-            ents.append(c[i])
-    return Matrix(f, d, len(out_cols), ents)
+    generator column; returns d x s with column j the image of generator j.
+
+    p(B) [g; gdot] = [p(X) g; p(X) gdot + Dp(X)[Xdot] g] for B = [[X, 0],
+    [Xdot, X]], so one Horner pass on stacked vectors carries h and hdot:
+    h <- X h + c g and hdot <- Xdot h + X hdot + c gdot.
+    """
+    f, d = X.field, X.rows
+    B = X.hstack(Matrix.zeros(f, d, d)).vstack(Xdot.hstack(X))
+    stacked = G.vstack(Gdot)
+    images = [quot._horner(col, B, stacked)[d:] for col in gens_cols]
+    return Matrix(f, d, len(images), [f.neg(v[i]) for i in range(d) for v in images])
 
 
 @dataclass
@@ -546,33 +520,30 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     On generators kappa of K1 and free basis vectors e of F2 (and the
     mirror), the image of kappa (x) e under phi3 must equal the pairing
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
-    Raises ArithmeticError when a member of K3 cannot be written in the
-    generators of K3, so that a failed solve never reads as incompatible.
+    Raises ArithmeticError when the echelon division and the truncated solve
+    write a member of K3 differently in its basis, so that a failed solve
+    never reads as incompatible.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
     f = b.field
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
+    d1, d2 = b.m1.d, b.m2.d
     r1, r2 = b.m1.r, b.m2.r
     Z = b.Z[0]
     ech3 = triple.pres3.echelon
     gens3 = triple.pres3.gens.columns()
 
     def phi3_of(vec_polys) -> Optional[list]:
-        # Quick membership test on the echelon basis, then a k[x]-linear
-        # solve against the generators phi3 is defined on.
-        if express_in_echelon(ech3, r1 * r2, vec_polys, f) is None:
-            return None
-        coeffs = express_in_span(gens3, r1 * r2, vec_polys, f)
+        # The generators of K3 are a basis: both solves must give the same.
+        coeffs = express_in_echelon(ech3, r1 * r2, vec_polys, f)
         if coeffs is None:
+            return None
+        solved = express_in_span(gens3, r1 * r2, vec_polys, f)
+        if solved != coeffs:
             raise ArithmeticError(
-                "a vector in the echelon span of K3 is not expressed in its generators "
-                "by express_in_span, though both span K3")
-        acc = [f.zero()] * d3
-        for j, c in enumerate(coeffs):
-            add = c.eval_matrix(Z).matvec(list(triple.phi3.col(j)))
-            acc = [f.add(x, y) for x, y in zip(acc, add)]
-        return acc
+                f"a vector of K3 has coefficients {coeffs} in the echelon basis of K3 "
+                f"but {solved} by express_in_span against the same basis")
+        return quot._horner(coeffs, Z, triple.phi3)
 
     def pihat_pair(u, v) -> list:
         w = [f.zero()] * (d1 * d2)

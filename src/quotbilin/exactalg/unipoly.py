@@ -1,16 +1,15 @@
 """Univariate polynomials over an exact field and k[x]-matrix kernels.
 
 Polynomials are coefficient tuples, lowest degree first, with no trailing
-zeros.  Polynomial matrices support the column-reduction kernel used to
-present kernels of maps between free k[x]-modules.
+zeros.  Polynomial matrices support a column-reduction kernel for maps
+between free k[x]-modules (framed modules' kernels come from Krylov relations).
 
 One Euclidean column reducer, :func:`_column_reduce`, serves both
-:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  The
-echelon form is also the exact colength certificate: r k[x]-independent
-columns in k[x]^r reduce to a lower triangular matrix, whose determinant
-degree, the colength of their span, is the sum of the diagonal degrees.  One
-layout, :func:`_shifted_coefficients`, turns x^b * column into a coefficient
-vector for the truncated system of the k[x] solve :func:`express_in_span`.
+:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  r
+k[x]-independent columns of k[x]^r in echelon form are lower triangular, and
+the colength of their span is the sum of the diagonal degrees.  One layout,
+:func:`_shifted_coefficients`, turns x^b * column into a coefficient vector
+for the truncated system of the k[x] solve :func:`express_in_span`.
 """
 
 from __future__ import annotations
@@ -441,8 +440,7 @@ def hermite_kernel(p: UniPolyMatrix) -> UniPolyMatrix:
     Column reduction with Euclidean pivoting on degrees; the transformation
     columns hitting zero give a free basis of ``{v : p v = 0}``.  Output
     membership is verified by substitution, so the columns span a submodule
-    of the kernel; callers that need equality certify it themselves (see
-    :func:`quotbilin.quot.kernel_presentation`).
+    of the kernel; callers that need equality certify it themselves.
     """
     f = p.field
     acols = [list(c) for c in p.columns()]

@@ -21,7 +21,6 @@ from .exactalg import (
     ShapeError,
     UniPoly,
     UniPolyMatrix,
-    column_echelon,
     gaussian_binomial,
     hermite_kernel,
     rank_and_kernel,
@@ -188,56 +187,85 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
 
 @dataclass
 class KernelPresentation:
-    """Generators of ker(k[x]^r -> M) for a univariate framed module.
+    """The Hermite basis of K = ker(k[x]^r -> M) for a univariate framed module.
 
-    ``gens`` holds generating columns in k[x]^r; ``echelon`` is a reduced
-    column-echelon basis of the same span used for membership solves.
+    Column j is x^(k_j) e_j - sum c_(i,m) x^m e_i over i > j, m < k_i and
+    i = j, m < k_j, with k_j the Krylov index of g_j: a monic pivot of degree
+    k_j in row j, zeros above it, and entries below it of lower degree than
+    their row's pivot.  This is the form :func:`express_in_echelon` expects,
+    so ``echelon`` holds the same columns as ``gens``, in the same order.
     """
     r: int
     gens: UniPolyMatrix
     echelon: list[list[UniPoly]]
 
 
-def kernel_presentation(P: FramedModule) -> KernelPresentation:
-    """Present K = ker(evaluation : k[x]^r -> M), n = 1 only.
+def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
+    """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a."""
+    f = X.field
+    h = [f.zero()] * X.rows
+    for m in range(max(p.degree for p in polys), -1, -1):
+        h = X.matvec(h)
+        for a, p in enumerate(polys):
+            c = p.coeff(m)
+            if not f.is_zero(c):
+                h = [f.add(v, f.mul(c, g)) for v, g in zip(h, G.col(a))]
+    return h
 
-    Uses the free presentation of M by x*I - X: K is the projection to the
-    first r coordinates of ker[G | X - x*I], computed by column reduction
-    over k[x].  The generators pass a substitution check, so they span some
-    K' inside K.  K has colength dim(image of the evaluation map) (= d when
-    the framing generates) and is free of rank r, since k[x] is a PID.  The
-    echelon of K' is certified to have r columns, hence to be lower
-    triangular, with colength deg det = the sum of its diagonal degrees
-    equal to that image dimension; a submodule of equal finite colength is
-    K itself.
+
+def _krylov_relations(P: FramedModule) -> list[list[UniPoly]]:
+    """The columns of the Hermite basis of K, j = 0, ..., r - 1.
+
+    For j = r - 1 down to 0, [X^l g_j | unit tag at (j, l)] for l = 0, 1, ...
+    go into one echelon basis of k^d x k^(r(d+1)); every vector in it has k^d
+    part sum tag_(i,m) X^m g_i.  When the k^d part reduces to zero, at
+    l = k_j <= d, the reduced tag holds the x^m coefficients of column j.
+    """
+    f, d, r, X = P.field, P.d, P.r, P.X[0]
+    width = d + 1
+    span = EchelonBasis(f, d + r * width)
+    cols = []
+    for j in range(r - 1, -1, -1):
+        v = list(P.G.col(j))
+        for l in range(width):
+            tagged = v + [f.zero()] * (r * width)
+            tagged[d + j * width + l] = f.one()
+            w = span.reduce(tagged)
+            if all(f.is_zero(c) for c in w[:d]):
+                cols.append([UniPoly(f, w[d + i * width:d + (i + 1) * width])
+                             for i in range(r)])
+                break
+            span.insert(w)
+            v = X.matvec(v)
+    return cols[::-1]
+
+
+def kernel_presentation(P: FramedModule) -> KernelPresentation:
+    """Present K = ker(evaluation : k[x]^r -> M), n = 1 only, by its Hermite
+    basis, read off the Krylov relations of the framing.
+
+    Certificate: the columns pass a substitution check, so they span some K'
+    in K.  They are r lower triangular columns, so K' has colength deg det =
+    sum k_j, which must equal the image dimension found by ``krylov_span``
+    (= d when the framing generates), the colength of K; so K' = K.
     """
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
-    f = P.field
-    d, r = P.d, P.r
-    x = UniPoly.x(f)
-    ents = []
-    for i in range(d):
-        for j in range(r):
-            ents.append(UniPoly.const(f, P.G[i, j]))
-        for j in range(d):
-            e = UniPoly.const(f, P.X[0][i, j])
-            if i == j:
-                e = e - x
-            ents.append(e)
-    big = UniPolyMatrix(f, d, r + d, ents)
-    ker = hermite_kernel(big)
-    cols = [col[:r] for col in ker.columns()]
-    cols = [c for c in cols if any(not e.is_zero() for e in c)]
-    gens = UniPolyMatrix.from_columns(f, r, cols)
-    ech = column_echelon(cols, r, f)
+    f, r = P.field, P.r
+    cols = _krylov_relations(P)
+    for col in cols:
+        if not all(f.is_zero(c) for c in _horner(col, P.X[0], P.G)):
+            raise ArithmeticError("kernel column fails substitution check")
+    triangular = all(not col[j].is_zero() and all(e.is_zero() for e in col[:j])
+                     for j, col in enumerate(cols))
     img_dim = len(_image_basis(P))
-    colength = sum(col[j].degree for j, col in enumerate(ech))
-    if len(ech) != r or colength != img_dim:
+    colength = sum(col[j].degree for j, col in enumerate(cols))
+    if len(cols) != r or not triangular or colength != img_dim:
         raise ArithmeticError(
-            f"kernel generators give {len(ech)} echelon columns of pivot-degree sum "
-            f"{colength}; K needs {r} columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(r=r, gens=gens, echelon=ech)
+            f"kernel generators give {len(cols)} echelon columns of pivot-degree sum {colength}; "
+            f"K needs {r} lower triangular columns of colength {img_dim} (image dimension)")
+    return KernelPresentation(r=r, gens=UniPolyMatrix.from_columns(f, r, cols),
+                              echelon=cols)
 
 
 def _image_basis(P: FramedModule) -> list[tuple]:
@@ -259,6 +287,8 @@ def hom_KM_univariate(P: FramedModule) -> HomReport:
     A homomorphism is an assignment of images in M to the kernel generators,
     constrained by every syzygy among the generators; syzygies are computed
     by a second k[x]-kernel.  This is the direct oracle for quot_tangent.
+    The generators are a basis of the free module K, so there is no syzygy
+    and dim = d r.
     """
     if P.n != 1:
         raise ShapeError("oracle is univariate only")

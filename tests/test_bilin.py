@@ -260,6 +260,24 @@ def test_hom_triple_check_raises_when_a_member_is_not_expressed(monkeypatch):
         hom_triple_check(b, triple)
 
 
+def test_hom_triple_check_raises_when_the_solve_disagrees_with_the_echelon(monkeypatch):
+    # The generators of K3 are a basis: a truncated solve that returns other
+    # coefficients than the echelon division is a fault, named with both.
+    b = canonical_main()
+    triple = extract_hom_triple(b, bilin_tangent(b).basis[0])
+    real = bilin.express_in_span
+
+    def perturbed(*args):
+        coeffs = real(*args)
+        return [coeffs[0] + UniPoly.x(b.field)] + coeffs[1:]
+
+    assert hom_triple_check(b, triple)  # passes unperturbed
+    monkeypatch.setattr(bilin, "express_in_span", perturbed)
+    with pytest.raises(ArithmeticError, match=r"coefficients \[.*\] in the echelon basis "
+                                              r"of K3 but \[.*\] by express_in_span"):
+        hom_triple_check(b, triple)
+
+
 def test_random_triple_fails():
     rng = random.Random(7)
     b = canonical_main()

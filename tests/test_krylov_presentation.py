@@ -1,0 +1,61 @@
+"""The Krylov-relation kernel presentation and the Horner deformed images
+against the pencil reduction and the matrix-product derivatives they replaced
+(kept in ``helpers_kx``)."""
+
+import random
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from quotbilin.bilin import _deformed_image
+from quotbilin.exactalg import GF, QQ, UniPoly, express_in_echelon, rand_matrix
+from quotbilin.quot import kernel_presentation
+
+from helpers_kx import reference_deformed_image, reference_kernel_presentation
+from test_quot import univariate_modules
+
+FIELDS = [QQ, GF(2), GF(3), GF(101)]
+
+
+def in_echelon_span(cols, echelon, height, field):
+    return all(express_in_echelon(echelon, height, col, field) is not None for col in cols)
+
+
+@settings(deadline=None, max_examples=150)
+@given(univariate_modules())
+def test_presentation_spans_the_pencil_kernel(m):
+    new, old = kernel_presentation(m), reference_kernel_presentation(m)
+    f, r = m.field, m.r
+    assert in_echelon_span(old.gens.columns(), new.echelon, r, f)
+    assert in_echelon_span(new.gens.columns(), old.echelon, r, f)
+
+
+@settings(deadline=None, max_examples=150)
+@given(univariate_modules())
+def test_presentation_is_the_hermite_basis(m):
+    pres = kernel_presentation(m)
+    cols = pres.gens.columns()
+    assert pres.gens.cols == m.r and cols == pres.echelon
+    pivots = [col[j] for j, col in enumerate(cols)]
+    for j, col in enumerate(cols):
+        assert all(e.is_zero() for e in col[:j])
+        assert pivots[j].degree >= 0 and m.field.eq(pivots[j].lead(), m.field.one())
+        assert all(col[i].degree < pivots[i].degree for i in range(j + 1, m.r))
+
+
+def random_columns(rng, field, s, r, max_degree):
+    return [[UniPoly(field, [field.sample(rng) for _ in range(rng.randint(0, max_degree + 1))])
+             for _ in range(r)] for _ in range(s)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 10 ** 6))
+def test_deformed_image_matches_matrix_derivatives(field, d, r, s, seed):
+    rng = random.Random(seed)
+    X, Xdot = rand_matrix(rng, field, d, d), rand_matrix(rng, field, d, d)
+    G, Gdot = rand_matrix(rng, field, d, r), rand_matrix(rng, field, d, r)
+    cols = random_columns(rng, field, s, r, 5)
+    assert _deformed_image(cols, X, G, Xdot, Gdot) == reference_deformed_image(
+        cols, X, G, Xdot, Gdot)
+

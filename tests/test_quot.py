@@ -14,7 +14,6 @@ from quotbilin.exactalg import (
     QQ,
     Matrix,
     UniPoly,
-    UniPolyMatrix,
     rand_invertible,
     rand_matrix,
 )
@@ -187,23 +186,57 @@ def _drop_last(cols, field):
     return cols[:-1]
 
 
-@pytest.mark.parametrize("mutate", [_scale_first_by_x, _drop_first, _drop_last])
-@pytest.mark.parametrize("module", [
+CERTIFIED_MODULES = [
     cyclic_module_univariate(UniPoly.from_ints(QQ, [0, -1, 1])),
     rand_framed_module(random.Random(3), GF(101), 1, 4, 2),
     FramedModule(1, 2, 2, (Matrix.identity(F5, 2),), Matrix.zeros(F5, 2, 2)),
-], ids=["cyclic-q", "generating-f101", "zero-framing-f5"])
+]
+CERTIFIED_IDS = ["cyclic-q", "generating-f101", "zero-framing-f5"]
+
+
+@pytest.mark.parametrize("mutate", [_scale_first_by_x, _drop_first, _drop_last])
+@pytest.mark.parametrize("module", CERTIFIED_MODULES, ids=CERTIFIED_IDS)
 def test_kernel_certificate_rejects_a_smaller_span(monkeypatch, module, mutate):
     # Each mutation keeps the columns inside the kernel but shrinks their span.
-    real = quot.hermite_kernel
+    real = quot._krylov_relations
+    kernel_presentation(module)  # passes unmutated
+    monkeypatch.setattr(quot, "_krylov_relations", lambda P: mutate(real(P), P.field))
+    with pytest.raises(ArithmeticError, match="echelon columns"):
+        kernel_presentation(module)
 
-    def mutated(p):
-        ker = real(p)
-        return UniPolyMatrix.from_columns(p.field, ker.rows, mutate(ker.columns(), p.field))
+
+@pytest.mark.parametrize("module", CERTIFIED_MODULES[1:], ids=CERTIFIED_IDS[1:])
+def test_kernel_certificate_rejects_columns_out_of_echelon_form(monkeypatch, module):
+    # Both of [c0 + c1, c0 + c1] lie in K and their entries in rows 0 and 1
+    # have the pivot degrees k0 and k1, so the colength count alone passes;
+    # they span a submodule of rank 1, and only the shape check sees it.
+    real = quot._krylov_relations
+
+    def summed(P):
+        cols = real(P)
+        s = [a + b for a, b in zip(cols[0], cols[1])]
+        return [s, s] + cols[2:]
+
+    monkeypatch.setattr(quot, "_krylov_relations", summed)
+    with pytest.raises(ArithmeticError, match="lower triangular"):
+        kernel_presentation(module)
+
+
+# With the zero framing K is all of k[x]^r, so no column can leave it.
+@pytest.mark.parametrize("module", CERTIFIED_MODULES[:2], ids=CERTIFIED_IDS[:2])
+def test_kernel_certificate_rejects_a_column_outside_the_kernel(monkeypatch, module):
+    # Adding 1 to the constant term of the first pivot adds g_0 != 0 to the
+    # relation's value at X, so the column leaves K.
+    real = quot._krylov_relations
+
+    def perturbed(P):
+        cols = real(P)
+        one = UniPoly.const(P.field, P.field.one())
+        return [[cols[0][0] + one] + cols[0][1:]] + cols[1:]
 
     kernel_presentation(module)  # passes unmutated
-    monkeypatch.setattr(quot, "hermite_kernel", mutated)
-    with pytest.raises(ArithmeticError, match="echelon columns"):
+    monkeypatch.setattr(quot, "_krylov_relations", perturbed)
+    with pytest.raises(ArithmeticError, match="substitution check"):
         kernel_presentation(module)
 
 
