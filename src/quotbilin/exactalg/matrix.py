@@ -7,19 +7,21 @@ Gaussian elimination: reduced row echelon form for whole matrices, and the
 incremental semi-echelon basis of :class:`EchelonBasis` for spans grown one
 vector at a time.
 
+Both run on plain ``int`` rows rather than one ``Field`` call per entry.
 Whole-matrix elimination (``rref``, ``rank`` and everything built on them)
-runs in one kernel, :func:`_eliminate`, on plain ``int`` rows rather than
-one ``Field`` call per entry.  Over F_p the entries are reduced mod p once,
-on entry, and the row operations are inlined modular arithmetic.  Over Q
-each row is scaled to a primitive integer row (denominators cleared, content
-divided out); a row with entry c in the pivot column of a pivot row with
-pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``, and
-is divided by its content again.  Rows with a zero in the pivot column are
-not touched, and keeping every row primitive keeps the integers near the
+is one kernel, :func:`_eliminate`.  Over F_p the entries are reduced mod p
+once, on entry, and the row operations are inlined modular arithmetic.  Over
+Q each row is scaled to a primitive integer row (denominators cleared,
+content divided out); a row with entry c in the pivot column of a pivot row
+with pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``,
+and is divided by its content again.  Rows with a zero in the pivot column
+are not touched, and keeping every row primitive keeps the integers near the
 size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
 rescales every row at every step instead, which is slower on the sparse
-tangent systems.  Only ``rref`` builds ``Fraction`` values, once per entry
-at the end.
+tangent systems.  :class:`EchelonBasis` stores its rows the same way and
+reduces a vector by the same row operations.  Only ``rref`` and
+``EchelonBasis.reduce`` build ``Fraction`` values, once per entry of their
+result.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, parse_field, same_field
+
+_ZERO = Fraction(0)
 
 
 class ShapeError(ValueError):
@@ -403,13 +407,19 @@ def in_span(vectors: Sequence[Sequence], v: Sequence, field: Field) -> bool:
 class EchelonBasis:
     """Incrementally grown basis of a subspace of ``k^dim``, in semi-echelon form.
 
-    Each stored row has a pivot entry 1 at its first nonzero column and a zero
-    at the pivot column of every earlier row.  Reducing a vector is then one
-    pass over the rows in insertion order, O(rank * dim) field operations, so
-    "does this vector extend the span" costs no re-elimination of the span.
-    ``insert`` accepts a vector exactly when it is independent of the vectors
-    inserted before it, which keeps greedy basis choices identical to
-    comparing ranks of the growing matrix.
+    Each stored row has its pivot at its first nonzero column and a zero at
+    the pivot column of every earlier row.  Rows are plain ``int`` lists, as
+    in :func:`_eliminate`: over Q a primitive integer row, over F_p
+    residues in ``[0, p)`` with pivot 1.  Reducing a vector is one pass over
+    the rows in insertion order, so "does this vector extend the span" costs
+    no re-elimination of the span.  Over Q the pass works on
+    an integer copy of the vector (denominators cleared) and clears column c
+    with the gcd-reduced cross-multiplication ``(a/g)*w - (c/g)*row`` of
+    :func:`_eliminate`; over F_p it subtracts ``c*row`` mod p, skipping the
+    row's zero entries.  ``insert`` stores the residue divided by its content
+    (over Q) or by its pivot (over F_p).  It accepts a vector exactly when it
+    is independent of the vectors inserted before it, which keeps greedy
+    basis choices identical to comparing ranks of the growing matrix.
     """
 
     __slots__ = ("field", "dim", "rows", "pivots")
@@ -417,7 +427,7 @@ class EchelonBasis:
     def __init__(self, field: Field, dim: int, vectors: Sequence[Sequence] = ()):
         self.field = field
         self.dim = dim
-        self.rows: list[list] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         for v in vectors:
             self.insert(v)
@@ -425,34 +435,97 @@ class EchelonBasis:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence) -> list:
-        """``v`` minus the combination of stored rows that clears every pivot
-        column; zero exactly when ``v`` lies in the span."""
-        if len(v) != self.dim:
-            raise ShapeError(f"vector of length {len(v)} in a span of k^{self.dim}")
-        f = self.field
-        w = list(v)
+    def _wrong_length(self, v: Sequence) -> ShapeError:
+        return ShapeError(f"vector of length {len(v)} in a span of k^{self.dim}")
+
+    def _rational_residue(self, v: Sequence) -> tuple[list[int], int]:
+        """Over Q: ``(w, s)`` with ``w / s`` the residue of ``v`` (see
+        :meth:`reduce`) and ``w`` an integer row."""
+        scale = lcm(*[x.denominator for x in v])
+        if scale == 1:
+            w = [x.numerator for x in v]
+        else:
+            w = [x.numerator * (scale // x.denominator) for x in v]
         for row, pc in zip(self.rows, self.pivots):
             c = w[pc]
-            if f.is_zero(c):
-                continue
-            for j in range(pc, self.dim):
-                if not f.is_zero(row[j]):
-                    w[j] = f.sub(w[j], f.mul(c, row[j]))
+            if c:
+                a = row[pc]
+                g = gcd(a, c)
+                a_g, c_g = a // g, c // g
+                if a_g == 1:
+                    # row is zero left of pc, so only the tail of w changes.
+                    w[pc:] = [x - c_g * y for x, y in zip(w[pc:], row[pc:])]
+                else:
+                    w = [a_g * x - c_g * y for x, y in zip(w, row)]
+                    scale *= a_g
+        return w, scale
+
+    def reduce(self, v: Sequence) -> list:
+        """``v`` minus the combination of stored rows that clears every pivot
+        column; zero exactly when ``v`` lies in the span.
+
+        The pivot block of the rows is triangular with nonzero diagonal, so
+        that combination is unique and the residue is exact: ``Fraction``
+        values over Q, residues in ``[0, p)`` over F_p.
+        """
+        n = self.dim
+        if len(v) != n:
+            raise self._wrong_length(v)
+        p = self.field.characteristic
+        if not p:
+            w, scale = self._rational_residue(v)
+            return [Fraction(x, scale) if x else _ZERO for x in w]
+        w = [x % p for x in v]
+        for row, pc in zip(self.rows, self.pivots):
+            c = w[pc]
+            if c:
+                w[pc] = 0
+                for j in range(pc + 1, n):
+                    y = row[j]
+                    if y:
+                        w[j] = (w[j] - c * y) % p
         return w
 
     def contains(self, v: Sequence) -> bool:
-        return all(self.field.is_zero(x) for x in self.reduce(v))
+        if self.field.characteristic:
+            return not any(self.reduce(v))
+        if len(v) != self.dim:
+            raise self._wrong_length(v)
+        return not any(self._rational_residue(v)[0])
 
     def insert(self, v: Sequence) -> bool:
         """Add ``v`` to the span; False (and no change) if it already lies in it."""
-        f = self.field
-        w = self.reduce(v)
-        pc = next((j for j, x in enumerate(w) if not f.is_zero(x)), None)
-        if pc is None:
+        n = self.dim
+        if len(v) != n:
+            raise self._wrong_length(v)
+        p = self.field.characteristic
+        if p:
+            # The F_p pass of reduce, inlined: most inserts are of 2 to 4 entries.
+            w = [x % p for x in v]
+            for row, pc in zip(self.rows, self.pivots):
+                c = w[pc]
+                if c:
+                    w[pc] = 0
+                    for j in range(pc + 1, n):
+                        y = row[j]
+                        if y:
+                            w[j] = (w[j] - c * y) % p
+        else:
+            w = self._rational_residue(v)[0]
+        for pc, a in enumerate(w):
+            if a:
+                break
+        else:
             return False
-        inv = f.inv(w[pc])
-        self.rows.append([f.mul(inv, x) for x in w])
+        if p:
+            if a != 1:
+                inv = pow(a, p - 2, p)
+                w = [x * inv % p for x in w]
+        else:
+            g = gcd(*w)
+            if g != 1:
+                w = [x // g for x in w]
+        self.rows.append(w)
         self.pivots.append(pc)
         return True
 

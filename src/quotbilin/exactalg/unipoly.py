@@ -509,11 +509,18 @@ def express_in_span(cols: Sequence[Sequence[UniPoly]], height: int,
     a bound grown a few times; for kernel presentations of finite-dimensional
     modules the solution degrees are tiny, so the first bound almost always
     suffices.  Returns None when no solution is found within the bounds.
+    When the columns are square (``len(cols) == height``) the last bound is
+    at least Cramer's ``tdeg + (height - 1) * maxdeg``: for independent
+    columns the solution is unique, its entries are det(A_j) / det(A) and
+    have at most that degree, so None proves that ``target`` is not in the
+    span.
     """
     maxdeg = max((e.degree for col in cols for e in col), default=0)
     tdeg = max((e.degree for e in target), default=0)
-    bound = tdeg + maxdeg + 2
-    for _ in range(3):
+    bounds = [tdeg + maxdeg + 2, tdeg + maxdeg + 6, tdeg + maxdeg + 10]
+    if len(cols) == height:
+        bounds[-1] = max(bounds[-1], tdeg + (height - 1) * maxdeg)
+    for bound in bounds:
         ncoef = bound + 1
         outdeg = bound + maxdeg
         images = _shifted_coefficients(cols, height, outdeg, [ncoef] * len(cols), field)
@@ -525,5 +532,4 @@ def express_in_span(cols: Sequence[Sequence[UniPoly]], height: int,
         if sol is not None:
             return [UniPoly(field, sol.entries[j * ncoef: (j + 1) * ncoef])
                     for j in range(len(cols))]
-        bound += 4
     return None

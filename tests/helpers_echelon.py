@@ -1,0 +1,64 @@
+"""The incremental echelon basis as the library built it before its rows
+became plain ``int`` rows: one ``Field`` call per entry, pivot-1 rows of field
+values over Q and F_p alike.  Kept as the reference the new engine must match."""
+
+from typing import Sequence
+
+from quotbilin.exactalg import Field, ShapeError
+
+
+class ReferenceEchelonBasis:
+    """Incrementally grown basis of a subspace of ``k^dim``, in semi-echelon form.
+
+    Each stored row has a pivot entry 1 at its first nonzero column and a zero
+    at the pivot column of every earlier row.  Reducing a vector is then one
+    pass over the rows in insertion order, O(rank * dim) field operations, so
+    "does this vector extend the span" costs no re-elimination of the span.
+    ``insert`` accepts a vector exactly when it is independent of the vectors
+    inserted before it, which keeps greedy basis choices identical to
+    comparing ranks of the growing matrix.
+    """
+
+    __slots__ = ("field", "dim", "rows", "pivots")
+
+    def __init__(self, field: Field, dim: int, vectors: Sequence[Sequence] = ()):
+        self.field = field
+        self.dim = dim
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence) -> list:
+        """``v`` minus the combination of stored rows that clears every pivot
+        column; zero exactly when ``v`` lies in the span."""
+        if len(v) != self.dim:
+            raise ShapeError(f"vector of length {len(v)} in a span of k^{self.dim}")
+        f = self.field
+        w = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = w[pc]
+            if f.is_zero(c):
+                continue
+            for j in range(pc, self.dim):
+                if not f.is_zero(row[j]):
+                    w[j] = f.sub(w[j], f.mul(c, row[j]))
+        return w
+
+    def contains(self, v: Sequence) -> bool:
+        return all(self.field.is_zero(x) for x in self.reduce(v))
+
+    def insert(self, v: Sequence) -> bool:
+        """Add ``v`` to the span; False (and no change) if it already lies in it."""
+        f = self.field
+        w = self.reduce(v)
+        pc = next((j for j, x in enumerate(w) if not f.is_zero(x)), None)
+        if pc is None:
+            return False
+        inv = f.inv(w[pc])
+        self.rows.append([f.mul(inv, x) for x in w])
+        self.pivots.append(pc)
+        return True

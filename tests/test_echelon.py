@@ -6,6 +6,7 @@ behaviour: ranks, membership, and the greedy tangent representatives.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from quotbilin.exactalg import (
 )
 from quotbilin.modcore import rand_framed_module
 from quotbilin.quot import quot_tangent
+
+from helpers_echelon import ReferenceEchelonBasis
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
 
@@ -89,9 +92,13 @@ def test_echelon_basis_matches_rank_and_solve(seed, field, dim, count, rank_cap)
 
 
 def test_echelon_basis_rejects_wrong_length():
-    span = EchelonBasis(QQ, 3, [(QQ.one(), QQ.zero(), QQ.zero())])
-    with pytest.raises(ShapeError):
-        span.insert((QQ.one(), QQ.zero()))
+    for field in FIELDS:
+        span = EchelonBasis(field, 3, [(field.one(), field.zero(), field.zero())])
+        for method in (span.reduce, span.contains, span.insert):
+            for v in [(field.one(), field.zero()), (field.one(),) * 4]:
+                with pytest.raises(ShapeError):
+                    method(v)
+        assert len(span) == 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -160,3 +167,68 @@ def test_tangent_representatives_equal_full_rref_greedy(monkeypatch, case):
     (kernel, gauge, field, reps), = calls
     assert reps == full_rref_greedy(kernel, gauge, field)
     assert len(reps) == report.dim == len(report.basis)
+
+
+# -- against the engine with one Field call per entry -------------------------------
+
+def _entry(draw, field):
+    """A field value as callers pass it: over F_p any int, also outside
+    [0, p); over Q a Fraction, often with a denominator."""
+    if field.characteristic:
+        p = field.characteristic
+        return draw(st.integers(-2 * p, 3 * p))
+    return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A field, a dimension 0-7 and vectors mixing fresh ones, zero vectors
+    and combinations of earlier ones (so that inserts are also refused)."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(0, 7))
+    vectors = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "zero":
+            vectors.append([field.zero()] * dim)
+        elif kind == "combination" and vectors:
+            v = [field.zero()] * dim
+            for w in draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3)):
+                c = _entry(draw, field)
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, w)]
+            vectors.append(v)
+        else:
+            vectors.append([_entry(draw, field) for _ in range(dim)])
+    return field, dim, vectors
+
+
+@settings(deadline=None, max_examples=150)
+@given(echelon_inputs())
+def test_echelon_basis_matches_the_per_entry_engine(inputs):
+    field, dim, vectors = inputs
+    span, ref = EchelonBasis(field, dim), ReferenceEchelonBasis(field, dim)
+    for v in vectors:
+        for probe in vectors:
+            # Canonical residues over F_p, also where the reference passes v through.
+            assert span.reduce(probe) == [field.canonical(x) for x in ref.reduce(probe)]
+            assert span.contains(probe) == ref.contains(probe)
+        assert span.insert(v) == ref.insert(v)
+        assert len(span) == len(ref) and span.pivots == ref.pivots
+
+
+TANGENT_FIELDS = {"Q": QQ, "F101": GF(101)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("field_name", sorted(TANGENT_FIELDS))
+def test_tangent_bases_equal_the_per_entry_engine(monkeypatch, field_name, seed):
+    field = TANGENT_FIELDS[field_name]
+
+    def tangents():
+        quot_report = quot_tangent(rand_framed_module(random.Random(seed), field, 1, 4, 2))
+        bilin_report = bilin_tangent(_main_point(field, 3, seed))
+        return quot_report, bilin_report
+
+    new = tangents()
+    monkeypatch.setattr(quot, "EchelonBasis", ReferenceEchelonBasis)
+    assert new == tangents()

@@ -249,3 +249,16 @@ def test_express_in_span_matches_reference(case, data):
     assert (got is None) == (want is None)
     if got is not None:
         assert raw([got]) == raw([want])
+
+
+def test_express_in_span_searches_to_cramers_bound_on_square_columns():
+    # (1, 0, 0) = 1*(1, x^11, 0) - x^11*(0, 1, x^11) + x^22*(0, 0, 1): degree 22
+    # is past tdeg + maxdeg + 10 = 21 but within Cramer's tdeg + 2*maxdeg.
+    f = QQ
+    one, zero = UniPoly.const(f, f.one()), UniPoly.zero(f)
+    x11 = UniPoly(f, [f.zero()] * 11 + [f.one()])
+    cols = [[one, x11, zero], [zero, one, x11], [zero, zero, one]]
+    assert express_in_span(cols, 3, [one, zero, zero], f) == [one, -x11, x11 * x11]
+    # Independent square columns: None is a proof of non-membership.
+    x = UniPoly.x(f)
+    assert express_in_span([[x, zero], [zero, one]], 2, [one, zero], f) is None
