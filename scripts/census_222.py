@@ -1,13 +1,34 @@
 #!/usr/bin/env python3
-"""Run the exhaustive two-points census over F_q and print the breakdown.
+"""Run the exhaustive two-points census over F_q, print the breakdown and
+check every cell against its closed form in q.
 
 Usage: python scripts/census_222.py [q]
+
+Exits 1 when a cell differs from its closed form, or when a border-rank-3
+tensor or a forced-consequence failure appears.
 """
 
 import sys
 import time
 
-from quotbilin.cases222 import enumerate_222, enumerate_quot_classes_22
+from quotbilin.cases222 import enumerate_222
+from quotbilin.tensorlab import LABEL_GENERIC, LABEL_NON_CONCISE, LABEL_W_TYPE
+
+
+def closed_form_counts(q: int) -> dict:
+    """The census table over F_q as polynomials in q."""
+    return {
+        ("MAIN_SPLIT", LABEL_GENERIC): q * (q - 1) // 2 * (q + 1) ** 4,
+        ("CYCLIC_NILPOTENT", LABEL_W_TYPE): q ** 3 * (q + 1) ** 2,
+        ("NON_SPLIT", LABEL_GENERIC): q * (q - 1) // 2 * (q ** 2 + 1) ** 2,
+        ("MIXED_12", LABEL_NON_CONCISE): q ** 2 * (q + 1),
+        ("MIXED_21", LABEL_NON_CONCISE): q ** 2 * (q + 1),
+        ("SPLIT_MIXED_12", LABEL_NON_CONCISE): q * (q - 1) * (q + 1) ** 2,
+        ("SPLIT_MIXED_21", LABEL_NON_CONCISE): q * (q - 1) * (q + 1) ** 2,
+        ("TOTALLY_DEGENERATE", LABEL_W_TYPE): q * (q - 1) * (q + 1) ** 2,
+        ("TOTALLY_DEGENERATE", LABEL_GENERIC): q ** 3 * (q ** 2 + 1),
+        ("TOTALLY_DEGENERATE", LABEL_NON_CONCISE): 2 * q * (q + 1),
+    }
 
 
 def main() -> int:
@@ -15,18 +36,24 @@ def main() -> int:
     start = time.time()
     census = enumerate_222(q)
     elapsed = time.time() - start
-    actions = len({m.X for m in enumerate_quot_classes_22(q)})
     print(f"census over F_{q}: {census.total_points} points from "
           f"{census.quot_classes}^2 framed-module class pairs with "
-          f"{actions} distinct actions ({elapsed:.1f}s)")
-    print(f"{'label':<22} {'tensor class':<18} {'count':>6}")
-    print("-" * 48)
-    for label, tlabel, count in census.rows():
-        print(f"{label:<22} {tlabel:<18} {count:>6}")
-    print("-" * 48)
+          f"{q * q + q} distinct actions ({elapsed:.1f}s)")
+    expected = closed_form_counts(q)
+    print(f"{'label':<22} {'tensor class':<18} {'count':>6} {'closed form':>12}")
+    print("-" * 61)
+    for label, tlabel in sorted(set(expected) | set(census.counts)):
+        count = census.counts.get((label, tlabel), 0)
+        want = expected.get((label, tlabel), 0)
+        flag = "" if count == want else "  MISMATCH"
+        print(f"{label:<22} {tlabel:<18} {count:>6} {want:>12}{flag}")
+    print("-" * 61)
     print(f"border-rank-3 labels: {census.border_rank_3} (must be 0)")
     print(f"forced-consequence failures: {census.forced_failures} (must be 0)")
-    return 0 if census.border_rank_3 == 0 and census.forced_failures == 0 else 1
+    ok = census.counts == expected and census.border_rank_3 == census.forced_failures == 0
+    print("every cell matches its closed form" if census.counts == expected
+          else "some cell differs from its closed form")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .exactalg import (
     ParamTensor,
     ShapeError,
     UniPoly,
+    gaussian_binomial,
 )
 from .modcore import (
     FramedModule,
@@ -268,43 +269,39 @@ def _all_matrices(field, rows, cols):
         yield Matrix(field, rows, cols, list(ents))
 
 
-def _gl2(field) -> list[Matrix]:
-    out = []
-    for m in _all_matrices(field, 2, 2):
-        if m.is_invertible():
-            out.append(m)
-    return out
-
-
 def enumerate_quot_classes_22(q: int) -> list[FramedModule]:
     """Representatives of rank-2, dimension-2 framed-module classes over F_q.
 
-    Classes are orbits of valid (X, G) under simultaneous change of basis
-    (g X g^-1, g G); the representative of a class is its first member in
-    enumeration order.  A pair is encoded as the integer sum of its eight
-    entries times powers of q, and a bitmap over all q^8 codes marks the
-    whole orbit of each new representative, so every later member is
-    skipped before validation.
+    Classes are orbits of valid (X, G) under (g X g^-1, g G), and each meets
+    one X in rational canonical form.  For the q scalars X the generating G
+    are GL_2, one class, represented by G = I.  A companion X = [[0, -n],
+    [1, t]] (q^2 of them) is fixed by the units of k[X], acting by G -> gG;
+    a bitmap over the q^4 framings marks k[X]G for each new generating G,
+    the first of its class in enumeration order.  G fails to generate iff
+    its columns lie on one eigenline of X, as do those of gG for a non-unit
+    g, and the units act freely on generating G (gG = G fixes the span the
+    columns of G generate), so X has (generating G) / |k[X]^x| classes: q
+    scalars, 1 each; q(q-1)/2 split, (q^2-1)^2 / (q-1)^2 = (q+1)^2 each; q
+    Jordan, (q^4-q^2) / (q(q-1)) = q(q+1) each; q(q-1)/2 irreducible,
+    (q^4-1) / (q^2-1) = q^2+1 each.  In all q^4 + q^3 + q^2.
     """
     field = GF(q)
-    gl2 = [(g, g.inverse()) for g in _gl2(field)]
-    weights = [q ** i for i in range(8)]
-
-    def code(X: Matrix, G: Matrix) -> int:
-        return sum(w * e for w, e in zip(weights, X.entries + G.entries))
-
-    seen = bytearray(q ** 8)
-    reps = []
-    for X in _all_matrices(field, 2, 2):
-        for G in _all_matrices(field, 2, 2):
-            if seen[code(X, G)]:
+    eye = Matrix.identity(field, 2)
+    reps = [FramedModule(1, 2, 2, (eye.scale(lam),), eye) for lam in range(q)]
+    weights = (q ** 3, q ** 2, q, 1)
+    for n, t in itertools.product(range(q), repeat=2):
+        X = Matrix(field, 2, 2, [0, -n % q, 1, t])
+        seen = bytearray(q ** 4)
+        for code, ents in enumerate(itertools.product(range(q), repeat=4)):
+            if seen[code]:
                 continue
-            mod = FramedModule(1, 2, 2, (X,), G)
+            mod = FramedModule(1, 2, 2, (X,), Matrix(field, 2, 2, list(ents)))
             if not validate_framed(mod).ok:
                 continue
             reps.append(mod)
-            for g, gi in gl2:
-                seen[code(g * X * gi, g * G)] = 1
+            XG = (X * mod.G).entries
+            for a, b in itertools.product(range(q), repeat=2):
+                seen[sum(w * ((a * g + b * h) % q) for w, g, h in zip(weights, ents, XG))] = 1
     return reps
 
 
@@ -357,8 +354,15 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     validate; the census asserts no border-rank-3 tensor and every forced
     consequence of the case analysis.
 
+    Any prime q runs.  cap bounds the candidate kernels _invariant_subspaces
+    tests, [dim12 choose 2]_q per action pair: M1 (x)_S M2 has dimension 4
+    for the q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs of a companion
+    with itself or with a scalar at one of its roots, and less otherwise.
+    So q(q^2+1)(q^2+q+1) + 3q^2 (417 at q = 3) is checked before any work;
+    the default cap first refuses q = 13, the command line's q = 19.
+
     The work is done in layers.  The class representatives are grouped by
-    action X (12 actions for 117 classes at q = 3, 6 for 28 at q = 2), and
+    action X (q^2 + q actions: 12 for 117 classes at q = 3), and
     each action's type and support are computed once.  The tensor product
     and its invariant subspaces depend on the action pair (X1, X2) alone, so
     each pair gets one tensor product.  Each (X1, X2, kernel) family is then
@@ -375,12 +379,11 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     The types, supports, tensor and forced consequences read no framing
     either.
     """
-    if q not in (2, 3):
-        raise InfeasibleEnumeration("census is supported for q in {2, 3}")
     field = GF(q)
+    work = q * gaussian_binomial(2, 4, q) + 3 * q * q
+    if work > cap:
+        raise InfeasibleEnumeration(f"{work} candidate kernels exceed cap {cap}")
     reps = enumerate_quot_classes_22(q)
-    if len(reps) ** 2 > cap:
-        raise InfeasibleEnumeration(f"{len(reps)}^2 pairs exceeds cap {cap}")
     groups = _action_groups(reps)
     facts = {X: _action_facts(X) for X in groups}
     counts: dict = {}

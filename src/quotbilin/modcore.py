@@ -84,30 +84,27 @@ def krylov_span(X: Sequence[Matrix], vectors: Sequence[Sequence], field: Field,
                 d: int) -> list[tuple]:
     """Basis of the smallest X-invariant subspace containing the vectors.
 
-    Iterates multiplication by each action matrix until the dimension
-    stabilizes; at most d rounds since the dimension strictly grows.
+    Multiplies by each action matrix until the dimension stabilizes (at
+    most d rounds, since it strictly grows) or the span is all of k^d.
     """
     basis: list[tuple] = []
     span = EchelonBasis(field, d)
 
-    def absorb(v) -> bool:
-        if span.insert(v):
-            basis.append(tuple(v))
-            return True
-        return False
+    def candidates():
+        yield from vectors
+        grown = True
+        while grown:
+            size = len(basis)
+            for x in X:
+                for v in list(basis):
+                    yield x.matvec(list(v))
+            grown = len(basis) > size
 
-    frontier = [tuple(v) for v in vectors]
-    for v in frontier:
-        absorb(v)
-    while True:
-        new = []
-        for x in X:
-            for v in list(basis):
-                w = x.matvec(list(v))
-                if absorb(w):
-                    new.append(w)
-        if not new or len(basis) >= d:
-            break
+    for w in candidates():
+        if span.insert(w):
+            basis.append(tuple(w))
+            if len(basis) == d:
+                break
     return basis
 
 

@@ -1,19 +1,27 @@
 """Reference census for differential tests: the per-class-pair loop, which
 builds a tensor product and validates and classifies every point for each of
-the quot-class pairs, and the module-type rule on a framed module."""
+the quot-class pairs, the class enumerator that marks whole GL_2 orbits over
+all q^8 pairs (X, G), and the module-type rule on a framed module."""
 
 from quotbilin.bilin import validate_bilin
 from quotbilin.cases222 import (
     CaseLabel,
     Census,
     ModuleType,
+    _all_matrices,
     _assemble_point,
     _invariant_subspaces,
     classify_point_222,
     enumerate_quot_classes_22,
 )
-from quotbilin.exactalg import GF, InfeasibleEnumeration
-from quotbilin.modcore import annihilator_algebra_dim, support_univariate, tensor_over_S
+from quotbilin.exactalg import GF, InfeasibleEnumeration, Matrix
+from quotbilin.modcore import (
+    FramedModule,
+    annihilator_algebra_dim,
+    support_univariate,
+    tensor_over_S,
+    validate_framed,
+)
 from quotbilin.quot import NonSplitSupport
 from quotbilin.tensorlab import classify_2x2x2, tensor_from_bilin
 
@@ -28,11 +36,45 @@ def reference_module_type(m):
     return ModuleType.JORDAN if alg == 2 else ModuleType.SEMISIMPLE
 
 
-def reference_census(q: int, cap: int = 200_000) -> Census:
-    if q not in (2, 3):
-        raise InfeasibleEnumeration("census is supported for q in {2, 3}")
+def reference_gl2(field) -> list[Matrix]:
+    return [m for m in _all_matrices(field, 2, 2) if m.is_invertible()]
+
+
+def reference_quot_classes_22(q: int) -> list[FramedModule]:
+    """Representatives of rank-2, dimension-2 framed-module classes over F_q.
+
+    Classes are orbits of valid (X, G) under simultaneous change of basis
+    (g X g^-1, g G); the representative of a class is its first member in
+    enumeration order.  A pair is encoded as the integer sum of its eight
+    entries times powers of q, and a bitmap over all q^8 codes marks the
+    whole orbit of each new representative, so every later member is
+    skipped before validation.
+    """
     field = GF(q)
-    reps = enumerate_quot_classes_22(q)
+    gl2 = [(g, g.inverse()) for g in reference_gl2(field)]
+    weights = [q ** i for i in range(8)]
+
+    def code(X: Matrix, G: Matrix) -> int:
+        return sum(w * e for w, e in zip(weights, X.entries + G.entries))
+
+    seen = bytearray(q ** 8)
+    reps = []
+    for X in _all_matrices(field, 2, 2):
+        for G in _all_matrices(field, 2, 2):
+            if seen[code(X, G)]:
+                continue
+            mod = FramedModule(1, 2, 2, (X,), G)
+            if not validate_framed(mod).ok:
+                continue
+            reps.append(mod)
+            for g, gi in gl2:
+                seen[code(g * X * gi, g * G)] = 1
+    return reps
+
+
+def reference_census(q: int, cap: int = 200_000) -> Census:
+    field = GF(q)
+    reps = reference_quot_classes_22(q)
     if len(reps) ** 2 > cap:
         raise InfeasibleEnumeration(f"{len(reps)}^2 pairs exceeds cap {cap}")
     counts: dict = {}

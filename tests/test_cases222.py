@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -6,14 +7,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers_census import reference_census, reference_cross_check_pairs, reference_module_type
+from helpers_census import (
+    reference_census,
+    reference_cross_check_pairs,
+    reference_gl2,
+    reference_module_type,
+    reference_quot_classes_22,
+)
 from quotbilin.exactalg import (
     GF,
     QQ,
+    InfeasibleEnumeration,
     Matrix,
     ParamTensor,
     ShapeError,
     evaluate_param,
+    gaussian_binomial,
     rand_invertible,
 )
 from quotbilin.modcore import (
@@ -250,11 +259,26 @@ def test_quot_classes_count_q2():
         assert validate_framed(m).ok
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_quot_classes_count_closed_form(q):
     # q^4 + q^3 + q^2 classes, as for a cell decomposition of a
     # four-dimensional Quot scheme
     assert len(enumerate_quot_classes_22(q)) == q ** 4 + q ** 3 + q ** 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_quot_classes_are_one_per_reference_orbit(q):
+    # Each representative lies in exactly one GL_2 orbit of the q^8-pair
+    # enumerator, and each of its orbits holds exactly one representative.
+    gl2 = [(g, g.inverse()) for g in reference_gl2(GF(q))]
+    reference = reference_quot_classes_22(q)
+    orbit_of = {}
+    for i, m in enumerate(reference):
+        for g, gi in gl2:
+            assert orbit_of.setdefault((g * m.X[0] * gi, g * m.G), i) == i
+    reps = enumerate_quot_classes_22(q)
+    assert all(validate_framed(m).ok for m in reps)
+    assert sorted(orbit_of[m.X[0], m.G] for m in reps) == list(range(len(reference)))
 
 
 @pytest.fixture(scope="module")
@@ -310,9 +334,53 @@ def test_census_deterministic(census_q2):
 
 
 def test_census_cap_guard():
-    from quotbilin.quot import InfeasibleEnumeration
+    # q = 3 tests 417 candidate kernels, one more than this cap allows
+    with pytest.raises(InfeasibleEnumeration, match="^417 candidate kernels exceed cap 416$"):
+        enumerate_222(3, cap=416)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_census_cap_counts_the_candidate_kernels(q):
+    # The cap is checked before anything is enumerated; the count it checks
+    # must be the subspaces _invariant_subspaces tests over all action pairs.
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    dims = [tensor_over_S(group1[0], group2[0]).dim12
+            for group1 in groups.values() for group2 in groups.values()]
+    work = sum(gaussian_binomial(2, dim, q) for dim in dims if dim >= 2)
+    with pytest.raises(InfeasibleEnumeration, match=f"^{work} candidate kernels "):
+        enumerate_222(q, cap=work - 1)
+
+
+def test_census_default_caps_first_refuse_q13_and_q19():
+    def work(q):
+        with pytest.raises(InfeasibleEnumeration) as err:
+            enumerate_222(q, cap=0)
+        return int(str(err.value).split()[0])
+
+    primes = [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [q for q in primes if work(q) > 200_000][0] == 13
+    assert [q for q in primes if work(q) > 2_000_000][0] == 19
+    # refused at once, before any enumeration
     with pytest.raises(InfeasibleEnumeration):
-        enumerate_222(5)
+        enumerate_222(1_000_000_007)
+
+
+def load_census_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "census_222.py"
+    spec = importlib.util.spec_from_file_location("census_222", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_census_matches_closed_forms(q):
+    # the closed forms come from the census script, whose table this checks too
+    census = enumerate_222(q)
+    assert census.quot_classes == q ** 4 + q ** 3 + q ** 2
+    assert census.border_rank_3 == census.forced_failures == 0
+    assert census.counts == load_census_script().closed_form_counts(q)
+    assert census.total_points == sum(census.counts.values())
 
 
 def test_census_matches_direct_membership_loop():

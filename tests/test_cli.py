@@ -192,6 +192,10 @@ def test_classify222_census(tmp_path):
     assert csv_lines[0] == "label,tensor_class,count"
 
 
+def test_classify222_census_cap_exit():
+    assert main(["classify222", "--enumerate", "--q", "3", "--cap", "1"]) == EXIT_CAP
+
+
 def test_limits_command(tmp_path):
     code, payload, _ = run_json(
         tmp_path, ["limits", "--name", "mu2_t", "--field", "F:5", "--samples", "1,2,3"])

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from quotbilin.exactalg import GF, QQ, Matrix, UniPoly
+from quotbilin.exactalg import GF, QQ, EchelonBasis, Matrix, UniPoly
 from quotbilin.modcore import (
     FramedModule,
+    krylov_span,
     annihilator_algebra_dim,
     cyclic_module_univariate,
     cyclic_tuple_module,
@@ -50,6 +52,70 @@ def test_validate_generation_failure_witness():
     rep = validate_framed(m)
     assert not rep.ok and rep.commutes and not rep.generates
     assert len(rep.invariant_subspace) == 1
+
+
+# -- Krylov closure ---------------------------------------------------------------
+
+def reference_krylov_span(X, vectors, field, d):
+    """krylov_span without its early exit: every round runs to its end."""
+    basis = []
+    span = EchelonBasis(field, d)
+
+    def absorb(v) -> bool:
+        if span.insert(v):
+            basis.append(tuple(v))
+            return True
+        return False
+
+    frontier = [tuple(v) for v in vectors]
+    for v in frontier:
+        absorb(v)
+    while True:
+        new = []
+        for x in X:
+            for v in list(basis):
+                w = x.matvec(list(v))
+                if absorb(w):
+                    new.append(w)
+        if not new or len(basis) >= d:
+            break
+    return basis
+
+
+@st.composite
+def krylov_inputs(draw):
+    """Actions and vectors over F_3, F_101 or Q with d <= 5 and n <= 2.  Upper
+    triangular actions keep vectors supported on the first k coordinates
+    there, and zero or scalar actions add nothing, so many inputs do not
+    generate k^d."""
+    field = draw(st.sampled_from([GF(3), GF(101), QQ]))
+    d = draw(st.integers(0, 5))
+
+    def entry():
+        if field.characteristic:
+            return field.from_int(draw(st.integers(0, field.characteristic - 1)))
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+    actions = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["random", "upper", "scalar", "zero"]))
+        if kind == "scalar":
+            actions.append(Matrix.identity(field, d).scale(entry()))
+            continue
+        entries = [entry() if kind == "random" or (kind == "upper" and j >= i)
+                   else field.zero() for i in range(d) for j in range(d)]
+        actions.append(Matrix(field, d, d, entries))
+    vectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        head = draw(st.integers(0, d))
+        vectors.append([entry() if i < head else field.zero() for i in range(d)])
+    return actions, vectors, field, d
+
+
+@settings(deadline=None, max_examples=150)
+@given(krylov_inputs())
+def test_krylov_span_matches_the_loop_without_early_exit(inputs):
+    assert krylov_span(*inputs) == reference_krylov_span(*inputs)
 
 
 # -- tensor product ---------------------------------------------------------------
