@@ -520,30 +520,23 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     On generators kappa of K1 and free basis vectors e of F2 (and the
     mirror), the image of kappa (x) e under phi3 must equal the pairing
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
-    Raises ArithmeticError when the echelon division and the truncated solve
-    write a member of K3 differently in its basis, so that a failed solve
-    never reads as incompatible.
+
+    Every such member of K3 is written in K3's basis twice: by the echelon
+    division, one member at a time (a failed division means the member is
+    not in K3, and the triple is incompatible), and by one truncated k[x]
+    solve of all the members against the same generators, a single
+    elimination per check.  The generators are a basis, so both must give
+    the same coefficients.  Raises ArithmeticError when the solve finds no
+    solution or writes any member differently, so that a failed solve never
+    reads as incompatible; a disagreement is caught on every member, even
+    one after a member that fails its compatibility check.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
     f = b.field
     d1, d2 = b.m1.d, b.m2.d
     r1, r2 = b.m1.r, b.m2.r
-    Z = b.Z[0]
-    ech3 = triple.pres3.echelon
-    gens3 = triple.pres3.gens.columns()
-
-    def phi3_of(vec_polys) -> Optional[list]:
-        # The generators of K3 are a basis: both solves must give the same.
-        coeffs = express_in_echelon(ech3, r1 * r2, vec_polys, f)
-        if coeffs is None:
-            return None
-        solved = express_in_span(gens3, r1 * r2, vec_polys, f)
-        if solved != coeffs:
-            raise ArithmeticError(
-                f"a vector of K3 has coefficients {coeffs} in the echelon basis of K3 "
-                f"but {solved} by express_in_span against the same basis")
-        return quot._horner(coeffs, Z, triple.phi3)
+    height = r1 * r2
 
     def pihat_pair(u, v) -> list:
         w = [f.zero()] * (d1 * d2)
@@ -555,35 +548,45 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
         return b.pihat.matvec(w)
 
     zero2 = UniPoly.zero(f)
+    vecs, sides = [], []  # members of K3 in F3, pairing sides of their images in M3
     # K1 (x) F2 side
     for jgen in range(triple.pres1.gens.cols):
         kappa = triple.pres1.gens.col(jgen)
         img1 = list(triple.phi1.col(jgen))
         for bb in range(r2):
-            vec = [zero2] * (r1 * r2)
+            vec = [zero2] * height
             for a in range(r1):
                 vec[a * r2 + bb] = kappa[a]
-            lhs = phi3_of(vec)
-            if lhs is None:
-                return False
-            rhs = pihat_pair(img1, list(b.m2.G.col(bb)))
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
-                return False
+            vecs.append(vec)
+            sides.append(pihat_pair(img1, list(b.m2.G.col(bb))))
     # F1 (x) K2 side
     for jgen in range(triple.pres2.gens.cols):
         kappa = triple.pres2.gens.col(jgen)
         img2 = list(triple.phi2.col(jgen))
         for a in range(r1):
-            vec = [zero2] * (r1 * r2)
+            vec = [zero2] * height
             for bb in range(r2):
                 vec[a * r2 + bb] = kappa[bb]
-            lhs = phi3_of(vec)
-            if lhs is None:
-                return False
-            rhs = pihat_pair(list(b.m1.G.col(a)), img2)
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
-                return False
-    return True
+            vecs.append(vec)
+            sides.append(pihat_pair(list(b.m1.G.col(a)), img2))
+
+    ech3 = triple.pres3.echelon
+    coeffs = [express_in_echelon(ech3, height, vec, f) for vec in vecs]
+    if any(c is None for c in coeffs):
+        return False
+    solved = express_in_span(triple.pres3.gens.columns(), height, vecs, f)
+    if solved is None:
+        raise ArithmeticError(
+            f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
+            f"but express_in_span against the same basis finds no solution")
+    for c, s in zip(coeffs, solved):
+        if s != c:
+            raise ArithmeticError(
+                f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
+                f"but {s} by express_in_span against the same basis")
+    Z = b.Z[0]
+    return all(all(f.eq(x, y) for x, y in zip(quot._horner(c, Z, triple.phi3), side))
+               for c, side in zip(coeffs, sides))
 
 
 def zero_triple(b: BilinPoint) -> HomTriple:

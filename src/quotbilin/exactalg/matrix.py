@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, parse_field, same_field
@@ -220,17 +221,18 @@ class Matrix:
                       self.entries + other.entries)
 
     def matvec(self, v: Sequence) -> list:
+        """``self * v`` as a list.  Over F_p each output entry is the plain
+        ``int`` dot product reduced mod p once; over Q zero entries of the
+        matrix are skipped."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = f.zero()
-            base = i * self.cols
-            for j in range(self.cols):
-                acc = f.add(acc, f.mul(self.entries[base + j], v[j]))
-            out.append(acc)
-        return out
+        c, e = self.cols, self.entries
+        rows = [e[i * c:(i + 1) * c] for i in range(self.rows)]
+        p = self.field.characteristic
+        if p:
+            return [sum(map(mul, row, v)) % p for row in rows]
+        zero = self.field.zero()
+        return [sum((x * y for x, y in zip(row, v) if x), zero) for row in rows]
 
     # -- elimination ---------------------------------------------------------
 

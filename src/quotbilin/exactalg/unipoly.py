@@ -9,7 +9,9 @@ One Euclidean column reducer, :func:`_column_reduce`, serves both
 k[x]-independent columns of k[x]^r in echelon form are lower triangular, and
 the colength of their span is the sum of the diagonal degrees.  One layout,
 :func:`_shifted_coefficients`, turns x^b * column into a coefficient vector
-for the truncated system of the k[x] solve :func:`express_in_span`.
+for the truncated system of the k[x] solve :func:`express_in_span`, which
+solves a whole batch of targets against the same columns in one elimination
+per degree bound.
 """
 
 from __future__ import annotations
@@ -501,35 +503,55 @@ def express_in_echelon(echelon_cols: Sequence[Sequence[UniPoly]], height: int,
 
 
 def express_in_span(cols: Sequence[Sequence[UniPoly]], height: int,
-                    target: Sequence[UniPoly], field: Field
-                    ) -> Optional[list[UniPoly]]:
-    """Coefficients writing ``target`` as a k[x]-combination of any columns.
+                    targets: Sequence[Sequence[UniPoly]], field: Field
+                    ) -> Optional[list[list[UniPoly]]]:
+    """Coefficients writing each target as a k[x]-combination of any columns.
 
     Solved by truncated linear algebra: coefficient degrees are searched up to
-    a bound grown a few times; for kernel presentations of finite-dimensional
-    modules the solution degrees are tiny, so the first bound almost always
-    suffices.  Returns None when no solution is found within the bounds.
+    a bound grown a few times, and every target is solved at once, in one
+    ``solve(A, B)`` per bound with one column of B per target.  The bounds
+    come from the largest target degree, so a one-element list is the
+    one-target solve.  The result is all or none: the list of coefficient
+    lists, one per target, from the first bound at which every target is
+    expressed, or None when no bound expresses them all.  For kernel
+    presentations of finite-dimensional modules the solution degrees are
+    tiny, so the first bound almost always suffices.
+
+    At a given bound, a target's answer does not depend on the other targets.
+    In rref([A | B]) a pivot found in a column b_k of B lies in a row y with
+    y A = 0, and y b_j = y A x_j = 0 for every consistent column b_j, so
+    eliminating with that row leaves the consistent columns untouched; the
+    rows with pivots in A are those of rref(A), and each x_j is read off them
+    as it would be from rref([A | b_j]) alone.  For k[x]-independent columns
+    (a kernel presentation) the solution is unique, so it does not depend on
+    the bound either and the batch returns the one-target answers.
+
     When the columns are square (``len(cols) == height``) the last bound is
     at least Cramer's ``tdeg + (height - 1) * maxdeg``: for independent
     columns the solution is unique, its entries are det(A_j) / det(A) and
-    have at most that degree, so None proves that ``target`` is not in the
+    have at most that degree, so None proves that some target is not in the
     span.
     """
     maxdeg = max((e.degree for col in cols for e in col), default=0)
-    tdeg = max((e.degree for e in target), default=0)
+    tdeg = max((e.degree for target in targets for e in target), default=0)
     bounds = [tdeg + maxdeg + 2, tdeg + maxdeg + 6, tdeg + maxdeg + 10]
     if len(cols) == height:
         bounds[-1] = max(bounds[-1], tdeg + (height - 1) * maxdeg)
+    nt = len(targets)
     for bound in bounds:
         ncoef = bound + 1
         outdeg = bound + maxdeg
+        nrows = height * (outdeg + 1)
         images = _shifted_coefficients(cols, height, outdeg, [ncoef] * len(cols), field)
-        (rhs,) = _shifted_coefficients([target], height, outdeg, [1], field)
-        # One row per output coefficient, one column per unknown coefficient.
-        a = Matrix(field, len(rhs), len(images),
-                   [v[k] for k in range(len(rhs)) for v in images])
-        sol = solve(a, Matrix.column(field, rhs))
+        rhs = _shifted_coefficients(targets, height, outdeg, [1] * nt, field)
+        # One row per output coefficient, one column per unknown coefficient
+        # (in A) or per target (in B).
+        a = Matrix(field, nrows, len(images), [v[k] for k in range(nrows) for v in images])
+        b = Matrix(field, nrows, nt, [v[k] for k in range(nrows) for v in rhs])
+        sol = solve(a, b)
         if sol is not None:
-            return [UniPoly(field, sol.entries[j * ncoef: (j + 1) * ncoef])
-                    for j in range(len(cols))]
+            # Row j * ncoef + c of sol holds the x^c coefficient of column j.
+            x = sol.entries
+            return [[UniPoly(field, x[j * ncoef * nt + t:(j + 1) * ncoef * nt:nt])
+                     for j in range(len(cols))] for t in range(nt)]
     return None

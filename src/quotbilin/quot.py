@@ -201,15 +201,22 @@ class KernelPresentation:
 
 
 def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
-    """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a."""
+    """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a.
+
+    Over F_p each step adds plain ``int`` products and reduces mod p once.
+    """
     f = X.field
+    p = f.characteristic
+    gcols = [G.col(a) for a in range(len(polys))]
     h = [f.zero()] * X.rows
-    for m in range(max(p.degree for p in polys), -1, -1):
+    for m in range(max(poly.degree for poly in polys), -1, -1):
         h = X.matvec(h)
-        for a, p in enumerate(polys):
-            c = p.coeff(m)
-            if not f.is_zero(c):
-                h = [f.add(v, f.mul(c, g)) for v, g in zip(h, G.col(a))]
+        for poly, g in zip(polys, gcols):
+            c = poly.coeff(m)
+            if c:
+                h = [v + c * y for v, y in zip(h, g)]
+        if p:
+            h = [v % p for v in h]
     return h
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible
+from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible, unipoly
 from quotbilin.modcore import (
     FramedModule,
     cyclic_module_univariate,
@@ -252,30 +252,98 @@ def test_extracted_triples_pass_nilpotent_case():
 
 
 def test_hom_triple_check_raises_when_a_member_is_not_expressed(monkeypatch):
-    # A failed solve for a vector of K3 must not read as an incompatible triple.
+    # A failed solve for the vectors of K3 must not read as an incompatible triple.
     b = canonical_main()
     triple = zero_triple(b)
-    monkeypatch.setattr(bilin, "express_in_span", lambda *args: None)
+    calls = []
+
+    def no_solution(cols, height, targets, field):
+        calls.append(len(targets))
+        return None
+
+    monkeypatch.setattr(bilin, "express_in_span", no_solution)
     with pytest.raises(ArithmeticError, match="express_in_span"):
         hom_triple_check(b, triple)
+    assert calls == [8]  # one batched call with every member of K3
+
+
+def perturbed_solve(monkeypatch, b, member):
+    """Patch the batched solve to add x to the first coefficient of one
+    member; returns the echelon coefficients and the perturbed ones."""
+    real = bilin.express_in_span
+    seen = {}
+
+    def perturbed(cols, height, targets, field):
+        solved = real(cols, height, targets, field)
+        k = member % len(targets)
+        seen["want"] = solved[k]
+        seen["got"] = [solved[k][0] + UniPoly.x(b.field)] + solved[k][1:]
+        return solved[:k] + [seen["got"]] + solved[k + 1:]
+
+    monkeypatch.setattr(bilin, "express_in_span", perturbed)
+    return seen
+
+
+def assert_disagreement_raises(monkeypatch, member):
+    b = canonical_main()
+    triple = extract_hom_triple(b, bilin_tangent(b).basis[0])
+    assert hom_triple_check(b, triple)  # passes unperturbed
+    seen = perturbed_solve(monkeypatch, b, member)
+    with pytest.raises(ArithmeticError, match=r"coefficients \[.*\] in the echelon basis "
+                                              r"of K3 but \[.*\] by express_in_span") as exc:
+        hom_triple_check(b, triple)
+    assert f"coefficients {seen['want']} in the echelon basis" in str(exc.value)
+    assert f"but {seen['got']} by express_in_span" in str(exc.value)
 
 
 def test_hom_triple_check_raises_when_the_solve_disagrees_with_the_echelon(monkeypatch):
     # The generators of K3 are a basis: a truncated solve that returns other
     # coefficients than the echelon division is a fault, named with both.
+    assert_disagreement_raises(monkeypatch, 0)
+
+
+def test_hom_triple_check_raises_when_only_the_last_member_disagrees(monkeypatch):
+    # Each member's coefficients are read back from its own column of the
+    # batched solve, so a fault in the last column alone is caught too.
+    assert_disagreement_raises(monkeypatch, -1)
+
+
+def test_hom_triple_check_cross_checks_members_after_an_incompatible_one(monkeypatch):
+    # Incompatible on its first member, the triple still has its last member
+    # cross-checked: the disagreement raises rather than reading as False.
     b = canonical_main()
-    triple = extract_hom_triple(b, bilin_tangent(b).basis[0])
-    real = bilin.express_in_span
+    base = extract_hom_triple(b, bilin_tangent(b).basis[0])
+    bad = HomTriple(phi1=base.phi1 + Matrix.identity(b.field, b.m1.d), phi2=base.phi2,
+                    phi3=base.phi3, pres1=base.pres1, pres2=base.pres2, pres3=base.pres3)
+    assert not hom_triple_check(b, bad)
+    perturbed_solve(monkeypatch, b, -1)
+    with pytest.raises(ArithmeticError, match="express_in_span"):
+        hom_triple_check(b, bad)
 
-    def perturbed(*args):
-        coeffs = real(*args)
-        return [coeffs[0] + UniPoly.x(b.field)] + coeffs[1:]
 
-    assert hom_triple_check(b, triple)  # passes unperturbed
-    monkeypatch.setattr(bilin, "express_in_span", perturbed)
-    with pytest.raises(ArithmeticError, match=r"coefficients \[.*\] in the echelon basis "
-                                              r"of K3 but \[.*\] by express_in_span"):
-        hom_triple_check(b, triple)
+@pytest.mark.parametrize("point", ["main", "degenerate"])
+def test_hom_triple_check_solves_once(monkeypatch, point):
+    # Every member of K3 goes into one truncated solve per check.
+    if point == "main":
+        b = canonical_main()
+    else:
+        f = GF(101)
+        b = degenerate_point(2, 2, 2, Matrix.identity(f, 2), Matrix.identity(f, 2),
+                             Matrix.from_int_rows(f, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    triples = [extract_hom_triple(b, tv) for tv in bilin_tangent(b).basis]
+    calls = []
+    real = unipoly.solve
+
+    def spy(a, rhs):
+        calls.append(rhs.cols)
+        return real(a, rhs)
+
+    monkeypatch.setattr(unipoly, "solve", spy)
+    for triple in triples:
+        before = len(calls)
+        assert hom_triple_check(b, triple)
+        assert len(calls) == before + 1
+    assert calls == [calls[0]] * len(triples) and calls[0] > 1
 
 
 def test_random_triple_fails():

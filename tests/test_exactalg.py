@@ -124,6 +124,36 @@ def test_solve_exact_or_certified(seed, rows, cols, bcols):
 
 # -- k[x] kernels -----------------------------------------------------------------
 
+def matvec_scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 5]))
+    # unreduced representatives in [-2p, 3p)
+    return st.integers(-2 * field.p, 3 * field.p - 1)
+
+
+def reference_matvec(m, v):
+    f = m.field
+    out = []
+    for i in range(m.rows):
+        acc = f.zero()
+        for j in range(m.cols):
+            acc = f.add(acc, f.mul(m[i, j], v[j]))
+        out.append(acc)
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([QQ, GF(2), GF(101)]), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_matvec_matches_per_entry_reference(field, rows, cols, data):
+    entries = data.draw(st.lists(matvec_scalars(field), min_size=rows * cols,
+                                 max_size=rows * cols))
+    v = data.draw(st.lists(matvec_scalars(field), min_size=cols, max_size=cols))
+    m = Matrix(field, rows, cols, entries)
+    got, want = m.matvec(v), reference_matvec(m, v)
+    assert len(got) == rows  # a zero-width matrix gives a zero vector
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
 def test_hermite_kernel_x2_x():
     x = UniPoly.x(QQ)
     p = UniPolyMatrix(QQ, 1, 2, [x * x, x])

@@ -2,6 +2,7 @@
 against the pencil reduction and the matrix-product derivatives they replaced
 (kept in ``helpers_kx``)."""
 
+from functools import reduce
 import random
 
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import hypothesis.strategies as st
 
 from quotbilin.bilin import _deformed_image
 from quotbilin.exactalg import GF, QQ, UniPoly, express_in_echelon, rand_matrix
-from quotbilin.quot import kernel_presentation
+from quotbilin.quot import _horner, kernel_presentation
 
 from helpers_kx import reference_deformed_image, reference_kernel_presentation
 from test_quot import univariate_modules
@@ -59,3 +60,26 @@ def test_deformed_image_matches_matrix_derivatives(field, d, r, s, seed):
     assert _deformed_image(cols, X, G, Xdot, Gdot) == reference_deformed_image(
         cols, X, G, Xdot, Gdot)
 
+
+
+def reference_horner(polys, X, G):
+    """sum_a polys[a](X) G[:, a] with one Field call per entry operation."""
+    f = X.field
+    h = [f.zero()] * X.rows
+    for m in range(max(p.degree for p in polys), -1, -1):
+        h = [reduce(f.add, (f.mul(X[i, j], h[j]) for j in range(X.cols)), f.zero())
+             for i in range(X.rows)]
+        for a, p in enumerate(polys):
+            c = p.coeff(m)
+            if not f.is_zero(c):
+                h = [f.add(v, f.mul(c, g)) for v, g in zip(h, G.col(a))]
+    return h
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_horner_matches_per_entry_reference(field, d, r, seed):
+    rng = random.Random(seed)
+    X, G = rand_matrix(rng, field, d, d), rand_matrix(rng, field, d, r)
+    (col,) = random_columns(rng, field, 1, r, 5)
+    assert _horner(col, X, G) == reference_horner(col, X, G)
