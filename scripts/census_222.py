@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Run the exhaustive two-points census over F_q, print the breakdown and
-check every cell against its closed form in q.
+check every cell against its closed form in q.  For q <= 3 it also runs the
+membership cross-check (census_cross_check), which compares the census's
+kernel counts with the pairings the membership solver finds directly.
 
 Usage: python scripts/census_222.py [q]
 
-Exits 1 when a cell differs from its closed form, or when a border-rank-3
-tensor or a forced-consequence failure appears.
+Exits 1 when a cell differs from its closed form, when a border-rank-3
+tensor or a forced-consequence failure appears, or when the cross-check
+fails.
 """
 
 import sys
 import time
 
-from quotbilin.cases222 import enumerate_222
+from quotbilin.cases222 import census_cross_check, enumerate_222
 from quotbilin.tensorlab import LABEL_GENERIC, LABEL_NON_CONCISE, LABEL_W_TYPE
 
 
@@ -53,6 +56,12 @@ def main() -> int:
     ok = census.counts == expected and census.border_rank_3 == census.forced_failures == 0
     print("every cell matches its closed form" if census.counts == expected
           else "some cell differs from its closed form")
+    if q <= 3:
+        start = time.time()
+        cross = census_cross_check(q)
+        print(f"membership cross-check: {'passed' if cross else 'FAILED'} "
+              f"({time.time() - start:.1f}s)")
+        ok = ok and cross
     return 0 if ok else 1
 
 

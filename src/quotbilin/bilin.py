@@ -14,10 +14,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import quot
 from .exactalg import (
+    FieldError,
     Matrix,
     ShapeError,
     UniPoly,
@@ -25,6 +26,7 @@ from .exactalg import (
     express_in_span,
     matrix_from_json,
     matrix_to_json,
+    rank_and_kernel,
     same_field,
 )
 from .exactalg.matrix import _eliminate
@@ -121,11 +123,25 @@ class BilinValidation:
         return self.ok
 
 
-def validate_bilin(b: BilinPoint) -> BilinValidation:
-    """Check all point invariants; equivariance failures carry a residual."""
+@dataclass
+class PairingValidation:
+    """The point invariants that read only the actions and Pihat: the Z_i
+    commute, Pihat is X- and Y-equivariant, and Pihat is surjective."""
+    z_commutes: bool
+    equivariant: bool
+    surjective: bool
+    failure: Optional[str] = None
+    residual: Optional[Matrix] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.z_commutes and self.equivariant and self.surjective
+
+
+def validate_pairing(b: BilinPoint) -> PairingValidation:
+    """Check the invariants of a point that do not read the framings;
+    equivariance failures carry a residual."""
     f = b.field
-    v1 = validate_framed(b.m1)
-    v2 = validate_framed(b.m2)
     z_comm = True
     for i in range(b.n):
         for j in range(i + 1, b.n):
@@ -146,10 +162,20 @@ def validate_bilin(b: BilinPoint) -> BilinValidation:
             equivariant, failure, residual = False, f"Y-equivariance at index {i}", resy
             break
     surjective = b.pihat.rank() == b.d3
-    ok = v1.ok and v2.ok and z_comm and equivariant and surjective
-    return BilinValidation(ok=ok, m1_ok=v1.ok, m2_ok=v2.ok, z_commutes=z_comm,
-                           equivariant=equivariant, surjective=surjective,
-                           failure=failure, residual=residual)
+    return PairingValidation(z_commutes=z_comm, equivariant=equivariant,
+                             surjective=surjective, failure=failure, residual=residual)
+
+
+def validate_bilin(b: BilinPoint) -> BilinValidation:
+    """Check all point invariants: both framed modules, then
+    :func:`validate_pairing`."""
+    v1 = validate_framed(b.m1)
+    v2 = validate_framed(b.m2)
+    pv = validate_pairing(b)
+    return BilinValidation(ok=v1.ok and v2.ok and pv.ok, m1_ok=v1.ok, m2_ok=v2.ok,
+                           z_commutes=pv.z_commutes, equivariant=pv.equivariant,
+                           surjective=pv.surjective, failure=pv.failure,
+                           residual=pv.residual)
 
 
 # -- membership ----------------------------------------------------------------
@@ -254,6 +280,29 @@ class MembershipSystem:
         point = BilinPoint(m1=self.m1, m2=self.m2, d3=self.d3, Z=self.Z, pihat=pihat)
         return MembershipReport(found=True, point=point,
                                 solution_dim=self.nvars - self.rank)
+
+    def consistent_targets(self) -> Iterator[Matrix]:
+        """Every target framing G that :meth:`solve` finds a lift for, each
+        once, over a finite field.
+
+        solve finds a lift iff every check row t (a row of T past rank(A))
+        gives t . vec(G) = 0, so these targets are exactly the kernel of the
+        check rows.  Over F_q that kernel is the q^k combinations of a basis
+        of k vectors, all distinct.  It is enumerated whether or not a target
+        is a valid framing; over Q it is infinite unless zero, so Q raises.
+        """
+        f = self.field
+        p = f.characteristic
+        if not p:
+            raise FieldError("consistent targets are enumerated over a finite field only")
+        nab = self.m1.r * self.m2.r
+        d3 = self.d3
+        checks = Matrix(f, len(self._checks), nab * d3, [x for t in self._checks for x in t])
+        _, basis = rank_and_kernel(checks)
+        # vec(G) holds G[k, ab] at ab*d3 + k; G's entries are row-major.
+        cols = [[v[ab * d3 + k] for v in basis] for k in range(d3) for ab in range(nab)]
+        for coeffs in product(range(p), repeat=len(basis)):
+            yield Matrix(f, d3, nab, [sum(map(mul, coeffs, col)) % p for col in cols])
 
 
 def factor_membership_detail(m1: FramedModule, m2: FramedModule,

@@ -42,7 +42,7 @@ from .modcore import (
     tensor_over_S,
     validate_framed,
 )
-from .bilin import BilinPoint, MembershipSystem, validate_bilin
+from .bilin import BilinPoint, MembershipSystem, validate_bilin, validate_pairing
 from .quot import NonSplitSupport
 from .tensorlab import Classification222, Tensor3, _pairing_tensor, classify_2x2x2
 
@@ -208,19 +208,20 @@ def classify_point_222(b: BilinPoint) -> PointClassification:
     val = validate_bilin(b)
     if not val.ok:
         raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
-    return _classify_valid(b, *(_action_facts(X) for X in (b.m1.X[0], b.m2.X[0], b.Z[0])))
+    return _classify_valid(classify_2x2x2(_pairing_tensor(b)),
+                           *(_action_facts(X) for X in (b.m1.X[0], b.m2.X[0], b.Z[0])))
 
 
-def _classify_valid(b: BilinPoint, facts1, facts2, facts3) -> PointClassification:
-    """classify_point_222 of a valid point, given the _action_facts of the
-    actions of M1, M2 and M3 (that is, of Z)."""
+def _classify_valid(tensor: Classification222, facts1, facts2, facts3) -> PointClassification:
+    """classify_point_222 of a valid point, given the classification of its
+    pairing tensor and the _action_facts of the actions of M1, M2 and M3
+    (that is, of Z)."""
     t1, supp1 = facts1
     t2, supp2 = facts2
     t3, supp3 = facts3
     if ModuleType.NON_SPLIT in (t1, t2, t3):
         raise NonSplitSupport("module support does not split over the field")
     label = _PAIR_LABELS[(t1, t2)]
-    tensor = classify_2x2x2(_pairing_tensor(b))
     return PointClassification(label=label, m1_type=t1, m2_type=t2, m3_type=t3,
                                tensor=tensor,
                                forced_ok=_forced_ok(label, t3, supp1, supp2, supp3))
@@ -307,10 +308,13 @@ def enumerate_quot_classes_22(q: int) -> list[FramedModule]:
 
 def _invariant_subspaces(actions, dim: int, sub_dim: int, field) -> list[list[tuple]]:
     """All sub_dim-dimensional invariant subspaces of F_q^dim, as RREF row
-    bases."""
+    bases.  Scalar actions leave every subspace invariant, so then none is
+    tested."""
     if sub_dim == 0:
         return [[]]
     p = field.characteristic
+    eye = Matrix.identity(field, dim)
+    scalar = all(a == eye.scale(a[0, 0]) for a in actions)
     out = []
     for pivots in itertools.combinations(range(dim), sub_dim):
         free_positions = []
@@ -325,7 +329,7 @@ def _invariant_subspaces(actions, dim: int, sub_dim: int, field) -> list[list[tu
             for (r, c), v in zip(free_positions, values):
                 rows[r][c] = field.from_int(v)
             basis = [tuple(r) for r in rows]
-            if _is_invariant(actions, basis, field, dim):
+            if scalar or _is_invariant(actions, basis, field, dim):
                 out.append(basis)
     return out
 
@@ -355,7 +359,7 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     consequence of the case analysis.
 
     Any prime q runs.  cap bounds the candidate kernels _invariant_subspaces
-    tests, [dim12 choose 2]_q per action pair: M1 (x)_S M2 has dimension 4
+    yields, [dim12 choose 2]_q per action pair: M1 (x)_S M2 has dimension 4
     for the q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs of a companion
     with itself or with a scalar at one of its roots, and less otherwise.
     So q(q^2+1)(q^2+q+1) + 3q^2 (417 at q = 3) is checked before any work;
@@ -370,14 +374,19 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     its action Z, and counted len(group1) * len(group2) times, once per
     class pair sharing it.
 
-    This still checks every point.  validate_bilin(point) is m1-ok and
-    m2-ok and Z commuting and equivariance and surjectivity.  The last three
+    This still checks every point, each invariant where it is decided.
+    validate_bilin(point) is m1-ok and m2-ok and validate_pairing(point):
+    Z commuting, X- and Y-equivariance and surjectivity.  The pairing checks
     read only (X1, X2, Z, Pihat), and tensor_over_S and _assemble_point read
-    no framing, so they depend on (X1, X2, kernel) alone; the family's check
-    is every member's check.  enumerate_quot_classes_22 validates each
-    representative's framing once, which is m1-ok and m2-ok for every point.
-    The types, supports, tensor and forced consequences read no framing
-    either.
+    no framing, so they depend on (X1, X2, kernel) alone: validate_pairing
+    runs once per family, and the family's check is every member's check.
+    m1-ok and m2-ok read one class each: enumerate_quot_classes_22 validates
+    every companion class it returns, and here each action's first class
+    (the one every family of that action is assembled from, a scalar
+    class included) is validated once more.  The types, supports, tensor and
+    forced consequences read no framing either.  The tensor classification
+    reads Pihat alone, so it runs once per distinct Pihat (130 of the 417
+    families at q = 3) and is shared by the families that have it.
     """
     field = GF(q)
     work = q * gaussian_binomial(2, 4, q) + 3 * q * q
@@ -385,7 +394,11 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
         raise InfeasibleEnumeration(f"{work} candidate kernels exceed cap {cap}")
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
+    for X, group in groups.items():
+        if not validate_framed(group[0]).ok:
+            raise ArithmeticError(f"census class failed validation at action X = {X!r}")
     facts = {X: _action_facts(X) for X in groups}
+    tensors: dict = {}
     counts: dict = {}
     total = 0
     border3 = 0
@@ -399,26 +412,28 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
             sub_dim = prod.dim12 - 2
             for basis in _invariant_subspaces(prod.actions, prod.dim12, sub_dim, field):
                 point = _assemble_point(group1[0], group2[0], prod, basis, field)
-                val = validate_bilin(point)
+                val = validate_pairing(point)
                 if not val.ok:
                     raise ArithmeticError(
-                        f"census point failed validation: {val.failure or 'module/surjectivity'}"
+                        f"census point failed validation: {val.failure or 'Z commuting/surjectivity'}"
                         f" at actions X1 = {X1!r}, X2 = {X2!r}, kernel basis {basis}")
                 # Z is conjugate to a table action but need not equal one.
                 Z = point.Z[0]
                 facts3 = facts[Z] if Z in facts else _action_facts(Z)
+                key = point.pihat.key()
+                tensor = tensors.get(key)
+                if tensor is None:
+                    tensor = tensors[key] = classify_2x2x2(_pairing_tensor(point))
                 try:
-                    cls = _classify_valid(point, facts[X1], facts[X2], facts3)
+                    cls = _classify_valid(tensor, facts[X1], facts[X2], facts3)
                     label = cls.label.value
-                    tlabel = cls.tensor.label
                     if not cls.forced_ok:
                         forced_failures += weight
-                    if cls.tensor.border_rank >= 3:
+                    if tensor.border_rank >= 3:
                         border3 += weight
                 except NonSplitSupport:
                     label = CaseLabel.NON_SPLIT.value
-                    tlabel = classify_2x2x2(_pairing_tensor(point)).label
-                counts[(label, tlabel)] = counts.get((label, tlabel), 0) + weight
+                counts[(label, tensor.label)] = counts.get((label, tensor.label), 0) + weight
                 total += weight
     return Census(q=q, counts=counts, quot_classes=len(reps),
                   total_points=total, border_rank_3=border3,
@@ -439,28 +454,44 @@ def _assemble_point(m1, m2, prod, kernel_basis, field) -> BilinPoint:
 def census_cross_check(q: int, pair_sample: int = 4) -> bool:
     """Validate the census enumeration against the direct target loop.
 
-    For a few module pairs, enumerate every valid rank-4 target framed
-    module over F_q, run the membership solver, deduplicate surviving
-    points by pairing kernel, and compare with the subspace count.  Each
-    target action Z gives one membership system per pair, against which the
-    framing of every valid target with that action is solved.
+    For a few module pairs, find every valid rank-4 target framed module
+    over F_q that the membership solver lifts, deduplicate the lifted points
+    by pairing kernel, and compare with the subspace count.
+
+    Each target action Z gives one membership system per pair.  Its solve
+    finds a lift for a target framing G iff every check row (an eliminated
+    equation with no unknown left) vanishes on vec(G): the check rows are
+    the whole consistency condition, and a consistent target always gets a
+    lift.  So the targets solve accepts are exactly the kernel of the check
+    rows, which consistent_targets enumerates, each once; a target outside
+    it has no lift, so a loop over all q^8 framings finds no more.  Every
+    target in the kernel is still validated as a framed module, solved, and
+    keyed by the kernel of its lifted pairing.
     """
+    field = GF(q)
+    return all(
+        len(keys) == len(_invariant_subspaces(prod.actions, prod.dim12,
+                                              prod.dim12 - 2, field))
+        for (_, _, prod), keys in _cross_check_kernels(q, pair_sample))
+
+
+def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
+    """The census_cross_check pairs, each with the set of pairing-kernel keys
+    its membership loop finds."""
     field = GF(q)
     chosen = _cross_check_pairs(q, pair_sample)
     found = [set() for _ in chosen]
     for Z in _all_matrices(field, 2, 2):
-        systems = [MembershipSystem(m1, m2, (Z,)) for m1, m2, _ in chosen]
-        for F3 in _all_matrices(field, 2, 4):
-            if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
-                continue
-            for system, (_, _, prod), keys in zip(systems, chosen, found):
+        for (m1, m2, prod), keys in zip(chosen, found):
+            system = MembershipSystem(m1, m2, (Z,))
+            for F3 in system.consistent_targets():
+                if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
+                    continue
                 rep = system.solve(F3)
-                if rep.found:
-                    keys.add(_pairing_kernel_key(rep.point, prod, field))
-    return all(
-        len(keys) == len(_invariant_subspaces(prod.actions, prod.dim12,
-                                              prod.dim12 - 2, field))
-        for (_, _, prod), keys in zip(chosen, found))
+                if not rep.found:
+                    raise ArithmeticError(f"consistent target {F3!r} has no pairing lift")
+                keys.add(_pairing_kernel_key(rep.point, prod, field))
+    return list(zip(chosen, found))
 
 
 def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:

@@ -163,12 +163,20 @@ class Matrix:
         return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product.  Over F_p each output entry is the plain ``int``
+        dot product of a row and a column, reduced mod p once; over Q zero
+        entries of ``self`` are skipped."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = same_field(self.field, other.field)
         n, m, k = self.rows, self.cols, other.cols
-        out = [f.zero()] * (n * k)
         se, oe = self.entries, other.entries
+        p = f.characteristic
+        if p:
+            rows = [se[i * m:(i + 1) * m] for i in range(n)]
+            cols = [oe[j::k] for j in range(k)]
+            return Matrix(f, n, k, [sum(map(mul, row, col)) % p for row in rows for col in cols])
+        out = [f.zero()] * (n * k)
         for i in range(n):
             base = i * m
             for s in range(m):

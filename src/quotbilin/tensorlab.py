@@ -318,8 +318,8 @@ def classify_2x2x2(t: Tensor3, check: bool = False) -> Classification222:
     if t.dims != (2, 2, 2):
         raise ShapeError("classifier needs a 2x2x2 tensor")
     f = t.field
-    concise = conciseness(t)
     ranks = tuple(t.flattening(k).rank() for k in (1, 2, 3))
+    concise = tuple(r == d for r, d in zip(ranks, t.dims))
     if t.is_zero():
         return Classification222(rank=0, border_rank=0, concise=concise, label=LABEL_ZERO)
     if all(r == 1 for r in ranks):

@@ -1,9 +1,13 @@
 """Reference census for differential tests: the per-class-pair loop, which
 builds a tensor product and validates and classifies every point for each of
 the quot-class pairs, the class enumerator that marks whole GL_2 orbits over
-all q^8 pairs (X, G), and the module-type rule on a framed module."""
+all q^8 pairs (X, G), the invariant-subspace enumerator that tests every
+candidate, the cross-check loop over all q^8 target framings, and the
+module-type rule on a framed module."""
 
-from quotbilin.bilin import validate_bilin
+import itertools
+
+from quotbilin.bilin import MembershipSystem, validate_bilin
 from quotbilin.cases222 import (
     CaseLabel,
     Census,
@@ -11,6 +15,8 @@ from quotbilin.cases222 import (
     _all_matrices,
     _assemble_point,
     _invariant_subspaces,
+    _is_invariant,
+    _pairing_kernel_key,
     classify_point_222,
     enumerate_quot_classes_22,
 )
@@ -122,3 +128,43 @@ def reference_cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
                 pairs.append((m1, m2, prod))
     step = max(1, len(pairs) // pair_sample)
     return pairs[::step][:pair_sample]
+
+
+def reference_invariant_subspaces(actions, dim: int, sub_dim: int, field) -> list[list[tuple]]:
+    """Every sub_dim-dimensional subspace of F_q^dim in RREF, kept when the
+    actions leave it invariant; every candidate is tested."""
+    if sub_dim == 0:
+        return [[]]
+    p = field.characteristic
+    out = []
+    for pivots in itertools.combinations(range(dim), sub_dim):
+        free = [(r, c) for r, pc in enumerate(pivots)
+                for c in range(pc + 1, dim) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[0] * dim for _ in range(sub_dim)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            basis = [tuple(r) for r in rows]
+            if _is_invariant(actions, basis, field, dim):
+                out.append(basis)
+    return out
+
+
+def reference_cross_check_kernels(chosen, q: int) -> list[set]:
+    """The cross-check's direct target loop: for each target action Z and
+    each of the q^8 target framings that validates, solve every pair's
+    membership system and key each lifted point by its pairing kernel."""
+    field = GF(q)
+    found = [set() for _ in chosen]
+    for Z in _all_matrices(field, 2, 2):
+        systems = [MembershipSystem(m1, m2, (Z,)) for m1, m2, _ in chosen]
+        for F3 in _all_matrices(field, 2, 4):
+            if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
+                continue
+            for system, (_, _, prod), keys in zip(systems, chosen, found):
+                rep = system.solve(F3)
+                if rep.found:
+                    keys.add(_pairing_kernel_key(rep.point, prod, field))
+    return found

@@ -9,7 +9,9 @@ import pytest
 
 from helpers_census import (
     reference_census,
+    reference_cross_check_kernels,
     reference_cross_check_pairs,
+    reference_invariant_subspaces,
     reference_gl2,
     reference_module_type,
     reference_quot_classes_22,
@@ -17,6 +19,7 @@ from helpers_census import (
 from quotbilin.exactalg import (
     GF,
     QQ,
+    FieldError,
     InfeasibleEnumeration,
     Matrix,
     ParamTensor,
@@ -34,7 +37,8 @@ from quotbilin.modcore import (
 )
 from quotbilin.bilin import (
     BilinPoint,
-    BilinValidation,
+    MembershipSystem,
+    PairingValidation,
     degenerate_point,
     gauge_transform_bilin,
     main_component_point,
@@ -387,6 +391,62 @@ def test_census_matches_direct_membership_loop():
     assert census_cross_check(2)
 
 
+def test_census_matches_direct_membership_loop_q3():
+    assert census_cross_check(3)
+
+
+@pytest.mark.parametrize("pair_sample", [2, 4, 7])
+def test_cross_check_finds_the_kernels_of_the_full_target_loop(pair_sample):
+    checked = cases222._cross_check_kernels(2, pair_sample)
+    chosen = [pair for pair, _ in checked]
+    assert [keys for _, keys in checked] == reference_cross_check_kernels(chosen, 2)
+    assert all(keys for _, keys in checked)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_consistent_targets_are_the_targets_solve_lifts(q):
+    # every target framing of every (pair, Z) at q = 2, and a sample at q = 3
+    field = GF(q)
+    rng = random.Random(q)
+    for m1, m2, _ in cases222._cross_check_pairs(q, 3):
+        for Z in cases222._all_matrices(field, 2, 2):
+            system = MembershipSystem(m1, m2, (Z,))
+            targets = list(system.consistent_targets())
+            keys = {G.key() for G in targets}
+            assert len(keys) == len(targets) == q ** (8 - len(system._checks))
+            assert all(system.solve(G).found for G in targets)
+            if q == 2:
+                framings = list(cases222._all_matrices(field, 2, 4))
+            else:
+                framings = [Matrix(field, 2, 4, [rng.randrange(q) for _ in range(8)])
+                            for _ in range(40)]
+            for G in framings:
+                assert system.solve(G).found == (G.key() in keys)
+
+
+def test_consistent_targets_need_a_finite_field():
+    m = FramedModule(1, 2, 2, (Matrix.zeros(QQ, 2, 2),), Matrix.identity(QQ, 2))
+    with pytest.raises(FieldError):
+        next(MembershipSystem(m, m, (Matrix.zeros(QQ, 2, 2),)).consistent_targets())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_invariant_subspaces_match_the_fully_checked_enumeration(q):
+    # every action pair of the census, scalar and not
+    field = GF(q)
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    scalar_pairs = 0
+    for group1 in groups.values():
+        for group2 in groups.values():
+            prod = tensor_over_S(group1[0], group2[0])
+            for sub_dim in range(prod.dim12 + 1):
+                got = cases222._invariant_subspaces(prod.actions, prod.dim12, sub_dim, field)
+                assert got == reference_invariant_subspaces(prod.actions, prod.dim12,
+                                                             sub_dim, field)
+            scalar_pairs += prod.dim12 == 4
+    assert scalar_pairs == q
+
+
 def test_census_cross_check_fails_when_kernels_collapse(monkeypatch):
     # With every found pairing keyed alike, each pair's found count is 1,
     # short of its subspace count: the cross-check can fail.
@@ -437,8 +497,9 @@ def test_classify_point_matches_census_core_per_family_q2():
                 first = cases222._assemble_point(group1[0], group2[0], prod, basis, F2)
                 last = cases222._assemble_point(group1[-1], group2[-1], prod, basis, F2)
                 facts = [cases222._action_facts(X) for X in (X1, X2, first.Z[0])]
+                tensor = classify_2x2x2(cases222._pairing_tensor(first))
                 try:
-                    core = cases222._classify_valid(first, *facts)
+                    core = cases222._classify_valid(tensor, *facts)
                 except NonSplitSupport:
                     with pytest.raises(NonSplitSupport):
                         classify_point_222(last)
@@ -454,11 +515,10 @@ def test_classify_point_matches_census_core_per_family_q2():
 
 def test_census_failure_names_actions_and_kernel(monkeypatch):
     def failing(point):
-        return BilinValidation(ok=False, m1_ok=True, m2_ok=True, z_commutes=True,
-                               equivariant=False, surjective=True,
-                               failure="X-equivariance at index 0", residual=None)
+        return PairingValidation(z_commutes=True, equivariant=False, surjective=True,
+                                 failure="X-equivariance at index 0", residual=None)
 
-    monkeypatch.setattr(cases222, "validate_bilin", failing)
+    monkeypatch.setattr(cases222, "validate_pairing", failing)
     # the first action pair is (0, 0), whose tensor product is 4-dimensional
     with pytest.raises(ArithmeticError) as err:
         enumerate_222(2)
@@ -466,6 +526,47 @@ def test_census_failure_names_actions_and_kernel(monkeypatch):
         "census point failed validation: X-equivariance at index 0 at actions "
         "X1 = Matrix(F:2, 2x2: 0 0; 0 0), X2 = Matrix(F:2, 2x2: 0 0; 0 0), "
         "kernel basis [(1, 0, 0, 0), (0, 1, 0, 0)]")
+
+
+def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch):
+    # 417 families at q = 3 (the cap test's count), 130 distinct pairings
+    calls = {"validate_pairing": 0, "classify_2x2x2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cases222, name, counted(name, getattr(cases222, name)))
+    census = enumerate_222(3)
+    assert census.counts == CENSUS_Q3_COUNTS
+    assert calls == {"validate_pairing": 417, "classify_2x2x2": 130}
+
+
+def test_census_validates_the_first_class_of_each_action(monkeypatch):
+    # The class enumerator does not validate the scalar classes (lambda*I, I);
+    # the census validates every action's first class, so one that fails
+    # stops it, naming the action.
+    real = cases222.validate_framed
+    seen = []
+
+    def failing_at_scalar_one(m):
+        seen.append(m)
+        val = real(m)
+        if m.X[0] == Matrix.identity(F2, 2):
+            val.ok = False
+        return val
+
+    groups = cases222._action_groups(enumerate_quot_classes_22(2))
+    monkeypatch.setattr(cases222, "validate_framed", failing_at_scalar_one)
+    with pytest.raises(ArithmeticError) as err:
+        enumerate_222(2)
+    assert str(err.value) == (
+        "census class failed validation at action X = Matrix(F:2, 2x2: 1 0; 0 1)")
+    # the scalar actions come first: 0, then I
+    assert seen[-2:] == [group[0] for group in groups.values()][:2]
 
 
 def test_cross_check_pairs_match_per_class_pair_construction():

@@ -154,6 +154,41 @@ def test_matvec_matches_per_entry_reference(field, rows, cols, data):
     assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
 
+def reference_matmul(a, b):
+    """The per-entry product loop: one Field add and mul per term, skipping
+    zero entries of a."""
+    f = a.field
+    n, m, k = a.rows, a.cols, b.cols
+    out = [f.zero()] * (n * k)
+    for i in range(n):
+        for s in range(m):
+            x = a.entries[i * m + s]
+            if f.is_zero(x):
+                continue
+            for j in range(k):
+                out[i * k + j] = f.add(out[i * k + j], f.mul(x, b.entries[s * k + j]))
+    return Matrix(f, n, k, out)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(101)]),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_per_entry_reference(field, n, m, k, data):
+    # shapes include 0 x m, n x 0 and an empty inner dimension; over F_p the
+    # entries are unreduced, negative or at least p
+    def draw(rows, cols):
+        return Matrix(field, rows, cols, data.draw(
+            st.lists(matvec_scalars(field), min_size=rows * cols, max_size=rows * cols)))
+
+    a, b = draw(n, m), draw(m, k)
+    got, want = a * b, reference_matmul(a, b)
+    assert (got.rows, got.cols) == (n, k)
+    # entries are compared raw: over F_p both give canonical residues, so
+    # key() and hashing see the same matrix
+    assert got.entries == want.entries
+    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+
+
 def test_hermite_kernel_x2_x():
     x = UniPoly.x(QQ)
     p = UniPolyMatrix(QQ, 1, 2, [x * x, x])

@@ -1,7 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible
 from quotbilin.modcore import (
@@ -12,13 +15,16 @@ from quotbilin.modcore import (
 )
 from quotbilin.bilin import BilinPoint, degenerate_point, main_component_point
 from quotbilin.tensorlab import (
+    _binary_quadratic_separable,
     _has_sqrt,
+    _pencil_form,
     LABEL_GENERIC,
     LABEL_NON_CONCISE,
     LABEL_RANK_ONE,
     LABEL_W_TYPE,
     LABEL_ZERO,
     Tensor3,
+    Classification222,
     brute_force_rank_fq,
     classify_2x2x2,
     conciseness,
@@ -148,6 +154,48 @@ def test_hyperdeterminant_zero_locus_matches_pencil():
             assert not F5.is_zero(hyperdeterminant_222(t))
         if cls.label == LABEL_W_TYPE:
             assert F5.is_zero(hyperdeterminant_222(t))
+
+
+def reference_classify_2x2x2(t: Tensor3) -> Classification222:
+    """classify_2x2x2 as it was with conciseness() taken separately from the
+    three flattening ranks (six eliminations per tensor)."""
+    f = t.field
+    concise = conciseness(t)
+    ranks = tuple(t.flattening(k).rank() for k in (1, 2, 3))
+    if t.is_zero():
+        return Classification222(rank=0, border_rank=0, concise=concise, label=LABEL_ZERO)
+    if all(r == 1 for r in ranks):
+        return Classification222(rank=1, border_rank=1, concise=concise, label=LABEL_RANK_ONE)
+    if min(ranks) == 1:
+        return Classification222(rank=2, border_rank=2, concise=concise,
+                                 label=LABEL_NON_CONCISE)
+    alpha, beta, gamma = _pencil_form(t)
+    separable, split = _binary_quadratic_separable(f, alpha, beta, gamma)
+    hyperdet = hyperdeterminant_222(t) if f.characteristic != 2 else None
+    if separable:
+        return Classification222(rank=2, border_rank=2, concise=concise,
+                                 label=LABEL_GENERIC, pencil_separable=True,
+                                 pencil_split=split, hyperdet=hyperdet)
+    return Classification222(rank=3, border_rank=2, concise=concise,
+                             label=LABEL_W_TYPE, pencil_separable=False,
+                             pencil_split=split, hyperdet=hyperdet)
+
+
+def tensor_entries(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+    # small supports make the non-concise and zero cases common
+    return st.sampled_from([0, 0, 0, 1, field.p - 1, 2])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([GF(3), F5, QQ]), st.data())
+def test_classify_derives_conciseness_from_its_ranks(field, data):
+    t = Tensor3(field, (2, 2, 2), data.draw(st.lists(tensor_entries(field),
+                                                     min_size=8, max_size=8)))
+    cls = classify_2x2x2(t)
+    assert cls.concise == conciseness(t)
+    assert cls == reference_classify_2x2x2(t)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
