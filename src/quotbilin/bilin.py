@@ -82,25 +82,7 @@ class BilinPoint:
     def induced_framing(self) -> Matrix:
         """Framing of M3 indexed by generator pairs: column (a,b) at position
         a*r2 + b is Pihat(g_a (x) h_b)."""
-        f = self.field
-        r1, r2 = self.m1.r, self.m2.r
-        cols = []
-        for a in range(r1):
-            ga = list(self.m1.G.col(a))
-            for b in range(r2):
-                hb = list(self.m2.G.col(b))
-                vec = [f.zero()] * (self.m1.d * self.m2.d)
-                for i, gv in enumerate(ga):
-                    if f.is_zero(gv):
-                        continue
-                    for j, hv in enumerate(hb):
-                        vec[i * self.m2.d + j] = f.mul(gv, hv)
-                cols.append(self.pihat.matvec(vec))
-        ents = []
-        for i in range(self.d3):
-            for c in cols:
-                ents.append(c[i])
-        return Matrix(f, self.d3, r1 * r2, ents)
+        return self.pihat * self.m1.G.kron(self.m2.G)
 
     def target_module(self) -> FramedModule:
         """M3 as a framed module of rank r1*r2 with the induced framing."""
@@ -525,40 +507,16 @@ def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
     kernel presentations (univariate only)."""
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
-    f = b.field
     m3 = b.target_module()
     pres1 = kernel_presentation(b.m1)
     pres2 = kernel_presentation(b.m2)
     pres3 = kernel_presentation(m3)
-    phi1 = _deformed_image(pres1.gens.columns(), b.m1.X[0], b.m1.G,
-                           tv.xdot[0], tv.gdot)
-    phi2 = _deformed_image(pres2.gens.columns(), b.m2.X[0], b.m2.G,
-                           tv.ydot[0], tv.hdot)
+    phi1 = _deformed_image(pres1.cols, b.m1.X[0], b.m1.G, tv.xdot[0], tv.gdot)
+    phi2 = _deformed_image(pres2.cols, b.m2.X[0], b.m2.G, tv.ydot[0], tv.hdot)
     # The induced framing of M3 deforms along with (Pihat, G, H).
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    r1, r2 = b.m1.r, b.m2.r
-    f3dot_cols = []
-    for a in range(r1):
-        ga = list(b.m1.G.col(a))
-        gad = list(tv.gdot.col(a))
-        for bb in range(r2):
-            hb = list(b.m2.G.col(bb))
-            hbd = list(tv.hdot.col(bb))
-            w = [f.zero()] * (d1 * d2)
-            wdot = [f.zero()] * (d1 * d2)
-            for i in range(d1):
-                for j in range(d2):
-                    w[i * d2 + j] = f.mul(ga[i], hb[j])
-                    wdot[i * d2 + j] = f.add(f.mul(gad[i], hb[j]), f.mul(ga[i], hbd[j]))
-            col = [f.add(x, y) for x, y in
-                   zip(tv.pihatdot.matvec(w), b.pihat.matvec(wdot))]
-            f3dot_cols.append(col)
-    ents = []
-    for i in range(d3):
-        for c in f3dot_cols:
-            ents.append(c[i])
-    f3dot = Matrix(f, d3, r1 * r2, ents)
-    phi3 = _deformed_image(pres3.gens.columns(), b.Z[0], m3.G, tv.zdot[0], f3dot)
+    G, H = b.m1.G, b.m2.G
+    f3dot = tv.pihatdot * G.kron(H) + b.pihat * (tv.gdot.kron(H) + G.kron(tv.hdot))
+    phi3 = _deformed_image(pres3.cols, b.Z[0], m3.G, tv.zdot[0], f3dot)
     return HomTriple(phi1=phi1, phi2=phi2, phi3=phi3,
                      pres1=pres1, pres2=pres2, pres3=pres3)
 
@@ -583,47 +541,39 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
     f = b.field
-    d1, d2 = b.m1.d, b.m2.d
+    G, H = b.m1.G, b.m2.G
     r1, r2 = b.m1.r, b.m2.r
     height = r1 * r2
-
-    def pihat_pair(u, v) -> list:
-        w = [f.zero()] * (d1 * d2)
-        for i in range(d1):
-            if f.is_zero(u[i]):
-                continue
-            for j in range(d2):
-                w[i * d2 + j] = f.mul(u[i], v[j])
-        return b.pihat.matvec(w)
+    s2 = len(triple.pres2.cols)
+    # Column jgen*r2 + bb is Pihat((phi1 kappa_jgen) (x) h_bb); column
+    # a*s2 + jgen is Pihat(g_a (x) (phi2 kappa_jgen)).
+    side1 = b.pihat * triple.phi1.kron(H)
+    side2 = b.pihat * G.kron(triple.phi2)
 
     zero2 = UniPoly.zero(f)
     vecs, sides = [], []  # members of K3 in F3, pairing sides of their images in M3
     # K1 (x) F2 side
-    for jgen in range(triple.pres1.gens.cols):
-        kappa = triple.pres1.gens.col(jgen)
-        img1 = list(triple.phi1.col(jgen))
+    for jgen, kappa in enumerate(triple.pres1.cols):
         for bb in range(r2):
             vec = [zero2] * height
             for a in range(r1):
                 vec[a * r2 + bb] = kappa[a]
             vecs.append(vec)
-            sides.append(pihat_pair(img1, list(b.m2.G.col(bb))))
+            sides.append(side1.col(jgen * r2 + bb))
     # F1 (x) K2 side
-    for jgen in range(triple.pres2.gens.cols):
-        kappa = triple.pres2.gens.col(jgen)
-        img2 = list(triple.phi2.col(jgen))
+    for jgen, kappa in enumerate(triple.pres2.cols):
         for a in range(r1):
             vec = [zero2] * height
             for bb in range(r2):
                 vec[a * r2 + bb] = kappa[bb]
             vecs.append(vec)
-            sides.append(pihat_pair(list(b.m1.G.col(a)), img2))
+            sides.append(side2.col(a * s2 + jgen))
 
-    ech3 = triple.pres3.echelon
-    coeffs = [express_in_echelon(ech3, height, vec, f) for vec in vecs]
+    cols3 = triple.pres3.cols
+    coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
     if any(c is None for c in coeffs):
         return False
-    solved = express_in_span(triple.pres3.gens.columns(), height, vecs, f)
+    solved = express_in_span(cols3, height, vecs, f)
     if solved is None:
         raise ArithmeticError(
             f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
@@ -646,9 +596,9 @@ def zero_triple(b: BilinPoint) -> HomTriple:
     pres2 = kernel_presentation(b.m2)
     pres3 = kernel_presentation(m3)
     return HomTriple(
-        phi1=Matrix.zeros(f, b.m1.d, pres1.gens.cols),
-        phi2=Matrix.zeros(f, b.m2.d, pres2.gens.cols),
-        phi3=Matrix.zeros(f, b.d3, pres3.gens.cols),
+        phi1=Matrix.zeros(f, b.m1.d, len(pres1.cols)),
+        phi2=Matrix.zeros(f, b.m2.d, len(pres2.cols)),
+        phi3=Matrix.zeros(f, b.d3, len(pres3.cols)),
         pres1=pres1, pres2=pres2, pres3=pres3,
     )
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: fields, matrices, k[x]-matrices, families."""
+"""Exact linear algebra kernels: fields, matrices, univariate polynomials, families."""
 
 from .field import Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, same_field
 from .matrix import (
@@ -15,12 +15,9 @@ from .matrix import (
 )
 from .unipoly import (
     UniPoly,
-    UniPolyMatrix,
     char_poly,
-    column_echelon,
     express_in_echelon,
     express_in_span,
-    hermite_kernel,
     rational_roots,
     roots_with_multiplicity,
 )
@@ -34,9 +31,8 @@ __all__ = [
     "EchelonBasis", "Matrix", "ShapeError", "in_span",
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",
-    "UniPoly", "UniPolyMatrix", "char_poly", "column_echelon",
-    "express_in_echelon", "express_in_span", "hermite_kernel", "rational_roots",
-    "roots_with_multiplicity",
+    "UniPoly", "char_poly", "express_in_echelon", "express_in_span",
+    "rational_roots", "roots_with_multiplicity",
     "ParamMatrix", "ParamTensor", "evaluate_param",
     "InfeasibleEnumeration", "gaussian_binomial", "is_prime_power",
     "rand_invertible", "rand_matrix", "rand_nonzero_vector", "rand_vector",

@@ -1,21 +1,20 @@
-"""Univariate polynomials over an exact field and k[x]-matrix kernels.
+"""Univariate polynomials over an exact field and k[x]-combinations of columns.
 
 Polynomials are coefficient tuples, lowest degree first, with no trailing
-zeros.  Polynomial matrices support a column-reduction kernel for maps
-between free k[x]-modules (framed modules' kernels come from Krylov relations).
+zeros.  A set of columns in k[x]^height is a plain list of lists of
+:class:`UniPoly`; framed modules' kernels come as such columns, in Hermite
+form, from the Krylov relations of the framing.
 
-One Euclidean column reducer, :func:`_column_reduce`, serves both
-:func:`hermite_kernel` (with the transform) and :func:`column_echelon`.  r
-k[x]-independent columns of k[x]^r in echelon form are lower triangular, and
-the colength of their span is the sum of the diagonal degrees.  One layout,
-:func:`_shifted_coefficients`, turns x^b * column into a coefficient vector
-for the truncated system of the k[x] solve :func:`express_in_span`, which
-solves a whole batch of targets against the same columns in one elimination
-per degree bound.
+:func:`express_in_echelon` divides a target by columns with distinct,
+increasing pivot rows.  One layout, :func:`_shifted_coefficients`, turns
+x^b * column into a coefficient vector for the truncated system of the k[x]
+solve :func:`express_in_span`, which solves a whole batch of targets against
+the same columns in one elimination per degree bound.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, same_field
@@ -197,9 +196,7 @@ def rational_roots(p: UniPoly) -> list:
         raise ValueError("zero polynomial has every root")
     roots = []
     if f.characteristic == 0:
-        denom = 1
-        for c in p.coeffs:
-            denom = denom * c.denominator // _gcd_int(denom, c.denominator)
+        denom = math.lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * denom) for c in p.coeffs]
         while ints and ints[0] == 0:
             ints = ints[1:]
@@ -247,12 +244,6 @@ def roots_with_multiplicity(p: UniPoly) -> tuple[list[tuple], UniPoly]:
     return out, rem
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
     if n == 0:
         return [1]
@@ -265,78 +256,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-class UniPolyMatrix:
-    """Matrix with UniPoly entries, row-major."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: Field, rows: int, cols: int, entries: Sequence[UniPoly]):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ShapeError("entry count mismatch")
-        for e in entries:
-            same_field(field, e.field)
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_scalar_matrix(cls, m: Matrix) -> "UniPolyMatrix":
-        return cls(m.field, m.rows, m.cols, [UniPoly.const(m.field, e) for e in m.entries])
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "UniPolyMatrix":
-        z = UniPoly.zero(field)
-        return cls(field, rows, cols, [z] * (rows * cols))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def col(self, j: int) -> list[UniPoly]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def columns(self) -> list[list[UniPoly]]:
-        return [self.col(j) for j in range(self.cols)]
-
-    @classmethod
-    def from_columns(cls, field: Field, rows: int, cols: Sequence[Sequence[UniPoly]]
-                     ) -> "UniPolyMatrix":
-        ents = [UniPoly.zero(field)] * (rows * len(cols))
-        for j, c in enumerate(cols):
-            for i in range(rows):
-                ents[i * len(cols) + j] = c[i]
-        return cls(field, rows, len(cols), ents)
-
-    def apply(self, vec: Sequence[UniPoly]) -> list[UniPoly]:
-        if len(vec) != self.cols:
-            raise ShapeError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = UniPoly.zero(self.field)
-            for j in range(self.cols):
-                acc = acc + self.entries[i * self.cols + j] * vec[j]
-            out.append(acc)
-        return out
-
-    def __mul__(self, other: "UniPolyMatrix") -> "UniPolyMatrix":
-        if self.cols != other.rows:
-            raise ShapeError("shape mismatch")
-        f = same_field(self.field, other.field)
-        ents = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = UniPoly.zero(f)
-                for s in range(self.cols):
-                    acc = acc + self.entries[i * self.cols + s] * other.entries[s * other.cols + j]
-                ents.append(acc)
-        return UniPolyMatrix(f, self.rows, other.cols, ents)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
 
 def char_poly(m: Matrix) -> UniPoly:
@@ -374,45 +293,7 @@ def char_poly(m: Matrix) -> UniPoly:
     return UniPoly(f, poly[::-1])
 
 
-# -- kernel over k[x] --------------------------------------------------------
-
-def _column_reduce(cols: list[list[UniPoly]], height: int,
-                   transform: Optional[list[list[UniPoly]]] = None) -> int:
-    """Euclidean column reduction of ``cols`` in place; returns the pivot count.
-
-    Row by row, the active columns (those past the pivots found so far with a
-    nonzero entry in the row) are reduced against the one of lowest degree
-    there until at most one is left, which is swapped to the front and frozen.
-    Afterwards the first ``n_pivots`` columns have distinct, increasing first
-    nonzero rows and the rest are zero.  Columns that become zero stay in
-    place.  Every column operation is repeated on ``transform`` when given.
-    """
-    frozen = 0
-    for row in range(height):
-        while True:
-            active = [j for j in range(frozen, len(cols)) if not cols[j][row].is_zero()]
-            if len(active) <= 1:
-                break
-            jstar = min(active, key=lambda j: cols[j][row].degree)
-            piv = cols[jstar][row]
-            for j in active:
-                if j == jstar:
-                    continue
-                q, _ = cols[j][row].divmod(piv)
-                if q.is_zero():
-                    continue
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[jstar])]
-                if transform is not None:
-                    transform[j] = [a - q * b for a, b in zip(transform[j], transform[jstar])]
-        active = [j for j in range(frozen, len(cols)) if not cols[j][row].is_zero()]
-        if active:
-            j = active[0]
-            cols[frozen], cols[j] = cols[j], cols[frozen]
-            if transform is not None:
-                transform[frozen], transform[j] = transform[j], transform[frozen]
-            frozen += 1
-    return frozen
-
+# -- k[x]-combinations of columns -------------------------------------------
 
 def _shifted_coefficients(cols: Sequence[Sequence[UniPoly]], height: int,
                           max_degree: int, shifts: Sequence[int], field: Field
@@ -436,51 +317,15 @@ def _shifted_coefficients(cols: Sequence[Sequence[UniPoly]], height: int,
     return out
 
 
-def hermite_kernel(p: UniPolyMatrix) -> UniPolyMatrix:
-    """Basis of the right kernel of a k[x]-matrix, as matrix columns.
-
-    Column reduction with Euclidean pivoting on degrees; the transformation
-    columns hitting zero give a free basis of ``{v : p v = 0}``.  Output
-    membership is verified by substitution, so the columns span a submodule
-    of the kernel; callers that need equality certify it themselves.
-    """
-    f = p.field
-    acols = [list(c) for c in p.columns()]
-    ucols = [[UniPoly.const(f, f.one()) if i == j else UniPoly.zero(f)
-              for i in range(p.cols)] for j in range(p.cols)]
-    frozen = _column_reduce(acols, p.rows, ucols)
-    kernel_cols = []
-    for j in range(frozen, p.cols):
-        if not all(e.is_zero() for e in acols[j]):
-            raise ArithmeticError(f"non-pivot column {j} is not zero after column reduction")
-        kernel_cols.append(ucols[j])
-    out = UniPolyMatrix.from_columns(f, p.cols, kernel_cols)
-    for col in kernel_cols:
-        residual = p.apply(col)
-        if not all(e.is_zero() for e in residual):
-            raise ArithmeticError("kernel column fails substitution check")
-    return out
-
-
-def column_echelon(cols: Sequence[Sequence[UniPoly]], height: int, field: Field
-                   ) -> list[list[UniPoly]]:
-    """Reduce columns so first nonzero rows are distinct and increasing.
-
-    Pure column operations: the span over k[x] is unchanged.  Zero columns
-    are dropped.
-    """
-    work = [list(c) for c in cols if any(not e.is_zero() for e in c)]
-    return work[:_column_reduce(work, height)]
-
-
 def express_in_echelon(echelon_cols: Sequence[Sequence[UniPoly]], height: int,
                        target: Sequence[UniPoly], field: Field
                        ) -> Optional[list[UniPoly]]:
     """Coefficients writing ``target`` as a k[x]-combination of echelon columns.
 
-    Requires columns in the :func:`column_echelon` form.  Returns None when
-    the target is not in the span (detected by a failed exact division or a
-    nonzero residual).
+    Requires nonzero columns whose first nonzero rows are distinct and
+    increasing, such as the Hermite basis of a kernel presentation.  Returns
+    None when the target is not in the span (detected by a failed exact
+    division or a nonzero residual).
     """
     pivots = []
     for col in echelon_cols:

@@ -20,9 +20,7 @@ from .exactalg import (
     ParamMatrix,
     ShapeError,
     UniPoly,
-    UniPolyMatrix,
     gaussian_binomial,
-    hermite_kernel,
     rank_and_kernel,
     roots_with_multiplicity,
     char_poly,
@@ -189,15 +187,15 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
 class KernelPresentation:
     """The Hermite basis of K = ker(k[x]^r -> M) for a univariate framed module.
 
-    Column j is x^(k_j) e_j - sum c_(i,m) x^m e_i over i > j, m < k_i and
-    i = j, m < k_j, with k_j the Krylov index of g_j: a monic pivot of degree
-    k_j in row j, zeros above it, and entries below it of lower degree than
-    their row's pivot.  This is the form :func:`express_in_echelon` expects,
-    so ``echelon`` holds the same columns as ``gens``, in the same order.
+    ``cols`` holds r columns of k[x]^r.  Column j is x^(k_j) e_j - sum
+    c_(i,m) x^m e_i over i > j, m < k_i and i = j, m < k_j, with k_j the
+    Krylov index of g_j: a monic pivot of degree k_j in row j, zeros above
+    it, and entries below it of lower degree than their row's pivot.  These
+    are the distinct, increasing pivot rows :func:`express_in_echelon`
+    expects.
     """
     r: int
-    gens: UniPolyMatrix
-    echelon: list[list[UniPoly]]
+    cols: list[list[UniPoly]]
 
 
 def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
@@ -271,8 +269,7 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
         raise ArithmeticError(
             f"kernel generators give {len(cols)} echelon columns of pivot-degree sum {colength}; "
             f"K needs {r} lower triangular columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(r=r, gens=UniPolyMatrix.from_columns(f, r, cols),
-                              echelon=cols)
+    return KernelPresentation(r=r, cols=cols)
 
 
 def _image_basis(P: FramedModule) -> list[tuple]:
@@ -284,44 +281,20 @@ def _image_basis(P: FramedModule) -> list[tuple]:
 @dataclass
 class HomReport:
     dim: int
-    gens: UniPolyMatrix
-    basis: list[Matrix]  # each d x s: column j = image of generator j
 
 
 def hom_KM_univariate(P: FramedModule) -> HomReport:
     """dim Hom_{k[x]}(K, M) with K the kernel presentation of P, n = 1.
 
-    A homomorphism is an assignment of images in M to the kernel generators,
-    constrained by every syzygy among the generators; syzygies are computed
-    by a second k[x]-kernel.  This is the direct oracle for quot_tangent.
-    The generators are a basis of the free module K, so there is no syzygy
-    and dim = d r.
+    This is the direct oracle for quot_tangent, and the certificate of
+    :func:`kernel_presentation` is what makes it one: its r columns are
+    proved to be a basis of K, so K is free of rank r, a homomorphism is any
+    assignment of images in M to the basis, and dim = d r.  A presentation
+    that fails the certificate raises instead of giving a dimension.
     """
     if P.n != 1:
         raise ShapeError("oracle is univariate only")
-    f = P.field
-    d = P.d
-    pres = kernel_presentation(P)
-    s = pres.gens.cols
-    if s == 0:
-        return HomReport(dim=0, gens=pres.gens, basis=[])
-    syz = hermite_kernel(pres.gens)
-    X = P.X[0]
-    rows = []
-    for col in syz.columns():
-        # sum_j col_j(X) . m_j = 0, one block of d rows per syzygy
-        coeff_mats = [c.eval_matrix(X) for c in col]
-        for p in range(d):
-            rows.append([x for cm in coeff_mats for x in cm.row(p)])
-    kernel = _kernel_of_rows(f, rows, d * s)[1]
-    basis = []
-    for v in kernel:
-        m = Matrix.zeros(f, d, s)
-        for j in range(s):
-            for i in range(d):
-                m.entries[i * s + j] = v[j * d + i]
-        basis.append(m)
-    return HomReport(dim=len(kernel), gens=pres.gens, basis=basis)
+    return HomReport(dim=P.d * len(kernel_presentation(P).cols))
 
 
 # -- dimension formulas -------------------------------------------------------

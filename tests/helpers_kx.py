@@ -1,49 +1,103 @@
 """The k[x] kernel presentation and the deformed images as the library built
-them before the Krylov relations and the Horner pass: a column reduction of
-the pencil [G | X - x I] over k[x], and p(X) and its directional derivative
-formed as d x d matrices.  Kept as the references the new code must match."""
+them before the Krylov relations and the Horner pass: a Euclidean column
+reduction of the pencil [G | X - x I] over k[x], and p(X) and its directional
+derivative formed as d x d matrices.  Kept as the references the new code
+must match.  Column sets are plain lists of lists of ``UniPoly``."""
 
-from quotbilin.exactalg import (
-    Matrix,
-    ShapeError,
-    UniPoly,
-    UniPolyMatrix,
-    column_echelon,
-    hermite_kernel,
-)
+from quotbilin.exactalg import Matrix, ShapeError, UniPoly, express_in_echelon
 from quotbilin.quot import KernelPresentation, _image_basis
+
+
+def reference_kernel_columns(cols, height, f):
+    """A basis of {v : sum_j v_j cols[j] = 0}: reduce the columns row by row
+    against the one of lowest degree, repeating every column operation on an
+    identity transform; the transform columns whose columns hit zero."""
+    n = len(cols)
+    acols = [list(c) for c in cols]
+    ucols = [[UniPoly.const(f, f.one()) if i == j else UniPoly.zero(f)
+              for i in range(n)] for j in range(n)]
+    frozen = 0
+    for row in range(height):
+        while True:
+            active = [j for j in range(frozen, n) if not acols[j][row].is_zero()]
+            if len(active) <= 1:
+                break
+            jstar = min(active, key=lambda j: acols[j][row].degree)
+            piv = acols[jstar][row]
+            for j in active:
+                if j == jstar:
+                    continue
+                q, _ = acols[j][row].divmod(piv)
+                if q.is_zero():
+                    continue
+                acols[j] = [acols[j][i] - q * acols[jstar][i] for i in range(height)]
+                ucols[j] = [ucols[j][i] - q * ucols[jstar][i] for i in range(n)]
+        active = [j for j in range(frozen, n) if not acols[j][row].is_zero()]
+        if active:
+            j = active[0]
+            acols[frozen], acols[j] = acols[j], acols[frozen]
+            ucols[frozen], ucols[j] = ucols[j], ucols[frozen]
+            frozen += 1
+    return ucols[frozen:]
+
+
+def reference_column_echelon(cols, height):
+    """Columns of the same k[x]-span with distinct, increasing first nonzero
+    rows, zero columns dropped."""
+    work = [c for c in (list(c) for c in cols) if any(not e.is_zero() for e in c)]
+    frozen = 0
+    for row in range(height):
+        while True:
+            active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
+            if len(active) <= 1:
+                break
+            jstar = min(active, key=lambda j: work[j][row].degree)
+            piv = work[jstar][row]
+            for j in active:
+                if j == jstar:
+                    continue
+                q, _ = work[j][row].divmod(piv)
+                if q.is_zero():
+                    continue
+                work[j] = [work[j][i] - q * work[jstar][i] for i in range(height)]
+        work = [c for c in work if any(not e.is_zero() for e in c)]
+        active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
+        if active:
+            j = active[0]
+            work[frozen], work[j] = work[j], work[frozen]
+            frozen += 1
+    return work
+
+
+def same_span(a, b, height, field):
+    """Exact k[x]-span equality: each column set lies in the other's span."""
+    for cols, other in ((a, b), (b, a)):
+        ech = reference_column_echelon(other, height)
+        if any(express_in_echelon(ech, height, col, field) is None for col in cols):
+            return False
+    return True
 
 
 def reference_kernel_presentation(P):
     """K = ker(k[x]^r -> M) as the projection to the first r coordinates of
-    ker[G | X - x*I], with its column echelon certified by colength."""
+    ker[G | X - x*I], in column echelon form certified by colength."""
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
     f = P.field
     d, r = P.d, P.r
     x = UniPoly.x(f)
-    ents = []
-    for i in range(d):
-        for j in range(r):
-            ents.append(UniPoly.const(f, P.G[i, j]))
-        for j in range(d):
-            e = UniPoly.const(f, P.X[0][i, j])
-            if i == j:
-                e = e - x
-            ents.append(e)
-    big = UniPolyMatrix(f, d, r + d, ents)
-    ker = hermite_kernel(big)
-    cols = [col[:r] for col in ker.columns()]
-    cols = [c for c in cols if any(not e.is_zero() for e in c)]
-    gens = UniPolyMatrix.from_columns(f, r, cols)
-    ech = column_echelon(cols, r, f)
+    pencil = [[UniPoly.const(f, P.G[i, j]) for i in range(d)] for j in range(r)]
+    pencil += [[UniPoly.const(f, P.X[0][i, j]) - (x if i == j else UniPoly.zero(f))
+                for i in range(d)] for j in range(d)]
+    cols = [col[:r] for col in reference_kernel_columns(pencil, d, f)]
+    ech = reference_column_echelon(cols, r)
     img_dim = len(_image_basis(P))
     colength = sum(col[j].degree for j, col in enumerate(ech))
     if len(ech) != r or colength != img_dim:
         raise ArithmeticError(
             f"kernel generators give {len(ech)} echelon columns of pivot-degree sum "
             f"{colength}; K needs {r} columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(r=r, gens=gens, echelon=ech)
+    return KernelPresentation(r=r, cols=ech)
 
 
 def reference_poly_matrix_derivative(poly, X, Xdot):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from quotbilin import exactalg
 from quotbilin.exactalg import (
     GF,
     QQ,
@@ -13,27 +14,28 @@ from quotbilin.exactalg import (
     Matrix,
     ParamMatrix,
     UniPoly,
-    UniPolyMatrix,
     char_poly,
-    column_echelon,
     evaluate_param,
-    express_in_echelon,
     gaussian_binomial,
-    hermite_kernel,
     matrix_from_json,
     matrix_to_json,
     parse_field,
     rand_matrix,
     rank_and_kernel,
+    rational_roots,
     solve,
 )
-from test_kx_reduction import reference_truncated_kernel_basis, same_span
 
 F5 = GF(5)
 
 
 def mat(field, rows):
     return Matrix.from_int_rows(field, rows)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in exactalg.__all__ if not hasattr(exactalg, name)]
+    assert missing == []
 
 
 # -- fields -------------------------------------------------------------------
@@ -122,7 +124,7 @@ def test_solve_exact_or_certified(seed, rows, cols, bcols):
         assert aug.rank() > a.rank()
 
 
-# -- k[x] kernels -----------------------------------------------------------------
+# -- matrix products ---------------------------------------------------------------
 
 def matvec_scalars(field):
     if field is QQ:
@@ -187,45 +189,6 @@ def test_matmul_matches_per_entry_reference(field, n, m, k, data):
     # key() and hashing see the same matrix
     assert got.entries == want.entries
     assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
-
-
-def test_hermite_kernel_x2_x():
-    x = UniPoly.x(QQ)
-    p = UniPolyMatrix(QQ, 1, 2, [x * x, x])
-    k = hermite_kernel(p)
-    # honest kernel of the free-module map: spanned by (1, -x)
-    assert k.cols == 1
-    assert (p * k).is_zero()
-    expected = [[UniPoly.from_ints(QQ, [1]), UniPoly.from_ints(QQ, [0, -1])]]
-    assert same_span(k.columns(), expected, 2, QQ)
-
-
-def test_hermite_kernel_identity_empty():
-    p = UniPolyMatrix.from_scalar_matrix(Matrix.identity(QQ, 2))
-    assert hermite_kernel(p).cols == 0
-
-
-def test_hermite_kernel_zero_full():
-    p = UniPolyMatrix.zeros(QQ, 1, 1)
-    k = hermite_kernel(p)
-    assert k.cols == 1
-    assert k[0, 0].is_one()
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3))
-def test_hermite_kernel_membership_and_stability(seed, rows, cols):
-    rng = random.Random(seed)
-    ents = [UniPoly(F5, [rng.randrange(5) for _ in range(rng.randint(0, 3))])
-            for _ in range(rows * cols)]
-    p = UniPolyMatrix(F5, rows, cols, ents)
-    k = hermite_kernel(p)
-    assert (p * k).is_zero()
-    # The output generates: every kernel vector of bounded degree lies in its span.
-    ech = column_echelon(k.columns(), cols, F5)
-    for deg in (4, 6):
-        for v in reference_truncated_kernel_basis(p, deg):
-            assert express_in_echelon(ech, cols, v, F5) is not None
 
 
 # -- gaussian binomials ------------------------------------------------------------
@@ -321,19 +284,19 @@ def test_equal_polynomials_hash_equal():
 
 # -- characteristic polynomial ---------------------------------------------------
 
-def cofactor_determinant(m: UniPolyMatrix) -> UniPoly:
+def cofactor_determinant(rows: list[list[UniPoly]], field) -> UniPoly:
     """Cofactor expansion along the first row, O(d!); the reference for
     char_poly, which it computed before Berkowitz's algorithm."""
-    n = m.rows
+    n = len(rows)
 
     def det(rows_idx, cols_idx):
         if len(rows_idx) == 1:
-            return m[rows_idx[0], cols_idx[0]]
-        acc = UniPoly.zero(m.field)
+            return rows[rows_idx[0]][cols_idx[0]]
+        acc = UniPoly.zero(field)
         i = rows_idx[0]
         sign = 1
         for pos, j in enumerate(cols_idx):
-            a = m[i, j]
+            a = rows[i][j]
             if not a.is_zero():
                 sub = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
                 term = a * sub
@@ -342,22 +305,16 @@ def cofactor_determinant(m: UniPolyMatrix) -> UniPoly:
         return acc
 
     if n == 0:
-        return UniPoly.const(m.field, m.field.one())
+        return UniPoly.const(field, field.one())
     return det(tuple(range(n)), tuple(range(n)))
 
 
 def cofactor_char_poly(m: Matrix) -> UniPoly:
     f = m.field
-    n = m.rows
     x = UniPoly.x(f)
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            e = UniPoly.const(f, f.neg(m[i, j]))
-            if i == j:
-                e = e + x
-            ents.append(e)
-    return cofactor_determinant(UniPolyMatrix(f, n, n, ents))
+    rows = [[UniPoly.const(f, f.neg(m[i, j])) + (x if i == j else UniPoly.zero(f))
+             for j in range(m.cols)] for i in range(m.rows)]
+    return cofactor_determinant(rows, f)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=lambda f: f.name)
@@ -389,3 +346,11 @@ def test_char_poly_at_d12_is_fast():
     assert cp.degree == 12 and QQ.eq(cp.lead(), QQ.one())
     # minus the trace is the x^11 coefficient
     assert QQ.eq(cp.coeff(11), QQ.neg(sum(m[i, i] for i in range(12))))
+
+
+def test_rational_roots_clear_mixed_denominators():
+    # x (x - 1/2)(x - 3/4) * 2/3 = 2x^3/3 - 5x^2/6 + x/4: clearing needs
+    # lcm(3, 6, 4) = 12, and the largest denominator alone misses 3/4
+    p = UniPoly(QQ, [Fraction(0), Fraction(1, 4), Fraction(-5, 6), Fraction(2, 3)])
+    assert sorted(rational_roots(p)) == [Fraction(0), Fraction(1, 2), Fraction(3, 4)]
+    assert rational_roots(UniPoly.from_ints(QQ, [1, 0, 1])) == []

@@ -1,11 +1,9 @@
-"""The k[x] column reducer and the coefficient layout against reference loops.
+"""The k[x] solve and its coefficient layout against a reference loop.
 
-The library runs every Euclidean column reduction through one reducer and
-builds every block-Toeplitz coefficient matrix through one layout helper.
-The references below are the separate loops they replaced: a column
-reduction with a transform (``hermite_kernel``), one that drops zero
-columns after each row (``column_echelon``), and two hand-built layouts
-(the brute-force truncated kernel and the k[x] solve).
+``express_in_span`` lays out x^b * column through one helper and solves a
+batch of targets in one elimination per degree bound.  The reference below is
+the hand-built single-target layout it replaced.  Column sets are plain lists
+of lists of ``UniPoly``.
 """
 
 from fractions import Fraction
@@ -19,12 +17,7 @@ from quotbilin.exactalg import (
     QQ,
     Matrix,
     UniPoly,
-    UniPolyMatrix,
-    column_echelon,
-    express_in_echelon,
     express_in_span,
-    hermite_kernel,
-    rank_and_kernel,
     solve,
 )
 from quotbilin.modcore import rand_framed_module
@@ -34,98 +27,6 @@ FIELDS = [QQ, GF(3), GF(5)]
 
 
 # -- references --------------------------------------------------------------
-
-def reference_kernel_columns(p):
-    f = p.field
-    acols = [list(c) for c in p.columns()]
-    ucols = [[UniPoly.const(f, f.one()) if i == j else UniPoly.zero(f)
-              for i in range(p.cols)] for j in range(p.cols)]
-    frozen = 0
-    for row in range(p.rows):
-        while True:
-            active = [j for j in range(frozen, p.cols) if not acols[j][row].is_zero()]
-            if len(active) <= 1:
-                break
-            jstar = min(active, key=lambda j: acols[j][row].degree)
-            piv = acols[jstar][row]
-            for j in active:
-                if j == jstar:
-                    continue
-                q, _ = acols[j][row].divmod(piv)
-                if q.is_zero():
-                    continue
-                acols[j] = [acols[j][i] - q * acols[jstar][i] for i in range(p.rows)]
-                ucols[j] = [ucols[j][i] - q * ucols[jstar][i] for i in range(p.cols)]
-        active = [j for j in range(frozen, p.cols) if not acols[j][row].is_zero()]
-        if active:
-            j = active[0]
-            acols[frozen], acols[j] = acols[j], acols[frozen]
-            ucols[frozen], ucols[j] = ucols[j], ucols[frozen]
-            frozen += 1
-    return ucols[frozen:]
-
-
-def reference_column_echelon(cols, height):
-    work = [c for c in (list(c) for c in cols) if any(not e.is_zero() for e in c)]
-    frozen = 0
-    for row in range(height):
-        while True:
-            active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
-            if len(active) <= 1:
-                break
-            jstar = min(active, key=lambda j: work[j][row].degree)
-            piv = work[jstar][row]
-            for j in active:
-                if j == jstar:
-                    continue
-                q, _ = work[j][row].divmod(piv)
-                if q.is_zero():
-                    continue
-                work[j] = [work[j][i] - q * work[jstar][i] for i in range(height)]
-        work = [c for c in work if any(not e.is_zero() for e in c)]
-        active = [j for j in range(frozen, len(work)) if not work[j][row].is_zero()]
-        if active:
-            j = active[0]
-            work[frozen], work[j] = work[j], work[frozen]
-            frozen += 1
-    return work
-
-
-def reference_truncated_kernel_basis(p, max_degree):
-    """A k-basis of {v in k[x]^c : p v = 0, deg v_j <= max_degree}, by
-    brute-force linear algebra on the coefficients."""
-    f = p.field
-    c = p.cols
-    nvars = c * (max_degree + 1)
-    out_deg = max_degree + max((e.degree for e in p.entries), default=0)
-    rows = []
-    for i in range(p.rows):
-        for e in range(out_deg + 1):
-            row = [f.zero()] * nvars
-            nonzero = False
-            for j in range(c):
-                pij = p[i, j]
-                for b in range(max_degree + 1):
-                    a = e - b
-                    coeff = pij.coeff(a) if 0 <= a <= pij.degree else f.zero()
-                    if not f.is_zero(coeff):
-                        row[j * (max_degree + 1) + b] = coeff
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    _, vecs = rank_and_kernel(Matrix(f, len(rows), nvars, [a for row in rows for a in row]))
-    step = max_degree + 1
-    return [[UniPoly(f, v[j * step:(j + 1) * step]) for j in range(c)] for v in vecs]
-
-
-def same_span(a, b, height, field):
-    """Exact k[x]-span equality: each column set lies in the other's span."""
-    for cols, other in ((a, b), (b, a)):
-        ech = column_echelon(other, height, field)
-        if any(express_in_echelon(ech, height, col, field) is None for col in cols):
-            return False
-    return True
-
 
 def reference_express(gens, height, target, f):
     maxdeg = max((e.degree for col in gens for e in col), default=0)
@@ -194,42 +95,11 @@ def column_sets(draw, max_height=3, max_cols=4):
     return field, height, cols
 
 
-def as_matrix(field, height, cols):
-    return UniPolyMatrix.from_columns(field, height, cols)
-
-
 def raw(cols):
     return [[e.coeffs for e in col] for col in cols]
 
 
-def pivot_rows(cols):
-    return [next(i for i, e in enumerate(col) if not e.is_zero()) for col in cols]
-
-
 # -- tests -------------------------------------------------------------------
-
-@settings(deadline=None, max_examples=200)
-@given(column_sets())
-def test_hermite_kernel_matches_reference(case):
-    field, height, cols = case
-    p = as_matrix(field, height, cols)
-    assert raw(hermite_kernel(p).columns()) == raw(reference_kernel_columns(p))
-
-
-@settings(deadline=None, max_examples=200)
-@given(column_sets())
-def test_column_echelon_matches_reference(case):
-    field, height, cols = case
-    got = column_echelon(cols, height, field)
-    want = reference_column_echelon(cols, height)
-    if not reference_kernel_columns(as_matrix(field, height, cols)):
-        assert raw(got) == raw(want)
-    else:
-        # k[x]-dependent columns: same span, still an echelon form.
-        assert same_span(got, want, height, field)
-        rows = pivot_rows(got)
-        assert rows == sorted(set(rows))
-
 
 @settings(deadline=None, max_examples=150)
 @given(column_sets(max_cols=3), st.data())
@@ -279,7 +149,7 @@ def hermite_columns(draw):
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 10 ** 6)))
         module = rand_framed_module(rng, field, 1, draw(st.integers(0, 4)), r)
-        return field, r, kernel_presentation(module).gens.columns()
+        return field, r, kernel_presentation(module).cols
     pivots = [UniPoly(field, [*draw(st.lists(scalars(field), max_size=3)), field.one()])
               for _ in range(r)]
     cols = []

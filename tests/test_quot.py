@@ -36,7 +36,7 @@ from quotbilin.quot import (
     quot_dims,
     quot_tangent,
 )
-from test_kx_reduction import same_span
+from helpers_kx import same_span
 
 F5 = GF(5)
 
@@ -113,18 +113,18 @@ def test_kernel_presentation_framing_example():
     G = Matrix.from_int_rows(QQ, [[0, 0], [0, 1]])
     m = FramedModule(1, 2, 2, (X,), G)
     pres = kernel_presentation(m)
-    assert pivot_degree_sum(pres.echelon) == 1
+    assert pivot_degree_sum(pres.cols) == 1
     # both stated generating sets have this same span
     one = UniPoly.from_ints(QQ, [1])
     x = UniPoly.x(QQ)
     stated = [[one, -x], [UniPoly.zero(QQ), x]]
-    assert same_span(pres.echelon, stated, 2, QQ)
+    assert same_span(pres.cols, stated, 2, QQ)
 
 
 def test_kernel_presentation_colength_is_d_when_generating():
     m = cyclic_module_univariate(UniPoly.from_ints(QQ, [0, -1, 1]))  # S/(x(x-1))
     pres = kernel_presentation(m)
-    assert pivot_degree_sum(pres.echelon) == m.d
+    assert pivot_degree_sum(pres.cols) == m.d
 
 
 def pivot_degree_sum(echelon):
@@ -170,8 +170,8 @@ def univariate_modules(draw):
 @given(univariate_modules())
 def test_kernel_presentation_colength_is_krylov_rank(m):
     pres = kernel_presentation(m)
-    assert len(pres.echelon) == m.r
-    assert pivot_degree_sum(pres.echelon) == krylov_rank(m)
+    assert len(pres.cols) == m.r
+    assert pivot_degree_sum(pres.cols) == krylov_rank(m)
 
 
 def _scale_first_by_x(cols, field):
@@ -194,15 +194,25 @@ CERTIFIED_MODULES = [
 CERTIFIED_IDS = ["cyclic-q", "generating-f101", "zero-framing-f5"]
 
 
-@pytest.mark.parametrize("mutate", [_scale_first_by_x, _drop_first, _drop_last])
-@pytest.mark.parametrize("module", CERTIFIED_MODULES, ids=CERTIFIED_IDS)
-def test_kernel_certificate_rejects_a_smaller_span(monkeypatch, module, mutate):
+# The Hom oracle reads d r off the certificate, so it must refuse a smaller
+# span as the presentation does.  The presentation's cases keep the ids
+# "<module>-<mutation>"; the oracle's add "-hom_KM_univariate".
+SMALLER_SPAN_CASES = [
+    pytest.param(module, mutate, entry, id=f"{mid}-{mutate.__name__}{suffix}")
+    for entry, suffix in [(kernel_presentation, ""), (hom_KM_univariate, "-hom_KM_univariate")]
+    for module, mid in zip(CERTIFIED_MODULES, CERTIFIED_IDS)
+    for mutate in [_scale_first_by_x, _drop_first, _drop_last]
+]
+
+
+@pytest.mark.parametrize("module, mutate, entry", SMALLER_SPAN_CASES)
+def test_kernel_certificate_rejects_a_smaller_span(monkeypatch, module, mutate, entry):
     # Each mutation keeps the columns inside the kernel but shrinks their span.
     real = quot._krylov_relations
-    kernel_presentation(module)  # passes unmutated
+    entry(module)  # passes unmutated
     monkeypatch.setattr(quot, "_krylov_relations", lambda P: mutate(real(P), P.field))
     with pytest.raises(ArithmeticError, match="echelon columns"):
-        kernel_presentation(module)
+        entry(module)
 
 
 @pytest.mark.parametrize("module", CERTIFIED_MODULES[1:], ids=CERTIFIED_IDS[1:])
