@@ -32,6 +32,7 @@ from .exactalg import (
 from .exactalg.matrix import _eliminate
 from .modcore import (
     FramedModule,
+    FramedValidation,
     InvalidPoint,
     framed_from_json,
     framed_to_json,
@@ -121,42 +122,61 @@ class PairingValidation:
 
 
 def validate_pairing(b: BilinPoint) -> PairingValidation:
-    """Check the invariants of a point that do not read the framings;
-    equivariance failures carry a residual."""
+    """Check the invariants of a point that do not read the framings.
+
+    ``failure`` names the first failed check (Z commuting, X- or
+    Y-equivariance, surjectivity); equivariance failures carry a residual.
+    """
     f = b.field
+    failure = None
     z_comm = True
     for i in range(b.n):
         for j in range(i + 1, b.n):
-            if b.Z[i] * b.Z[j] != b.Z[j] * b.Z[i]:
-                z_comm = False
+            if z_comm and b.Z[i] * b.Z[j] != b.Z[j] * b.Z[i]:
+                z_comm, failure = False, f"Z commuting at indices {i}, {j}"
     eye1 = Matrix.identity(f, b.m1.d)
     eye2 = Matrix.identity(f, b.m2.d)
     equivariant = True
-    failure = None
     residual = None
     for i in range(b.n):
         resx = b.pihat * b.m1.X[i].kron(eye2) - b.Z[i] * b.pihat
         if not resx.is_zero():
-            equivariant, failure, residual = False, f"X-equivariance at index {i}", resx
+            equivariant, residual = False, resx
+            failure = failure or f"X-equivariance at index {i}"
             break
         resy = b.pihat * eye1.kron(b.m2.X[i]) - b.Z[i] * b.pihat
         if not resy.is_zero():
-            equivariant, failure, residual = False, f"Y-equivariance at index {i}", resy
+            equivariant, residual = False, resy
+            failure = failure or f"Y-equivariance at index {i}"
             break
-    surjective = b.pihat.rank() == b.d3
+    rank = b.pihat.rank()
+    surjective = rank == b.d3
+    if not surjective:
+        failure = failure or f"surjectivity: Pihat has rank {rank} < d3 = {b.d3}"
     return PairingValidation(z_commutes=z_comm, equivariant=equivariant,
                              surjective=surjective, failure=failure, residual=residual)
 
 
+def _module_failure(name: str, v: FramedValidation) -> Optional[str]:
+    if not v.commutes:
+        i, j = v.commutator_witness
+        return f"{name} commuting at indices {i}, {j}"
+    if not v.generates:
+        return f"{name} generation"
+    return None
+
+
 def validate_bilin(b: BilinPoint) -> BilinValidation:
     """Check all point invariants: both framed modules, then
-    :func:`validate_pairing`."""
+    :func:`validate_pairing`; ``failure`` names the first failed check."""
     v1 = validate_framed(b.m1)
     v2 = validate_framed(b.m2)
     pv = validate_pairing(b)
     return BilinValidation(ok=v1.ok and v2.ok and pv.ok, m1_ok=v1.ok, m2_ok=v2.ok,
                            z_commutes=pv.z_commutes, equivariant=pv.equivariant,
-                           surjective=pv.surjective, failure=pv.failure,
+                           surjective=pv.surjective,
+                           failure=(_module_failure("M1", v1) or _module_failure("M2", v2)
+                                    or pv.failure),
                            residual=pv.residual)
 
 
@@ -416,7 +436,7 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
     """
     val = validate_bilin(b)
     if not val.ok:
-        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+        raise InvalidPoint(f"invalid pairing point: {val.failure}")
     offsets, nvars = _layout(b)
     gauge = _gauge_vectors_bilin(b)
     nullity, reps = quot._tangent_tail(_first_order_rows(b, offsets, nvars), gauge,

@@ -207,7 +207,7 @@ def classify_point_222(b: BilinPoint) -> PointClassification:
         raise ValueError("classification needs n=1 and all dimensions 2")
     val = validate_bilin(b)
     if not val.ok:
-        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+        raise InvalidPoint(f"invalid pairing point: {val.failure}")
     return _classify_valid(classify_2x2x2(_pairing_tensor(b)),
                            *(_action_facts(X) for X in (b.m1.X[0], b.m2.X[0], b.Z[0])))
 
@@ -415,7 +415,7 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
                 val = validate_pairing(point)
                 if not val.ok:
                     raise ArithmeticError(
-                        f"census point failed validation: {val.failure or 'Z commuting/surjectivity'}"
+                        f"census point failed validation: {val.failure}"
                         f" at actions X1 = {X1!r}, X2 = {X2!r}, kernel basis {basis}")
                 # Z is conjugate to a table action but need not equal one.
                 Z = point.Z[0]

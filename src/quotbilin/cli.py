@@ -1,10 +1,13 @@
 """Command-line front end: validation, tangent reports, membership, dimension
 grids, reducibility, secant dimensions, classification, limits, censuses.
 
-Reports are JSON (CSV for flat tables); field elements are serialized as
-strings.  Identical config and seed give identical output apart from the
-timestamp field.  Exit codes: 0 success, 1 validation/membership failure,
-2 infeasible enumeration cap, 3 malformed input.
+Each subcommand takes ``--out FILE`` and only those of ``--field``,
+``--seed``, ``--cap`` and ``--check`` that it reads (see ``build_parser``).
+Handlers read the parsed ``argparse`` namespace.  Reports are JSON (CSV for
+flat tables); field elements are serialized as strings.  Identical arguments
+give identical output apart from the timestamp field.  Exit codes: 0
+success, 1 validation/membership failure, 2 infeasible enumeration cap,
+3 malformed input or usage error.
 """
 
 from __future__ import annotations
@@ -14,18 +17,10 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
-from .exactalg import FieldError, InfeasibleEnumeration, matrix_to_json, parse_field
+from .exactalg import InfeasibleEnumeration, matrix_to_json, parse_field
 from .modcore import InvalidPoint, framed_from_json, validate_framed
-from .quot import (
-    NonSplitSupport,
-    degenerate_grassmannian_check,
-    hom_KM_univariate,
-    quot_dims,
-    quot_tangent,
-)
+from .quot import degenerate_grassmannian_check, hom_KM_univariate, quot_dims, quot_tangent
 from .bilin import (
     bilin_dims,
     bilin_from_json,
@@ -49,29 +44,16 @@ EXIT_CAP = 2
 EXIT_MALFORMED = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    field_spec: str = "Q"
-    seed: int = 0
-    out: Optional[str] = None
-    cap: int = 2_000_000
-    check: bool = False
-    grid: Optional[str] = None
-    args: dict = dc_field(default_factory=dict)
-
-
-def _emit(config: RunConfig, payload: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(args: argparse.Namespace, payload: dict, csv_rows=None, csv_header=None) -> None:
     payload = dict(payload)
-    payload["command"] = config.command
-    payload["seed"] = config.seed
+    payload["command"] = args.command
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
         if csv_rows is not None:
-            csv_path = config.out.rsplit(".", 1)[0] + ".csv"
+            csv_path = args.out.rsplit(".", 1)[0] + ".csv"
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(csv_header)
@@ -86,7 +68,10 @@ def _emit(config: RunConfig, payload: dict, csv_rows=None, csv_header=None) -> N
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _parse_grid(spec: str) -> dict[str, list[int]]:
@@ -105,10 +90,22 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
     return out
 
 
+def _bilin_payload(n: int, d: int, r1: int, r2: int) -> dict:
+    """The bilin dimension report shared by ``dims --r1 --r2`` and
+    ``reducibility``."""
+    rep = bilin_dims(n, d, r1, r2)
+    return {"main_dim": rep.main_dim,
+            "degenerate_dim": rep.degenerate_dim,
+            "reducible_by_count": rep.reducible_by_count,
+            "reducible_by_secant": rep.reducible_by_secant,
+            "irreducible": rep.irreducible,
+            "reasons": rep.reasons}
+
+
 # -- command handlers -----------------------------------------------------------
 
-def _cmd_validate(config: RunConfig) -> int:
-    obj = _load_json(config.args["point"])
+def _cmd_validate(args: argparse.Namespace) -> int:
+    obj = _load_json(args.point)
     if "Pihat" in obj:
         point = bilin_from_json(obj)
         rep = validate_bilin(point)
@@ -132,25 +129,24 @@ def _cmd_validate(config: RunConfig) -> int:
             "generates": rep.generates,
             "commutator_witness": list(rep.commutator_witness) if rep.commutator_witness else None,
         }
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
-def _cmd_tangent(config: RunConfig) -> int:
-    obj = _load_json(config.args["point"])
-    which = config.args["which"]
-    if which == "quot":
+def _cmd_tangent(args: argparse.Namespace) -> int:
+    obj = _load_json(args.point)
+    if args.which == "quot":
         mod = framed_from_json(obj)
-        rep = quot_tangent(mod, check=config.check)
+        rep = quot_tangent(mod, check=args.check)
         basis = [{"Xdot": [matrix_to_json(m) for m in tv.xdot],
                   "Gdot": matrix_to_json(tv.gdot)} for tv in rep.basis]
         payload = {"dim": rep.dim, "nullity": rep.nullity, "gauge": rep.gauge_dim,
                    "basis": basis}
-        if config.args.get("oracle") and mod.n == 1:
+        if args.oracle and mod.n == 1:
             payload["hom_oracle_dim"] = hom_KM_univariate(mod).dim
     else:
         point = bilin_from_json(obj)
-        rep = bilin_tangent(point, check=config.check)
+        rep = bilin_tangent(point, check=args.check)
         basis = [{"Xdot": [matrix_to_json(m) for m in tv.xdot],
                   "Gdot": matrix_to_json(tv.gdot),
                   "Ydot": [matrix_to_json(m) for m in tv.ydot],
@@ -159,26 +155,26 @@ def _cmd_tangent(config: RunConfig) -> int:
                   "Pihatdot": matrix_to_json(tv.pihatdot)} for tv in rep.basis]
         payload = {"dim": rep.dim, "nullity": rep.nullity, "gauge": rep.gauge_dim,
                    "basis": basis}
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_member(config: RunConfig) -> int:
-    m1 = framed_from_json(_load_json(config.args["m1"]))
-    m2 = framed_from_json(_load_json(config.args["m2"]))
-    m3 = framed_from_json(_load_json(config.args["m3"]))
+def _cmd_member(args: argparse.Namespace) -> int:
+    m1 = framed_from_json(_load_json(args.m1))
+    m2 = framed_from_json(_load_json(args.m2))
+    m3 = framed_from_json(_load_json(args.m3))
     rep = factor_membership_detail(m1, m2, m3)
     payload = {"found": rep.found, "solution_dim": rep.solution_dim,
                "reason": rep.reason}
     if rep.point is not None:
         payload["point"] = bilin_to_json(rep.point)
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK if rep.found else EXIT_INVALID
 
 
-def _cmd_dims(config: RunConfig) -> int:
-    if config.grid:
-        ranges = _parse_grid(config.grid)
+def _cmd_dims(args: argparse.Namespace) -> int:
+    if args.grid:
+        ranges = _parse_grid(args.grid)
         ns = ranges.get("n", [1])
         ds = ranges.get("d", [2])
         r1s = ranges.get("r1", ranges.get("r", [2]))
@@ -195,58 +191,48 @@ def _cmd_dims(config: RunConfig) -> int:
         header = ("n", "d", "r1", "r2", "main_dim", "degenerate_dim",
                   "reducible_by_count", "reducible_by_secant", "irreducible")
         payload = {"cells": [dict(zip(header, row)) for row in rows]}
-        _emit(config, payload, csv_rows=rows, csv_header=header)
+        _emit(args, payload, csv_rows=rows, csv_header=header)
         return EXIT_OK
-    n = int(config.args["n"])
-    d = int(config.args["d"])
-    if "r" in config.args and config.args["r"] is not None:
-        rep = quot_dims(n, d, int(config.args["r"]))
+    if args.n is None or args.d is None:
+        raise ValueError("dims needs --grid, or --n and --d")
+    if args.r is not None:
+        rep = quot_dims(args.n, args.d, args.r)
         payload = {"kind": "quot", "principal_dim": rep.principal_dim,
                    "degenerate_dim": rep.degenerate_dim,
                    "reducible_by_count": rep.reducible_by_count}
+    elif args.r1 is not None and args.r2 is not None:
+        payload = {"kind": "bilin", **_bilin_payload(args.n, args.d, args.r1, args.r2)}
     else:
-        rep = bilin_dims(n, d, int(config.args["r1"]), int(config.args["r2"]))
-        payload = {"kind": "bilin", "main_dim": rep.main_dim,
-                   "degenerate_dim": rep.degenerate_dim,
-                   "reducible_by_count": rep.reducible_by_count,
-                   "reducible_by_secant": rep.reducible_by_secant,
-                   "irreducible": rep.irreducible,
-                   "reasons": rep.reasons}
-    _emit(config, payload)
+        raise ValueError("dims needs --r, or --r1 and --r2")
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_reducibility(config: RunConfig) -> int:
-    rep = bilin_dims(int(config.args["n"]), int(config.args["d"]),
-                     int(config.args["r1"]), int(config.args["r2"]))
-    payload = {
-        "main_dim": rep.main_dim,
-        "degenerate_dim": rep.degenerate_dim,
-        "reducible_by_count": rep.reducible_by_count,
-        "reducible_by_secant": rep.reducible_by_secant,
-        "irreducible": rep.irreducible,
-        "reasons": rep.reasons,
-    }
-    _emit(config, payload)
+def _cmd_reducibility(args: argparse.Namespace) -> int:
+    _emit(args, _bilin_payload(args.n, args.d, args.r1, args.r2))
     return EXIT_OK
 
 
-def _cmd_secant_dim(config: RunConfig) -> int:
-    field = parse_field(config.field_spec)
-    rep = secant_dimension(int(config.args["d"]), int(config.args["r"]),
-                           trials=int(config.args.get("trials", 5)),
-                           seed=config.seed, field=field)
+def _cmd_secant_dim(args: argparse.Namespace) -> int:
+    rep = secant_dimension(args.d, args.r, trials=args.trials, seed=args.seed,
+                           field=parse_field(args.field))
     payload = {"d": rep.d, "r": rep.r, "ambient": rep.ambient, "bound": rep.bound,
                "terracini_dim": rep.terracini_dim, "fills": rep.fills_ambient,
-               "per_trial": rep.per_trial}
-    _emit(config, payload)
+               "per_trial": rep.per_trial, "seed": args.seed}
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_classify222(config: RunConfig) -> int:
-    field = parse_field(config.field_spec)
-    if config.args.get("enumerate"):
-        census = enumerate_222(int(config.args["q"]), cap=config.cap)
+def _named_or_file_tensor(args: argparse.Namespace, field):
+    if args.tensor is None:
+        return named_tensor(args.name, field)
+    return tensor_from_json(_load_json(args.tensor))
+
+
+def _cmd_classify222(args: argparse.Namespace) -> int:
+    field = parse_field(args.field)
+    if args.enumerate:
+        census = enumerate_222(args.q, cap=args.cap)
         rows = census.rows()
         payload = {
             "q": census.q,
@@ -256,14 +242,11 @@ def _cmd_classify222(config: RunConfig) -> int:
             "forced_failures": census.forced_failures,
             "counts": [{"label": l, "tensor_class": t, "count": c} for l, t, c in rows],
         }
-        _emit(config, payload, csv_rows=rows,
+        _emit(args, payload, csv_rows=rows,
               csv_header=("label", "tensor_class", "count"))
         return EXIT_OK
-    if config.args.get("name"):
-        tensor = named_tensor(config.args["name"], field)
-    else:
-        tensor = tensor_from_json(_load_json(config.args["tensor"]))
-    cls = classify_2x2x2(tensor, check=config.check)
+    tensor = _named_or_file_tensor(args, field)
+    cls = classify_2x2x2(tensor, check=args.check)
     payload = {
         "rank": cls.rank,
         "border_rank": cls.border_rank,
@@ -273,93 +256,79 @@ def _cmd_classify222(config: RunConfig) -> int:
         "pencil_split": cls.pencil_split,
         "tensor": tensor_to_json(tensor),
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _cmd_limits(config: RunConfig) -> int:
-    field = parse_field(config.field_spec)
-    name = config.args["name"]
-    family = named_tensor(name, field)
-    target = named_tensor(limit_target_name(name), field)
-    samples = [field.parse(s) for s in config.args.get("samples", "1,2,3").split(",")]
+def _cmd_limits(args: argparse.Namespace) -> int:
+    field = parse_field(args.field)
+    family = named_tensor(args.name, field)
+    target = named_tensor(limit_target_name(args.name), field)
+    samples = [field.parse(s) for s in args.samples.split(",")]
     rep = verify_limit(family, target, samples)
     payload = {
-        "family": name,
-        "target": limit_target_name(name),
+        "family": args.name,
+        "target": limit_target_name(args.name),
         "base_matches": rep.base_matches,
         "samples": [{"t": field.fmt(s.t), "rank": s.classification.rank,
                      "border_rank": s.classification.border_rank,
                      "concise": list(s.classification.concise),
                      "label": s.classification.label} for s in rep.samples],
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK if rep.base_matches else EXIT_INVALID
 
 
-def _cmd_grcount(config: RunConfig) -> int:
-    rep = degenerate_grassmannian_check(int(config.args["d"]), int(config.args["r"]),
-                                        int(config.args["q"]), cap=config.cap)
+def _cmd_grcount(args: argparse.Namespace) -> int:
+    rep = degenerate_grassmannian_check(args.d, args.r, args.q, cap=args.cap)
     payload = {"d": rep.d, "r": rep.r, "q": rep.q,
                "enumerated": rep.enumerated, "formula": rep.formula,
                "match": rep.ok}
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
-def _cmd_bruteforce_rank(config: RunConfig) -> int:
-    field = parse_field(config.field_spec)
-    if config.args.get("name"):
-        tensor = named_tensor(config.args["name"], field)
-    else:
-        tensor = tensor_from_json(_load_json(config.args["tensor"]))
-    q = int(config.args["q"])
-    rank = brute_force_rank_fq(tensor, q, int(config.args.get("rmax", 4)),
-                               cap=config.cap)
-    payload = {"q": q, "rank": rank,
+def _cmd_bruteforce_rank(args: argparse.Namespace) -> int:
+    tensor = _named_or_file_tensor(args, parse_field(args.field))
+    rank = brute_force_rank_fq(tensor, args.q, args.rmax, cap=args.cap)
+    payload = {"q": args.q, "rank": rank,
                "exceeds_rmax": rank is None,
                "tensor": tensor_to_json(tensor)}
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "tangent": _cmd_tangent,
-    "member": _cmd_member,
-    "dims": _cmd_dims,
-    "reducibility": _cmd_reducibility,
-    "secant-dim": _cmd_secant_dim,
-    "classify222": _cmd_classify222,
-    "limits": _cmd_limits,
-    "grcount": _cmd_grcount,
-    "bruteforce-rank": _cmd_bruteforce_rank,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    handler = _HANDLERS[config.command]
+def run(args: argparse.Namespace) -> int:
+    """Run the handler of a parsed command line; returns the exit code."""
     try:
-        return handler(config)
+        return args.handler(args)
     except InfeasibleEnumeration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InvalidPoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (FieldError, NonSplitSupport, FileNotFoundError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--field", default="Q", help="computation field: Q or F:<p>")
-    p.add_argument("--seed", type=int, default=0)
+# The flags beyond --out, each declared only on the subcommands that read it.
+_FLAGS = {
+    "field": dict(default="Q", help="computation field: Q or F:<p>"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "cap": dict(type=int, default=2_000_000, help="enumeration size cap"),
+    "check": dict(action="store_true", help="run debug consistency assertions"),
+}
+
+
+def _subcommand(sub, name: str, handler, summary: str, *flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
     p.add_argument("--out", default=None, help="write JSON here (CSV alongside for tables)")
-    p.add_argument("--cap", type=int, default=2_000_000, help="enumeration size cap")
-    p.add_argument("--check", action="store_true", help="run debug consistency assertions")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,94 +337,79 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on framed-module and pairing moduli points")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a framed module or pairing point file")
+    p = _subcommand(sub, "validate", _cmd_validate,
+                    "validate a framed module or pairing point file")
     p.add_argument("--point", required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("tangent", help="tangent space report at a point")
+    p = _subcommand(sub, "tangent", _cmd_tangent, "tangent space report at a point", "check")
     p.add_argument("which", choices=["quot", "bilin"])
     p.add_argument("--point", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the univariate Hom oracle (quot, n = 1)")
-    _common_flags(p)
 
-    p = sub.add_parser("member", help="solve the pairing factorization problem")
+    p = _subcommand(sub, "member", _cmd_member, "solve the pairing factorization problem")
     p.add_argument("--m1", required=True)
     p.add_argument("--m2", required=True)
     p.add_argument("--m3", required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("dims", help="dimension formulas, single cell or grid")
+    p = _subcommand(sub, "dims", _cmd_dims, "dimension formulas, single cell or grid")
     p.add_argument("--grid", default=None, help="e.g. 'n=1..2 d=2..3 r=2..4'")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=int, help="single framing rank: report the quot formulas")
     p.add_argument("--r1", type=int)
     p.add_argument("--r2", type=int)
-    _common_flags(p)
 
-    p = sub.add_parser("reducibility", help="reducibility predicates for given parameters")
+    p = _subcommand(sub, "reducibility", _cmd_reducibility,
+                    "reducibility predicates for given parameters")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r1", type=int, required=True)
     p.add_argument("--r2", type=int, required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("secant-dim", help="Terracini secant dimension of the triple Segre")
+    p = _subcommand(sub, "secant-dim", _cmd_secant_dim,
+                    "Terracini secant dimension of the triple Segre", "field", "seed")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=5,
                    help="at most this many random trials; they stop at the first that "
                         "reaches the bound, and per_trial lists the trials run")
-    _common_flags(p)
 
-    p = sub.add_parser("classify222", help="classify a 2x2x2 tensor or run the census")
-    p.add_argument("--tensor", help="tensor JSON file")
-    p.add_argument("--name", help="named tensor (mu1..mu4, pi5_sample)")
-    p.add_argument("--enumerate", action="store_true")
+    p = _subcommand(sub, "classify222", _cmd_classify222,
+                    "classify a 2x2x2 tensor or run the census", "field", "cap", "check")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tensor", help="tensor JSON file")
+    mode.add_argument("--name", help="named tensor (mu1..mu4, pi5_sample)")
+    mode.add_argument("--enumerate", action="store_true")
     p.add_argument("--q", type=int, default=2)
-    _common_flags(p)
 
-    p = sub.add_parser("limits", help="verify a named degeneration family")
+    p = _subcommand(sub, "limits", _cmd_limits, "verify a named degeneration family", "field")
     p.add_argument("--name", required=True, help="mu2_t, mu3_t or mu4_t")
     p.add_argument("--samples", default="1,2,3")
-    _common_flags(p)
 
-    p = sub.add_parser("grcount", help="degenerate locus count vs Gaussian binomial")
+    p = _subcommand(sub, "grcount", _cmd_grcount,
+                    "degenerate locus count vs Gaussian binomial", "cap")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("bruteforce-rank", help="exact tensor rank over F_q by search")
-    p.add_argument("--tensor")
-    p.add_argument("--name")
+    p = _subcommand(sub, "bruteforce-rank", _cmd_bruteforce_rank,
+                    "exact tensor rank over F_q by search", "field", "cap")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tensor")
+    mode.add_argument("--name")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rmax", type=int, default=4)
-    _common_flags(p)
 
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    args = {k: v for k, v in vars(ns).items()
-            if k not in {"command", "field", "seed", "out", "cap", "check", "grid"}}
-    return RunConfig(
-        command=ns.command,
-        field_spec=getattr(ns, "field", "Q"),
-        seed=getattr(ns, "seed", 0),
-        out=getattr(ns, "out", None),
-        cap=getattr(ns, "cap", 2_000_000),
-        check=getattr(ns, "check", False),
-        grid=getattr(ns, "grid", None),
-        args=args,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    return run(config_from_args(ns))
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_MALFORMED if exc.code else EXIT_OK
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ def tensor_from_bilin(b) -> Tensor3:
         raise TypeError(f"tensor_from_bilin needs a BilinPoint, got {type(b).__name__}")
     val = validate_bilin(b)
     if not val.ok:
-        raise InvalidPoint(f"invalid pairing point: {val.failure or 'module/surjectivity'}")
+        raise InvalidPoint(f"invalid pairing point: {val.failure}")
     return _pairing_tensor(b)
 
 

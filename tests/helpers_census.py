@@ -98,7 +98,7 @@ def reference_census(q: int, cap: int = 200_000) -> Census:
                 val = validate_bilin(point)
                 if not val.ok:
                     raise ArithmeticError(
-                        f"census point failed validation: {val.failure or 'module/surjectivity'}")
+                        f"census point failed validation: {val.failure}")
                 try:
                     cls = classify_point_222(point)
                     label = cls.label.value

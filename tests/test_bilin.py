@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from quotbilin.bilin import (
     main_component_point,
     tangent_residuals,
     validate_bilin,
+    validate_pairing,
     zero_triple,
 )
 
@@ -53,7 +55,8 @@ from helpers_membership import random_target
 # -- validation ---------------------------------------------------------------------
 
 def test_canonical_main_point_validates():
-    assert validate_bilin(canonical_main()).ok
+    rep = validate_bilin(canonical_main())
+    assert rep.ok and rep.failure is None
 
 
 def test_perturbed_pairing_reports_residual():
@@ -69,6 +72,35 @@ def test_perturbed_pairing_reports_residual():
 
 def test_degenerate_point_validates():
     assert validate_bilin(canonical_degenerate()).ok
+
+
+E12 = Matrix.from_int_rows(QQ, [[0, 1], [0, 0]])
+E21 = Matrix.from_int_rows(QQ, [[0, 0], [1, 0]])
+
+
+# Each change breaks one invariant of the n = 2 totally degenerate point (zero
+# actions, identity framings, Pihat of rank 2); checks run in the order M1,
+# M2, Z commuting, equivariance, surjectivity, and the first failed one is named.
+@pytest.mark.parametrize("change,failure", [
+    (lambda b: replace(b, m1=replace(b.m1, X=(E12, E21))), "M1 commuting at indices 0, 1"),
+    (lambda b: replace(b, m1=replace(b.m1, G=Matrix.zeros(QQ, 2, 2))), "M1 generation"),
+    (lambda b: replace(b, m2=replace(b.m2, X=(E12, E21))), "M2 commuting at indices 0, 1"),
+    (lambda b: replace(b, m2=replace(b.m2, G=Matrix.zeros(QQ, 2, 2))), "M2 generation"),
+    (lambda b: replace(b, Z=(E12, E21)), "Z commuting at indices 0, 1"),
+    (lambda b: replace(b, Z=(b.Z[0], E12)), "X-equivariance at index 1"),
+    (lambda b: replace(b, m2=replace(b.m2, X=(E12, b.m2.X[1]))), "Y-equivariance at index 0"),
+    (lambda b: replace(b, pihat=Matrix.from_int_rows(QQ, [[1, 0, 0, 0], [0, 0, 0, 0]])),
+     "surjectivity: Pihat has rank 1 < d3 = 2"),
+], ids=["m1-commuting", "m1-generation", "m2-commuting", "m2-generation", "z-commuting",
+        "x-equivariance", "y-equivariance", "surjectivity"])
+def test_validation_names_the_failed_invariant(change, failure):
+    b = change(degenerate_point(2, 2, 2, Matrix.identity(QQ, 2), Matrix.identity(QQ, 2),
+                                Matrix.from_int_rows(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]]), n=2))
+    rep = validate_bilin(b)
+    assert not rep.ok and rep.failure == failure
+    if not failure.startswith(("M1", "M2")):
+        pairing = validate_pairing(b)
+        assert not pairing.ok and pairing.failure == failure
 
 
 def test_degenerate_point_rank_checks():

@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, main
+import quotbilin
+from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, build_parser, main
 from quotbilin.exactalg import GF, QQ, Matrix, UniPoly
 from quotbilin.modcore import (
     FramedModule,
@@ -55,6 +61,26 @@ def test_validate_bilin(tmp_path, main_point_file):
 
 def test_validate_missing_file_exit_code():
     assert main(["validate", "--point", "/nonexistent/file.json"]) == EXIT_MALFORMED
+
+
+@pytest.mark.parametrize("content", ["5", "[1, 2]", None], ids=["number", "list", "directory"])
+def test_validate_rejects_a_file_that_is_not_an_object(tmp_path, content):
+    path = tmp_path / "point.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+
+
+def test_validate_names_the_failed_invariant(tmp_path, main_point_file):
+    obj = json.loads(Path(main_point_file).read_text())
+    obj["Pihat"]["entries"] = ["0"] * 8
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, payload, _ = run_json(tmp_path, ["validate", "--point", str(path)])
+    assert code == EXIT_INVALID
+    assert not payload["ok"] and payload["failure"] == "surjectivity: Pihat has rank 0 < d3 = 2"
 
 
 def test_validate_invalid_point_exit_code(tmp_path):
@@ -159,6 +185,7 @@ def test_dims_single_cell_quot(tmp_path):
     code, payload, _ = run_json(tmp_path, ["dims", "--n", "1", "--d", "2", "--r", "4"])
     assert code == EXIT_OK
     assert payload["principal_dim"] == 8 and payload["degenerate_dim"] == 4
+    assert "seed" not in payload
 
 
 def test_reducibility_command(tmp_path):
@@ -166,6 +193,12 @@ def test_reducibility_command(tmp_path):
         tmp_path, ["reducibility", "--n", "1", "--d", "3", "--r1", "3", "--r2", "3"])
     assert code == EXIT_OK
     assert payload["reducible_by_count"] and payload["reducible_by_secant"]
+    code, cell, _ = run_json(
+        tmp_path, ["dims", "--n", "1", "--d", "3", "--r1", "3", "--r2", "3"])
+    assert code == EXIT_OK
+    for report in (payload, cell):
+        del report["command"], report["timestamp"]
+    assert cell.pop("kind") == "bilin" and cell == payload
 
 
 def test_secant_dim_command(tmp_path):
@@ -238,7 +271,7 @@ def test_reports_identical_modulo_timestamp(tmp_path):
     b = json.loads(out2.read_text())
     a.pop("timestamp")
     b.pop("timestamp")
-    assert a == b
+    assert a == b and a["seed"] == 9
 
 
 def test_tangent_at_invalid_point_exits_like_validate(tmp_path):
@@ -263,3 +296,75 @@ def test_classify222_over_a_large_prime_is_fast(tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_OK
     assert payload["pencil_separable"] and not payload["pencil_split"]
+
+
+# The flags beyond --out that each subcommand's handler reads.
+READ_FLAGS = {
+    "validate": set(),
+    "tangent": {"--check"},
+    "member": set(),
+    "dims": set(),
+    "reducibility": set(),
+    "secant-dim": {"--field", "--seed"},
+    "classify222": {"--field", "--cap", "--check"},
+    "limits": {"--field"},
+    "grcount": {"--cap"},
+    "bruteforce-rank": {"--field", "--cap"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(READ_FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert "--out" in flags, name
+        assert flags & {"--field", "--seed", "--cap", "--check"} == READ_FLAGS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["dims", "--n", "x"],
+    ["tangent", "quot"],
+    ["classify222"],
+    ["classify222", "--name", "mu2", "--enumerate"],
+    ["bruteforce-rank", "--q", "2"],
+    ["bruteforce-rank", "--name", "mu2", "--tensor", "t.json", "--q", "2"],
+    ["dims"],
+    ["dims", "--d", "2", "--r", "4"],
+    ["dims", "--n", "1", "--r", "4"],
+    ["dims", "--n", "1", "--d", "2"],
+    ["dims", "--n", "1", "--d", "2", "--r1", "3"],
+], ids=["no-command", "unknown-command", "bad-int", "missing-point", "classify222-no-mode",
+        "classify222-two-modes", "bruteforce-rank-no-tensor", "bruteforce-rank-two-tensors", "dims-nothing",
+        "dims-no-n", "dims-no-d", "dims-no-r", "dims-no-r2"])
+def test_usage_errors_exit_malformed(argv, capsys):
+    assert main(argv) == EXIT_MALFORMED
+    assert "error" in capsys.readouterr().err
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(framed_file):
+    assert main(["tangent", "quot", "--point", framed_file, "--field", "F:5"]) == EXIT_MALFORMED
+    assert main(["dims", "--n", "1", "--d", "2", "--r", "4", "--seed", "3"]) == EXIT_MALFORMED
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["classify222", "--help"]) == EXIT_OK
+    assert "--enumerate" in capsys.readouterr().out
+
+
+def test_process_exit_status():
+    # The console script runs sys.exit(main()); check the status the shell sees.
+    src = str(Path(quotbilin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def status(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from quotbilin.cli import main; sys.exit(main())",
+             *argv], env=env, capture_output=True, timeout=60).returncode
+
+    assert status("dims", "--n", "x") == EXIT_MALFORMED
+    assert status("classify222", "--enumerate", "--q", "3", "--cap", "1") == EXIT_CAP
