@@ -32,6 +32,7 @@ from .exactalg import (
     ParamTensor,
     ShapeError,
     UniPoly,
+    char_poly,
     gaussian_binomial,
 )
 from .modcore import (
@@ -348,6 +349,16 @@ def _action_groups(reps: list[FramedModule]) -> dict:
     return groups
 
 
+def _linked_pairs(groups: dict) -> list[tuple]:
+    """The action pairs (X1, X2) of the grouped classes whose characteristic
+    polynomials have a common factor, in group order; for any other pair
+    M1 (x)_S M2 = 0 (see enumerate_222).  The polynomials are computed once
+    per action."""
+    polys = {X: char_poly(X) for X in groups}
+    return [(X1, X2) for X1 in groups for X2 in groups
+            if polys[X1].gcd(polys[X2]).degree > 0]
+
+
 def enumerate_222(q: int, cap: int = 200_000) -> Census:
     """Exhaustive census of (2,2,2; 2,2) pairing points over F_q.
 
@@ -358,35 +369,63 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     validate; the census asserts no border-rank-3 tensor and every forced
     consequence of the case analysis.
 
-    Any prime q runs.  cap bounds the candidate kernels _invariant_subspaces
-    yields, [dim12 choose 2]_q per action pair: M1 (x)_S M2 has dimension 4
-    for the q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs of a companion
-    with itself or with a scalar at one of its roots, and less otherwise.
-    So q(q^2+1)(q^2+q+1) + 3q^2 (417 at q = 3) is checked before any work;
-    the default cap first refuses q = 13, the command line's q = 19.
+    Any prime q runs.  cap bounds the candidate kernels over all action
+    pairs, [dim12 choose 2]_q per pair: M1 (x)_S M2 has dimension 4 for the
+    q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs of a companion with
+    itself or with a scalar at one of its roots, and less otherwise.  So
+    q(q^2+1)(q^2+q+1) + 3q^2 (417 at q = 3) is checked before any work;
+    the default cap first refuses q = 13, the command line's q = 19.  Of
+    these families only [4 choose 2]_q + 3q^2 (157 at q = 3) are assembled
+    (translation, below).
 
     The work is done in layers.  The class representatives are grouped by
-    action X (q^2 + q actions: 12 for 117 classes at q = 3), and
-    each action's type and support are computed once.  The tensor product
-    and its invariant subspaces depend on the action pair (X1, X2) alone, so
-    each pair gets one tensor product.  Each (X1, X2, kernel) family is then
-    assembled, validated and classified once, with M3's facts looked up by
-    its action Z, and counted len(group1) * len(group2) times, once per
-    class pair sharing it.
+    action X (q^2 + q actions: 12 for 117 classes at q = 3), and each
+    action's type, support and characteristic polynomial are computed once.
+    The tensor product and its invariant subspaces depend on the action pair
+    (X1, X2) alone, so each pair gets at most one tensor product, and a pair
+    whose characteristic polynomials are coprime gets none (_linked_pairs):
+    chi_X1(x) is zero on M1 (Cayley-Hamilton) and invertible on M2 (with
+    a chi_X1 + b chi_X2 = 1, a(X2) inverts chi_X1(X2)), and x acts on
+    M1 (x)_S M2 through either factor, so chi_X1(x) is both zero and
+    invertible there and the product is 0, which has no point (dim12 < 2).
+    That leaves 48 of the 144 action pairs at q = 3, and 46 tensor products,
+    since the q scalar pairs share lambda = 0's (translation, below).  Each
+    (X1, X2, kernel) family is then assembled, validated and classified
+    once, with M3's facts looked up by its action Z, and counted
+    len(group1) * len(group2) times, once per class pair sharing it.
+
+    Translation.  For a scalar pair (lambda*I, lambda*I) the relations
+    X1 (x) 1 - 1 (x) X2 of tensor_over_S are all zero, so the tensor product
+    is k^4, its q and section are those of the quotient by nothing whatever
+    lambda is (q * section = I), and its action is lambda*I.  Every
+    2-dimensional subspace is invariant, so the kernels are the same
+    [4 choose 2]_q subspaces for every lambda, and the point _assemble_point
+    builds on a kernel has the same Pihat (the kernel's quotient map times
+    q) for every lambda, with Z = lambda*I.  validate_pairing of that point is
+    lambda = 0's check plus an identity: Z commutes with itself; the X- and
+    Y-equivariance residuals are Z Pihat - Pihat (X1 (x) 1) = lambda Pihat -
+    lambda Pihat = 0 and likewise for X2; surjectivity is rank Pihat = 2,
+    which does not depend on lambda.  So the lambda = 0 families are
+    assembled and validated once, and every lambda's family on a kernel is
+    classified with that family's tensor classification (it reads Pihat
+    alone) and lambda's own facts: M1, M2 and M3 all have action lambda*I.
+    Labels and forced consequences therefore still read each lambda's
+    actions, and no other family is assembled for a scalar pair.
 
     This still checks every point, each invariant where it is decided.
     validate_bilin(point) is m1-ok and m2-ok and validate_pairing(point):
     Z commuting, X- and Y-equivariance and surjectivity.  The pairing checks
     read only (X1, X2, Z, Pihat), and tensor_over_S and _assemble_point read
     no framing, so they depend on (X1, X2, kernel) alone: validate_pairing
-    runs once per family, and the family's check is every member's check.
-    m1-ok and m2-ok read one class each: enumerate_quot_classes_22 validates
-    every companion class it returns, and here each action's first class
-    (the one every family of that action is assembled from, a scalar
-    class included) is validated once more.  The types, supports, tensor and
-    forced consequences read no framing either.  The tensor classification
-    reads Pihat alone, so it runs once per distinct Pihat (130 of the 417
-    families at q = 3) and is shared by the families that have it.
+    runs once per assembled family, and the family's check is every
+    member's check (and, by translation, every scalar lambda's).  m1-ok and
+    m2-ok read one class each: enumerate_quot_classes_22 validates every
+    companion class it returns, and here each action's first class (the one
+    every family of that action is assembled from, a scalar class included)
+    is validated once more.  The types, supports, tensor and forced
+    consequences read no framing either.  The tensor classification reads
+    Pihat alone, so it runs once per distinct Pihat (130 at q = 3) and is
+    shared by the families that have it.
     """
     field = GF(q)
     work = q * gaussian_binomial(2, 4, q) + 3 * q * q
@@ -398,46 +437,63 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
         if not validate_framed(group[0]).ok:
             raise ArithmeticError(f"census class failed validation at action X = {X!r}")
     facts = {X: _action_facts(X) for X in groups}
+    eye = Matrix.identity(field, 2)
+    scalars = {eye.scale(lam) for lam in range(q)}
+    census = Census(q=q, counts={}, quot_classes=len(reps), total_points=0,
+                    border_rank_3=0, forced_failures=0)
     tensors: dict = {}
-    counts: dict = {}
-    total = 0
-    border3 = 0
-    forced_failures = 0
-    for X1, group1 in groups.items():
-        for X2, group2 in groups.items():
-            prod = tensor_over_S(group1[0], group2[0])
-            if prod.dim12 < 2:
-                continue
-            weight = len(group1) * len(group2)
-            sub_dim = prod.dim12 - 2
-            for basis in _invariant_subspaces(prod.actions, prod.dim12, sub_dim, field):
-                point = _assemble_point(group1[0], group2[0], prod, basis, field)
-                val = validate_pairing(point)
-                if not val.ok:
-                    raise ArithmeticError(
-                        f"census point failed validation: {val.failure}"
-                        f" at actions X1 = {X1!r}, X2 = {X2!r}, kernel basis {basis}")
-                # Z is conjugate to a table action but need not equal one.
-                Z = point.Z[0]
-                facts3 = facts[Z] if Z in facts else _action_facts(Z)
-                key = point.pihat.key()
-                tensor = tensors.get(key)
-                if tensor is None:
-                    tensor = tensors[key] = classify_2x2x2(_pairing_tensor(point))
-                try:
-                    cls = _classify_valid(tensor, facts[X1], facts[X2], facts3)
-                    label = cls.label.value
-                    if not cls.forced_ok:
-                        forced_failures += weight
-                    if tensor.border_rank >= 3:
-                        border3 += weight
-                except NonSplitSupport:
-                    label = CaseLabel.NON_SPLIT.value
-                counts[(label, tensor.label)] = counts.get((label, tensor.label), 0) + weight
-                total += weight
-    return Census(q=q, counts=counts, quot_classes=len(reps),
-                  total_points=total, border_rank_3=border3,
-                  forced_failures=forced_failures)
+    zero = groups[eye.scale(0)][0]
+    scalar_tensors = [tensor for _, tensor in _families(zero, zero, field, tensors)]
+    for X1, X2 in _linked_pairs(groups):
+        weight = len(groups[X1]) * len(groups[X2])
+        if X1 == X2 and X1 in scalars:
+            for tensor in scalar_tensors:
+                _tally(census, tensor, facts[X1], facts[X1], facts[X1], weight)
+            continue
+        for Z, tensor in _families(groups[X1][0], groups[X2][0], field, tensors):
+            # Z is conjugate to a table action but need not equal one.
+            facts3 = facts[Z] if Z in facts else _action_facts(Z)
+            _tally(census, tensor, facts[X1], facts[X2], facts3, weight)
+    return census
+
+
+def _families(m1, m2, field, tensors: dict):
+    """Assemble and validate each (X1, X2, kernel) family of the classes m1
+    and m2, yielding its Z and the classification of its pairing tensor.
+    Classifications are shared through tensors, keyed by Pihat."""
+    prod = tensor_over_S(m1, m2)
+    if prod.dim12 < 2:
+        return
+    for basis in _invariant_subspaces(prod.actions, prod.dim12, prod.dim12 - 2, field):
+        point = _assemble_point(m1, m2, prod, basis, field)
+        val = validate_pairing(point)
+        if not val.ok:
+            raise ArithmeticError(
+                f"census point failed validation: {val.failure}"
+                f" at actions X1 = {m1.X[0]!r}, X2 = {m2.X[0]!r}, kernel basis {basis}")
+        key = point.pihat.key()
+        tensor = tensors.get(key)
+        if tensor is None:
+            tensor = tensors[key] = classify_2x2x2(_pairing_tensor(point))
+        yield point.Z[0], tensor
+
+
+def _tally(census: Census, tensor: Classification222, facts1, facts2, facts3,
+           weight: int) -> None:
+    """Count weight points of one family, given its tensor classification and
+    the _action_facts of M1, M2 and M3."""
+    try:
+        cls = _classify_valid(tensor, facts1, facts2, facts3)
+        label = cls.label.value
+        if not cls.forced_ok:
+            census.forced_failures += weight
+        if tensor.border_rank >= 3:
+            census.border_rank_3 += weight
+    except NonSplitSupport:
+        label = CaseLabel.NON_SPLIT.value
+    key = (label, tensor.label)
+    census.counts[key] = census.counts.get(key, 0) + weight
+    census.total_points += weight
 
 
 def _assemble_point(m1, m2, prod, kernel_basis, field) -> BilinPoint:
@@ -498,16 +554,17 @@ def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
     """The (m1, m2, tensor product) triples census_cross_check checks:
     pair_sample of the class pairs whose tensor product has dimension at
     least 2, evenly spaced in class order.  The products are computed once
-    per action pair."""
+    per action pair, and not at all for a pair with coprime characteristic
+    polynomials, whose product is 0 (_linked_pairs)."""
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
-    prods = {(X1, X2): tensor_over_S(group1[0], group2[0])
-             for X1, group1 in groups.items() for X2, group2 in groups.items()}
+    prods = {(X1, X2): tensor_over_S(groups[X1][0], groups[X2][0])
+             for X1, X2 in _linked_pairs(groups)}
     pairs = []
     for m1 in reps:
         for m2 in reps:
-            prod = prods[m1.X[0], m2.X[0]]
-            if prod.dim12 >= 2:
+            prod = prods.get((m1.X[0], m2.X[0]))
+            if prod is not None and prod.dim12 >= 2:
                 pairs.append((m1, m2, prod))
     step = max(1, len(pairs) // pair_sample)
     return pairs[::step][:pair_sample]

@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from .exactalg import InfeasibleEnumeration, matrix_to_json, parse_field
+from .exactalg import GF, InfeasibleEnumeration, matrix_to_json, parse_field
 from .modcore import InvalidPoint, framed_from_json, validate_framed
 from .quot import degenerate_grassmannian_check, hom_KM_univariate, quot_dims, quot_tangent
 from .bilin import (
@@ -173,6 +173,9 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
+    cell_flags = [f"--{f}" for f in ("n", "d", "r", "r1", "r2") if getattr(args, f) is not None]
+    if args.grid and cell_flags:
+        raise ValueError(f"dims takes --grid or single-cell flags, not both: {' '.join(cell_flags)}")
     if args.grid:
         ranges = _parse_grid(args.grid)
         ns = ranges.get("n", [1])
@@ -195,6 +198,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.n is None or args.d is None:
         raise ValueError("dims needs --grid, or --n and --d")
+    if args.r is not None and (args.r1 is not None or args.r2 is not None):
+        raise ValueError("dims takes --r, or --r1 and --r2, not both")
     if args.r is not None:
         rep = quot_dims(args.n, args.d, args.r)
         payload = {"kind": "quot", "principal_dim": rep.principal_dim,
@@ -223,15 +228,26 @@ def _cmd_secant_dim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _named_or_file_tensor(args: argparse.Namespace, field):
+def _check_field_flag(args: argparse.Namespace, field, source: str) -> None:
+    """--field is optional where the input fixes the field; given, it must
+    name that field."""
+    if args.field is not None and parse_field(args.field) != field:
+        raise ValueError(f"--field {args.field} differs from {source}'s field {field.name}")
+
+
+def _named_or_file_tensor(args: argparse.Namespace):
+    """The --name tensor over --field (default Q), or the --tensor file's
+    tensor over the file's field."""
     if args.tensor is None:
-        return named_tensor(args.name, field)
-    return tensor_from_json(_load_json(args.tensor))
+        return named_tensor(args.name, parse_field(args.field or "Q"))
+    tensor = tensor_from_json(_load_json(args.tensor))
+    _check_field_flag(args, tensor.field, "the tensor file")
+    return tensor
 
 
 def _cmd_classify222(args: argparse.Namespace) -> int:
-    field = parse_field(args.field)
     if args.enumerate:
+        _check_field_flag(args, GF(args.q), "the census")
         census = enumerate_222(args.q, cap=args.cap)
         rows = census.rows()
         payload = {
@@ -245,7 +261,7 @@ def _cmd_classify222(args: argparse.Namespace) -> int:
         _emit(args, payload, csv_rows=rows,
               csv_header=("label", "tensor_class", "count"))
         return EXIT_OK
-    tensor = _named_or_file_tensor(args, field)
+    tensor = _named_or_file_tensor(args)
     cls = classify_2x2x2(tensor, check=args.check)
     payload = {
         "rank": cls.rank,
@@ -289,7 +305,7 @@ def _cmd_grcount(args: argparse.Namespace) -> int:
 
 
 def _cmd_bruteforce_rank(args: argparse.Namespace) -> int:
-    tensor = _named_or_file_tensor(args, parse_field(args.field))
+    tensor = _named_or_file_tensor(args)
     rank = brute_force_rank_fq(tensor, args.q, args.rmax, cap=args.cap)
     payload = {"q": args.q, "rank": rank,
                "exceeds_rmax": rank is None,
@@ -382,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--name", help="named tensor (mu1..mu4, pi5_sample)")
     mode.add_argument("--enumerate", action="store_true")
     p.add_argument("--q", type=int, default=2)
+    p.set_defaults(field=None)  # Q for --name; --tensor and --enumerate fix their own
 
     p = _subcommand(sub, "limits", _cmd_limits, "verify a named degeneration family", "field")
     p.add_argument("--name", required=True, help="mu2_t, mu3_t or mu4_t")
@@ -400,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--name")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rmax", type=int, default=4)
+    p.set_defaults(field=None)  # Q for --name; --tensor fixes its own
 
     return parser
 

@@ -1,19 +1,24 @@
 """Reference census for differential tests: the per-class-pair loop, which
 builds a tensor product and validates and classifies every point for each of
-the quot-class pairs, the class enumerator that marks whole GL_2 orbits over
+the quot-class pairs, the per-action-pair loop, which assembles and validates
+every (X1, X2, kernel) family of every action pair, scalar pairs included,
+the class enumerator that marks whole GL_2 orbits over
 all q^8 pairs (X, G), the invariant-subspace enumerator that tests every
 candidate, the cross-check loop over all q^8 target framings, and the
 module-type rule on a framed module."""
 
 import itertools
 
-from quotbilin.bilin import MembershipSystem, validate_bilin
+from quotbilin.bilin import MembershipSystem, validate_bilin, validate_pairing
 from quotbilin.cases222 import (
     CaseLabel,
     Census,
     ModuleType,
+    _action_facts,
+    _action_groups,
     _all_matrices,
     _assemble_point,
+    _classify_valid,
     _invariant_subspaces,
     _is_invariant,
     _pairing_kernel_key,
@@ -29,7 +34,7 @@ from quotbilin.modcore import (
     validate_framed,
 )
 from quotbilin.quot import NonSplitSupport
-from quotbilin.tensorlab import classify_2x2x2, tensor_from_bilin
+from quotbilin.tensorlab import _pairing_tensor, classify_2x2x2, tensor_from_bilin
 
 
 def reference_module_type(m):
@@ -113,6 +118,48 @@ def reference_census(q: int, cap: int = 200_000) -> Census:
                 counts[(label, tlabel)] = counts.get((label, tlabel), 0) + 1
                 total += 1
     return Census(q=q, counts=counts, quot_classes=len(reps),
+                  total_points=total, border_rank_3=border3,
+                  forced_failures=forced_failures)
+
+
+def reference_action_census(q: int) -> Census:
+    """The census with one tensor product per action pair and every
+    (X1, X2, kernel) family assembled, validated and classified, each scalar
+    pair (lambda*I, lambda*I) included, counted once per class pair sharing
+    it."""
+    field = GF(q)
+    groups = _action_groups(enumerate_quot_classes_22(q))
+    facts = {X: _action_facts(X) for X in groups}
+    counts: dict = {}
+    total = 0
+    border3 = 0
+    forced_failures = 0
+    for X1, group1 in groups.items():
+        for X2, group2 in groups.items():
+            prod = tensor_over_S(group1[0], group2[0])
+            if prod.dim12 < 2:
+                continue
+            weight = len(group1) * len(group2)
+            for basis in _invariant_subspaces(prod.actions, prod.dim12, prod.dim12 - 2, field):
+                point = _assemble_point(group1[0], group2[0], prod, basis, field)
+                val = validate_pairing(point)
+                if not val.ok:
+                    raise ArithmeticError(f"census point failed validation: {val.failure}")
+                Z = point.Z[0]
+                facts3 = facts[Z] if Z in facts else _action_facts(Z)
+                tensor = classify_2x2x2(_pairing_tensor(point))
+                try:
+                    cls = _classify_valid(tensor, facts[X1], facts[X2], facts3)
+                    label = cls.label.value
+                    if not cls.forced_ok:
+                        forced_failures += weight
+                    if tensor.border_rank >= 3:
+                        border3 += weight
+                except NonSplitSupport:
+                    label = CaseLabel.NON_SPLIT.value
+                counts[(label, tensor.label)] = counts.get((label, tensor.label), 0) + weight
+                total += weight
+    return Census(q=q, counts=counts, quot_classes=sum(map(len, groups.values())),
                   total_points=total, border_rank_3=border3,
                   forced_failures=forced_failures)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers_census import (
+    reference_action_census,
     reference_census,
     reference_cross_check_kernels,
     reference_cross_check_pairs,
@@ -43,6 +44,7 @@ from quotbilin.bilin import (
     gauge_transform_bilin,
     main_component_point,
     validate_bilin,
+    validate_pairing,
 )
 from quotbilin.quot import NonSplitSupport
 from quotbilin.tensorlab import (
@@ -377,7 +379,7 @@ def load_census_script():
     return module
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_census_matches_closed_forms(q):
     # the closed forms come from the census script, whose table this checks too
     census = enumerate_222(q)
@@ -529,8 +531,13 @@ def test_census_failure_names_actions_and_kernel(monkeypatch):
 
 
 def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch):
-    # 417 families at q = 3 (the cap test's count), 130 distinct pairings
-    calls = {"validate_pairing": 0, "classify_2x2x2": 0}
+    # Of the 417 families at q = 3 (the cap test's count), the 130 of lambda
+    # = 0's scalar pair and the 3q^2 = 27 of the other pairs are assembled
+    # and validated; the scalar pairs of lambda = 1, 2 are translated.  130
+    # distinct pairings.  46 tensor products: 48 action pairs have
+    # characteristic polynomials with a common factor, and the three scalar
+    # pairs among them share lambda = 0's.
+    calls = {"validate_pairing": 0, "classify_2x2x2": 0, "tensor_over_S": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -542,7 +549,61 @@ def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch)
         monkeypatch.setattr(cases222, name, counted(name, getattr(cases222, name)))
     census = enumerate_222(3)
     assert census.counts == CENSUS_Q3_COUNTS
-    assert calls == {"validate_pairing": 417, "classify_2x2x2": 130}
+    assert calls == {"validate_pairing": 157, "classify_2x2x2": 130, "tensor_over_S": 46}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_census_matches_per_action_pair_reference(q):
+    # The reference assembles and validates every scalar pair's families
+    # instead of translating lambda = 0's, and builds every tensor product.
+    assert enumerate_222(q) == reference_action_census(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_scalar_pair_families_are_translated_zero_families(q):
+    # Every (lambda*I, lambda*I) family, assembled directly, validates and has
+    # the Pihat and classification of lambda = 0's family on its kernel,
+    # classified with lambda's facts.
+    field = GF(q)
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    eye = Matrix.identity(field, 2)
+    zero = groups[eye.scale(0)][0]
+    zero_prod = tensor_over_S(zero, zero)
+    kernels = cases222._invariant_subspaces(zero_prod.actions, 4, 2, field)
+    assert len(kernels) == gaussian_binomial(2, 4, q)
+    transported = []
+    for basis in kernels:
+        point = cases222._assemble_point(zero, zero, zero_prod, basis, field)
+        transported.append((point.pihat.key(), classify_2x2x2(cases222._pairing_tensor(point))))
+    for lam in range(q):
+        X = eye.scale(lam)
+        m = groups[X][0]
+        facts = cases222._action_facts(X)
+        prod = tensor_over_S(m, m)
+        assert cases222._invariant_subspaces(prod.actions, prod.dim12, 2, field) == kernels
+        for basis, (key, tensor) in zip(kernels, transported):
+            point = cases222._assemble_point(m, m, prod, basis, field)
+            assert validate_pairing(point).ok
+            assert point.Z[0] == X
+            assert point.pihat.key() == key
+            direct = cases222._classify_valid(
+                classify_2x2x2(cases222._pairing_tensor(point)),
+                facts, facts, cases222._action_facts(point.Z[0]))
+            assert direct == cases222._classify_valid(tensor, facts, facts, facts)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_coprime_action_pairs_have_zero_tensor_product(q):
+    # _linked_pairs drops exactly the action pairs whose product is 0.
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    linked = set(cases222._linked_pairs(groups))
+    skipped = 0
+    for X1, group1 in groups.items():
+        for X2, group2 in groups.items():
+            dim12 = tensor_over_S(group1[0], group2[0]).dim12
+            assert (dim12 > 0) == ((X1, X2) in linked)
+            skipped += (X1, X2) not in linked
+    assert skipped > 0
 
 
 def test_census_validates_the_first_class_of_each_action(monkeypatch):

@@ -349,6 +349,46 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(framed_file):
     assert main(["dims", "--n", "1", "--d", "2", "--r", "4", "--seed", "3"]) == EXIT_MALFORMED
 
 
+@pytest.fixture()
+def f3_tensor_file(tmp_path):
+    tensor = {"field": "F:3", "dims": [2, 2, 2],
+              "coeffs": ["1", "0", "0", "0", "0", "0", "0", "1"]}
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(tensor))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify222", "--enumerate", "--q", "2", "--field", "F:5"],
+    ["classify222", "--tensor", "TENSOR", "--field", "F:5"],
+    ["classify222", "--tensor", "TENSOR", "--field", "Q"],
+    ["bruteforce-rank", "--tensor", "TENSOR", "--field", "F:5", "--q", "3"],
+    ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3", "--r2", "3"],
+    ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3"],
+    ["dims", "--grid", "n=1 d=2 r=2", "--n", "1"],
+], ids=["census-other-field", "tensor-other-prime", "tensor-over-q", "bruteforce-other-field",
+        "dims-quot-and-bilin", "dims-r-and-r1", "dims-grid-and-cell"])
+def test_flags_the_input_contradicts_are_usage_errors(argv, f3_tensor_file, capsys):
+    argv = [f3_tensor_file if a == "TENSOR" else a for a in argv]
+    assert main(argv) == EXIT_MALFORMED
+    assert "error" in capsys.readouterr().err
+
+
+def test_field_flag_may_repeat_the_field_the_input_fixes(tmp_path, f3_tensor_file):
+    code, payload, _ = run_json(tmp_path, ["classify222", "--tensor", f3_tensor_file,
+                                           "--field", "F:3"])
+    assert code == EXIT_OK and payload["tensor"]["field"] == "F:3"
+    code, payload, _ = run_json(tmp_path, ["classify222", "--enumerate", "--q", "2",
+                                           "--field", "F:2"])
+    assert code == EXIT_OK and payload["total_points"] == 308
+    code, payload, _ = run_json(tmp_path, ["bruteforce-rank", "--tensor", f3_tensor_file,
+                                           "--q", "3"])
+    assert code == EXIT_OK and payload["rank"] == 2
+    # --name still computes over Q unless --field says otherwise
+    code, payload, _ = run_json(tmp_path, ["classify222", "--name", "mu2"])
+    assert code == EXIT_OK and payload["tensor"]["field"] == "Q"
+
+
 def test_help_exits_ok(capsys):
     assert main(["--help"]) == EXIT_OK
     assert main(["classify222", "--help"]) == EXIT_OK
