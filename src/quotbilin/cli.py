@@ -134,15 +134,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
+    oracle_scope = "--oracle runs for tangent quot at n = 1 only"
+    if args.oracle and args.which == "bilin":
+        raise ValueError(oracle_scope)
     obj = _load_json(args.point)
     if args.which == "quot":
         mod = framed_from_json(obj)
+        if args.oracle and mod.n != 1:
+            raise ValueError(oracle_scope)
         rep = quot_tangent(mod, check=args.check)
         basis = [{"Xdot": [matrix_to_json(m) for m in tv.xdot],
                   "Gdot": matrix_to_json(tv.gdot)} for tv in rep.basis]
         payload = {"dim": rep.dim, "nullity": rep.nullity, "gauge": rep.gauge_dim,
                    "basis": basis}
-        if args.oracle and mod.n == 1:
+        if args.oracle:
             payload["hom_oracle_dim"] = hom_KM_univariate(mod).dim
     else:
         point = bilin_from_json(obj)
@@ -235,11 +240,15 @@ def _check_field_flag(args: argparse.Namespace, field, source: str) -> None:
         raise ValueError(f"--field {args.field} differs from {source}'s field {field.name}")
 
 
-def _named_or_file_tensor(args: argparse.Namespace):
-    """The --name tensor over --field (default Q), or the --tensor file's
-    tensor over the file's field."""
+def _named_or_file_tensor(args: argparse.Namespace, field=None):
+    """The --name tensor over ``field``, which --field may only repeat (no
+    ``field``: over --field, default Q), or the --tensor file's tensor over
+    the file's field."""
     if args.tensor is None:
-        return named_tensor(args.name, parse_field(args.field or "Q"))
+        if field is None:
+            return named_tensor(args.name, parse_field(args.field or "Q"))
+        _check_field_flag(args, field, "--q")
+        return named_tensor(args.name, field)
     tensor = tensor_from_json(_load_json(args.tensor))
     _check_field_flag(args, tensor.field, "the tensor file")
     return tensor
@@ -247,8 +256,9 @@ def _named_or_file_tensor(args: argparse.Namespace):
 
 def _cmd_classify222(args: argparse.Namespace) -> int:
     if args.enumerate:
-        _check_field_flag(args, GF(args.q), "the census")
-        census = enumerate_222(args.q, cap=args.cap)
+        q = 2 if args.q is None else args.q
+        _check_field_flag(args, GF(q), "the census")
+        census = enumerate_222(q, cap=_FLAGS["cap"]["default"] if args.cap is None else args.cap)
         rows = census.rows()
         payload = {
             "q": census.q,
@@ -261,6 +271,9 @@ def _cmd_classify222(args: argparse.Namespace) -> int:
         _emit(args, payload, csv_rows=rows,
               csv_header=("label", "tensor_class", "count"))
         return EXIT_OK
+    census_flags = [f"--{f}" for f in ("q", "cap") if getattr(args, f) is not None]
+    if census_flags:
+        raise ValueError(f"{' '.join(census_flags)} apply to classify222 --enumerate only")
     tensor = _named_or_file_tensor(args)
     cls = classify_2x2x2(tensor, check=args.check)
     payload = {
@@ -305,7 +318,7 @@ def _cmd_grcount(args: argparse.Namespace) -> int:
 
 
 def _cmd_bruteforce_rank(args: argparse.Namespace) -> int:
-    tensor = _named_or_file_tensor(args)
+    tensor = _named_or_file_tensor(args, GF(args.q))
     rank = brute_force_rank_fq(tensor, args.q, args.rmax, cap=args.cap)
     payload = {"q": args.q, "rank": rank,
                "exceeds_rmax": rank is None,
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["quot", "bilin"])
     p.add_argument("--point", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the univariate Hom oracle (quot, n = 1)")
+                   help="also run the univariate Hom oracle (quot at n = 1 only)")
 
     p = _subcommand(sub, "member", _cmd_member, "solve the pairing factorization problem")
     p.add_argument("--m1", required=True)
@@ -397,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--tensor", help="tensor JSON file")
     mode.add_argument("--name", help="named tensor (mu1..mu4, pi5_sample)")
     mode.add_argument("--enumerate", action="store_true")
-    p.add_argument("--q", type=int, default=2)
-    p.set_defaults(field=None)  # Q for --name; --tensor and --enumerate fix their own
+    p.add_argument("--q", type=int, help="census field F_q (default 2)")
+    # --field: Q for --name; --tensor and --enumerate fix their own.  --q and
+    # --cap apply to --enumerate only, so their defaults are set there.
+    p.set_defaults(field=None, cap=None)
 
     p = _subcommand(sub, "limits", _cmd_limits, "verify a named degeneration family", "field")
     p.add_argument("--name", required=True, help="mu2_t, mu3_t or mu4_t")
@@ -417,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--name")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rmax", type=int, default=4)
-    p.set_defaults(field=None)  # Q for --name; --tensor fixes its own
+    p.set_defaults(field=None)  # F_q for --name; --tensor fixes its own
 
     return parser
 

@@ -19,9 +19,10 @@ are not touched, and keeping every row primitive keeps the integers near the
 size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
 rescales every row at every step instead, which is slower on the sparse
 tangent systems.  :class:`EchelonBasis` stores its rows the same way and
-reduces a vector by the same row operations.  Only ``rref`` and
-``EchelonBasis.reduce`` build ``Fraction`` values, once per entry of their
-result.
+reduces a vector by the same row operations.  Only ``rref``,
+``EchelonBasis.reduce`` and the kernel-vector builder of
+:func:`kernel_mod_span` (which :func:`rank_and_kernel` also reads its basis
+through) build ``Fraction`` values, once per nonzero entry of their result.
 """
 
 from __future__ import annotations
@@ -340,22 +341,57 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:
 
     Returns ``(rank, basis)`` where basis vectors are tuples of field values
     spanning ``{v : m v = 0}``; ``rank + len(basis) == m.cols`` always.
-    Basis vector a is read off rref(m): it is 1 at the a-th non-pivot column,
-    zero at the other non-pivot columns and zero past its own.
+    Basis vector a is read off the reduced rows of one elimination of m
+    (rref(m) up to row scale), by :func:`kernel_mod_span` with nothing to
+    extend: it is 1 at the a-th non-pivot column, zero at the other
+    non-pivot columns and zero past its own.  So the coordinates of a kernel
+    element in this basis are its entries at the non-pivot columns.
     """
-    f = m.field
-    r, pivots = m.rref()
-    rank = len(pivots)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    nullity, basis = kernel_mod_span(m, ())
+    return m.cols - nullity, basis
+
+
+def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[tuple]]:
+    """Nullity of ``m`` and the :func:`rank_and_kernel` basis vectors that
+    extend ``vectors``, which must be independent vectors of the kernel, to
+    a basis of it.
+
+    The choice is the greedy one in basis order: basis vector a is kept
+    exactly when it is independent of ``vectors`` and of the vectors kept
+    before it.  In kernel coordinates (the entries at the k non-pivot
+    columns) e_a is kept exactly when it is not in W + span(e_0, ...,
+    e_(a-1)), W the span of the restricted ``vectors``; that is, when W
+    projected onto coordinates a, ..., k-1 has no larger dimension than
+    projected onto a+1, ..., k-1.  The a where the dimension grows, the
+    "right pivots", are the pivot columns of W's echelon form with its
+    columns reversed: one elimination of a len(vectors) x k matrix of the
+    vectors' own entries.  Certificate: that elimination has rank
+    len(vectors), else ``ArithmeticError``; for vectors in the kernel this
+    proves them independent, so the nullity - len(vectors) kept vectors
+    complete them to a basis.
+
+    Only the kept vectors are built.  The vector of non-pivot column fc is 1
+    at fc, zero at the other non-pivot columns, and -row[fc]/row[pc] at the
+    pivot column pc of each reduced row: a ``Fraction`` over Q, ``(-row[fc])
+    mod p`` over F_p, where row[pc] = 1.
+    """
+    p = m.field.characteristic
+    rows, pivots = _eliminate(m.field, m.row_lists(), m.cols, reduced=True)
+    free = sorted(set(range(m.cols)).difference(pivots))
+    restricted = [[v[fc] for fc in reversed(free)] for v in vectors]
+    right = _eliminate(m.field, restricted, len(free), reduced=False)[1] if vectors else []
+    if len(right) != len(vectors):
+        raise ArithmeticError(f"{len(vectors)} vectors have rank {len(right)} in kernel coordinates")
     basis = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(r[i, fc])
+    for fc in sorted(set(free).difference(free[-1 - c] for c in right)):
+        v = [m.field.zero()] * m.cols
+        v[fc] = m.field.one()
+        for row, pc in zip(rows, pivots):
+            x = row[fc]
+            if x:
+                v[pc] = (-x) % p if p else Fraction(-x, row[pc])
         basis.append(tuple(v))
-    return rank, basis
+    return len(free), basis
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

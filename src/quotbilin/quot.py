@@ -21,7 +21,7 @@ from .exactalg import (
     ShapeError,
     UniPoly,
     gaussian_binomial,
-    rank_and_kernel,
+    kernel_mod_span,
     roots_with_multiplicity,
     char_poly,
 )
@@ -122,33 +122,26 @@ def _gauge_vectors_quot(P: FramedModule) -> list[tuple]:
     return [tuple(_module_gauge(P, a, b)) for a in range(P.d) for b in range(P.d)]
 
 
-def _basis_mod_subspace(kernel: list[tuple], subspace: list[tuple], field,
-                        dim: int) -> list[tuple]:
-    """Representatives extending the subspace to the full kernel span.
-
-    Greedy in kernel order: a kernel vector is kept exactly when it is
-    independent of the subspace and of the vectors kept before it.
-    """
-    span = EchelonBasis(field, dim, subspace)
-    return [v for v in kernel if span.insert(v)]
-
-
-def _kernel_of_rows(f, rows: list[list], nvars: int) -> tuple[Matrix, list[tuple]]:
-    """The matrix of the equations ``rows`` in nvars unknowns and its kernel
-    basis; no rows means the whole space."""
-    m = Matrix(f, len(rows), nvars, [x for row in rows for x in row])
-    return m, rank_and_kernel(m)[1]
-
-
 def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
                   check: bool) -> tuple[int, list[tuple]]:
     """Nullity of a first-order system and representatives of its kernel
     modulo the gauge directions.
 
-    With ``check`` the gauge vectors are verified to be independent and to
-    solve the system, which makes dim = nullity - len(gauge) exact.
+    Each gauge vector is the derivative of the basis-change orbit through
+    the point: the point moved by 1 + t E_ab over k[t]/(t^2) is the point
+    plus t times the vector.  The equations are invariant under a change of
+    basis, so that moved point solves them to first order and the vector
+    solves the first-order system: the gauge lies in the kernel.
+    :func:`kernel_mod_span` keeps the kernel basis vectors that are not
+    right pivots of the gauge in kernel coordinates (its entries at the
+    non-pivot columns), from one elimination of the system and one of that
+    restriction.  It raises ``ArithmeticError`` unless the restriction has
+    rank len(gauge), which proves the gauge independent on every call, so
+    dim = nullity - len(gauge) is certified with or without ``check``.
+    ``check`` also verifies directly that the gauge has full rank and
+    solves the system.
     """
-    m, kernel = _kernel_of_rows(f, rows, nvars)
+    m = Matrix(f, len(rows), nvars, [x for row in rows for x in row])
     if check:
         actual = Matrix.from_rows(f, [list(v) for v in gauge]).rank()
         if actual != len(gauge):
@@ -156,7 +149,7 @@ def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
         for v in gauge:
             if not all(f.is_zero(c) for c in m.matvec(list(v))):
                 raise ArithmeticError("gauge vector violates the deformation system")
-    return len(kernel), _basis_mod_subspace(kernel, gauge, f, nvars)
+    return kernel_mod_span(m, gauge)
 
 
 def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:

@@ -1,10 +1,48 @@
-"""The incremental echelon basis as the library built it before its rows
-became plain ``int`` rows: one ``Field`` call per entry, pivot-1 rows of field
-values over Q and F_p alike.  Kept as the reference the new engine must match."""
+"""Reference implementations the elimination engines must match.
+
+``ReferenceEchelonBasis`` is the incremental echelon basis as the library
+built it before its rows became plain ``int`` rows: one ``Field`` call per
+entry, pivot-1 rows of field values over Q and F_p alike.
+``reference_kernel`` is the kernel basis read off ``Matrix.rref``, and
+``full_rref_greedy`` the tangent representative choice by re-eliminating the
+growing matrix, as the library computed both before the kernel vectors were
+read off the elimination rows in free coordinates."""
 
 from typing import Sequence
 
-from quotbilin.exactalg import Field, ShapeError
+from quotbilin.exactalg import Field, Matrix, ShapeError
+
+
+def reference_kernel(m: Matrix) -> list[tuple]:
+    """Right kernel basis of ``m`` read off rref(m): vector a is 1 at the
+    a-th non-pivot column, zero at the other non-pivot columns, and minus
+    the rref entry of that column at each pivot column."""
+    f = m.field
+    r, pivots = m.rref()
+    pivset = set(pivots)
+    basis = []
+    for fc in (j for j in range(m.cols) if j not in pivset):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(r[i, fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def full_rref_greedy(kernel, subspace, field):
+    """The original representative choice: keep a kernel vector when the full
+    rref of the stacked rows gains rank."""
+    rows = [list(v) for v in subspace]
+    rank = Matrix.from_rows(field, rows).rank() if rows else 0
+    reps = []
+    for v in kernel:
+        trial = rows + [list(v)]
+        new_rank = Matrix.from_rows(field, trial).rank()
+        if new_rank > rank:
+            rows, rank = trial, new_rank
+            reps.append(v)
+    return reps
 
 
 class ReferenceEchelonBasis:

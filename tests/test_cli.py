@@ -101,6 +101,16 @@ def test_tangent_quot_with_oracle(tmp_path, framed_file):
     assert len(payload["basis"]) == 4
 
 
+def test_tangent_oracle_outside_quot_at_n1_is_a_usage_error(tmp_path, main_point_file, capsys):
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps(framed_to_json(make_degenerate(2, 2, Matrix.identity(QQ, 2), n=2))))
+    assert main(["tangent", "quot", "--point", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_OK
+    for argv in (["tangent", "quot", "--point", str(path), "--oracle"],
+                 ["tangent", "bilin", "--point", main_point_file, "--oracle"]):
+        assert main(argv) == EXIT_MALFORMED
+        assert "--oracle runs for tangent quot at n = 1 only" in capsys.readouterr().err
+
+
 def test_tangent_bilin_dim_six(tmp_path, main_point_file):
     code, payload, _ = run_json(
         tmp_path, ["tangent", "bilin", "--point", main_point_file, "--check"])
@@ -363,10 +373,17 @@ def f3_tensor_file(tmp_path):
     ["classify222", "--tensor", "TENSOR", "--field", "F:5"],
     ["classify222", "--tensor", "TENSOR", "--field", "Q"],
     ["bruteforce-rank", "--tensor", "TENSOR", "--field", "F:5", "--q", "3"],
+    ["bruteforce-rank", "--name", "mu2", "--field", "F:5", "--q", "2"],
+    ["bruteforce-rank", "--name", "mu2", "--field", "Q", "--q", "2"],
+    ["classify222", "--name", "mu1", "--q", "5", "--cap", "1"],
+    ["classify222", "--name", "mu1", "--q", "2"],
+    ["classify222", "--tensor", "TENSOR", "--cap", "10"],
     ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3", "--r2", "3"],
     ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3"],
     ["dims", "--grid", "n=1 d=2 r=2", "--n", "1"],
 ], ids=["census-other-field", "tensor-other-prime", "tensor-over-q", "bruteforce-other-field",
+        "bruteforce-name-other-prime", "bruteforce-name-over-q", "classify222-name-q-and-cap",
+        "classify222-name-q", "classify222-tensor-cap",
         "dims-quot-and-bilin", "dims-r-and-r1", "dims-grid-and-cell"])
 def test_flags_the_input_contradicts_are_usage_errors(argv, f3_tensor_file, capsys):
     argv = [f3_tensor_file if a == "TENSOR" else a for a in argv]
@@ -384,7 +401,11 @@ def test_field_flag_may_repeat_the_field_the_input_fixes(tmp_path, f3_tensor_fil
     code, payload, _ = run_json(tmp_path, ["bruteforce-rank", "--tensor", f3_tensor_file,
                                            "--q", "3"])
     assert code == EXIT_OK and payload["rank"] == 2
-    # --name still computes over Q unless --field says otherwise
+    code, payload, _ = run_json(tmp_path, ["bruteforce-rank", "--name", "mu2", "--q", "2"])
+    assert code == EXIT_OK and payload["rank"] == 3 and payload["tensor"]["field"] == "F:2"
+    code, payload, _ = run_json(tmp_path, ["classify222", "--enumerate"])
+    assert code == EXIT_OK and payload["q"] == 2 and payload["total_points"] == 308
+    # classify222 --name still computes over Q unless --field says otherwise
     code, payload, _ = run_json(tmp_path, ["classify222", "--name", "mu2"])
     assert code == EXIT_OK and payload["tensor"]["field"] == "Q"
 

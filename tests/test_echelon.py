@@ -1,8 +1,10 @@
 """The incremental echelon engine against full re-elimination.
 
 ``EchelonBasis`` replaces loops that re-ran a full rref of a growing matrix
-for every candidate vector; these tests pin its answers to that old
-behaviour: ranks, membership, and the greedy tangent representatives.
+for every candidate vector, and ``kernel_mod_span`` the greedy choice of
+tangent representatives by such a loop; these tests pin their answers to
+that old behaviour: ranks, membership, kernel bases and the greedy tangent
+representatives.
 """
 
 import random
@@ -21,6 +23,7 @@ from quotbilin.exactalg import (
     Matrix,
     ShapeError,
     in_span,
+    kernel_mod_span,
     rand_invertible,
     rank_and_kernel,
     solve,
@@ -29,7 +32,7 @@ from quotbilin.exactalg import (
 from quotbilin.modcore import rand_framed_module
 from quotbilin.quot import quot_tangent
 
-from helpers_echelon import ReferenceEchelonBasis
+from helpers_echelon import ReferenceEchelonBasis, full_rref_greedy, reference_kernel
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
 
@@ -115,21 +118,6 @@ def test_solve_with_rank_is_solve_plus_rank(seed, field, rows, cols, rank_cap):
 
 # -- greedy tangent representatives ------------------------------------------------
 
-def full_rref_greedy(kernel, subspace, field):
-    """The original representative choice: keep a kernel vector when the full
-    rref of the stacked rows gains rank."""
-    rows = [list(v) for v in subspace]
-    rank = Matrix.from_rows(field, rows).rank() if rows else 0
-    reps = []
-    for v in kernel:
-        trial = rows + [list(v)]
-        new_rank = Matrix.from_rows(field, trial).rank()
-        if new_rank > rank:
-            rows, rank = trial, new_rank
-            reps.append(v)
-    return reps
-
-
 def _main_point(field, d, seed):
     rng = random.Random(seed)
     points = [field.from_int(v) for v in rng.sample(range(-9, 10), d)]
@@ -155,18 +143,68 @@ TANGENT_CASES = {
 @pytest.mark.parametrize("case", sorted(TANGENT_CASES))
 def test_tangent_representatives_equal_full_rref_greedy(monkeypatch, case):
     calls = []
-    engine = quot._basis_mod_subspace
+    engine = quot.kernel_mod_span
 
-    def spy(kernel, subspace, field, dim):
-        reps = engine(kernel, subspace, field, dim)
-        calls.append((kernel, subspace, field, reps))
-        return reps
+    def spy(m, vectors):
+        nullity, reps = engine(m, vectors)
+        calls.append((m, vectors, nullity, reps))
+        return nullity, reps
 
-    monkeypatch.setattr(quot, "_basis_mod_subspace", spy)
+    monkeypatch.setattr(quot, "kernel_mod_span", spy)
     report = TANGENT_CASES[case]()
-    (kernel, gauge, field, reps), = calls
-    assert reps == full_rref_greedy(kernel, gauge, field)
+    (m, gauge, nullity, reps), = calls
+    kernel = reference_kernel(m)
+    assert nullity == report.nullity == len(kernel)
+    assert reps == full_rref_greedy(kernel, gauge, m.field)
     assert len(reps) == report.dim == len(report.basis)
+
+
+@st.composite
+def kernel_and_gauge(draw):
+    """A random matrix over Q, F_3 or F_101, often rank-deficient, and a
+    "gauge" of random combinations of its reference kernel basis; the
+    combinations are dependent when there are more of them than the
+    nullity, and sometimes otherwise."""
+    field = draw(st.sampled_from([QQ, GF(3), GF(101)]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    vectors = random_vectors(rng, field, rows, cols, draw(st.integers(0, 5)))
+    m = Matrix(field, rows, cols, [x for v in vectors for x in v])
+    kernel = reference_kernel(m)
+    gauge = []
+    for _ in range(draw(st.integers(0, len(kernel) + 1))):
+        v = [field.zero()] * cols
+        for w in kernel:
+            if rng.random() < 0.6:
+                c = field.sample(rng)
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, w)]
+        gauge.append(tuple(v))
+    return m, gauge
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_and_gauge())
+def test_kernel_mod_span_equals_the_reference_greedy(inputs):
+    m, gauge = inputs
+    field = m.field
+    kernel = reference_kernel(m)
+    assert rank_and_kernel(m) == (m.cols - len(kernel), kernel)
+    if rank_of(gauge, field) < len(gauge):
+        with pytest.raises(ArithmeticError):
+            kernel_mod_span(m, gauge)
+    else:
+        assert kernel_mod_span(m, gauge) == (len(kernel), full_rref_greedy(kernel, gauge, field))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=lambda f: f.name)
+def test_kernel_mod_span_rejects_a_dependent_gauge(field):
+    m = Matrix.from_int_rows(field, [[1, 1, 0, 0]])
+    kernel = rank_and_kernel(m)[1]
+    twice = tuple(field.add(x, x) for x in kernel[0])
+    assert kernel_mod_span(m, [kernel[0], kernel[1]])[0] == 3
+    for gauge in ([kernel[0], twice], [kernel[1], kernel[1]], [tuple([field.zero()] * 4)]):
+        with pytest.raises(ArithmeticError):
+            kernel_mod_span(m, gauge)
 
 
 # -- against the engine with one Field call per entry -------------------------------
