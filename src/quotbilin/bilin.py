@@ -58,6 +58,10 @@ class BilinPoint:
     d3: int
     Z: tuple[Matrix, ...]
     pihat: Matrix
+    # One slot for :func:`hom_triple_check`: the presentations of the last
+    # triple checked and the K3 coefficients of its members.  Not a field of
+    # the point: it takes no part in ==, hash, repr or the JSON form.
+    _k3_memo: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m1.n != self.m2.n:
@@ -541,6 +545,68 @@ def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
                      pres1=pres1, pres2=pres2, pres3=pres3)
 
 
+def _k3_coefficients(b: BilinPoint, triple: HomTriple) -> Optional[list[list[UniPoly]]]:
+    """The coefficients in K3's basis of the members of K3 that
+    :func:`hom_triple_check` compares, in its order, or None when some member
+    is not in K3.
+
+    The members are kappa (x) e for generators kappa of K1 and free basis
+    vectors e of F2, then e (x) kappa for F1 and K2.  They and their
+    coefficients depend on the three presentations alone, so the point holds
+    one slot: the presentations last looked up and their coefficients.  A
+    triple whose presentations equal those reuses them; any other triple is
+    computed afresh and takes the slot.
+
+    Every member is written in K3's basis twice: by the echelon division,
+    one member at a time (a failed division means the member is not in K3),
+    and by one truncated k[x] solve of all the members against the same
+    generators.  The generators are a basis, so both must give the same
+    coefficients.  Raises ArithmeticError, and leaves the slot as it was,
+    when the solve finds no solution or writes any member differently.
+    """
+    key = tuple(tuple(map(tuple, pres.cols))
+                for pres in (triple.pres1, triple.pres2, triple.pres3))
+    memo = b._k3_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    f = b.field
+    r1, r2 = b.m1.r, b.m2.r
+    height = r1 * r2
+    zero = UniPoly.zero(f)
+    vecs = []
+    # K1 (x) F2 side
+    for kappa in triple.pres1.cols:
+        for bb in range(r2):
+            vec = [zero] * height
+            for a in range(r1):
+                vec[a * r2 + bb] = kappa[a]
+            vecs.append(vec)
+    # F1 (x) K2 side
+    for kappa in triple.pres2.cols:
+        for a in range(r1):
+            vec = [zero] * height
+            for bb in range(r2):
+                vec[a * r2 + bb] = kappa[bb]
+            vecs.append(vec)
+    cols3 = triple.pres3.cols
+    coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
+    if any(c is None for c in coeffs):
+        coeffs = None
+    else:
+        solved = express_in_span(cols3, height, vecs, f)
+        if solved is None:
+            raise ArithmeticError(
+                f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
+                f"but express_in_span against the same basis finds no solution")
+        for c, s in zip(coeffs, solved):
+            if s != c:
+                raise ArithmeticError(
+                    f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
+                    f"but {s} by express_in_span against the same basis")
+    object.__setattr__(b, "_k3_memo", (key, coeffs))
+    return coeffs
+
+
 def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     """Compatibility of a homomorphism triple with the pairing (univariate).
 
@@ -548,61 +614,30 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     mirror), the image of kappa (x) e under phi3 must equal the pairing
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
 
-    Every such member of K3 is written in K3's basis twice: by the echelon
-    division, one member at a time (a failed division means the member is
-    not in K3, and the triple is incompatible), and by one truncated k[x]
-    solve of all the members against the same generators, a single
-    elimination per check.  The generators are a basis, so both must give
-    the same coefficients.  Raises ArithmeticError when the solve finds no
-    solution or writes any member differently, so that a failed solve never
-    reads as incompatible; a disagreement is caught on every member, even
-    one after a member that fails its compatibility check.
+    The image under phi3 is read off the coefficients writing kappa (x) e in
+    K3's basis.  Those depend on the presentations only, not on the maps, so
+    :func:`_k3_coefficients` computes and cross-checks them once per point
+    and keeps them for the next triple whose three presentations are equal
+    to these; per triple, only the pairing sides and one Horner pass per
+    member remain.  Raises ArithmeticError when the cross-check fails, so
+    that a failed solve never reads as incompatible; a disagreement is
+    caught on every member, even one after a member that fails its
+    compatibility check.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
+    coeffs = _k3_coefficients(b, triple)
+    if coeffs is None:
+        return False
     f = b.field
-    G, H = b.m1.G, b.m2.G
     r1, r2 = b.m1.r, b.m2.r
-    height = r1 * r2
-    s2 = len(triple.pres2.cols)
+    s1, s2 = len(triple.pres1.cols), len(triple.pres2.cols)
     # Column jgen*r2 + bb is Pihat((phi1 kappa_jgen) (x) h_bb); column
     # a*s2 + jgen is Pihat(g_a (x) (phi2 kappa_jgen)).
-    side1 = b.pihat * triple.phi1.kron(H)
-    side2 = b.pihat * G.kron(triple.phi2)
-
-    zero2 = UniPoly.zero(f)
-    vecs, sides = [], []  # members of K3 in F3, pairing sides of their images in M3
-    # K1 (x) F2 side
-    for jgen, kappa in enumerate(triple.pres1.cols):
-        for bb in range(r2):
-            vec = [zero2] * height
-            for a in range(r1):
-                vec[a * r2 + bb] = kappa[a]
-            vecs.append(vec)
-            sides.append(side1.col(jgen * r2 + bb))
-    # F1 (x) K2 side
-    for jgen, kappa in enumerate(triple.pres2.cols):
-        for a in range(r1):
-            vec = [zero2] * height
-            for bb in range(r2):
-                vec[a * r2 + bb] = kappa[bb]
-            vecs.append(vec)
-            sides.append(side2.col(a * s2 + jgen))
-
-    cols3 = triple.pres3.cols
-    coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
-    if any(c is None for c in coeffs):
-        return False
-    solved = express_in_span(cols3, height, vecs, f)
-    if solved is None:
-        raise ArithmeticError(
-            f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
-            f"but express_in_span against the same basis finds no solution")
-    for c, s in zip(coeffs, solved):
-        if s != c:
-            raise ArithmeticError(
-                f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
-                f"but {s} by express_in_span against the same basis")
+    side1 = b.pihat * triple.phi1.kron(b.m2.G)
+    side2 = b.pihat * b.m1.G.kron(triple.phi2)
+    sides = ([side1.col(jgen * r2 + bb) for jgen in range(s1) for bb in range(r2)]
+             + [side2.col(a * s2 + jgen) for jgen in range(s2) for a in range(r1)])
     Z = b.Z[0]
     return all(all(f.eq(x, y) for x, y in zip(quot._horner(c, Z, triple.phi3), side))
                for c, side in zip(coeffs, sides))

@@ -10,6 +10,7 @@ kernel presentation, by entirely different linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -194,17 +195,23 @@ class KernelPresentation:
 def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
     """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a.
 
-    Over F_p each step adds plain ``int`` products and reduces mod p once.
+    X's rows are sliced once per call.  Over F_p each step adds plain ``int``
+    products and reduces mod p once; over Q zero entries of X are skipped.
     """
     f = X.field
     p = f.characteristic
-    gcols = [G.col(a) for a in range(len(polys))]
-    h = [f.zero()] * X.rows
+    rows = X.row_lists()
+    terms = [(poly.coeffs, G.col(a)) for a, poly in enumerate(polys)]
+    zero = f.zero()
+    h = [zero] * X.rows
     for m in range(max(poly.degree for poly in polys), -1, -1):
-        h = X.matvec(h)
-        for poly, g in zip(polys, gcols):
-            c = poly.coeff(m)
-            if c:
+        if p:
+            h = [sum(map(mul, row, h)) for row in rows]
+        else:
+            h = [sum((x * y for x, y in zip(row, h) if x), zero) for row in rows]
+        for coeffs, g in terms:
+            if m < len(coeffs) and coeffs[m]:
+                c = coeffs[m]
                 h = [v + c * y for v, y in zip(h, g)]
         if p:
             h = [v % p for v in h]

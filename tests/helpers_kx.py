@@ -100,6 +100,19 @@ def reference_kernel_presentation(P):
     return KernelPresentation(r=r, cols=ech)
 
 
+def reference_power_sum(polys, X, G):
+    """sum_m X^m G c_m, with c_m the vector of x^m coefficients of ``polys``,
+    by matrix powers and products: the value quot._horner computes."""
+    f = X.field
+    out = Matrix.zeros(f, X.rows, 1)
+    power = Matrix.identity(f, X.rows)
+    for m in range(max(p.degree for p in polys) + 1):
+        c = Matrix(f, len(polys), 1, [p.coeff(m) for p in polys])
+        out = out + power * G * c
+        power = power * X
+    return list(out.entries)
+
+
 def reference_poly_matrix_derivative(poly, X, Xdot):
     """Directional derivative of p(X) in direction Xdot:
     sum_m p_m sum_{u+v=m-1} X^u Xdot X^v."""

@@ -259,6 +259,18 @@ def test_tangent_gauge_invariance(seed):
 
 # -- hom triples --------------------------------------------------------------------------
 
+def nilpotent_point():
+    f = QQ
+    nil = FramedModule(1, 2, 2, (Matrix.from_int_rows(f, [[0, 0], [1, 0]]),),
+                       Matrix.identity(f, 2))
+    pihat = Matrix.from_int_rows(f, [[1, 0, 0, 0], [0, 1, 1, 0]])
+    return BilinPoint(m1=nil, m2=nil, d3=2, Z=nil.X, pihat=pihat)
+
+
+ORACLE_POINTS = {"main": canonical_main, "nilpotent": nilpotent_point,
+                 "degenerate": lambda: canonical_degenerate(GF(101))}
+
+
 def test_zero_triple_passes():
     b = canonical_main()
     assert hom_triple_check(b, zero_triple(b))
@@ -272,11 +284,7 @@ def test_extracted_triples_pass():
 
 
 def test_extracted_triples_pass_nilpotent_case():
-    f = QQ
-    nil = FramedModule(1, 2, 2, (Matrix.from_int_rows(f, [[0, 0], [1, 0]]),),
-                       Matrix.identity(f, 2))
-    pihat = Matrix.from_int_rows(f, [[1, 0, 0, 0], [0, 1, 1, 0]])
-    b = BilinPoint(m1=nil, m2=nil, d3=2, Z=nil.X, pihat=pihat)
+    b = nilpotent_point()
     assert validate_bilin(b).ok
     rep = bilin_tangent(b)
     for tv in rep.basis[:4]:
@@ -284,7 +292,8 @@ def test_extracted_triples_pass_nilpotent_case():
 
 
 def test_hom_triple_check_raises_when_a_member_is_not_expressed(monkeypatch):
-    # A failed solve for the vectors of K3 must not read as an incompatible triple.
+    # A failed solve for the vectors of K3 must not read as an incompatible
+    # triple.  The solve runs on the first check at a point.
     b = canonical_main()
     triple = zero_triple(b)
     calls = []
@@ -316,16 +325,26 @@ def perturbed_solve(monkeypatch, b, member):
     return seen
 
 
+def first_tangent_triple(b):
+    return extract_hom_triple(b, bilin_tangent(b).basis[0])
+
+
 def assert_disagreement_raises(monkeypatch, member):
+    clean = canonical_main()
+    assert hom_triple_check(clean, first_tangent_triple(clean))  # passes unperturbed
+    # Perturbed before the first check at a fresh point, where the members
+    # are written in K3's basis.
     b = canonical_main()
-    triple = extract_hom_triple(b, bilin_tangent(b).basis[0])
-    assert hom_triple_check(b, triple)  # passes unperturbed
+    triple = first_tangent_triple(b)
     seen = perturbed_solve(monkeypatch, b, member)
     with pytest.raises(ArithmeticError, match=r"coefficients \[.*\] in the echelon basis "
                                               r"of K3 but \[.*\] by express_in_span") as exc:
         hom_triple_check(b, triple)
     assert f"coefficients {seen['want']} in the echelon basis" in str(exc.value)
     assert f"but {seen['got']} by express_in_span" in str(exc.value)
+    # A failed cross-check keeps nothing, so the next check raises too.
+    with pytest.raises(ArithmeticError, match="express_in_span"):
+        hom_triple_check(b, triple)
 
 
 def test_hom_triple_check_raises_when_the_solve_disagrees_with_the_echelon(monkeypatch):
@@ -340,29 +359,27 @@ def test_hom_triple_check_raises_when_only_the_last_member_disagrees(monkeypatch
     assert_disagreement_raises(monkeypatch, -1)
 
 
+def incompatible(triple, b):
+    return HomTriple(phi1=triple.phi1 + Matrix.identity(b.field, b.m1.d), phi2=triple.phi2,
+                     phi3=triple.phi3, pres1=triple.pres1, pres2=triple.pres2,
+                     pres3=triple.pres3)
+
+
 def test_hom_triple_check_cross_checks_members_after_an_incompatible_one(monkeypatch):
     # Incompatible on its first member, the triple still has its last member
-    # cross-checked: the disagreement raises rather than reading as False.
+    # cross-checked: the disagreement raises rather than reading as False,
+    # when the incompatible triple is the first check at the point.
+    clean = canonical_main()
+    assert not hom_triple_check(clean, incompatible(first_tangent_triple(clean), clean))
     b = canonical_main()
-    base = extract_hom_triple(b, bilin_tangent(b).basis[0])
-    bad = HomTriple(phi1=base.phi1 + Matrix.identity(b.field, b.m1.d), phi2=base.phi2,
-                    phi3=base.phi3, pres1=base.pres1, pres2=base.pres2, pres3=base.pres3)
-    assert not hom_triple_check(b, bad)
+    bad = incompatible(first_tangent_triple(b), b)
     perturbed_solve(monkeypatch, b, -1)
     with pytest.raises(ArithmeticError, match="express_in_span"):
         hom_triple_check(b, bad)
 
 
-@pytest.mark.parametrize("point", ["main", "degenerate"])
-def test_hom_triple_check_solves_once(monkeypatch, point):
-    # Every member of K3 goes into one truncated solve per check.
-    if point == "main":
-        b = canonical_main()
-    else:
-        f = GF(101)
-        b = degenerate_point(2, 2, 2, Matrix.identity(f, 2), Matrix.identity(f, 2),
-                             Matrix.from_int_rows(f, [[1, 0, 0, 0], [0, 1, 0, 0]]))
-    triples = [extract_hom_triple(b, tv) for tv in bilin_tangent(b).basis]
+def spy_solves(monkeypatch) -> list:
+    """Record the right-hand side width of every ``unipoly.solve`` call."""
     calls = []
     real = unipoly.solve
 
@@ -371,11 +388,70 @@ def test_hom_triple_check_solves_once(monkeypatch, point):
         return real(a, rhs)
 
     monkeypatch.setattr(unipoly, "solve", spy)
-    for triple in triples:
+    return calls
+
+
+@pytest.mark.parametrize("point", ["main", "degenerate"])
+def test_hom_triple_check_solves_once(monkeypatch, point):
+    # Every member of K3 goes into one truncated solve per point, made on
+    # the first check; a second point, equal but not yet checked, adds one.
+    make = ORACLE_POINTS[point]
+    calls = spy_solves(monkeypatch)
+    for points in (1, 2):
+        b = make()
+        triples = [extract_hom_triple(b, tv) for tv in bilin_tangent(b).basis]
+        assert len(triples) > 1
+        for triple in triples:
+            assert hom_triple_check(b, triple)
+            assert len(calls) == points
+    assert calls[0] > 1 and calls == [calls[0]] * 2
+
+
+def test_hom_triple_check_recomputes_for_other_presentations(monkeypatch):
+    # The slot is looked up by value: a triple presented at another point is
+    # written in its own K3 basis, checked, and takes the slot.
+    b = canonical_main()
+    other = nilpotent_point()
+    own = first_tangent_triple(b)
+    foreign = [first_tangent_triple(other), incompatible(first_tangent_triple(other), other)]
+    assert (own.pres1.cols, own.pres3.cols) != (foreign[0].pres1.cols, foreign[0].pres3.cols)
+    calls = spy_solves(monkeypatch)
+    assert hom_triple_check(b, own)
+    for triple in foreign:
+        fresh = canonical_main()
+        expected = hom_triple_check(fresh, triple)
         before = len(calls)
-        assert hom_triple_check(b, triple)
-        assert len(calls) == before + 1
-    assert calls == [calls[0]] * len(triples) and calls[0] > 1
+        assert hom_triple_check(b, triple) == expected
+        assert b._k3_memo[0] == fresh._k3_memo[0]
+        assert len(calls) == before + (triple is foreign[0])
+    assert hom_triple_check(b, own)
+    assert len(calls) == 5  # b's own presentations were computed afresh
+
+
+def test_memo_leaves_equality_hash_and_json_unchanged():
+    b = canonical_main()
+    before = (hash(b), repr(b), bilin_to_json(b))
+    assert hom_triple_check(b, first_tangent_triple(b))
+    assert b._k3_memo is not None
+    fresh = canonical_main()
+    assert fresh._k3_memo is None and b == fresh
+    assert (hash(b), repr(b), bilin_to_json(b)) == before == (
+        hash(fresh), repr(fresh), bilin_to_json(fresh))
+    assert bilin_from_json(bilin_to_json(b)) == b
+
+
+@pytest.mark.parametrize("point", ["main", "nilpotent", "degenerate"])
+def test_memo_verdicts_match_a_cleared_memo(point):
+    b = ORACLE_POINTS[point]()
+    triples = [extract_hom_triple(b, tv) for tv in bilin_tangent(b).basis]
+    triples += [incompatible(t, b) for t in triples]
+    warm = [hom_triple_check(b, t) for t in triples]
+    cold = []
+    for t in triples:
+        object.__setattr__(b, "_k3_memo", None)
+        cold.append(hom_triple_check(b, t))
+    half = len(triples) // 2
+    assert warm == cold and all(warm[:half]) and not any(warm[half:])
 
 
 def test_random_triple_fails():
@@ -387,7 +463,9 @@ def test_random_triple_fails():
                       [QQ.sample(rng) for _ in range(base.phi1.rows * base.phi1.cols)])
     bad = HomTriple(phi1=bad_phi1, phi2=base.phi2, phi3=base.phi3,
                     pres1=base.pres1, pres2=base.pres2, pres3=base.pres3)
-    assert not hom_triple_check(b, bad)
+    assert not hom_triple_check(b, bad)  # the first check at the point
+    assert hom_triple_check(b, base)
+    assert not hom_triple_check(b, bad)  # with the coefficients kept from before
 
 
 # -- dimension formulas ---------------------------------------------------------------------

@@ -5,14 +5,18 @@ against the pencil reduction and the matrix-product derivatives they replaced
 from functools import reduce
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from quotbilin.bilin import _deformed_image
-from quotbilin.exactalg import GF, QQ, UniPoly, express_in_echelon, rand_matrix
+from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, express_in_echelon, rand_matrix
 from quotbilin.quot import _horner, kernel_presentation
 
-from helpers_kx import reference_deformed_image, reference_kernel_presentation
+from helpers_kx import (
+    reference_deformed_image,
+    reference_kernel_presentation,
+    reference_power_sum,
+)
 from test_quot import univariate_modules
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
@@ -83,3 +87,32 @@ def test_horner_matches_per_entry_reference(field, d, r, seed):
     X, G = rand_matrix(rng, field, d, d), rand_matrix(rng, field, d, r)
     (col,) = random_columns(rng, field, 1, r, 5)
     assert _horner(col, X, G) == reference_horner(col, X, G)
+
+
+HORNER_FIELDS = {"Q": QQ, "F3": GF(3), "F101": GF(101)}
+
+
+@st.composite
+def horner_inputs(draw):
+    """(field name, d, X entries, G entries, coefficient lists), as ints."""
+    name = draw(st.sampled_from(sorted(HORNER_FIELDS)))
+    d, r = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    ints = st.integers(-150, 150)
+    x = draw(st.lists(ints, min_size=d * d, max_size=d * d))
+    g = draw(st.lists(ints, min_size=d * r, max_size=d * r))
+    polys = draw(st.lists(st.lists(ints, max_size=6), min_size=r, max_size=r))
+    return name, d, x, g, polys
+
+
+@settings(deadline=None, max_examples=150)
+@given(horner_inputs())
+@example(("Q", 2, [1, 2, 3, 4], [5, 6], [[]]))  # r = 1, the zero polynomial
+@example(("F3", 2, [1, 2, 0, 1], [1, 2], [[0, 0, 3]]))  # zero only mod 3
+@example(("F101", 2, [0, 1, 0, 0], [1, 0, 2, 1], [[], [7, 0, 0, 100]]))
+def test_horner_matches_the_power_sum(inputs):
+    name, d, x, g, coeffs = inputs
+    f = HORNER_FIELDS[name]
+    X = Matrix(f, d, d, [f.from_int(v) for v in x])
+    G = Matrix(f, d, len(coeffs), [f.from_int(v) for v in g])
+    polys = [UniPoly.from_ints(f, cs) for cs in coeffs]
+    assert _horner(polys, X, G) == reference_power_sum(polys, X, G)
