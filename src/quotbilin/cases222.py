@@ -97,10 +97,9 @@ def named_tensor(name: str, field: Field):
 
     def fam(entries):
         coeffs = [UniPoly.zero(field)] * 8
-        t = ParamTensor(field, (2, 2, 2), coeffs)
         for (i, j, k), poly in entries.items():
-            t.coeffs[(i * 2 + j) * 2 + k] = poly
-        return t
+            coeffs[(i * 2 + j) * 2 + k] = poly
+        return ParamTensor(field, (2, 2, 2), coeffs)
 
     c1 = UniPoly.const(field, one)
     ct = UniPoly.x(field)

@@ -47,22 +47,26 @@ class ParamMatrix:
 
 
 class ParamTensor:
-    __slots__ = ("field", "dims", "coeffs")
+    """A tensor family stored, like Tensor3, as its d1*d2 x d3 third
+    flattening, here a ParamMatrix."""
+    __slots__ = ("dims", "flat")
 
     def __init__(self, field: Field, dims: tuple[int, int, int], coeffs: Sequence[UniPoly]):
-        coeffs = list(coeffs)
         d1, d2, d3 = dims
-        if len(coeffs) != d1 * d2 * d3:
-            raise ShapeError("coefficient count mismatch")
-        for e in coeffs:
-            same_field(field, e.field)
-        self.field = field
         self.dims = (d1, d2, d3)
-        self.coeffs = coeffs
+        self.flat = ParamMatrix(field, d1 * d2, d3, coeffs)
+
+    @property
+    def field(self) -> Field:
+        return self.flat.field
+
+    @property
+    def coeffs(self) -> list:
+        return self.flat.entries
 
     def evaluate(self, t0):
         from ..tensorlab import Tensor3
-        return Tensor3(self.field, self.dims, [e.eval(t0) for e in self.coeffs])
+        return Tensor3.from_flat(self.dims, self.flat.evaluate(t0))
 
 
 def evaluate_param(family, t0):

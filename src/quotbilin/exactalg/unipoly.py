@@ -55,9 +55,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.field.eq(self.coeffs[0], self.field.one())
-
     def lead(self):
         if not self.coeffs:
             raise ZeroDivisionError("leading coefficient of zero polynomial")
@@ -107,12 +104,6 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         f = self.field
         return UniPoly(f, [f.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, [self.field.zero()] * k + list(self.coeffs))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         f = same_field(self.field, other.field)

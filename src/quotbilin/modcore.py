@@ -179,21 +179,15 @@ def annihilator_algebra_dim(m: FramedModule) -> int:
 
 
 def _algebra_dim(actions: tuple[Matrix, ...]) -> int:
-    """annihilator_algebra_dim of any module with these (n >= 1) actions."""
+    """annihilator_algebra_dim of any module with these (n >= 1) actions.
+
+    The algebra is the smallest subspace of d x d matrices that holds I and
+    is closed under B -> X_i B; on row-major vec(B) that map is X_i (x) I.
+    """
     field = actions[0].field
     d = actions[0].rows
     eye = Matrix.identity(field, d)
-    span = EchelonBasis(field, d * d, [eye.entries])
-    frontier = [eye]
-    while frontier:
-        new_frontier = []
-        for b in frontier:
-            for x in actions:
-                prod = x * b
-                if span.insert(prod.entries):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return len(span)
+    return len(krylov_span(tuple(x.kron(eye) for x in actions), [eye.entries], field, d * d))
 
 
 @dataclass

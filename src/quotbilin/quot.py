@@ -9,6 +9,7 @@ kernel presentation, by entirely different linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -23,10 +24,8 @@ from .exactalg import (
     UniPoly,
     gaussian_binomial,
     kernel_mod_span,
-    roots_with_multiplicity,
-    char_poly,
 )
-from .modcore import FramedModule, InvalidPoint, validate_framed
+from .modcore import FramedModule, InvalidPoint, _support, validate_framed
 
 
 @dataclass
@@ -139,14 +138,11 @@ def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
     restriction.  It raises ``ArithmeticError`` unless the restriction has
     rank len(gauge), which proves the gauge independent on every call, so
     dim = nullity - len(gauge) is certified with or without ``check``.
-    ``check`` also verifies directly that the gauge has full rank and
-    solves the system.
+    ``check`` also verifies directly that the gauge solves the system, which
+    the argument above and the kept representatives rely on.
     """
     m = Matrix(f, len(rows), nvars, [x for row in rows for x in row])
     if check:
-        actual = Matrix.from_rows(f, [list(v) for v in gauge]).rank()
-        if actual != len(gauge):
-            raise ArithmeticError(f"gauge map rank {actual} != {len(gauge)}")
         for v in gauge:
             if not all(f.is_zero(c) for c in m.matvec(list(v))):
                 raise ArithmeticError("gauge vector violates the deformation system")
@@ -158,7 +154,8 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
 
     dim = nullity(first-order commutation system) - d^2; the subtraction is
     exact because the gauge map is injective at framed points (the framing
-    generates).  With ``check`` the gauge rank is verified explicitly.
+    generates), and certified on every call (see :func:`_tangent_tail`).
+    With ``check`` each gauge vector is also verified to solve the system.
     """
     if not validate_framed(P).ok:
         raise InvalidPoint("invalid framed module")
@@ -349,22 +346,10 @@ def degenerate_grassmannian_check(d: int, r: int, q: int,
     if total > cap:
         raise InfeasibleEnumeration(f"{total} matrices exceeds cap {cap}")
     seen = set()
-    entries = [0] * (d * r)
-    while True:
-        m = Matrix(field, d, r, list(entries))
-        rref, piv = m.rref()
+    for entries in itertools.product(range(q), repeat=d * r):
+        rref, piv = Matrix(field, d, r, entries).rref()
         if len(piv) == d:
             seen.add(tuple(rref.entries))
-        # odometer increment
-        k = 0
-        while k < d * r:
-            entries[k] += 1
-            if entries[k] < q:
-                break
-            entries[k] = 0
-            k += 1
-        if k == d * r:
-            break
     return GrassmannianCheck(d=d, r=r, q=q, enumerated=len(seen),
                              formula=gaussian_binomial(d, r, q))
 
@@ -392,18 +377,6 @@ class NonSplitSupport(ValueError):
     """Support analysis needs eigenvalues outside the computation field."""
 
 
-def _eigen_split_2x2(x: Matrix):
-    """Roots of the degree-2 characteristic polynomial, or None if nonsplit."""
-    cp = char_poly(x)
-    roots, cofactor = roots_with_multiplicity(cp)
-    if cofactor.degree > 0:
-        return None
-    out = []
-    for v, m in roots:
-        out.extend([v] * m)
-    return out
-
-
 def quot2_limit_family(P: FramedModule) -> QuotLimitFamily:
     """Degeneration family exhibiting a d = 2 module as a limit of two-point
     modules.
@@ -424,10 +397,10 @@ def quot2_limit_family(P: FramedModule) -> QuotLimitFamily:
 
     eigdata = []
     for x in P.X:
-        ev = _eigen_split_2x2(x)
-        if ev is None:
+        supp = _support(x)
+        if not supp.split:
             raise NonSplitSupport("characteristic polynomial does not split")
-        eigdata.append(ev)
+        eigdata.append(supp.values())
 
     # Distinct support: some action has two distinct eigenvalues.
     for i, ev in enumerate(eigdata):

@@ -24,22 +24,39 @@ from .exactalg import (
     ShapeError,
     parse_field,
     rand_nonzero_vector,
-    same_field,
 )
 from .modcore import FramedModule, InvalidPoint
 
 
 class Tensor3:
-    __slots__ = ("field", "dims", "coeffs")
+    """An order-3 tensor in k^d1 (x) k^d2 (x) k^d3, stored as its third
+    flattening: ``flat`` is the d1*d2 x d3 matrix whose entry (i*d2 + j, k)
+    is coefficient (i, j, k), so ``coeffs`` (its entries) lists the
+    coefficients in lexicographic index order.  For a pairing point this is
+    the pairing lift transposed.
+    """
+    __slots__ = ("dims", "flat")
 
     def __init__(self, field: Field, dims: tuple[int, int, int], coeffs: Sequence):
         d1, d2, d3 = dims
-        coeffs = list(coeffs)
-        if len(coeffs) != d1 * d2 * d3:
-            raise ShapeError("coefficient count mismatch")
-        self.field = field
         self.dims = (d1, d2, d3)
-        self.coeffs = coeffs
+        self.flat = Matrix(field, d1 * d2, d3, coeffs)
+
+    @classmethod
+    def from_flat(cls, dims: tuple[int, int, int], flat: Matrix) -> "Tensor3":
+        """The tensor whose third flattening is ``flat``."""
+        d1, d2, d3 = dims
+        if (flat.rows, flat.cols) != (d1 * d2, d3):
+            raise ShapeError(f"{flat.rows}x{flat.cols} is not a flattening of {dims}")
+        return cls(flat.field, dims, flat.entries)
+
+    @property
+    def field(self) -> Field:
+        return self.flat.field
+
+    @property
+    def coeffs(self) -> list:
+        return self.flat.entries
 
     @classmethod
     def zeros(cls, field: Field, dims: tuple[int, int, int]) -> "Tensor3":
@@ -62,34 +79,29 @@ class Tensor3:
         return self.coeffs[self.index(i, j, k)]
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return self.flat.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        if self.dims != other.dims:
-            return False
-        f = same_field(self.field, other.field)
-        return all(f.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return self.dims == other.dims and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self.field.name, self.dims, tuple(map(self.field.canonical, self.coeffs))))
+        return hash((self.dims, self.flat))
+
+    def _same_dims(self, other: "Tensor3") -> tuple[int, int, int]:
+        if self.dims != other.dims:
+            raise ShapeError("dims mismatch")
+        return self.dims
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        f = same_field(self.field, other.field)
-        if self.dims != other.dims:
-            raise ShapeError("dims mismatch")
-        return Tensor3(f, self.dims, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return Tensor3.from_flat(self._same_dims(other), self.flat + other.flat)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        f = same_field(self.field, other.field)
-        if self.dims != other.dims:
-            raise ShapeError("dims mismatch")
-        return Tensor3(f, self.dims, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return Tensor3.from_flat(self._same_dims(other), self.flat - other.flat)
 
     def scale(self, c) -> "Tensor3":
-        f = self.field
-        return Tensor3(f, self.dims, [f.mul(c, a) for a in self.coeffs])
+        return Tensor3.from_flat(self.dims, self.flat.scale(c))
 
     def key(self) -> tuple:
         return (self.field.name, self.dims, tuple(self.coeffs))
@@ -99,57 +111,31 @@ class Tensor3:
         pairs, columns the chosen factor, so factor-k conciseness is full
         column rank d_k."""
         d1, d2, d3 = self.dims
-        f = self.field
         if factor == 1:
-            ents = [self.get(i, j, k) for j in range(d2) for k in range(d3)
-                    for i in range(d1)]
-            return Matrix(f, d2 * d3, d1, ents)
+            return Matrix(self.field, d1, d2 * d3, self.coeffs).transpose()
         if factor == 2:
-            ents = [self.get(i, j, k) for i in range(d1) for k in range(d3)
-                    for j in range(d2)]
-            return Matrix(f, d1 * d3, d2, ents)
+            c = self.coeffs
+            return Matrix(self.field, d1 * d3, d2,
+                          [c[(i * d2 + j) * d3 + k] for i in range(d1) for k in range(d3)
+                           for j in range(d2)])
         if factor == 3:
-            ents = [self.get(i, j, k) for i in range(d1) for j in range(d2)
-                    for k in range(d3)]
-            return Matrix(f, d1 * d2, d3, ents)
+            return self.flat
         raise ValueError("factor must be 1, 2 or 3")
 
     def slice3(self, k: int) -> Matrix:
         """The d1 x d2 slice with third index fixed."""
         d1, d2, _ = self.dims
-        return Matrix(self.field, d1, d2,
-                      [self.get(i, j, k) for i in range(d1) for j in range(d2)])
+        return Matrix(self.field, d1, d2, self.flat.col(k))
 
     def apply_gl(self, g1: Matrix, g2: Matrix, g3: Matrix) -> "Tensor3":
-        """Basis change on the three factors (covariant on each)."""
-        d1, d2, d3 = self.dims
-        f = self.field
-        out = Tensor3.zeros(f, self.dims)
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d3):
-                    acc = f.zero()
-                    for a in range(d1):
-                        gia = g1[i, a]
-                        if f.is_zero(gia):
-                            continue
-                        for bb in range(d2):
-                            gjb = g2[j, bb]
-                            if f.is_zero(gjb):
-                                continue
-                            for c in range(d3):
-                                gkc = g3[k, c]
-                                if f.is_zero(gkc):
-                                    continue
-                                acc = f.add(acc, f.mul(f.mul(gia, gjb),
-                                                       f.mul(gkc, self.get(a, bb, c))))
-                    out.coeffs[out.index(i, j, k)] = acc
-        return out
+        """Basis change on the three factors (covariant on each):
+        (g1 (x) g2) * flat * g3^T on the third flattening."""
+        return Tensor3.from_flat(self.dims, g1.kron(g2) * self.flat * g3.transpose())
 
 
 def rank_one(field: Field, a: Sequence, b: Sequence, c: Sequence) -> Tensor3:
-    dims = (len(a), len(b), len(c))
-    t = Tensor3.zeros(field, dims)
+    d2, d3 = len(b), len(c)
+    coeffs = [field.zero()] * (len(a) * d2 * d3)
     for i, av in enumerate(a):
         if field.is_zero(av):
             continue
@@ -157,9 +143,10 @@ def rank_one(field: Field, a: Sequence, b: Sequence, c: Sequence) -> Tensor3:
             if field.is_zero(bv):
                 continue
             ab = field.mul(av, bv)
+            base = (i * d2 + j) * d3
             for k, cv in enumerate(c):
-                t.coeffs[t.index(i, j, k)] = field.mul(ab, cv)
-    return t
+                coeffs[base + k] = field.mul(ab, cv)
+    return Tensor3(field, (len(a), d2, d3), coeffs)
 
 
 def conciseness(t: Tensor3) -> tuple[bool, bool, bool]:
@@ -180,15 +167,9 @@ def tensor_from_bilin(b) -> Tensor3:
 
 
 def _pairing_tensor(b) -> Tensor3:
-    """tensor_from_bilin of a pairing point already known to be valid."""
-    f = b.field
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    t = Tensor3.zeros(f, (d1, d2, d3))
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d3):
-                t.coeffs[t.index(i, j, k)] = b.pihat[k, i * d2 + j]
-    return t
+    """tensor_from_bilin of a pairing point already known to be valid: the
+    pairing lift is d3 x d1*d2, so its transpose is the third flattening."""
+    return Tensor3.from_flat((b.m1.d, b.m2.d, b.d3), b.pihat.transpose())
 
 
 # -- 2x2x2 classification -------------------------------------------------------
@@ -420,10 +401,8 @@ def brute_force_rank_fq(t: Tensor3, q: int, rmax: int,
 
 def unit_tensor(d: int, field: Field) -> Tensor3:
     """sum_i e_i (x) e_i (x) e_i: the split multiplication tensor."""
-    t = Tensor3.zeros(field, (d, d, d))
-    for i in range(d):
-        t.coeffs[t.index(i, i, i)] = field.one()
-    return t
+    one = field.one()
+    return Tensor3.from_entries(field, (d, d, d), {(i, i, i): one for i in range(d)})
 
 
 def multiplication_tensor(m: FramedModule, generator: int = 0) -> Tensor3:
@@ -461,20 +440,21 @@ def multiplication_tensor(m: FramedModule, generator: int = 0) -> Tensor3:
         frontier = new_frontier
     if len(basis_vecs) < d:
         raise ValueError("chosen column is not a cyclic generator")
-    bmat = Matrix.from_rows(f, [list(v) for v in basis_vecs]).transpose()
-    binv = bmat.inverse()
-    t = Tensor3.zeros(f, (d, d, d))
-    for a in range(d):
-        for b in range(d):
-            # product monomial applied to the generator: x^(mono_a) u_b
-            vec = list(basis_vecs[b])
+    # Column a*d + b of V is the product monomial applied to the generator,
+    # x^(mono_a) u_b, and coefficient (a, b, k) is entry k of its coordinates
+    # B^-1 x^(mono_a) u_b in the basis B (basis vectors as columns).  So the
+    # third flattening is (B^-1 V)^T = V^T (B^T)^-1, and V^T and B^T have
+    # the products and the basis vectors as rows.
+    products = []
+    for mono in basis_monos:
+        for u in basis_vecs:
+            w = list(u)
             for i in range(m.n):
-                for _ in range(basis_monos[a][i]):
-                    vec = m.X[i].matvec(vec)
-            coords = binv.matvec(vec)
-            for k in range(d):
-                t.coeffs[t.index(a, b, k)] = coords[k]
-    return t
+                for _ in range(mono[i]):
+                    w = m.X[i].matvec(w)
+            products.append(w)
+    flat = Matrix.from_rows(f, products) * Matrix.from_rows(f, basis_vecs).inverse()
+    return Tensor3.from_flat((d, d, d), flat)
 
 
 # -- Terracini secant dimension ----------------------------------------------------

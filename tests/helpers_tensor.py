@@ -1,0 +1,57 @@
+"""Per-index tensor operations, as tensorlab built them before a tensor was
+stored as its third flattening: every entry is read with ``get`` and every
+output entry is assembled on its own.  Kept as the reference the
+Matrix-backed operations must equal."""
+
+from quotbilin.exactalg import Matrix
+from quotbilin.tensorlab import Tensor3
+
+
+def reference_flattening(t: Tensor3, factor: int) -> Matrix:
+    """Rows are the complementary index pairs, columns the chosen factor."""
+    d1, d2, d3 = t.dims
+    f = t.field
+    if factor == 1:
+        ents = [t.get(i, j, k) for j in range(d2) for k in range(d3) for i in range(d1)]
+        return Matrix(f, d2 * d3, d1, ents)
+    if factor == 2:
+        ents = [t.get(i, j, k) for i in range(d1) for k in range(d3) for j in range(d2)]
+        return Matrix(f, d1 * d3, d2, ents)
+    if factor == 3:
+        ents = [t.get(i, j, k) for i in range(d1) for j in range(d2) for k in range(d3)]
+        return Matrix(f, d1 * d2, d3, ents)
+    raise ValueError("factor must be 1, 2 or 3")
+
+
+def reference_slice3(t: Tensor3, k: int) -> Matrix:
+    d1, d2, _ = t.dims
+    return Matrix(t.field, d1, d2, [t.get(i, j, k) for i in range(d1) for j in range(d2)])
+
+
+def reference_apply_gl(t: Tensor3, g1: Matrix, g2: Matrix, g3: Matrix) -> Tensor3:
+    """Coefficient (i, j, k) is the sum of g1[i, a] g2[j, b] g3[k, c] t[a, b, c]."""
+    d1, d2, d3 = t.dims
+    f = t.field
+    out = Tensor3.zeros(f, t.dims)
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d3):
+                acc = f.zero()
+                for a in range(d1):
+                    for b in range(d2):
+                        for c in range(d3):
+                            acc = f.add(acc, f.mul(f.mul(g1[i, a], g2[j, b]),
+                                                   f.mul(g3[k, c], t.get(a, b, c))))
+                out.coeffs[out.index(i, j, k)] = acc
+    return out
+
+
+def reference_pairing_tensor(b) -> Tensor3:
+    """Coefficient (i, j, k) is entry (k, i*d2 + j) of the pairing lift."""
+    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
+    t = Tensor3.zeros(b.field, (d1, d2, d3))
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d3):
+                t.coeffs[t.index(i, j, k)] = b.pihat[k, i * d2 + j]
+    return t

@@ -105,21 +105,29 @@ BILIN_POINT = main_component_point([QQ.from_int(0), QQ.from_int(1)],
                                    Matrix.identity(QQ, 2), Matrix.identity(QQ, 2))
 
 
+# A duplicated gauge is caught by kernel_mod_span's rank certificate, which
+# runs with or without check; a gauge vector off the kernel only by check.
 @pytest.mark.parametrize("corrupt, message", [(_perturbed, "violates the deformation system"),
-                                              (_duplicated, "gauge map rank")])
+                                              (_duplicated, "in kernel coordinates")])
 def test_quot_check_rejects_a_corrupted_gauge(monkeypatch, corrupt, message):
     assert quot_tangent(QUOT_POINT, check=True).dim == 6
     gauge = quot._gauge_vectors_quot
     monkeypatch.setattr(quot, "_gauge_vectors_quot", lambda p: corrupt(gauge(p), p.field))
     with pytest.raises(ArithmeticError, match=message):
         quot_tangent(QUOT_POINT, check=True)
+    if corrupt is _duplicated:
+        with pytest.raises(ArithmeticError, match=message):
+            quot_tangent(QUOT_POINT, check=False)
 
 
 @pytest.mark.parametrize("corrupt, message", [(_perturbed, "violates the deformation system"),
-                                              (_duplicated, "gauge map rank")])
+                                              (_duplicated, "in kernel coordinates")])
 def test_bilin_check_rejects_a_corrupted_gauge(monkeypatch, corrupt, message):
     assert bilin_tangent(BILIN_POINT, check=True).dim == 6
     gauge = bilin._gauge_vectors_bilin
     monkeypatch.setattr(bilin, "_gauge_vectors_bilin", lambda b: corrupt(gauge(b), b.field))
     with pytest.raises(ArithmeticError, match=message):
         bilin_tangent(BILIN_POINT, check=True)
+    if corrupt is _duplicated:
+        with pytest.raises(ArithmeticError, match=message):
+            bilin_tangent(BILIN_POINT, check=False)

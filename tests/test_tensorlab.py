@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible
+from quotbilin.exactalg import GF, QQ, Matrix, ShapeError, UniPoly, rand_invertible
 from quotbilin.modcore import (
     InvalidPoint,
     cyclic_module_univariate,
@@ -37,7 +39,14 @@ from quotbilin.tensorlab import (
     tensor_to_json,
     unit_tensor,
 )
-from quotbilin.cases222 import named_tensor
+from quotbilin.cases222 import _NAMED, named_tensor
+from quotbilin.tensorlab import _pairing_tensor
+from helpers_tensor import (
+    reference_apply_gl,
+    reference_flattening,
+    reference_pairing_tensor,
+    reference_slice3,
+)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -332,3 +341,108 @@ def test_tensor_json_round_trip():
     obj = tensor_to_json(t)
     assert obj["dims"] == [2, 2, 2]
     assert tensor_from_json(obj) == t
+
+
+# Coefficients of the named tensors as tensor_to_json wrote them before a
+# tensor was stored as its third flattening; the families at t = 0 and t = 3.
+NAMED_COEFFS = {
+    "mu1": "10000001", "mu2": "10010100", "mu3": "10010000", "mu4": "10000100",
+    "pi5_sample": "10010000",
+    "mu2_t": ("10010100", "10010103"), "mu3_t": ("10010000", "10010003"),
+    "mu4_t": ("10000100", "10000103"),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=lambda f: f.name)
+def test_named_tensor_json_is_unchanged(field):
+    assert set(NAMED_COEFFS) == set(_NAMED)
+    for name, coeffs in NAMED_COEFFS.items():
+        t = named_tensor(name, field)
+        if isinstance(coeffs, tuple):
+            tensors = [t.evaluate(field.from_int(t0)) for t0 in (0, 3)]
+        else:
+            tensors, coeffs = [t], (coeffs,)
+        for t, digits in zip(tensors, coeffs):
+            expected = {"field": field.name, "dims": [2, 2, 2],
+                        "coeffs": [field.fmt(field.from_int(int(c))) for c in digits]}
+            assert json.dumps(tensor_to_json(t)) == json.dumps(expected)
+
+
+def test_multiplication_tensor_json_is_unchanged():
+    # The tuple module's cyclic basis (1, x, x^2 applied to the all-ones
+    # framing) is not the standard one, so the change of basis is exercised.
+    t = multiplication_tensor(cyclic_tuple_module([QQ.from_int(v) for v in (0, 1, 3)], QQ))
+    assert tensor_to_json(t)["coeffs"] == [
+        "1", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "0", "0", "0", "1",
+        "0", "-3", "4", "0", "0", "1", "0", "-3", "4", "0", "-12", "13"]
+    t = multiplication_tensor(cyclic_module_univariate(UniPoly.from_ints(F5, [2, 3, 1, 1])))
+    assert tensor_to_json(t)["coeffs"] == [
+        "1", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "0", "0", "0", "1",
+        "3", "2", "4", "0", "0", "1", "3", "2", "4", "2", "1", "3"]
+
+
+# -- the Matrix-backed operations against per-index references ------------------------
+
+def field_entries(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+    return st.integers(0, field.p - 1)
+
+
+def draw_matrix(data, field, rows, cols):
+    return Matrix(field, rows, cols, data.draw(st.lists(field_entries(field), min_size=rows * cols,
+                                                        max_size=rows * cols)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([QQ, F2, F5]), st.tuples(*[st.integers(1, 3)] * 3), st.data())
+def test_matrix_backed_operations_equal_the_per_index_references(field, dims, data):
+    d1, d2, d3 = dims
+    t = Tensor3(field, dims, draw_matrix(data, field, 1, d1 * d2 * d3).entries)
+    u = Tensor3(field, dims, draw_matrix(data, field, 1, d1 * d2 * d3).entries)
+    for factor in (1, 2, 3):
+        flat = t.flattening(factor)
+        ref = reference_flattening(t, factor)
+        assert (flat.rows, flat.cols) == (ref.rows, ref.cols) and flat == ref
+    for k in range(d3):
+        assert t.slice3(k) == reference_slice3(t, k)
+    g1, g2, g3 = (draw_matrix(data, field, d, d) for d in dims)
+    moved = t.apply_gl(g1, g2, g3)
+    assert moved.dims == dims and moved == reference_apply_gl(t, g1, g2, g3)
+    c = data.draw(field_entries(field))
+    f = field
+    assert (t + u).coeffs == [f.add(a, b) for a, b in zip(t.coeffs, u.coeffs)]
+    assert (t - u).coeffs == [f.sub(a, b) for a, b in zip(t.coeffs, u.coeffs)]
+    assert t.scale(c).coeffs == [f.mul(c, a) for a in t.coeffs]
+    assert t.is_zero() == all(f.is_zero(a) for a in t.coeffs)
+    assert (t == u) == all(f.eq(a, b) for a, b in zip(t.coeffs, u.coeffs))
+    shifted = Tensor3(field, dims, [a + f.characteristic for a in t.coeffs])
+    assert shifted == t and hash(shifted) == hash(t)
+    # _pairing_tensor reads only the dimensions and the d3 x d1*d2 pairing lift.
+    point = SimpleNamespace(field=field, m1=SimpleNamespace(d=d1), m2=SimpleNamespace(d=d2),
+                            d3=d3, pihat=draw_matrix(data, field, d3, d1 * d2))
+    assert _pairing_tensor(point) == reference_pairing_tensor(point)
+    assert _pairing_tensor(point).coeffs == reference_pairing_tensor(point).coeffs
+
+
+def test_pairing_tensor_equals_the_reference_at_points():
+    g = Matrix.from_int_rows(QQ, [[1, 2], [0, 1], [3, 1]])
+    points = [
+        main_component_point([QQ.from_int(v) for v in (0, 1, 3)], g,
+                             Matrix.from_int_rows(QQ, [[1, 0], [1, 1], [2, 5]])),
+        degenerate_point(2, 2, 2, Matrix.identity(QQ, 2), Matrix.identity(QQ, 2),
+                         Matrix.from_int_rows(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]])),
+    ]
+    for b in points:
+        t = tensor_from_bilin(b)
+        assert t.coeffs == reference_pairing_tensor(b).coeffs
+        assert t.flattening(3) == b.pihat.transpose()
+
+
+def test_flattening_shape_is_checked():
+    with pytest.raises(ShapeError):
+        Tensor3.from_flat((2, 1, 2), Matrix.zeros(QQ, 1, 4))
+    with pytest.raises(ShapeError):
+        Tensor3(QQ, (2, 2, 2), [QQ.zero()] * 7)
+    with pytest.raises(ShapeError):
+        Tensor3.zeros(QQ, (1, 2, 2)) + Tensor3.zeros(QQ, (2, 1, 2))
