@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -360,7 +361,10 @@ def _subcommand(sub, name: str, handler, summary: str, *flags: str) -> argparse.
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="quotbilin",
         description="Exact computations on framed-module and pairing moduli points")

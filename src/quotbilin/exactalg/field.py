@@ -21,18 +21,34 @@ class FieldError(ValueError):
     """Malformed field spec, mixed-field operands, or unsupported modulus."""
 
 
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015), so it decides primality there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ``FieldError`` for n >= _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise FieldError(f"modulus {n} is too large: primality is decided below {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for q in _MR_BASES:
+        x = pow(q, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -120,9 +120,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        f = self.field
+        if (self.rows, self.cols) != (other.rows, other.cols) or (
+                f is not other.field and f != other.field):
             return False
-        f = same_field(self.field, other.field)
         return all(f.eq(a, b) for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):

@@ -68,8 +68,8 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        f = same_field(self.field, other.field)
-        if len(self.coeffs) != len(other.coeffs):
+        f = self.field
+        if len(self.coeffs) != len(other.coeffs) or (f is not other.field and f != other.field):
             return False
         return all(f.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
 

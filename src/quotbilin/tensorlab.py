@@ -25,6 +25,7 @@ from .exactalg import (
     parse_field,
     rand_nonzero_vector,
 )
+from .exactalg.matrix import _eliminate
 from .modcore import FramedModule, InvalidPoint
 
 
@@ -470,6 +471,47 @@ class SecantReport:
     per_trial: list[int]
 
 
+# A prime just below 2^31: a Terracini minor that vanishes mod it but not over
+# Q costs one exact re-elimination, never a wrong answer.
+_TERRACINI_PRIME = 2 ** 31 - 1
+
+
+def _tangent_rows(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> list[list[int]]:
+    """The 3d integer rows e_i (x) b (x) c, a (x) e_i (x) c, a (x) b (x) e_i
+    (i < d, interleaved in that order) spanning the affine tangent space of
+    the Segre cone at a (x) b (x) c, as coefficient lists in lexicographic
+    order."""
+    d = len(a)
+    dd = d * d
+    bc = [y * z for y in b for z in c]
+    ab = [x * y for x in a for y in b]
+    rows = []
+    for i in range(d):
+        first = [0] * (d * dd)
+        first[i * dd:(i + 1) * dd] = bc
+        second = [0] * (d * dd)
+        for s, x in enumerate(a):
+            second[s * dd + i * d:s * dd + (i + 1) * d] = [x * z for z in c]
+        third = [0] * (d * dd)
+        third[i::d] = ab
+        rows += (first, second, third)
+    return rows
+
+
+def _terracini_rank(field: Field, rows: list[list[int]], ncols: int, full: int) -> int:
+    """Rank over ``field`` of integer rows whose rank over Q is at most
+    ``full``.  Over F_p: one elimination of the rows mod p.  Over Q: one
+    elimination mod ``_TERRACINI_PRIME``, and the exact elimination over Q
+    only when that rank falls short of ``full`` (the rank mod a prime is at
+    most the rank over Q, so reaching ``full`` certifies it)."""
+    if field.characteristic:
+        return len(_eliminate(field, rows, ncols, reduced=False)[1])
+    rank = len(_eliminate(GF(_TERRACINI_PRIME), rows, ncols, reduced=False)[1])
+    if rank < full:
+        rank = len(_eliminate(QQ, rows, ncols, reduced=False)[1])
+    return rank
+
+
 def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
                      field: Field = QQ) -> SecantReport:
     """Generic dimension of the r-th secant of the triple Segre of P^(d-1).
@@ -480,6 +522,22 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
     reported and never exceeds ``bound`` = min(ambient, r(3(d-1)+1) - 1), so
     the trials stop at the first one that reaches it: ``per_trial`` lists
     the trials run, at most ``trials`` of them.
+
+    The 3dr x d^3 rows are integers: the sampled coordinates over Q, their
+    residues over F_p, where one elimination mod p gives the rank.  Over Q
+    the rank is taken mod the prime P = ``_TERRACINI_PRIME`` first, and
+    certified by the bound:
+
+    - rank_P <= rank_Q, since a minor that is nonzero mod P is a nonzero
+      integer;
+    - rank_Q <= bound + 1 = min(d^3, r(3d - 2)), since each point's 3d rows
+      span the affine tangent space of the Segre cone, of dimension 3d - 2:
+      sum_i a_i (e_i (x) b (x) c), sum_j b_j (a (x) e_j (x) c) and
+      sum_k c_k (a (x) b (x) e_k) all equal a (x) b (x) c;
+    - so rank_P - 1 == bound proves rank_Q - 1 == bound.
+
+    A trial whose rank mod P falls short of bound + 1 (every trial of a
+    defective secant) is ranked again by the exact elimination over Q.
     """
     if d < 1 or r < 1:
         raise ValueError("need d, r >= 1")
@@ -491,7 +549,7 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
         # Over Q, positive integers from a window wide enough that projective
         # collisions between sampled Segre points are vanishingly rare.
         if field.characteristic == 0:
-            return [field.from_int(rng.randint(1, 9973)) for _ in range(d)]
+            return [rng.randint(1, 9973) for _ in range(d)]
         return rand_nonzero_vector(rng, field, d)
 
     per_trial = []
@@ -501,12 +559,8 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
             a = sample_point()
             b = sample_point()
             c = sample_point()
-            eye = Matrix.identity(field, d)
-            for i in range(d):
-                rows.append(rank_one(field, list(eye.col(i)), b, c).coeffs)
-                rows.append(rank_one(field, a, list(eye.col(i)), c).coeffs)
-                rows.append(rank_one(field, a, b, list(eye.col(i))).coeffs)
-        rank = Matrix.from_rows(field, rows).rank()
+            rows += _tangent_rows(a, b, c)
+        rank = _terracini_rank(field, rows, d ** 3, bound + 1)
         per_trial.append(rank - 1)
         if rank - 1 == bound:
             break

@@ -1,10 +1,13 @@
 """Per-index tensor operations, as tensorlab built them before a tensor was
 stored as its third flattening: every entry is read with ``get`` and every
 output entry is assembled on its own.  Kept as the reference the
-Matrix-backed operations must equal."""
+Matrix-backed operations must equal, with the Terracini rank as it was
+taken before the rows became plain integers ranked modulo a prime."""
 
-from quotbilin.exactalg import Matrix
-from quotbilin.tensorlab import Tensor3
+import random
+
+from quotbilin.exactalg import Matrix, rand_nonzero_vector
+from quotbilin.tensorlab import Tensor3, rank_one
 
 
 def reference_flattening(t: Tensor3, factor: int) -> Matrix:
@@ -55,3 +58,32 @@ def reference_pairing_tensor(b) -> Tensor3:
             for k in range(d3):
                 t.coeffs[t.index(i, j, k)] = b.pihat[k, i * d2 + j]
     return t
+
+
+def reference_secant_per_trial(d: int, r: int, trials: int, seed: int, field) -> list[int]:
+    """``secant_dimension``'s per_trial as it was computed over ``Fraction``
+    and field values: every tangent row a ``rank_one`` coefficient list,
+    the stacked rows ranked by ``Matrix.rank``, the same sampling and the
+    same stop at the first trial that reaches the bound."""
+    rng = random.Random(seed)
+    bound = min(d ** 3 - 1, r * (3 * (d - 1) + 1) - 1)
+
+    def sample_point():
+        if field.characteristic == 0:
+            return [field.from_int(rng.randint(1, 9973)) for _ in range(d)]
+        return rand_nonzero_vector(rng, field, d)
+
+    per_trial = []
+    for _ in range(trials):
+        rows = []
+        for _ in range(r):
+            a, b, c = sample_point(), sample_point(), sample_point()
+            eye = Matrix.identity(field, d)
+            for i in range(d):
+                rows.append(rank_one(field, list(eye.col(i)), b, c).coeffs)
+                rows.append(rank_one(field, a, list(eye.col(i)), c).coeffs)
+                rows.append(rank_one(field, a, b, list(eye.col(i))).coeffs)
+        per_trial.append(Matrix.from_rows(field, rows).rank() - 1)
+        if per_trial[-1] == bound:
+            break
+    return per_trial

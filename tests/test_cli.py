@@ -416,6 +416,29 @@ def test_help_exits_ok(capsys):
     assert "--enumerate" in capsys.readouterr().out
 
 
+def test_a_modulus_past_the_primality_bound_exits_malformed(capsys):
+    argv = ["secant-dim", "--d", "2", "--r", "2", "--field", f"F:{2 ** 89 - 1}"]
+    assert main(argv) == EXIT_MALFORMED
+    assert "too large" in capsys.readouterr().err
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # The parser is built once per process; each call gets its own exit code
+    # and report, and no value of one call shows up as a default of the next.
+    assert build_parser() is build_parser()
+    assert main(["--help"]) == EXIT_OK
+    assert "classify222" in capsys.readouterr().out
+    assert main(["classify222", "--name", "mu2", "--enumerate"]) == EXIT_MALFORMED
+    assert "error" in capsys.readouterr().err
+    code, census, _ = run_json(tmp_path, ["classify222", "--enumerate", "--q", "2"])
+    assert code == EXIT_OK and census["q"] == 2 and census["total_points"] == 308
+    code, named, _ = run_json(tmp_path, ["classify222", "--name", "mu1"])
+    assert code == EXIT_OK
+    assert named["tensor"]["field"] == "Q" and "total_points" not in named
+    args = build_parser().parse_args(["classify222", "--name", "mu1"])
+    assert (args.enumerate, args.q, args.field, args.cap, args.out) == (False, None, None, None, None)
+
+
 def test_process_exit_status():
     # The console script runs sys.exit(main()); check the status the shell sees.
     src = str(Path(quotbilin.__file__).resolve().parents[1])

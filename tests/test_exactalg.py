@@ -50,6 +50,39 @@ def test_prime_field_rejects_composite():
         GF(6)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    from quotbilin.exactalg.field import _is_prime
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 2047, 3215031751])
+def test_carmichael_numbers_and_strong_pseudoprimes_are_rejected(n):
+    with pytest.raises(FieldError, match="not prime"):
+        GF(n)
+
+
+def test_a_20_digit_prime_is_accepted_in_bounded_time():
+    start = time.perf_counter()
+    assert parse_field("F:10000000000000000051").characteristic == 10 ** 19 + 51
+    assert time.perf_counter() - start < 1.0
+
+
+def test_moduli_past_the_miller_rabin_bound_are_refused():
+    from quotbilin.exactalg.field import _MR_BOUND
+    with pytest.raises(FieldError, match="too large"):
+        parse_field(f"F:{2 ** 89 - 1}")      # a Mersenne prime, 27 digits
+    with pytest.raises(FieldError, match="too large"):
+        GF(_MR_BOUND)                        # composite, a strong pseudoprime to bases 2..41
+    assert GF(_MR_BOUND - 168).characteristic == _MR_BOUND - 168   # the largest prime below
+    with pytest.raises(FieldError, match="not prime"):
+        GF(_MR_BOUND - 2)
+
+
 def test_parse_field_specs():
     assert parse_field("Q") is QQ
     assert parse_field("F:7").characteristic == 7
@@ -264,6 +297,14 @@ def test_mixed_field_rejected():
     b = Matrix.identity(F5, 2)
     with pytest.raises(FieldError):
         a * b
+
+
+def test_values_over_different_fields_are_unequal():
+    a, b = Matrix.identity(QQ, 2), Matrix.identity(F5, 2)
+    assert a != b and not a == b
+    assert a not in [b] and len({a, b}) == 2
+    assert UniPoly(QQ, [1, 1]) != UniPoly(F5, [1, 1])
+    assert len({UniPoly(QQ, [1, 1]), UniPoly(F5, [1, 1])}) == 2
 
 
 def test_equal_matrices_hash_equal():

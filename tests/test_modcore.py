@@ -118,6 +118,22 @@ def test_krylov_span_matches_the_loop_without_early_exit(inputs):
     assert krylov_span(*inputs) == reference_krylov_span(*inputs)
 
 
+@pytest.mark.parametrize("d,products", [(4, 3), (8, 7), (16, 15)])
+def test_krylov_span_multiplies_each_new_vector_once(d, products, monkeypatch):
+    # k[x]/(x^d): x shifts e_i to e_(i+1), and e_0 generates.  Multiplying
+    # only the vectors added since the last round takes d - 1 products, where
+    # multiplying the whole basis every round took d(d - 1)/2.
+    shift = Matrix(F5, d, d, [int(i == j + 1) for i in range(d) for j in range(d)])
+    calls = []
+    matvec = Matrix.matvec
+    monkeypatch.setattr(Matrix, "matvec", lambda m, v: calls.append(1) or matvec(m, v))
+    e = [[int(i == j) for j in range(d)] for i in range(d)]
+    basis = krylov_span((shift,), [e[0]], F5, d)
+    assert len(calls) == products
+    assert basis == [tuple(v) for v in e]
+    assert basis == reference_krylov_span((shift,), [e[0]], F5, d)
+
+
 # -- tensor product ---------------------------------------------------------------
 
 def test_tensor_disjoint_support_vanishes():

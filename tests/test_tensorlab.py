@@ -40,11 +40,12 @@ from quotbilin.tensorlab import (
     unit_tensor,
 )
 from quotbilin.cases222 import _NAMED, named_tensor
-from quotbilin.tensorlab import _pairing_tensor
+from quotbilin.tensorlab import _TERRACINI_PRIME, _pairing_tensor, _tangent_rows, _terracini_rank
 from helpers_tensor import (
     reference_apply_gl,
     reference_flattening,
     reference_pairing_tensor,
+    reference_secant_per_trial,
     reference_slice3,
 )
 
@@ -318,6 +319,35 @@ def test_secant_defective_case_runs_every_trial():
     assert rep.terracini_dim == 25 and not rep.fills_ambient
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 5), st.sampled_from([QQ, GF(101)]))
+def test_secant_per_trial_matches_the_rank_one_rows(d, r, seed, field):
+    rep = secant_dimension(d, r, trials=5, seed=seed, field=field)
+    assert rep.per_trial == reference_secant_per_trial(d, r, 5, seed, field)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tangent_rows_are_the_rank_one_tangents_and_span_3d_minus_2(d):
+    rng = random.Random(d)
+    a, b, c = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(3))
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    expected = []
+    for e in eye:
+        expected += [rank_one(QQ, e, b, c).coeffs, rank_one(QQ, a, e, c).coeffs,
+                     rank_one(QQ, a, b, e).coeffs]
+    rows = _tangent_rows(a, b, c)
+    assert rows == expected
+    if any(a) and any(b) and any(c):
+        assert Matrix.from_int_rows(QQ, rows).rank() == 3 * d - 2
+
+
+def test_terracini_rank_falls_back_to_q_when_the_prime_drops_rank():
+    rows = [[1, 0, 3], [0, _TERRACINI_PRIME, 2 * _TERRACINI_PRIME]]
+    assert _terracini_rank(GF(_TERRACINI_PRIME), rows, 3, 2) == 1
+    assert _terracini_rank(QQ, rows, 3, 2) == 2
+    assert _terracini_rank(GF(5), rows, 3, 2) == 2
+
+
 def test_secant_monotone_in_r():
     prev = -1
     for r in range(1, 5):
@@ -334,6 +364,12 @@ def test_equal_tensors_hash_equal():
     b = Tensor3(F5, (1, 1, 2), [2, 4])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_tensors_over_different_fields_are_unequal():
+    q, f2 = Tensor3.zeros(QQ, (1, 1, 1)), Tensor3.zeros(F2, (1, 1, 1))
+    assert q not in [f2] and q != f2
+    assert len({q, f2}) == 2
 
 
 def test_tensor_json_round_trip():
