@@ -11,7 +11,6 @@ framed module of rank r1*r2 and is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Iterator, Optional
@@ -27,9 +26,10 @@ from .exactalg import (
     matrix_from_json,
     matrix_to_json,
     rank_and_kernel,
+    rational,
     same_field,
 )
-from .exactalg.matrix import _eliminate
+from .exactalg.matrix import _cleared, _eliminate
 from .modcore import (
     FramedModule,
     FramedValidation,
@@ -273,6 +273,10 @@ class MembershipSystem:
         p = f.characteristic
         ge = G.entries
         g = [x for ab in range(nab) for x in ge[ab::nab]]
+        den = 1
+        if not p:
+            # vec(G) = g / den with g an integer row, so every product is an int.
+            g, den = _cleared(g)
         for t in self._checks:
             s = sum(map(mul, t, g))
             if (s % p) if p else s:
@@ -281,7 +285,7 @@ class MembershipSystem:
         x = [f.zero()] * self.nvars
         for pc, pv, t in self._solved:
             s = sum(map(mul, t, g))
-            x[pc] = s % p if p else Fraction(s, pv)
+            x[pc] = s % p if p else rational(s, pv * den)
         pihat = Matrix(f, self.d3, self.m1.d * self.m2.d, x)
         point = BilinPoint(m1=self.m1, m2=self.m2, d3=self.d3, Z=self.Z, pihat=pihat)
         return MembershipReport(found=True, point=point,

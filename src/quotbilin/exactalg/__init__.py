@@ -1,6 +1,8 @@
 """Exact linear algebra kernels: fields, matrices, univariate polynomials, families."""
 
-from .field import Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, same_field
+from .field import (
+    Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, rational, same_field,
+)
 from .matrix import (
     EchelonBasis,
     Matrix,
@@ -28,7 +30,7 @@ from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_ve
 
 __all__ = [
     "Field", "FieldError", "GF", "PrimeField", "QQ", "RationalField",
-    "parse_field", "same_field",
+    "parse_field", "rational", "same_field",
     "EchelonBasis", "Matrix", "ShapeError", "in_span", "kernel_mod_span",
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",

@@ -1,10 +1,14 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
 A scalar is a raw Python value paired with the :class:`Field` that knows how
-to operate on it: ``fractions.Fraction`` over Q, ``int`` in ``[0, p)`` over
-F_p.  Every operation is exact; nothing here ever rounds.  Rationals are kept
-as canonical reduced fractions (Fraction does this), prime-field inverses use
-Fermat's little theorem.
+to operate on it: over Q an ``int`` when it is integral and a reduced
+``fractions.Fraction`` otherwise, over F_p an ``int`` in ``[0, p)``.  Every
+operation is exact; nothing here ever rounds.  ``int`` and ``Fraction``
+compare and hash alike (``hash(Fraction(n)) == hash(n)``), so a sum such as
+``Fraction(1, 2) + Fraction(1, 2)`` may stay a ``Fraction`` without breaking
+equality; the values this package builds by division go through
+:func:`rational`, which gives the ``int`` form whenever it can.  Prime-field
+inverses use Fermat's little theorem.
 
 Fields serialize to the strings ``"Q"`` and ``"F:<p>"``; elements serialize
 to ``"num/den"`` (or ``"num"``) over Q and to decimal strings in ``[0, p)``
@@ -50,6 +54,15 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def rational(num: int, den: int):
+    """The rational num/den (den != 0): an ``int`` when it is integral, else
+    a reduced ``Fraction``."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class Field:
@@ -125,13 +138,13 @@ class RationalField(Field):
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -148,7 +161,12 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return rational(a.denominator, a.numerator)
+
+    def div(self, a, b):
+        if b == 0:
+            raise ZeroDivisionError("division by 0 in Q")
+        return rational(a.numerator * b.denominator, a.denominator * b.numerator)
 
     def is_zero(self, a):
         return a == 0
@@ -165,10 +183,11 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, s):
-        return Fraction(s)
+        a = Fraction(s)
+        return a.numerator if a.denominator == 1 else a
 
     def sample(self, rng, bound: int = 4):
-        return Fraction(rng.randint(-bound, bound))
+        return rng.randint(-bound, bound)
 
 
 class PrimeField(Field):

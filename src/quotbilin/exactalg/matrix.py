@@ -19,22 +19,22 @@ are not touched, and keeping every row primitive keeps the integers near the
 size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
 rescales every row at every step instead, which is slower on the sparse
 tangent systems.  :class:`EchelonBasis` stores its rows the same way and
-reduces a vector by the same row operations.  Only ``rref``,
-``EchelonBasis.reduce`` and the kernel-vector builder of
+reduces a vector by the same row operations.  A Q value is an ``int`` when
+it is integral and a ``Fraction`` otherwise (see :mod:`.field`), so a row of
+an integral matrix is already an integer row and skips the denominator pass.
+Only ``rref``, ``EchelonBasis.reduce`` and the kernel-vector builder of
 :func:`kernel_mod_span` (which :func:`rank_and_kernel` also reads its basis
-through) build ``Fraction`` values, once per nonzero entry of their result.
+through) divide, each through :func:`.field.rational`, once per nonzero
+entry of their result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .field import Field, FieldError, parse_field, same_field
-
-_ZERO = Fraction(0)
+from .field import Field, FieldError, parse_field, rational, same_field
 
 
 class ShapeError(ValueError):
@@ -197,20 +197,19 @@ class Matrix:
                        for j in range(self.cols) for i in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; block (i,j) is self[i,j] * other."""
+        """Kronecker product; block (i,j) is self[i,j] * other.
+
+        One pass of plain products: ``a * b % p`` over F_p and ``a * b``
+        over Q, where the block of a zero ``self[i,j]`` is left zero.
+        """
         f = same_field(self.field, other.field)
         r1, c1, r2, c2 = self.rows, self.cols, other.rows, other.cols
-        out = [f.zero()] * (r1 * r2 * c1 * c2)
-        for i in range(r1):
-            for j in range(c1):
-                a = self.entries[i * c1 + j]
-                if f.is_zero(a):
-                    continue
-                for p in range(r2):
-                    rb = (i * r2 + p) * (c1 * c2) + j * c2
-                    ob = p * c2
-                    for q in range(c2):
-                        out[rb + q] = f.mul(a, other.entries[ob + q])
+        p = f.characteristic
+        arows, orows = self.row_lists(), other.row_lists()
+        if p:
+            out = [a * b % p for arow in arows for orow in orows for a in arow for b in orow]
+        else:
+            out = [a * b if a else 0 for arow in arows for orow in orows for a in arow for b in orow]
         return Matrix(f, r1 * r2, c1 * c2, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -231,9 +230,8 @@ class Matrix:
                       self.entries + other.entries)
 
     def matvec(self, v: Sequence) -> list:
-        """``self * v`` as a list.  Over F_p each output entry is the plain
-        ``int`` dot product reduced mod p once; over Q zero entries of the
-        matrix are skipped."""
+        """``self * v`` as a list: each output entry is the plain dot product
+        of a row and ``v``, reduced mod p once over F_p."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
         c, e = self.cols, self.entries
@@ -241,8 +239,7 @@ class Matrix:
         p = self.field.characteristic
         if p:
             return [sum(map(mul, row, v)) % p for row in rows]
-        zero = self.field.zero()
-        return [sum((x * y for x, y in zip(row, v) if x), zero) for row in rows]
+        return [sum(map(mul, row, v)) for row in rows]
 
     # -- elimination ---------------------------------------------------------
 
@@ -253,12 +250,11 @@ class Matrix:
         if f.characteristic:
             flat = [x for row in rows for x in row]
         else:
-            zero = Fraction(0)
             flat = []
             for row, pc in zip(rows, pivots):
                 pv = row[pc]
-                flat.extend(Fraction(x, pv) if x else zero for x in row)
-            flat.extend([zero] * ((self.rows - len(pivots)) * self.cols))
+                flat.extend([rational(x, pv) if x else 0 for x in row])
+            flat.extend([0] * ((self.rows - len(pivots)) * self.cols))
         return Matrix(f, self.rows, self.cols, flat), tuple(pivots)
 
     def rank(self) -> int:
@@ -281,10 +277,19 @@ class Matrix:
         return Matrix(self.field, n, n, ents)
 
 
+def _cleared(row: Sequence) -> tuple[list[int], int]:
+    """``(w, den)``: den the lcm of the rational row's denominators and w the
+    row times den, an ``int`` list.  A row of ``int`` values (not ``bool``)
+    is copied as it is, with den 1."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def _primitive(row: Sequence) -> list[int]:
     """The rational row scaled to a primitive integer row (coprime entries)."""
-    den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    ints = _cleared(row)[0]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -373,8 +378,8 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
 
     Only the kept vectors are built.  The vector of non-pivot column fc is 1
     at fc, zero at the other non-pivot columns, and -row[fc]/row[pc] at the
-    pivot column pc of each reduced row: a ``Fraction`` over Q, ``(-row[fc])
-    mod p`` over F_p, where row[pc] = 1.
+    pivot column pc of each reduced row: ``rational(-row[fc], row[pc])`` over
+    Q, ``(-row[fc]) mod p`` over F_p, where row[pc] = 1.
     """
     p = m.field.characteristic
     rows, pivots = _eliminate(m.field, m.row_lists(), m.cols, reduced=True)
@@ -390,7 +395,7 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
         for row, pc in zip(rows, pivots):
             x = row[fc]
             if x:
-                v[pc] = (-x) % p if p else Fraction(-x, row[pc])
+                v[pc] = (-x) % p if p else rational(-x, row[pc])
         basis.append(tuple(v))
     return len(free), basis
 
@@ -488,11 +493,7 @@ class EchelonBasis:
     def _rational_residue(self, v: Sequence) -> tuple[list[int], int]:
         """Over Q: ``(w, s)`` with ``w / s`` the residue of ``v`` (see
         :meth:`reduce`) and ``w`` an integer row."""
-        scale = lcm(*[x.denominator for x in v])
-        if scale == 1:
-            w = [x.numerator for x in v]
-        else:
-            w = [x.numerator * (scale // x.denominator) for x in v]
+        w, scale = _cleared(v)
         for row, pc in zip(self.rows, self.pivots):
             c = w[pc]
             if c:
@@ -512,8 +513,8 @@ class EchelonBasis:
         column; zero exactly when ``v`` lies in the span.
 
         The pivot block of the rows is triangular with nonzero diagonal, so
-        that combination is unique and the residue is exact: ``Fraction``
-        values over Q, residues in ``[0, p)`` over F_p.
+        that combination is unique and the residue is exact: canonical Q
+        values (see :mod:`.field`), residues in ``[0, p)`` over F_p.
         """
         n = self.dim
         if len(v) != n:
@@ -521,7 +522,7 @@ class EchelonBasis:
         p = self.field.characteristic
         if not p:
             w, scale = self._rational_residue(v)
-            return [Fraction(x, scale) if x else _ZERO for x in w]
+            return [rational(x, scale) if x else 0 for x in w]
         w = [x % p for x in v]
         for row, pc in zip(self.rows, self.pivots):
             c = w[pc]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .field import Field, FieldError, same_field
+from .field import Field, FieldError, rational, same_field
 from .matrix import Matrix, ShapeError, solve
 
 
@@ -196,10 +196,9 @@ def rational_roots(p: UniPoly) -> list:
                 roots.append(zero)
         if not ints:
             return roots
-        from fractions import Fraction
         for num in _divisors(abs(ints[0])):
             for den in _divisors(abs(ints[-1])):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
+                for cand in (rational(num, den), rational(-num, den)):
                     if p.eval(cand) == 0 and cand not in roots:
                         roots.append(cand)
         return roots

@@ -192,20 +192,18 @@ class KernelPresentation:
 def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
     """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a.
 
-    X's rows are sliced once per call.  Over F_p each step adds plain ``int``
-    products and reduces mod p once; over Q zero entries of X are skipped.
+    X's rows and G's columns are sliced once per call, the columns of zero
+    polynomials not at all.  Each step adds plain products, reduced mod p
+    once over F_p.
     """
     f = X.field
     p = f.characteristic
     rows = X.row_lists()
-    terms = [(poly.coeffs, G.col(a)) for a, poly in enumerate(polys)]
-    zero = f.zero()
-    h = [zero] * X.rows
-    for m in range(max(poly.degree for poly in polys), -1, -1):
-        if p:
-            h = [sum(map(mul, row, h)) for row in rows]
-        else:
-            h = [sum((x * y for x, y in zip(row, h) if x), zero) for row in rows]
+    ge, r = G.entries, G.cols
+    terms = [(poly.coeffs, ge[a::r]) for a, poly in enumerate(polys) if poly.coeffs]
+    h = [f.zero()] * X.rows
+    for m in range(max((len(coeffs) for coeffs, _ in terms), default=0) - 1, -1, -1):
+        h = [sum(map(mul, row, h)) for row in rows]
         for coeffs, g in terms:
             if m < len(coeffs) and coeffs[m]:
                 c = coeffs[m]

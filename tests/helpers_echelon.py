@@ -3,14 +3,44 @@
 ``ReferenceEchelonBasis`` is the incremental echelon basis as the library
 built it before its rows became plain ``int`` rows: one ``Field`` call per
 entry, pivot-1 rows of field values over Q and F_p alike.
+``reference_rref`` is textbook Gauss-Jordan elimination through the
+``Field`` interface, one method call per entry.
 ``reference_kernel`` is the kernel basis read off ``Matrix.rref``, and
 ``full_rref_greedy`` the tangent representative choice by re-eliminating the
 growing matrix, as the library computed both before the kernel vectors were
 read off the elimination rows in free coordinates."""
 
+from fractions import Fraction
 from typing import Sequence
 
 from quotbilin.exactalg import Field, Matrix, ShapeError
+
+
+def is_canonical_rational(x) -> bool:
+    """Whether ``x`` is a Q value in its one form: an ``int`` (not a
+    ``bool``) when it is integral, else a ``Fraction`` with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def reference_rref(m):
+    """Gauss-Jordan elimination through ``Field`` methods."""
+    f = m.field
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    for pc in range(m.cols):
+        pr = len(pivots)
+        found = next((i for i in range(pr, m.rows) if not f.is_zero(rows[i][pc])), None)
+        if found is None:
+            continue
+        rows[pr], rows[found] = rows[found], rows[pr]
+        inv = f.inv(rows[pr][pc])
+        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+        for i in range(m.rows):
+            c = rows[i][pc]
+            if i != pr and not f.is_zero(c):
+                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+    return [f.canonical(x) for row in rows for x in row], tuple(pivots)
 
 
 def reference_kernel(m: Matrix) -> list[tuple]:

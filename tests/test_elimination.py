@@ -1,8 +1,9 @@
 """``Matrix.rref``/``Matrix.rank`` against a textbook elimination loop.
 
 The library eliminates on plain ints (primitive integer rows over Q, entries
-reduced mod p over F_p); the reference below is the straightforward loop
-through the ``Field`` interface, one method call per entry.  The reduced row
+reduced mod p over F_p); the reference, ``helpers_echelon.reference_rref``,
+is the straightforward loop through the ``Field`` interface, one method
+call per entry.  The reduced row
 echelon form is unique, so both must give the same matrix and pivots.
 """
 
@@ -14,28 +15,9 @@ import hypothesis.strategies as st
 
 from quotbilin.exactalg import GF, QQ, Matrix
 
+from helpers_echelon import is_canonical_rational, reference_rref
+
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(101)]
-
-
-def reference_rref(m):
-    """Gauss-Jordan elimination through ``Field`` methods."""
-    f = m.field
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    for pc in range(m.cols):
-        pr = len(pivots)
-        found = next((i for i in range(pr, m.rows) if not f.is_zero(rows[i][pc])), None)
-        if found is None:
-            continue
-        rows[pr], rows[found] = rows[found], rows[pr]
-        inv = f.inv(rows[pr][pc])
-        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-        for i in range(m.rows):
-            c = rows[i][pc]
-            if i != pr and not f.is_zero(c):
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-    return [f.canonical(x) for row in rows for x in row], tuple(pivots)
 
 
 def entries(field):
@@ -80,7 +62,7 @@ def check_against_reference(m):
     assert r.entries == want
     assert m.rank() == len(pivots)
     if f is QQ:
-        assert all(isinstance(x, Fraction) for x in r.entries)
+        assert all(is_canonical_rational(x) for x in r.entries)
     else:
         assert all(0 <= x < f.p for x in r.entries)
 

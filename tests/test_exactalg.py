@@ -7,6 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from quotbilin import exactalg
+from quotbilin.exactalg.count import _integer_root
+from quotbilin.exactalg.field import _is_prime
 from quotbilin.exactalg import (
     GF,
     QQ,
@@ -17,6 +19,7 @@ from quotbilin.exactalg import (
     char_poly,
     evaluate_param,
     gaussian_binomial,
+    is_prime_power,
     matrix_from_json,
     matrix_to_json,
     parse_field,
@@ -55,7 +58,6 @@ def trial_division_is_prime(n):
 
 
 def test_is_prime_agrees_with_trial_division_below_1e5():
-    from quotbilin.exactalg.field import _is_prime
     assert [n for n in range(10 ** 5) if _is_prime(n)] == \
         [n for n in range(10 ** 5) if trial_division_is_prime(n)]
 
@@ -224,6 +226,39 @@ def test_matmul_matches_per_entry_reference(field, n, m, k, data):
     assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
 
 
+def reference_kron(a, b):
+    """The per-entry Kronecker product: one Field mul per entry, the block of
+    a zero entry of a left zero."""
+    f = a.field
+    r1, c1, r2, c2 = a.rows, a.cols, b.rows, b.cols
+    out = [f.zero()] * (r1 * r2 * c1 * c2)
+    for i in range(r1):
+        for j in range(c1):
+            x = a.entries[i * c1 + j]
+            if f.is_zero(x):
+                continue
+            for p in range(r2):
+                for q in range(c2):
+                    out[(i * r2 + p) * (c1 * c2) + j * c2 + q] = f.mul(x, b.entries[p * c2 + q])
+    return Matrix(f, r1 * r2, c1 * c2, out)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([QQ, GF(2), GF(101)]),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_kron_matches_per_entry_reference(field, r1, c1, r2, c2, data):
+    # over Q with denominators, over F_p with unreduced entries
+    def draw(rows, cols):
+        return Matrix(field, rows, cols, data.draw(
+            st.lists(matvec_scalars(field), min_size=rows * cols, max_size=rows * cols)))
+
+    a, b = draw(r1, c1), draw(r2, c2)
+    got, want = a.kron(b), reference_kron(a, b)
+    assert (got.rows, got.cols) == (r1 * r2, c1 * c2)
+    assert got.entries == want.entries
+    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+
+
 # -- gaussian binomials ------------------------------------------------------------
 
 def test_gaussian_binomial_values():
@@ -238,6 +273,56 @@ def test_gaussian_binomial_rejects_bad_args():
         gaussian_binomial(3, 2, 2)
     with pytest.raises(ValueError):
         gaussian_binomial(1, 2, 6)
+
+
+def trial_division_is_prime_power(q):
+    """The trial division up to sqrt(q) that ``is_prime_power`` replaced."""
+    if q < 2:
+        return False
+    n, p = q, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+        p += 1
+    return True
+
+
+def test_is_prime_power_agrees_with_trial_division_below_1e5():
+    assert [q for q in range(-3, 10 ** 5) if is_prime_power(q)] == \
+        [q for q in range(-3, 10 ** 5) if trial_division_is_prime_power(q)]
+
+
+def test_integer_root_brackets_the_real_root():
+    for q in list(range(1, 3000)) + [3 ** 40 - 1, 3 ** 40, 3 ** 40 + 1, 10 ** 60 + 7]:
+        for k in range(2, 12):
+            r = _integer_root(q, k)
+            assert r ** k <= q < (r + 1) ** k
+
+
+def first_prime_from(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("q", [10 ** 14 + 31, first_prime_from(10 ** 19)],
+                         ids=["1e14+31", "20-digit"])
+def test_gaussian_binomial_at_a_large_prime_is_fast(q):
+    t0 = time.perf_counter()
+    assert gaussian_binomial(1, 2, q) == q + 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_large_prime_powers_and_semiprimes():
+    big = first_prime_from(10 ** 9)
+    t0 = time.perf_counter()
+    assert is_prime_power(3 ** 40) and is_prime_power(2 ** 200) and is_prime_power(big ** 2)
+    assert not is_prime_power(big * first_prime_from(big + 1))
+    assert not is_prime_power(6 ** 20) and not is_prime_power(2 ** 10 * 3)
+    assert time.perf_counter() - t0 < 1.0
+    assert gaussian_binomial(1, 2, 3 ** 40) == 3 ** 40 + 1
 
 
 def _count_subspaces_bruteforce(d, r, q):

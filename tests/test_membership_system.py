@@ -1,14 +1,14 @@
 """The membership solver against one elimination of [A | b] per target.
 
 ``MembershipSystem`` reduces the pairing-lift equations of (M1, M2, Z) once
-and answers each target framing with one product.  The reference below is
-the per-target assembly and ``solve_with_rank`` it replaced; every answer
-must match it: found or not, the reason, the solution dimension and the
-pairing lift, entry by entry and with the same entry types.
+and answers each target framing with one product.  The reference,
+``helpers_membership.reference_membership``, is the per-target assembly and
+``solve_with_rank`` it replaced; every answer must match it: found or not,
+the reason, the solution dimension and the pairing lift, entry by entry,
+with every Q entry in its canonical form.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +28,6 @@ from quotbilin.exactalg import (
     rand_invertible,
     rand_matrix,
     roots_with_multiplicity,
-    same_field,
-    solve_with_rank,
 )
 from quotbilin.modcore import (
     FramedModule,
@@ -39,55 +37,10 @@ from quotbilin.modcore import (
     validate_framed,
 )
 
-from helpers_membership import assemble_from_kernel
+from helpers_echelon import is_canonical_rational
+from helpers_membership import assemble_from_kernel, reference_membership
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
-
-
-def reference_membership(m1, m2, m3framed):
-    """Build [A | b] for one target and solve it; returns
-    (found, reason, solution_dim, pihat entries or None)."""
-    f = same_field(m1.field, m2.field, m3framed.field)
-    d1, d2, d3 = m1.d, m2.d, m3framed.d
-    dim = d1 * d2
-    nvars = d3 * dim
-    rows = []
-    rhs = []
-    for a in range(m1.r):
-        ga = m1.G.col(a)
-        for bcol in range(m2.r):
-            hb = m2.G.col(bcol)
-            w = [f.zero()] * dim
-            for i in range(d1):
-                if f.is_zero(ga[i]):
-                    continue
-                for j in range(d2):
-                    w[i * d2 + j] = f.mul(ga[i], hb[j])
-            target_col = m3framed.G.col(a * m2.r + bcol)
-            for k in range(d3):
-                row = [f.zero()] * nvars
-                for c in range(dim):
-                    row[k * dim + c] = w[c]
-                rows.append(row)
-                rhs.append(target_col[k])
-    eye1 = Matrix.identity(f, d1)
-    eye2 = Matrix.identity(f, d2)
-    for i in range(m1.n):
-        for mat in (m1.X[i].kron(eye2), eye1.kron(m2.X[i])):
-            z = m3framed.X[i]
-            for k in range(d3):
-                for c in range(dim):
-                    row = [f.zero()] * nvars
-                    for s in range(dim):
-                        row[k * dim + s] = f.add(row[k * dim + s], mat[s, c])
-                    for s in range(d3):
-                        row[s * dim + c] = f.sub(row[s * dim + c], z[k, s])
-                    rows.append(row)
-                    rhs.append(f.zero())
-    x, rank = solve_with_rank(Matrix.from_rows(f, rows), Matrix.column(f, rhs))
-    if x is None:
-        return False, "no pairing lift: target does not factor", None, None
-    return True, None, nvars - rank, list(x.entries)
 
 
 def assert_same_answer(rep, target, m1, m2):
@@ -102,7 +55,7 @@ def assert_same_answer(rep, target, m1, m2):
     if p:
         assert all(type(x) is int and 0 <= x < p for x in got)
     else:
-        assert all(type(x) is Fraction for x in got)
+        assert all(is_canonical_rational(x) for x in got)
     assert rep.point.Z == target.X
     assert (rep.point.m1, rep.point.m2, rep.point.d3) == (m1, m2, target.d)
 
