@@ -34,6 +34,7 @@ from .exactalg import (
     UniPoly,
     char_poly,
     gaussian_binomial,
+    rank_and_kernel,
 )
 from .modcore import (
     FramedModule,
@@ -545,7 +546,7 @@ def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
                 rep = system.solve(F3)
                 if not rep.found:
                     raise ArithmeticError(f"consistent target {F3!r} has no pairing lift")
-                keys.add(_pairing_kernel_key(rep.point, prod, field))
+                keys.add(_pairing_kernel_key(rep.point, prod))
     return list(zip(chosen, found))
 
 
@@ -569,13 +570,9 @@ def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
     return pairs[::step][:pair_sample]
 
 
-def _pairing_kernel_key(point: BilinPoint, prod, field) -> tuple:
-    """Canonical key of ker(pairing) as a subspace of the tensor product."""
-    from .exactalg import rank_and_kernel
-    composed = point.pihat * prod.section
-    _, kernel = rank_and_kernel(composed)
-    if not kernel:
-        return ("full",)
-    m = Matrix.from_rows(field, [list(v) for v in kernel])
-    rref, _ = m.rref()
-    return tuple(rref.entries)
+def _pairing_kernel_key(point: BilinPoint, prod) -> tuple:
+    """Canonical key of ker(pairing) as a subspace of the tensor product: its
+    ``rank_and_kernel`` basis, which is read off rref(composed) and so
+    depends only on the row space of composed, the annihilator of the
+    kernel."""
+    return tuple(rank_and_kernel(point.pihat * prod.section)[1])

@@ -49,7 +49,7 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows=None, csv_header=Non
     payload = dict(payload)
     payload["command"] = args.command
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -10,10 +10,14 @@ vector at a time.
 Both run on plain ``int`` rows rather than one ``Field`` call per entry.
 Whole-matrix elimination (``rref``, ``rank`` and everything built on them)
 is one kernel, :func:`_eliminate`.  Over F_p the entries are reduced mod p
-once, on entry, and the row operations are inlined modular arithmetic.  Over
-Q each row is scaled to a primitive integer row (denominators cleared,
-content divided out); a row with entry c in the pivot column of a pivot row
-with pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``,
+once, on entry, and the row operations are inlined modular arithmetic.  A
+large F_p system that is not very sparse (see ``_PACKED_MIN_CELLS``) runs on
+packed rows instead (:func:`_eliminate_packed`): each row is one ``int`` of
+fixed-width slots, a row operation is one big-integer multiply-add, and
+slots are reduced mod p only when read.  Both give the same rows and
+pivots.  Over Q each row is scaled to a primitive integer row (denominators
+cleared, content divided out); a row with entry c in the pivot column of a
+pivot row with pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``,
 and is divided by its content again.  Rows with a zero in the pivot column
 are not touched, and keeping every row primitive keeps the integers near the
 size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
@@ -30,11 +34,30 @@ entry of their result.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd, lcm
 from operator import mul
+from sys import byteorder
 from typing import Optional, Sequence
 
 from .field import Field, FieldError, parse_field, rational, same_field
+
+
+# An F_p system runs on packed rows when it has more entries than
+# _PACKED_MIN_CELLS and more nonzero entries than _PACKED_MIN_ROW_NONZEROS
+# per row on average; see BENCH_secant.json for the measurements.  On dense
+# random rows the packed path overtakes the list path at about 100 entries
+# for p = 101, 150 for p = 2^31 - 1, 150-250 for p = 3 and 250-500 for
+# p = 2; above 400 it was the faster one for every p measured, with and
+# without ``reduced``.  Every system of the F_2 and F_3 censuses has at most
+# 24 x 16 = 384 entries and stays on lists.  A sparse row costs the list
+# path one lookup per column, and the packed path a shift of the whole row:
+# on 16 x 28 to 128 x 128 systems the list path won at 1 to 2.7 nonzeros
+# per row, and on the F_101 tangent and K3 systems of the Hom oracle up to
+# 4.3; the packed path won on random rows at 5.5 and more, and on Terracini
+# rows (d^2 nonzeros).
+_PACKED_MIN_CELLS = 400
+_PACKED_MIN_ROW_NONZEROS = 5
 
 
 class ShapeError(ValueError):
@@ -305,7 +328,23 @@ def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
     pivot row is scaled to pivot 1, so with ``reduced`` the rows are the rref.
     Over Q each row is a primitive integer row (see the module docstring), so
     with ``reduced`` row i divided by its pivot entry is row i of the rref.
+
+    An F_p system of more than ``_PACKED_MIN_CELLS`` entries and more than
+    ``_PACKED_MIN_ROW_NONZEROS`` nonzero entries per row runs on packed rows
+    (:func:`_eliminate_packed`), any other on lists
+    (:func:`_eliminate_lists`); both give the same rows and pivots.
     """
+    p = field.characteristic
+    cells = len(rows) * ncols
+    if (p and cells > _PACKED_MIN_CELLS
+            and cells - sum(row.count(0) for row in rows) > _PACKED_MIN_ROW_NONZEROS * len(rows)):
+        return _eliminate_packed(p, rows, ncols, reduced)
+    return _eliminate_lists(field, rows, ncols, reduced)
+
+
+def _eliminate_lists(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
+                     ) -> tuple[list[list[int]], list[int]]:
+    """:func:`_eliminate` with each row a list of ``int`` entries."""
     p = field.characteristic
     work = [[x % p for x in row] for row in rows] if p else [_primitive(row) for row in rows]
     nr = len(work)
@@ -340,6 +379,89 @@ def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
                 work[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(pc)
     return work, pivots
+
+
+def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced: bool
+                      ) -> tuple[list[list[int]], list[int]]:
+    """:func:`_eliminate` over F_p with each row packed into one ``int``.
+
+    Column j of a row is the slot of w bits at bit j*w, so clearing column
+    pc of a row ri with the pivot row rp (pivot 1) is one big-integer
+    multiply-add, ``ri + (p - c)*rp`` with c = ri[pc] mod p, instead of one
+    Python operation per entry.  A slot is reduced mod p only when it is
+    read: the pivot column in the pivot search, and the pivot row from its
+    pivot on when it is scaled to pivot 1 (left of the pivot it is 0 mod p).
+    Without ``reduced`` a pivot row is not updated after it is scaled, so
+    the scaled list is its final row; with ``reduced`` the pivot rows are
+    unpacked at the end.  The rows past the rank are 0 mod p in every slot
+    and are returned as zero rows.  A slot is one unsigned machine word of
+    8, 16 or 32 bits, the narrowest that holds ``need`` bits, or as many
+    32-bit words as it takes, so packing and unpacking a row are ``array``
+    and ``memoryview`` conversions rather than one call per entry.
+
+    No slot overflows into the next.  Let b = bitlen(p), m = min(rows, cols)
+    and need = 2b + bitlen(m) + 1 <= w.  A slot starts in [0, p).  The pivot
+    row is reduced when it is scaled, just before it is added, so an addend
+    (p - c)*rp has p - c in [1, p - 1] and slots in [0, p - 1]: it adds less
+    than 2^(2b) to each slot, and nothing is ever subtracted, so no slot
+    borrows.  A row receives at most one addend per pivot and there are at
+    most m pivots, so a slot stays below p + m*2^(2b) < 2^need.
+    """
+    nr = len(rows)
+    need = 2 * p.bit_length() + min(nr, ncols).bit_length() + 1
+    for fmt in "BHI":
+        wb = 8 * array(fmt).itemsize
+        if wb >= need:
+            break
+    k = -(-need // wb)
+    w = k * wb
+    mask = (1 << w) - 1
+    wmask = (1 << wb) - 1
+
+    def pack(vals):
+        if k == 1:
+            return int.from_bytes(array(fmt, vals), byteorder)
+        words = array(fmt, bytes(w // 8 * len(vals)))
+        for t in range(0, p.bit_length(), wb):
+            words[t // wb::k] = array(fmt, [v >> t & wmask for v in vals])
+        return int.from_bytes(words, byteorder)
+
+    def unpack(x, n):
+        words = memoryview(x.to_bytes(w // 8 * n, byteorder)).cast(fmt)
+        vals = words[::k].tolist()
+        for t in range(1, k):
+            vals = [v | h << t * wb for v, h in zip(vals, words[t::k].tolist())]
+        return [v % p for v in vals]
+
+    work = [pack([x % p for x in row]) for row in rows]
+    done = []
+    pivots: list[int] = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        first = 0 if reduced else pr
+        shift = pc * w
+        col = [(x >> shift & mask) % p for x in work[first:]]
+        i = next((i for i in range(pr - first, nr - first) if col[i]), None)
+        if i is None:
+            continue
+        j = pr - first
+        a, col[i], col[j] = col[i], col[j], 0
+        work[pr], work[first + i] = work[first + i], work[pr]
+        # The pivot row is zero mod p left of pc: reduce and scale its tail.
+        inv = pow(a, p - 2, p)
+        tail = [x * inv % p for x in unpack(work[pr] >> shift, ncols - pc)]
+        rp = work[pr] = pack(tail) << shift
+        done.append([0] * pc + tail)
+        for i, c in enumerate(col, first):
+            if c:
+                work[i] += (p - c) * rp
+        pivots.append(pc)
+    if reduced:
+        # Later pivots updated the pivot rows after they were scaled.
+        done = [unpack(x, ncols) for x in work[:len(done)]]
+    return done + [[0] * ncols for _ in range(nr - len(done))], pivots
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:

@@ -477,24 +477,40 @@ _TERRACINI_PRIME = 2 ** 31 - 1
 
 
 def _tangent_rows(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> list[list[int]]:
-    """The 3d integer rows e_i (x) b (x) c, a (x) e_i (x) c, a (x) b (x) e_i
-    (i < d, interleaved in that order) spanning the affine tangent space of
-    the Segre cone at a (x) b (x) c, as coefficient lists in lexicographic
-    order."""
+    """3d - 2 integer rows spanning the affine tangent space of the Segre cone
+    at a (x) b (x) c, as coefficient lists in lexicographic order: the rows
+    e_i (x) b (x) c, a (x) e_i (x) c, a (x) b (x) e_i (i < d, interleaved in
+    that order) without a (x) e_j (x) c at the first j with b_j != 0 and
+    a (x) b (x) e_k at the first k with c_k != 0.
+
+    Each dropped row is a combination of the kept ones, because
+    sum_i a_i (e_i (x) b (x) c), sum_j b_j (a (x) e_j (x) c) and
+    sum_k c_k (a (x) b (x) e_k) all equal a (x) b (x) c; so over Q, and over
+    F_p when the coordinates are residues mod p, the kept rows span what all
+    3d rows span.
+    """
+    if not any(b) or not any(c):
+        raise ValueError("a Segre point has nonzero factors")
     d = len(a)
     dd = d * d
+    j0 = next(j for j, y in enumerate(b) if y)
+    k0 = next(k for k, z in enumerate(c) if z)
     bc = [y * z for y in b for z in c]
     ab = [x * y for x in a for y in b]
     rows = []
     for i in range(d):
         first = [0] * (d * dd)
         first[i * dd:(i + 1) * dd] = bc
-        second = [0] * (d * dd)
-        for s, x in enumerate(a):
-            second[s * dd + i * d:s * dd + (i + 1) * d] = [x * z for z in c]
-        third = [0] * (d * dd)
-        third[i::d] = ab
-        rows += (first, second, third)
+        rows.append(first)
+        if i != j0:
+            second = [0] * (d * dd)
+            for s, x in enumerate(a):
+                second[s * dd + i * d:s * dd + (i + 1) * d] = [x * z for z in c]
+            rows.append(second)
+        if i != k0:
+            third = [0] * (d * dd)
+            third[i::d] = ab
+            rows.append(third)
     return rows
 
 
@@ -523,17 +539,16 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
     the trials stop at the first one that reaches it: ``per_trial`` lists
     the trials run, at most ``trials`` of them.
 
-    The 3dr x d^3 rows are integers: the sampled coordinates over Q, their
-    residues over F_p, where one elimination mod p gives the rank.  Over Q
-    the rank is taken mod the prime P = ``_TERRACINI_PRIME`` first, and
-    certified by the bound:
+    Each point contributes the 3d - 2 rows of ``_tangent_rows``, which span
+    its tangent space.  The r(3d - 2) x d^3 rows are integers: the sampled
+    coordinates over Q, their residues over F_p, where one elimination mod p
+    gives the rank.  Over Q the rank is taken mod the prime
+    P = ``_TERRACINI_PRIME`` first, and certified by the bound:
 
     - rank_P <= rank_Q, since a minor that is nonzero mod P is a nonzero
       integer;
-    - rank_Q <= bound + 1 = min(d^3, r(3d - 2)), since each point's 3d rows
-      span the affine tangent space of the Segre cone, of dimension 3d - 2:
-      sum_i a_i (e_i (x) b (x) c), sum_j b_j (a (x) e_j (x) c) and
-      sum_k c_k (a (x) b (x) e_k) all equal a (x) b (x) c;
+    - rank_Q <= min(row count, column count) = min(r(3d - 2), d^3)
+      = bound + 1;
     - so rank_P - 1 == bound proves rank_Q - 1 == bound.
 
     A trial whose rank mod P falls short of bound + 1 (every trial of a

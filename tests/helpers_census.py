@@ -213,5 +213,5 @@ def reference_cross_check_kernels(chosen, q: int) -> list[set]:
             for system, (_, _, prod), keys in zip(systems, chosen, found):
                 rep = system.solve(F3)
                 if rep.found:
-                    keys.add(_pairing_kernel_key(rep.point, prod, field))
+                    keys.add(_pairing_kernel_key(rep.point, prod))
     return found

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -449,10 +450,30 @@ def test_invariant_subspaces_match_the_fully_checked_enumeration(q):
     assert scalar_pairs == q
 
 
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_pairing_kernel_key_depends_on_the_kernel_only(field):
+    # composed = pihat * section; keys must agree exactly when the kernels do.
+    section = SimpleNamespace(section=Matrix.from_int_rows(
+        field, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]))
+
+    def key(rows):
+        return cases222._pairing_kernel_key(
+            SimpleNamespace(pihat=Matrix.from_int_rows(field, rows)), section)
+
+    pihat = [[1, 0, 2, 1], [0, 1, 1, 0]]
+    same_kernel = [[1, 1, 3, 1], [2, 1, 5, 2]]  # rows (r1 + r2, 2 r1 + r2)
+    stacked = [[0, 0, 0, 0], [1, 0, 2, 1], [0, 2, 2, 0]]
+    other = [[1, 0, 2, 1], [0, 1, 0, 0]]
+    assert key(pihat) == key(same_kernel) == key(stacked)
+    assert key(pihat) != key(other)
+    assert key([[0, 0, 0, 0]]) != key(pihat)
+    assert key([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == ()
+
+
 def test_census_cross_check_fails_when_kernels_collapse(monkeypatch):
     # With every found pairing keyed alike, each pair's found count is 1,
     # short of its subspace count: the cross-check can fail.
-    monkeypatch.setattr(cases222, "_pairing_kernel_key", lambda point, prod, field: ("same",))
+    monkeypatch.setattr(cases222, "_pairing_kernel_key", lambda point, prod: ("same",))
     assert census_cross_check(2) is False
 
 

@@ -217,6 +217,14 @@ def test_secant_dim_command(tmp_path):
     assert payload["bound"] == 20 and payload["ambient"] == 26 and not payload["fills"]
 
 
+def test_reports_are_one_line_json(tmp_path):
+    code, payload, out = run_json(tmp_path, ["secant-dim", "--d", "2", "--r", "2"])
+    text = out.read_text()
+    assert code == EXIT_OK
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def test_classify222_named(tmp_path):
     code, payload, _ = run_json(
         tmp_path, ["classify222", "--name", "mu2", "--field", "F:5"])

@@ -1,4 +1,5 @@
-"""``Matrix.rref``/``Matrix.rank`` against a textbook elimination loop.
+"""``Matrix.rref``/``Matrix.rank`` against a textbook elimination loop, and
+the packed F_p elimination against the list one.
 
 The library eliminates on plain ints (primitive integer rows over Q, entries
 reduced mod p over F_p); the reference, ``helpers_echelon.reference_rref``,
@@ -14,6 +15,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from quotbilin.exactalg import GF, QQ, Matrix
+from quotbilin.exactalg import matrix
+from quotbilin.exactalg.matrix import (
+    _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _eliminate_lists, _eliminate_packed,
+)
 
 from helpers_echelon import is_canonical_rational, reference_rref
 
@@ -90,3 +95,62 @@ def test_unreduced_entries_over_gf5():
     r, pivots = m.rref()
     assert pivots == (0,) and m.rank() == 1
     assert r.entries == [1, 0, 1, 0, 0, 0]
+
+
+PRIMES = [2, 3, 101, 2 ** 31 - 1]
+
+
+@st.composite
+def int_systems(draw):
+    """Int rows over F_p of up to 60 x 70, on both sides of the packed-path
+    threshold, with negative and unreduced entries and zero, repeated and
+    dependent rows."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, ncols = draw(st.sampled_from([(0, 5), (5, 0), (3, 4), (12, 30), (20, 20),
+                                         (24, 17), (40, 64), (60, 70), (70, 60)]))
+    elem = st.integers(-3 * p, 3 * p)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(elem), draw(elem)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(elem, min_size=ncols, max_size=ncols)))
+    return p, rows, ncols
+
+
+@settings(deadline=None, max_examples=120)
+@given(int_systems(), st.booleans())
+def test_packed_and_list_elimination_agree(system, reduced):
+    p, rows, ncols = system
+    want = _eliminate_lists(GF(p), [list(r) for r in rows], ncols, reduced)
+    assert _eliminate_packed(p, [list(r) for r in rows], ncols, reduced) == want
+
+
+def test_eliminate_selects_the_packed_path_by_size(monkeypatch):
+    sizes = []
+    real = matrix._eliminate_packed
+
+    def spy(p, rows, ncols, reduced):
+        sizes.append((p, len(rows), ncols))
+        return real(p, rows, ncols, reduced)
+
+    monkeypatch.setattr(matrix, "_eliminate_packed", spy)
+    n = _PACKED_MIN_CELLS // 20
+    for field in (GF(101), QQ):
+        for rows in (n, n + 1):
+            m = Matrix(field, rows, 20, [(i * 7 + 3) % 11 for i in range(rows * 20)])
+            m.rank()
+            m.rref()
+    # Above the size threshold, a system with at most _PACKED_MIN_ROW_NONZEROS
+    # nonzero entries per row stays on lists.
+    k = _PACKED_MIN_ROW_NONZEROS
+    for nonzeros in (k, k + 1):
+        Matrix(GF(101), 30, 30, [int(j < nonzeros) for i in range(30) for j in range(30)]).rank()
+    assert sizes == [(101, n + 1, 20)] * 2 + [(101, 30, 30)]

@@ -328,17 +328,71 @@ def test_secant_per_trial_matches_the_rank_one_rows(d, r, seed, field):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_tangent_rows_are_the_rank_one_tangents_and_span_3d_minus_2(d):
+    # b is zero but for its last coordinate and c is nonzero at its first, so
+    # the dropped rows are a (x) e_(d-1) (x) c and a (x) b (x) e_0.
     rng = random.Random(d)
-    a, b, c = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(3))
+    a = [rng.randint(-9, 9) for _ in range(d)]
+    b = [0] * (d - 1) + [rng.randint(1, 9)]
+    c = [rng.randint(-9, -1)] + [rng.randint(-9, 9) for _ in range(d - 1)]
     eye = [[int(i == j) for j in range(d)] for i in range(d)]
     expected = []
-    for e in eye:
-        expected += [rank_one(QQ, e, b, c).coeffs, rank_one(QQ, a, e, c).coeffs,
-                     rank_one(QQ, a, b, e).coeffs]
+    for i, e in enumerate(eye):
+        expected.append(rank_one(QQ, e, b, c).coeffs)
+        if i != d - 1:
+            expected.append(rank_one(QQ, a, e, c).coeffs)
+        if i != 0:
+            expected.append(rank_one(QQ, a, b, e).coeffs)
     rows = _tangent_rows(a, b, c)
     assert rows == expected
-    if any(a) and any(b) and any(c):
-        assert Matrix.from_int_rows(QQ, rows).rank() == 3 * d - 2
+    if any(a):
+        assert Matrix.from_int_rows(QQ, rows).rank() == len(rows) == 3 * d - 2
+
+
+def test_tangent_rows_need_nonzero_factors():
+    with pytest.raises(ValueError):
+        _tangent_rows([1, 2], [0, 0], [1, 1])
+    with pytest.raises(ValueError):
+        _tangent_rows([1, 2], [1, 1], [0, 0])
+
+
+def _nonzero_vector(field, d):
+    # Over F_p: residues with zero coordinates allowed; over Q: small
+    # integers of either sign, zeros included.
+    elem = st.integers(-9, 9) if field is QQ else st.integers(0, field.p - 1)
+    return st.lists(elem, min_size=d, max_size=d).filter(any)
+
+
+@st.composite
+def segre_points(draw):
+    field = draw(st.sampled_from([QQ, GF(3), GF(101)]))
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 4))
+    vec = _nonzero_vector(field, d)
+    return field, d, [(draw(vec), draw(vec), draw(vec)) for _ in range(r)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(segre_points())
+def test_trimmed_tangent_rows_have_the_rank_of_all_3d_rows(case):
+    field, d, points = case
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    trimmed, full = [], []
+    for a, b, c in points:
+        trimmed += _tangent_rows(a, b, c)
+        for e in eye:
+            full += [rank_one(field, e, b, c).coeffs, rank_one(field, a, e, c).coeffs,
+                     rank_one(field, a, b, e).coeffs]
+    assert len(trimmed) == len(points) * (3 * d - 2)
+    assert (Matrix.from_int_rows(field, trimmed).rank()
+            == Matrix.from_rows(field, full).rank())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=["Q", "F3", "F101"])
+@pytest.mark.parametrize("d,r", [(2, 2), (3, 3), (4, 4), (3, 5), (3, 4)])
+def test_secant_per_trial_matches_the_reference_at_seeds_0_to_2(d, r, field):
+    for seed in range(3):
+        rep = secant_dimension(d, r, trials=5, seed=seed, field=field)
+        assert rep.per_trial == reference_secant_per_trial(d, r, 5, seed, field)
 
 
 def test_terracini_rank_falls_back_to_q_when_the_prime_drops_rank():
