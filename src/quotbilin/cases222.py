@@ -25,13 +25,12 @@ from enum import Enum
 
 from .exactalg import (
     GF,
+    AffineFamily,
     EchelonBasis,
     Field,
     InfeasibleEnumeration,
     Matrix,
-    ParamTensor,
     ShapeError,
-    UniPoly,
     char_poly,
     gaussian_binomial,
     rank_and_kernel,
@@ -85,7 +84,8 @@ _NAMED = ("mu1", "mu2", "mu3", "mu4", "mu2_t", "mu3_t", "mu4_t", "pi5_sample")
 
 def named_tensor(name: str, field: Field):
     """Catalogue of the dimension-2 case tensors and their degeneration
-    families (entries polynomial in t for the _t names).
+    families: each _t name is the AffineFamily mu + t * e_111 through its
+    limit mu.
 
     mu1: split multiplication (unit) tensor; mu2: nilpotent cyclic
     multiplication, rank 3; mu3/mu4: the non-concise rank-2 pairings;
@@ -96,30 +96,16 @@ def named_tensor(name: str, field: Field):
     def tens(entries):
         return Tensor3.from_entries(field, (2, 2, 2), entries)
 
-    def fam(entries):
-        coeffs = [UniPoly.zero(field)] * 8
-        for (i, j, k), poly in entries.items():
-            coeffs[(i * 2 + j) * 2 + k] = poly
-        return ParamTensor(field, (2, 2, 2), coeffs)
-
-    c1 = UniPoly.const(field, one)
-    ct = UniPoly.x(field)
     if name == "mu1":
         return tens({(0, 0, 0): one, (1, 1, 1): one})
     if name == "mu2":
         return tens({(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one})
-    if name == "mu3":
+    if name in ("mu3", "pi5_sample"):
         return tens({(0, 0, 0): one, (0, 1, 1): one})
     if name == "mu4":
         return tens({(0, 0, 0): one, (1, 0, 1): one})
-    if name == "mu2_t":
-        return fam({(0, 0, 0): c1, (0, 1, 1): c1, (1, 0, 1): c1, (1, 1, 1): ct})
-    if name == "mu3_t":
-        return fam({(0, 0, 0): c1, (0, 1, 1): c1, (1, 1, 1): ct})
-    if name == "mu4_t":
-        return fam({(0, 0, 0): c1, (1, 0, 1): c1, (1, 1, 1): ct})
-    if name == "pi5_sample":
-        return tens({(0, 0, 0): one, (0, 1, 1): one})
+    if name in ("mu2_t", "mu3_t", "mu4_t"):
+        return AffineFamily(named_tensor(limit_target_name(name), field), tens({(1, 1, 1): one}))
     raise ValueError(f"unknown tensor name {name!r}; known: {', '.join(_NAMED)}")
 
 
@@ -145,17 +131,13 @@ class LimitReport:
         return self.base_matches
 
 
-def verify_limit(family: ParamTensor, target: Tensor3, samples) -> LimitReport:
+def verify_limit(family: AffineFamily, target: Tensor3, samples) -> LimitReport:
     """Check a degeneration family: exact equality with the target at t = 0,
     plus the classification of each sampled fiber at t != 0."""
-    field = family.field
-    at0 = family.evaluate(field.zero())
-    base = at0 == target
-    out = []
-    for t0 in samples:
-        fiber = family.evaluate(t0)
-        out.append(LimitSample(t=t0, classification=classify_2x2x2(fiber)))
-    return LimitReport(base_matches=base, samples=out)
+    return LimitReport(
+        base_matches=family.evaluate(target.field.zero()) == target,
+        samples=[LimitSample(t=t0, classification=classify_2x2x2(family.evaluate(t0)))
+                 for t0 in samples])
 
 
 # -- point classification --------------------------------------------------------

@@ -77,17 +77,22 @@ def _load_json(path: str) -> dict:
 
 def _parse_grid(spec: str) -> dict[str, list[int]]:
     """Parse grid ranges like ``n=1..2 d=2..3 r=2..4`` (space or comma
-    separated); single values allowed."""
+    separated) over the keys n, d, r, r1 and r2; single values allowed, and
+    ``r`` sets r1 and r2 together, so it excludes them."""
     out = {}
     for part in spec.replace(",", " ").split():
         key, _, rng = part.partition("=")
         if not rng:
             raise ValueError(f"bad grid component {part!r}")
-        if ".." in rng:
-            lo, hi = rng.split("..")
-            out[key] = list(range(int(lo), int(hi) + 1))
-        else:
-            out[key] = [int(rng)]
+        if key not in ("n", "d", "r", "r1", "r2"):
+            raise ValueError(f"unknown grid key {key!r} in {part!r}; known: n, d, r, r1, r2")
+        lo, _, hi = rng.partition("..")
+        lo, hi = int(lo), int(hi or lo)
+        if lo > hi:
+            raise ValueError(f"empty grid range {part!r}")
+        out[key] = list(range(lo, hi + 1))
+    if "r" in out and ("r1" in out or "r2" in out):
+        raise ValueError("dims --grid takes r, or r1 and r2, not both")
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: fields, matrices, univariate polynomials, families."""
+"""Exact linear algebra kernels: fields, matrices, univariate polynomials, affine families."""
 
 from .field import (
     Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, rational, same_field,
@@ -24,7 +24,7 @@ from .unipoly import (
     rational_roots,
     roots_with_multiplicity,
 )
-from .param import ParamMatrix, ParamTensor, evaluate_param
+from .param import AffineFamily
 from .count import InfeasibleEnumeration, gaussian_binomial, is_prime_power
 from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_vector
 
@@ -36,7 +36,7 @@ __all__ = [
     "solve", "solve_with_rank",
     "UniPoly", "char_poly", "express_in_echelon", "express_in_span",
     "rational_roots", "roots_with_multiplicity",
-    "ParamMatrix", "ParamTensor", "evaluate_param",
+    "AffineFamily",
     "InfeasibleEnumeration", "gaussian_binomial", "is_prime_power",
     "rand_invertible", "rand_matrix", "rand_nonzero_vector", "rand_vector",
 ]

@@ -56,9 +56,6 @@ class FramedModule:
     def field(self) -> Field:
         return self.G.field
 
-    def key(self) -> tuple:
-        return (self.n, self.d, self.r) + tuple(x.key() for x in self.X) + (self.G.key(),)
-
     def __eq__(self, other):
         if not isinstance(other, FramedModule):
             return NotImplemented

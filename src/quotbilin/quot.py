@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 from .exactalg import (
     GF,
+    AffineFamily,
     EchelonBasis,
     InfeasibleEnumeration,
     Matrix,
-    ParamMatrix,
     ShapeError,
     UniPoly,
     gaussian_binomial,
@@ -356,19 +356,19 @@ def degenerate_grassmannian_check(d: int, r: int, q: int,
 
 @dataclass
 class QuotLimitFamily:
-    """A one-parameter family (X(t), G(t)) degenerating to a base point.
+    """A one-parameter family (X(t), G) degenerating to a base point: one
+    affine family per action and a fixed framing G.
 
     Evaluation at 0 recovers the base point exactly; at all but finitely many
     t != 0 the fiber is a valid module supported at two distinct points.
     """
     branch: str  # "distinct" | "semisimple" | "nilpotent"
-    xparams: tuple[ParamMatrix, ...]
-    gparam: ParamMatrix
+    actions: tuple[AffineFamily, ...]
+    G: Matrix
 
     def evaluate(self, t0) -> FramedModule:
-        X = tuple(p.evaluate(t0) for p in self.xparams)
-        G = self.gparam.evaluate(t0)
-        return FramedModule(n=len(X), d=X[0].rows, r=G.cols, X=X, G=G)
+        X = tuple(a.evaluate(t0) for a in self.actions)
+        return FramedModule(n=len(X), d=X[0].rows, r=self.G.cols, X=X, G=self.G)
 
 
 class NonSplitSupport(ValueError):
@@ -392,6 +392,8 @@ def quot2_limit_family(P: FramedModule) -> QuotLimitFamily:
     f = P.field
     n = P.n
     eye = Matrix.identity(f, 2)
+    zero = Matrix.zeros(f, 2, 2)
+    e22 = Matrix.diag(f, [f.zero(), f.one()])
 
     eigdata = []
     for x in P.X:
@@ -403,25 +405,16 @@ def quot2_limit_family(P: FramedModule) -> QuotLimitFamily:
     # Distinct support: some action has two distinct eigenvalues.
     for i, ev in enumerate(eigdata):
         if not f.eq(ev[0], ev[1]):
-            return QuotLimitFamily(
-                branch="distinct",
-                xparams=tuple(ParamMatrix.constant(x) for x in P.X),
-                gparam=ParamMatrix.constant(P.G),
-            )
+            return QuotLimitFamily(branch="distinct",
+                                   actions=tuple(AffineFamily(x, zero) for x in P.X), G=P.G)
 
     # Single support point c = (c_1..c_n); N_i = X_i - c_i nilpotent.
     c = [ev[0] for ev in eigdata]
     N = [P.X[i] - eye.scale(c[i]) for i in range(n)]
     if all(m.is_zero() for m in N):
         # Semisimple: X_i = c_i I.  Shift one summand by t along x_1.
-        e_t = Matrix.zeros(f, 2, 2)
-        e_t.entries[3] = f.one()  # diag(0, 1)
-        xparams = []
-        for i in range(n):
-            linear = e_t if i == 0 else Matrix.zeros(f, 2, 2)
-            xparams.append(ParamMatrix.affine(P.X[i], linear))
-        return QuotLimitFamily(branch="semisimple", xparams=tuple(xparams),
-                               gparam=ParamMatrix.constant(P.G))
+        actions = tuple(AffineFamily(x, e22 if i == 0 else zero) for i, x in enumerate(P.X))
+        return QuotLimitFamily(branch="semisimple", actions=actions, G=P.G)
 
     # Nilpotent cyclic: the maximal ideal squared kills, but not the ideal.
     # Pick u with N_k u != 0, set v = N_k u; in basis (u, v) each action is
@@ -441,11 +434,6 @@ def quot2_limit_family(P: FramedModule) -> QuotLimitFamily:
         # N_i u is a multiple of v since v spans the socle
         w = N[i].matvec(u)
         coeffs.append(f.div(w[pivot], v[pivot]))
-    bump = Matrix.zeros(f, 2, 2)
-    bump.entries[3] = f.one()  # diag(0,1) in basis (u, v)
-    xparams = []
-    for i in range(n):
-        linear = B * bump.scale(coeffs[i]) * Binv
-        xparams.append(ParamMatrix.affine(P.X[i], linear))
-    return QuotLimitFamily(branch="nilpotent", xparams=tuple(xparams),
-                           gparam=ParamMatrix.constant(P.G))
+    # the slope of X_i is a_i * diag(0, 1) in basis (u, v)
+    actions = tuple(AffineFamily(P.X[i], B * e22.scale(coeffs[i]) * Binv) for i in range(n))
+    return QuotLimitFamily(branch="nilpotent", actions=actions, G=P.G)

@@ -104,9 +104,6 @@ class Tensor3:
     def scale(self, c) -> "Tensor3":
         return Tensor3.from_flat(self.dims, self.flat.scale(c))
 
-    def key(self) -> tuple:
-        return (self.field.name, self.dims, tuple(self.coeffs))
-
     def flattening(self, factor: int) -> Matrix:
         """Flattening against one factor: rows are the complementary index
         pairs, columns the chosen factor, so factor-k conciseness is full
@@ -190,7 +187,6 @@ class Classification222:
     label: str
     pencil_separable: Optional[bool] = None
     pencil_split: Optional[bool] = None
-    hyperdet: Optional[object] = None
 
 
 def hyperdeterminant_222(t: Tensor3):
@@ -242,6 +238,11 @@ def _pencil_form(t: Tensor3):
     return alpha, beta, gamma
 
 
+def _discriminant(f: Field, alpha, beta, gamma):
+    """beta^2 - 4 alpha gamma."""
+    return f.sub(f.mul(beta, beta), f.mul(f.from_int(4), f.mul(alpha, gamma)))
+
+
 def _binary_quadratic_separable(f: Field, alpha, beta, gamma) -> tuple[bool, bool]:
     """(separable over the closure, splits over the base field) for
     alpha x^2 + beta xy + gamma y^2, assumed not identically zero.
@@ -252,8 +253,7 @@ def _binary_quadratic_separable(f: Field, alpha, beta, gamma) -> tuple[bool, boo
     if f.characteristic == 2:
         separable = not f.is_zero(beta)
     else:
-        disc = f.sub(f.mul(beta, beta), f.mul(f.from_int(4), f.mul(alpha, gamma)))
-        separable = not f.is_zero(disc)
+        separable = not f.is_zero(_discriminant(f, alpha, beta, gamma))
     # Split over the base field: roots of the dehomogenized quadratic lie in
     # the field (projective roots counted with y = 0 allowed).
     if f.is_zero(alpha):
@@ -264,8 +264,7 @@ def _binary_quadratic_separable(f: Field, alpha, beta, gamma) -> tuple[bool, boo
         _, cof = roots_with_multiplicity(poly)
         split = cof.degree <= 0
     else:
-        disc = f.sub(f.mul(beta, beta), f.mul(f.from_int(4), f.mul(alpha, gamma)))
-        split = _has_sqrt(f, disc)
+        split = _has_sqrt(f, _discriminant(f, alpha, beta, gamma))
     return separable, split
 
 
@@ -313,20 +312,16 @@ def classify_2x2x2(t: Tensor3, check: bool = False) -> Classification222:
     if all(f.is_zero(v) for v in (alpha, beta, gamma)):
         raise ArithmeticError("identically singular pencil on a concise tensor")
     separable, split = _binary_quadratic_separable(f, alpha, beta, gamma)
-    hyperdet = None
-    if f.characteristic != 2:
-        hyperdet = hyperdeterminant_222(t)
-        if check:
-            disc = f.sub(f.mul(beta, beta), f.mul(f.from_int(4), f.mul(alpha, gamma)))
-            if f.is_zero(hyperdet) != f.is_zero(disc):
-                raise ArithmeticError("hyperdeterminant disagrees with pencil discriminant")
+    if check and f.characteristic != 2:
+        if f.is_zero(hyperdeterminant_222(t)) != f.is_zero(_discriminant(f, alpha, beta, gamma)):
+            raise ArithmeticError("hyperdeterminant disagrees with pencil discriminant")
     if separable:
         return Classification222(rank=2, border_rank=2, concise=concise,
                                  label=LABEL_GENERIC, pencil_separable=True,
-                                 pencil_split=split, hyperdet=hyperdet)
+                                 pencil_split=split)
     return Classification222(rank=3, border_rank=2, concise=concise,
                              label=LABEL_W_TYPE, pencil_separable=False,
-                             pencil_split=split, hyperdet=hyperdet)
+                             pencil_split=split)
 
 
 # -- exact rank over a small finite field ----------------------------------------
@@ -556,6 +551,8 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
     """
     if d < 1 or r < 1:
         raise ValueError("need d, r >= 1")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)
     ambient = d ** 3 - 1
     bound = min(ambient, r * (3 * (d - 1) + 1) - 1)
@@ -600,6 +597,8 @@ def tensor_from_json(obj: dict) -> Tensor3:
     try:
         field = parse_field(obj["field"])
         dims = tuple(int(x) for x in obj["dims"])
+        if len(dims) != 3 or min(dims) < 0:
+            raise ValueError("dims must be three non-negative integers")
         coeffs = [field.parse(s) for s in obj["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor JSON: {exc}") from exc

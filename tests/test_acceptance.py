@@ -13,7 +13,6 @@ from quotbilin.exactalg import (
     QQ,
     Matrix,
     UniPoly,
-    evaluate_param,
     gaussian_binomial,
     rand_invertible,
 )
@@ -182,7 +181,7 @@ def test_criterion_7_limit_suite():
     for name in ("mu2_t", "mu3_t", "mu4_t"):
         target = named_tensor(name[:-2], QQ)
         fam = named_tensor(name, QQ)
-        assert evaluate_param(fam, QQ.zero()) == target
+        assert fam.evaluate(QQ.zero()) == target
         rep5 = verify_limit(named_tensor(name, F5), named_tensor(name[:-2], F5),
                             [1, 2, 3])
         assert rep5.base_matches

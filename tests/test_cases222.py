@@ -21,12 +21,11 @@ from helpers_census import (
 from quotbilin.exactalg import (
     GF,
     QQ,
+    AffineFamily,
     FieldError,
     InfeasibleEnumeration,
     Matrix,
-    ParamTensor,
     ShapeError,
-    evaluate_param,
     gaussian_binomial,
     rand_invertible,
 )
@@ -106,9 +105,9 @@ def test_named_tensor_mu1_is_unit():
 def test_named_tensor_families_evaluate_to_limits():
     for name in ("mu2_t", "mu3_t", "mu4_t"):
         fam = named_tensor(name, QQ)
-        assert isinstance(fam, ParamTensor)
+        assert isinstance(fam, AffineFamily)
         target = named_tensor(limit_target_name(name), QQ)
-        assert evaluate_param(fam, QQ.zero()) == target
+        assert fam.evaluate(QQ.zero()) == target
 
 
 def test_named_tensor_unknown_name():
@@ -146,8 +145,7 @@ def test_verify_limit_mu3_rank_drop_pattern():
 
 def test_verify_limit_constant_family():
     t = named_tensor("mu1", QQ)
-    from quotbilin.exactalg import UniPoly
-    fam = ParamTensor(QQ, (2, 2, 2), [UniPoly.const(QQ, c) for c in t.coeffs])
+    fam = AffineFamily(t, t.scale(QQ.zero()))
     rep = verify_limit(fam, t, [QQ.from_int(1), QQ.from_int(4)])
     assert rep.base_matches
     for s in rep.samples:

@@ -389,14 +389,29 @@ def f3_tensor_file(tmp_path):
     ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3", "--r2", "3"],
     ["dims", "--n", "1", "--d", "2", "--r", "4", "--r1", "3"],
     ["dims", "--grid", "n=1 d=2 r=2", "--n", "1"],
+    ["secant-dim", "--d", "2", "--r", "2", "--trials", "0"],
+    ["dims", "--grid", "n=1..2 d=2 r=2 q=9"],
+    ["dims", "--grid", "n=2..1 d=2 r=2"],
+    ["dims", "--grid", "n=1 d=2 r=2 r1=3"],
+    ["dims", "--grid", "n=1 d=2 r2=3 r=2"],
 ], ids=["census-other-field", "tensor-other-prime", "tensor-over-q", "bruteforce-other-field",
         "bruteforce-name-other-prime", "bruteforce-name-over-q", "classify222-name-q-and-cap",
         "classify222-name-q", "classify222-tensor-cap",
-        "dims-quot-and-bilin", "dims-r-and-r1", "dims-grid-and-cell"])
+        "dims-quot-and-bilin", "dims-r-and-r1", "dims-grid-and-cell", "secant-no-trials",
+        "dims-grid-unknown-key", "dims-grid-descending", "dims-grid-r-and-r1",
+        "dims-grid-r2-and-r"])
 def test_flags_the_input_contradicts_are_usage_errors(argv, f3_tensor_file, capsys):
     argv = [f3_tensor_file if a == "TENSOR" else a for a in argv]
     assert main(argv) == EXIT_MALFORMED
     assert "error" in capsys.readouterr().err
+
+
+def test_tensor_with_two_dims_is_malformed(tmp_path, capsys):
+    path = tmp_path / "t22.json"
+    path.write_text(json.dumps({"field": "F:3", "dims": [2, 2], "coeffs": ["1", "0", "0", "1"]}))
+    assert main(["classify222", "--tensor", str(path)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "malformed tensor JSON" in err and "dims" in err
 
 
 def test_field_flag_may_repeat_the_field_the_input_fixes(tmp_path, f3_tensor_file):

@@ -12,12 +12,12 @@ from quotbilin.exactalg.field import _is_prime
 from quotbilin.exactalg import (
     GF,
     QQ,
+    AffineFamily,
     FieldError,
     Matrix,
-    ParamMatrix,
+    ShapeError,
     UniPoly,
     char_poly,
-    evaluate_param,
     gaussian_binomial,
     is_prime_power,
     matrix_from_json,
@@ -344,15 +344,29 @@ def test_gaussian_binomial_matches_enumeration(q):
             assert gaussian_binomial(d, r, q) == _count_subspaces_bruteforce(d, r, q)
 
 
-# -- parameter families ---------------------------------------------------------------
+# -- affine families ------------------------------------------------------------------
 
-def test_evaluate_param_diag():
+def test_affine_family_evaluate_diag():
     zero = Matrix.zeros(QQ, 2, 2)
     linear = Matrix.from_int_rows(QQ, [[0, 0], [0, 1]])
-    fam = ParamMatrix.affine(zero, linear)
-    assert evaluate_param(fam, QQ.zero()) == zero
-    at1 = evaluate_param(fam, QQ.one())
+    fam = AffineFamily(zero, linear)
+    assert fam.evaluate(QQ.zero()) == zero
+    at1 = fam.evaluate(QQ.one())
     assert at1 == Matrix.from_int_rows(QQ, [[0, 0], [0, 1]])
+
+
+def test_affine_family_rejects_base_and_slope_of_different_shape_or_field():
+    from quotbilin.tensorlab import Tensor3
+    m22 = Matrix.zeros(QQ, 2, 2)
+    t222 = Tensor3.zeros(QQ, (2, 2, 2))
+    for base, slope in ((m22, Matrix.zeros(QQ, 2, 3)), (m22, Matrix.zeros(QQ, 4, 1)),
+                        (t222, Tensor3.zeros(QQ, (2, 2, 1))), (t222, Tensor3.zeros(QQ, (1, 4, 2))),
+                        (Matrix.zeros(QQ, 4, 2), t222), (t222, Matrix.zeros(QQ, 4, 2))):
+        with pytest.raises(ShapeError):
+            AffineFamily(base, slope)
+    for base, slope in ((m22, Matrix.zeros(F5, 2, 2)), (t222, Tensor3.zeros(F5, (2, 2, 2)))):
+        with pytest.raises(FieldError):
+            AffineFamily(base, slope)
 
 
 # -- serialization ------------------------------------------------------------------

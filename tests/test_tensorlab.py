@@ -181,14 +181,13 @@ def reference_classify_2x2x2(t: Tensor3) -> Classification222:
                                  label=LABEL_NON_CONCISE)
     alpha, beta, gamma = _pencil_form(t)
     separable, split = _binary_quadratic_separable(f, alpha, beta, gamma)
-    hyperdet = hyperdeterminant_222(t) if f.characteristic != 2 else None
     if separable:
         return Classification222(rank=2, border_rank=2, concise=concise,
                                  label=LABEL_GENERIC, pencil_separable=True,
-                                 pencil_split=split, hyperdet=hyperdet)
+                                 pencil_split=split)
     return Classification222(rank=3, border_rank=2, concise=concise,
                              label=LABEL_W_TYPE, pencil_separable=False,
-                             pencil_split=split, hyperdet=hyperdet)
+                             pencil_split=split)
 
 
 def tensor_entries(field):
@@ -302,6 +301,12 @@ def test_secant_bound_blocks_three_points():
 def test_secant_segre_itself():
     rep = secant_dimension(2, 1, trials=3, seed=0)
     assert rep.terracini_dim == 3
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_secant_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        secant_dimension(2, 2, trials=trials)
 
 
 @pytest.mark.parametrize("d,r", [(2, 2), (3, 3)])
