@@ -6,7 +6,9 @@ formulas, the complete 2x2x2 tensor classification, and Terracini secant
 dimensions, all over Q or a prime field.
 """
 
-from . import bilin, cases222, cli, exactalg, modcore, quot, tensorlab
+# cli is not imported here: ``python -m quotbilin.cli`` would find it in
+# sys.modules before running it as __main__, and warn.
+from . import bilin, cases222, exactalg, modcore, quot, tensorlab
 from .exactalg import GF, QQ, Matrix, UniPoly, parse_field
 from .modcore import (
     FramedModule,

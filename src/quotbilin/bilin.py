@@ -23,6 +23,7 @@ from .exactalg import (
     UniPoly,
     express_in_echelon,
     express_in_span,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     rank_and_kernel,
@@ -777,7 +778,7 @@ def bilin_from_json(obj: dict) -> BilinPoint:
         return BilinPoint(
             m1=framed_from_json(obj["M1"]),
             m2=framed_from_json(obj["M2"]),
-            d3=int(obj["d3"]),
+            d3=json_int(obj["d3"], "d3"),
             Z=tuple(matrix_from_json(z) for z in obj["Z"]),
             pihat=matrix_from_json(obj["Pihat"]),
         )

@@ -77,8 +77,8 @@ def _load_json(path: str) -> dict:
 
 def _parse_grid(spec: str) -> dict[str, list[int]]:
     """Parse grid ranges like ``n=1..2 d=2..3 r=2..4`` (space or comma
-    separated) over the keys n, d, r, r1 and r2; single values allowed, and
-    ``r`` sets r1 and r2 together, so it excludes them."""
+    separated) over the keys n, d, r, r1 and r2, each at most once; single
+    values allowed, and ``r`` sets r1 and r2 together, so it excludes them."""
     out = {}
     for part in spec.replace(",", " ").split():
         key, _, rng = part.partition("=")
@@ -86,6 +86,8 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
             raise ValueError(f"bad grid component {part!r}")
         if key not in ("n", "d", "r", "r1", "r2"):
             raise ValueError(f"unknown grid key {key!r} in {part!r}; known: n, d, r, r1, r2")
+        if key in out:
+            raise ValueError(f"grid key {key!r} given twice in {spec!r}")
         lo, _, hi = rng.partition("..")
         lo, hi = int(lo), int(hi or lo)
         if lo > hi:

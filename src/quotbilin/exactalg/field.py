@@ -183,8 +183,14 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, s):
-        a = Fraction(s)
-        return a.numerator if a.denominator == 1 else a
+        # int(s, 10) reads the integer strings without Fraction's regex and
+        # raises for the rest; the base makes it refuse non-strings, which
+        # Fraction reads exactly (int(2.5) would truncate).
+        try:
+            return int(s, 10)
+        except (TypeError, ValueError):
+            a = Fraction(s)
+            return a.numerator if a.denominator == 1 else a
 
     def sample(self, rng, bound: int = 4):
         return rng.randint(-bound, bound)

@@ -311,10 +311,18 @@ def _cleared(row: Sequence) -> tuple[list[int], int]:
 
 
 def _primitive(row: Sequence) -> list[int]:
-    """The rational row scaled to a primitive integer row (coprime entries)."""
-    ints = _cleared(row)[0]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    """The rational row scaled to a primitive integer row (coprime entries).
+
+    ``gcd`` takes integers only, so one call both finds the content of an
+    integer row and, by raising ``TypeError``, sends a row that holds a
+    ``Fraction`` to :func:`_cleared` first; an integer row is never tested
+    entry by entry."""
+    try:
+        g = gcd(*row)
+    except TypeError:
+        row = _cleared(row)[0]
+        g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
 def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
@@ -707,15 +715,26 @@ def matrix_to_json(m: Matrix) -> dict:
         "field": m.field.name,
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [m.field.fmt(x) for x in m.entries],
+        # str of an int or a (reduced) Fraction is QQ.fmt; F_p entries need
+        # not be reduced, so they go through fmt.
+        "entries": (list(map(m.field.fmt, m.entries)) if m.field.characteristic
+                    else list(map(str, m.entries))),
     }
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ``ValueError`` naming ``name``:
+    a size read with ``int()`` would take 2.9, "2" or true as well."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_from_json(obj: dict) -> Matrix:
     try:
         field = parse_field(obj["field"])
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_int(obj["rows"], "rows")
+        cols = json_int(obj["cols"], "cols")
         entries = [field.parse(s) for s in obj["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldError(f"malformed matrix JSON: {exc}") from exc

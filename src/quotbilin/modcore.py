@@ -19,6 +19,7 @@ from .exactalg import (
     ShapeError,
     UniPoly,
     char_poly,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     quotient_map,
@@ -343,9 +344,9 @@ def framed_to_json(m: FramedModule) -> dict:
 def framed_from_json(obj: dict) -> FramedModule:
     try:
         return FramedModule(
-            n=int(obj["n"]),
-            d=int(obj["d"]),
-            r=int(obj["r"]),
+            n=json_int(obj["n"], "n"),
+            d=json_int(obj["d"], "d"),
+            r=json_int(obj["r"], "r"),
             X=tuple(matrix_from_json(x) for x in obj["X"]),
             G=matrix_from_json(obj["G"]),
         )

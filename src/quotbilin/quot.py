@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -95,20 +95,21 @@ def _unit_action(f, M: Matrix, row: Optional[tuple[int, int]] = None,
     cols=[(a, b)], and -Pihat (E_ab (x) 1) is cols=[((a, q), (b, q)) for
     each q], with the column pair (p, q) at p*d2 + q.
     """
-    w = M.cols
+    w, e, p = M.cols, M.entries, f.characteristic
     out = [f.zero()] * (M.rows * w)
     if row is not None:
         a, b = row
-        out[a * w:(a + 1) * w] = M.row(b)
+        out[a * w:(a + 1) * w] = e[b * w:(b + 1) * w]
     for c, c2 in cols:
-        for k in range(M.rows):
-            out[k * w + c2] = f.sub(out[k * w + c2], M[k, c])
+        # Column c2 of the output less column c of M, with no Field call per entry.
+        diff = map(sub, out[c2::w], e[c::w])
+        out[c2::w] = [x % p for x in diff] if p else diff
     return out
 
 
 def _family_gauge(f, X: tuple[Matrix, ...], a: int, b: int) -> list:
     """The gauge direction E_ab on an action family: vec([E_ab, X_i]) for each i."""
-    return [v for x in X for v in _unit_action(f, x, (a, b), [(a, b)])]
+    return list(itertools.chain.from_iterable(_unit_action(f, x, (a, b), [(a, b)]) for x in X))
 
 
 def _module_gauge(P: FramedModule, a: int, b: int) -> list:
@@ -141,7 +142,7 @@ def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
     ``check`` also verifies directly that the gauge solves the system, which
     the argument above and the kept representatives rely on.
     """
-    m = Matrix(f, len(rows), nvars, [x for row in rows for x in row])
+    m = Matrix(f, len(rows), nvars, itertools.chain.from_iterable(rows))
     if check:
         for v in gauge:
             if not all(f.is_zero(c) for c in m.matvec(list(v))):

@@ -596,9 +596,11 @@ def tensor_to_json(t: Tensor3) -> dict:
 def tensor_from_json(obj: dict) -> Tensor3:
     try:
         field = parse_field(obj["field"])
-        dims = tuple(int(x) for x in obj["dims"])
-        if len(dims) != 3 or min(dims) < 0:
-            raise ValueError("dims must be three non-negative integers")
+        dims = obj["dims"]
+        if not (isinstance(dims, list) and len(dims) == 3
+                and all(type(x) is int and x >= 0 for x in dims)):
+            raise ValueError(f"dims must be three non-negative integers, got {dims!r}")
+        dims = tuple(dims)
         coeffs = [field.parse(s) for s in obj["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor JSON: {exc}") from exc

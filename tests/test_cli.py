@@ -475,3 +475,63 @@ def test_process_exit_status():
 
     assert status("dims", "--n", "x") == EXIT_MALFORMED
     assert status("classify222", "--enumerate", "--q", "3", "--cap", "1") == EXIT_CAP
+
+
+def test_python_m_cli_runs_without_warnings():
+    # The package must not import cli eagerly: ``python -m quotbilin.cli``
+    # would find it in sys.modules and warn, an error under -W error.  The
+    # console script ("quotbilin.cli:main") imports the package, then cli.
+    src = str(Path(quotbilin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["dims", "--n", "1", "--d", "2", "--r", "4"]
+    for launch in (["-m", "quotbilin.cli"],
+                   ["-c", "import sys, quotbilin; from quotbilin.cli import main; sys.exit(main())"]):
+        proc = subprocess.run([sys.executable, "-W", "error", *launch, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == "" and json.loads(proc.stdout)["principal_dim"] == 8
+
+
+@pytest.mark.parametrize("grid, key", [
+    ("n=1 n=2 d=2 r=2", "n"),
+    ("n=1 d=2 r1=2..3 r2=2 r1=4", "r1"),
+    ("n=1,d=2,d=3,r=3", "d"),
+])
+def test_grid_key_given_twice_is_malformed(grid, key, capsys):
+    assert main(["dims", "--grid", grid]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert f"grid key {key!r} given twice" in err
+
+
+@pytest.mark.parametrize("dims", [[2.9, 2, 2], [2.0, 2, 2], "222", [True, 2, 2], [2, "2", 2]])
+def test_tensor_dims_must_be_json_integers(tmp_path, dims, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": "F:3", "dims": dims,
+                                "coeffs": ["1", "0", "0", "0", "0", "0", "0", "1"]}))
+    assert main(["classify222", "--tensor", str(path)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "malformed tensor JSON" in err and "dims" in err
+
+
+@pytest.mark.parametrize("key, value", [("rows", 2.5), ("rows", 2.0), ("cols", "2"),
+                                        ("cols", True), ("rows", None)])
+def test_matrix_sizes_must_be_json_integers(tmp_path, framed_file, key, value, capsys):
+    obj = json.loads(Path(framed_file).read_text())
+    obj["G"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "malformed matrix JSON" in err and f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("key, value", [("d", 2.0), ("r", "2"), ("n", True), ("d3", 4.0)])
+def test_point_sizes_must_be_json_integers(tmp_path, framed_file, main_point_file, key, value,
+                                           capsys):
+    obj = json.loads(Path(main_point_file if key == "d3" else framed_file).read_text())
+    obj[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    assert f"{key} must be an integer" in capsys.readouterr().err
