@@ -11,7 +11,7 @@ framed module of rank r1*r2 and is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import Iterator, Optional
 
@@ -511,13 +511,18 @@ def _deformed_image(gens_cols, X: Matrix, G: Matrix, Xdot: Matrix, Gdot: Matrix)
     generator column; returns d x s with column j the image of generator j.
 
     p(B) [g; gdot] = [p(X) g; p(X) gdot + Dp(X)[Xdot] g] for B = [[X, 0],
-    [Xdot, X]], so one Horner pass on stacked vectors carries h and hdot:
-    h <- X h + c g and hdot <- Xdot h + X hdot + c gdot.
+    [Xdot, X]], so the lower half of the generators' values at B is the
+    derivative.  All generators are evaluated in one call, from one power
+    table of B on the columns of [G; Gdot] (see :func:`quot._evaluate`).
     """
     f, d = X.field, X.rows
-    B = X.hstack(Matrix.zeros(f, d, d)).vstack(Xdot.hstack(X))
-    stacked = G.vstack(Gdot)
-    images = [quot._horner(col, B, stacked)[d:] for col in gens_cols]
+    zeros = [f.zero()] * d
+    xrows = X.row_lists()
+    top = [x + zeros for x in xrows]
+    bottom = [xd + x for xd, x in zip(Xdot.row_lists(), xrows)]
+    B = Matrix(f, 2 * d, 2 * d, chain.from_iterable(top + bottom))
+    stacked = Matrix(f, 2 * d, G.cols, G.entries + Gdot.entries)
+    images = [v[d:] for v in quot._evaluate(gens_cols, B, stacked)]
     return Matrix(f, d, len(images), [f.neg(v[i]) for i in range(d) for v in images])
 
 
@@ -623,11 +628,12 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     K3's basis.  Those depend on the presentations only, not on the maps, so
     :func:`_k3_coefficients` computes and cross-checks them once per point
     and keeps them for the next triple whose three presentations are equal
-    to these; per triple, only the pairing sides and one Horner pass per
-    member remain.  Raises ArithmeticError when the cross-check fails, so
-    that a failed solve never reads as incompatible; a disagreement is
-    caught on every member, even one after a member that fails its
-    compatibility check.
+    to these; per triple, only the pairing sides and the members' images
+    under phi3 remain, all from one power table of Z on phi3's columns (see
+    :func:`quot._evaluate`), with no pass over Z per member.  Raises
+    ArithmeticError when the cross-check fails, so that a failed solve never
+    reads as incompatible; a disagreement is caught on every member, even
+    one after a member that fails its compatibility check.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
@@ -643,9 +649,9 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     side2 = b.pihat * b.m1.G.kron(triple.phi2)
     sides = ([side1.col(jgen * r2 + bb) for jgen in range(s1) for bb in range(r2)]
              + [side2.col(a * s2 + jgen) for jgen in range(s2) for a in range(r1)])
-    Z = b.Z[0]
-    return all(all(f.eq(x, y) for x, y in zip(quot._horner(c, Z, triple.phi3), side))
-               for c, side in zip(coeffs, sides))
+    images = quot._evaluate(coeffs, b.Z[0], triple.phi3)
+    return all(all(f.eq(x, y) for x, y in zip(image, side))
+               for image, side in zip(images, sides))
 
 
 def zero_triple(b: BilinPoint) -> HomTriple:

@@ -185,11 +185,18 @@ class RationalField(Field):
     def parse(self, s):
         # int(s, 10) reads the integer strings without Fraction's regex and
         # raises for the rest; the base makes it refuse non-strings, which
-        # Fraction reads exactly (int(2.5) would truncate).
+        # Fraction reads exactly (int(2.5) would truncate).  Fraction would
+        # read true as 1, and raises ZeroDivisionError on "5/0": both are
+        # malformed input, so both raise ValueError.
         try:
             return int(s, 10)
         except (TypeError, ValueError):
-            a = Fraction(s)
+            if type(s) is bool:
+                raise ValueError(f"an element of Q must be a number or a string, got {s!r}") from None
+            try:
+                a = Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {s!r}") from None
             return a.numerator if a.denominator == 1 else a
 
     def sample(self, rng, bound: int = 4):
@@ -246,7 +253,12 @@ class PrimeField(Field):
         return str(a % self.p)
 
     def parse(self, s):
-        return int(s) % self.p
+        """An integer string, a JSON integer or an integral JSON number, mod
+        p; ``int`` alone would truncate 2.7 and read true as 1."""
+        t = type(s)
+        if t is str or t is int or (t is float and s.is_integer()):
+            return int(s) % self.p
+        raise ValueError(f"an element of {self.name} must be an integer, got {s!r}")
 
     def sample(self, rng):
         return rng.randrange(self.p)

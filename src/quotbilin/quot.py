@@ -190,53 +190,79 @@ class KernelPresentation:
     cols: list[list[UniPoly]]
 
 
-def _horner(polys: Sequence[UniPoly], X: Matrix, G: Matrix) -> list:
-    """sum_a polys[a](X) G[:, a], by Horner on vectors: h <- X h + c_(a,m) g_a.
+def _evaluate(cols: Sequence[Sequence[UniPoly]], X: Matrix, G: Matrix) -> list[list]:
+    """sum_a col[a](X) G[:, a] for every column of ``cols`` at once.
 
-    X's rows and G's columns are sliced once per call, the columns of zero
-    polynomials not at all.  Each step adds plain products, reduced mod p
-    once over F_p.
+    One power table serves all the columns: for each generator a, the
+    vectors X^m g_a for m below the largest coefficient count in row a over
+    the columns, by plain matvecs reduced mod p over F_p.  A column's value
+    is then one dot product per row of its coefficients, each row zero
+    padded to that count, with the transposed table; so the table covers
+    any column degree, and no column costs a matrix pass.  Over Q the sums
+    are exact ``int``/``Fraction`` values.
     """
-    f = X.field
-    p = f.characteristic
+    p = X.field.characteristic
     rows = X.row_lists()
     ge, r = G.entries, G.cols
-    terms = [(poly.coeffs, ge[a::r]) for a, poly in enumerate(polys) if poly.coeffs]
-    h = [f.zero()] * X.rows
-    for m in range(max((len(coeffs) for coeffs, _ in terms), default=0) - 1, -1, -1):
-        h = [sum(map(mul, row, h)) for row in rows]
-        for coeffs, g in terms:
-            if m < len(coeffs) and coeffs[m]:
-                c = coeffs[m]
-                h = [v + c * y for v, y in zip(h, g)]
-        if p:
-            h = [v % p for v in h]
-    return h
+    counts = [max((len(col[a].coeffs) for col in cols), default=0) for a in range(r)]
+    table = []
+    for a, k in enumerate(counts):
+        v = ge[a::r]
+        for m in range(k):
+            table.append(v)
+            if m + 1 < k:
+                v = ([sum(map(mul, row, v)) % p for row in rows] if p
+                     else [sum(map(mul, row, v)) for row in rows])
+    t = list(zip(*table)) if table else [()] * X.rows
+    out = []
+    for col in cols:
+        cvec = []
+        for poly, k in zip(col, counts):
+            cvec += poly.coeffs
+            cvec += [0] * (k - len(poly.coeffs))
+        out.append([sum(map(mul, cvec, ti)) % p for ti in t] if p
+                   else [sum(map(mul, cvec, ti)) for ti in t])
+    return out
 
 
 def _krylov_relations(P: FramedModule) -> list[list[UniPoly]]:
     """The columns of the Hermite basis of K, j = 0, ..., r - 1.
 
-    For j = r - 1 down to 0, [X^l g_j | unit tag at (j, l)] for l = 0, 1, ...
-    go into one echelon basis of k^d x k^(r(d+1)); every vector in it has k^d
-    part sum tag_(i,m) X^m g_i.  When the k^d part reduces to zero, at
-    l = k_j <= d, the reduced tag holds the x^m coefficients of column j.
+    For j = r - 1 down to 0, X^l g_j for l = 0, 1, ... go into one echelon
+    basis of k^d x k^(d+1), each with a unit tag in the next free slot: the
+    s-th vector inserted owns slot s, and ``owner[s]`` = (i, m) says it was
+    X^m g_i.  Every vector in the basis has k^d part sum tag_s X^m g_i over
+    its slots, since reduction only subtracts such vectors.  When the k^d
+    part of the candidate X^l g_j reduces to zero, at l = k_j <= d, its
+    reduced tag is a relation X^l g_j - sum c_s X^m g_i = 0, and writing
+    each tag at its owner's (i, m) gives the x^m coefficients of column j.
+
+    These are the columns a fixed tag slot per (i, l) gives.  With either
+    tagging, a reduced tag is nonzero only at the vectors inserted before
+    the candidate and at the candidate itself, where it is 1.  The inserted
+    vectors are independent in k^d, so X^(k_j) g_j has exactly one
+    expression in them, and both taggings record that expression.  At most
+    d vectors are inserted, so the basis has width 2d + 1 rather than
+    d + r(d + 1).
     """
     f, d, r, X = P.field, P.d, P.r, P.X[0]
-    width = d + 1
-    span = EchelonBasis(f, d + r * width)
+    span = EchelonBasis(f, 2 * d + 1)
+    owner = []
     cols = []
     for j in range(r - 1, -1, -1):
         v = list(P.G.col(j))
-        for l in range(width):
-            tagged = v + [f.zero()] * (r * width)
-            tagged[d + j * width + l] = f.one()
+        for l in range(d + 1):
+            tagged = v + [f.zero()] * (d + 1)
+            tagged[d + len(owner)] = f.one()
             w = span.reduce(tagged)
             if all(f.is_zero(c) for c in w[:d]):
-                cols.append([UniPoly(f, w[d + i * width:d + (i + 1) * width])
-                             for i in range(r)])
+                coeffs = [[f.zero()] * (d + 1) for _ in range(r)]
+                for (i, m), c in zip(owner + [(j, l)], w[d:]):
+                    coeffs[i][m] = c
+                cols.append([UniPoly(f, cs) for cs in coeffs])
                 break
             span.insert(w)
+            owner.append((j, l))
             v = X.matvec(v)
     return cols[::-1]
 
@@ -245,8 +271,9 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
     """Present K = ker(evaluation : k[x]^r -> M), n = 1 only, by its Hermite
     basis, read off the Krylov relations of the framing.
 
-    Certificate: the columns pass a substitution check, so they span some K'
-    in K.  They are r lower triangular columns, so K' has colength deg det =
+    Certificate: the columns pass a substitution check, all r evaluated at
+    X from one power table (see :func:`_evaluate`), so they span some K' in
+    K.  They are r lower triangular columns, so K' has colength deg det =
     sum k_j, which must equal the image dimension found by ``krylov_span``
     (= d when the framing generates), the colength of K; so K' = K.
     """
@@ -254,8 +281,8 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
         raise ShapeError("kernel presentation is univariate only")
     f, r = P.field, P.r
     cols = _krylov_relations(P)
-    for col in cols:
-        if not all(f.is_zero(c) for c in _horner(col, P.X[0], P.G)):
+    for value in _evaluate(cols, P.X[0], P.G):
+        if not all(f.is_zero(c) for c in value):
             raise ArithmeticError("kernel column fails substitution check")
     triangular = all(not col[j].is_zero() and all(e.is_zero() for e in col[:j])
                      for j, col in enumerate(cols))

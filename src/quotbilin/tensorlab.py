@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .exactalg import (
     EchelonBasis,
     Field,
+    FieldError,
     GF,
     InfeasibleEnumeration,
     Matrix,
@@ -603,5 +604,5 @@ def tensor_from_json(obj: dict) -> Tensor3:
         dims = tuple(dims)
         coeffs = [field.parse(s) for s in obj["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed tensor JSON: {exc}") from exc
+        raise FieldError(f"malformed tensor JSON: {exc}") from exc
     return Tensor3(field, dims, coeffs)

@@ -1,10 +1,11 @@
 """The k[x] kernel presentation and the deformed images as the library built
-them before the Krylov relations and the Horner pass: a Euclidean column
-reduction of the pencil [G | X - x I] over k[x], and p(X) and its directional
-derivative formed as d x d matrices.  Kept as the references the new code
-must match.  Column sets are plain lists of lists of ``UniPoly``."""
+them before: a Euclidean column reduction of the pencil [G | X - x I] over
+k[x]; the Krylov relations with one tag per (generator, power) pair; and
+p(X) and its directional derivative formed as d x d matrices.  Kept as the
+references the new code must match.  Column sets are plain lists of lists
+of ``UniPoly``."""
 
-from quotbilin.exactalg import Matrix, ShapeError, UniPoly, express_in_echelon
+from quotbilin.exactalg import EchelonBasis, Matrix, ShapeError, UniPoly, express_in_echelon
 from quotbilin.quot import KernelPresentation, _image_basis
 
 
@@ -100,9 +101,38 @@ def reference_kernel_presentation(P):
     return KernelPresentation(r=r, cols=ech)
 
 
+def reference_krylov_relations(P):
+    """The columns of the Hermite basis of K, j = 0, ..., r - 1, with a fixed
+    tag slot per (i, l).
+
+    For j = r - 1 down to 0, [X^l g_j | unit tag at (j, l)] for l = 0, 1, ...
+    go into one echelon basis of k^d x k^(r(d+1)); every vector in it has k^d
+    part sum tag_(i,m) X^m g_i.  When the k^d part reduces to zero, at
+    l = k_j <= d, the reduced tag holds the x^m coefficients of column j.
+    """
+    f, d, r, X = P.field, P.d, P.r, P.X[0]
+    width = d + 1
+    span = EchelonBasis(f, d + r * width)
+    cols = []
+    for j in range(r - 1, -1, -1):
+        v = list(P.G.col(j))
+        for l in range(width):
+            tagged = v + [f.zero()] * (r * width)
+            tagged[d + j * width + l] = f.one()
+            w = span.reduce(tagged)
+            if all(f.is_zero(c) for c in w[:d]):
+                cols.append([UniPoly(f, w[d + i * width:d + (i + 1) * width])
+                             for i in range(r)])
+                break
+            span.insert(w)
+            v = X.matvec(v)
+    return cols[::-1]
+
+
 def reference_power_sum(polys, X, G):
     """sum_m X^m G c_m, with c_m the vector of x^m coefficients of ``polys``,
-    by matrix powers and products: the value quot._horner computes."""
+    by matrix powers and products: the value quot._evaluate computes for one
+    column."""
     f = X.field
     out = Matrix.zeros(f, X.rows, 1)
     power = Matrix.identity(f, X.rows)

@@ -535,3 +535,42 @@ def test_point_sizes_must_be_json_integers(tmp_path, framed_file, main_point_fil
     path.write_text(json.dumps(obj))
     assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
     assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["5/0", True], ids=repr)
+def test_point_entry_q_cannot_read_is_malformed(tmp_path, framed_file, entry, capsys):
+    # Fraction("5/0") raises ZeroDivisionError, not ValueError; it is still
+    # malformed input (exit 3), not a failed validation (exit 1).
+    obj = json.loads(Path(framed_file).read_text())
+    obj["G"]["entries"][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    assert "malformed matrix JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [2.7, True, "2.7"], ids=repr)
+def test_point_entry_fp_cannot_read_is_malformed(tmp_path, entry, capsys):
+    m = make_degenerate(2, 2, Matrix.identity(F3, 2))
+    obj = framed_to_json(m)
+    obj["G"]["entries"][1] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    assert "malformed matrix JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, coeff", [("Q", "5/0"), ("Q", True), ("F:3", 1.5)])
+def test_tensor_coefficient_the_field_cannot_read_is_malformed(tmp_path, field, coeff, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": field, "dims": [2, 2, 2],
+                                "coeffs": [coeff, "0", "0", "0", "0", "0", "0", "1"]}))
+    assert main(["classify222", "--tensor", str(path)]) == EXIT_MALFORMED
+    assert "malformed tensor JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, samples", [("Q", "1,1/0"), ("F:5", "1.5")])
+def test_limits_sample_the_field_cannot_read_is_malformed(field, samples, capsys):
+    assert main(["limits", "--name", "mu2_t", "--field", field, "--samples", samples]) \
+        == EXIT_MALFORMED
+    assert "error" in capsys.readouterr().err

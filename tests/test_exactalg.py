@@ -391,6 +391,26 @@ def test_matrix_json_malformed():
         matrix_from_json({"field": "Q", "rows": 1, "cols": 1})
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("F:5", 2.7), ("F:5", True), ("F:5", False), ("F:5", -0.5), ("F:5", None), ("F:5", [1]),
+    ("F:5", "2.7"), ("F:101", "1/2"),
+    ("Q", True), ("Q", False), ("Q", "5/0"), ("Q", "-3/0"), ("Q", "0/0"), ("Q", None),
+], ids=repr)
+def test_matrix_json_refuses_entries_the_field_cannot_read(field, entry):
+    # int() would truncate 2.7 and read true as 1; Fraction would read true
+    # as 1 and raise ZeroDivisionError on a zero denominator.
+    with pytest.raises(FieldError, match="malformed matrix JSON"):
+        matrix_from_json({"field": field, "rows": 1, "cols": 2, "entries": [entry, "1"]})
+
+
+def test_matrix_json_reads_integral_numbers_and_exact_rationals():
+    f5 = matrix_from_json({"field": "F:5", "rows": 1, "cols": 4, "entries": [7, 7.0, "7", -1]})
+    assert f5.entries == [2, 2, 2, 4]
+    q = matrix_from_json({"field": "Q", "rows": 1, "cols": 4, "entries": [2.5, 2.0, "6/4", 3]})
+    assert [(type(x), x) for x in q.entries] == [
+        (Fraction, Fraction(5, 2)), (int, 2), (Fraction, Fraction(3, 2)), (int, 3)]
+
+
 def test_mixed_field_rejected():
     a = Matrix.identity(QQ, 2)
     b = Matrix.identity(F5, 2)

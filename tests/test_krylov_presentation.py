@@ -1,6 +1,7 @@
-"""The Krylov-relation kernel presentation and the Horner deformed images
-against the pencil reduction and the matrix-product derivatives they replaced
-(kept in ``helpers_kx``)."""
+"""The Krylov-relation kernel presentation, the power-table evaluator and the
+deformed images against the pencil reduction, the per-(i, l) Krylov tags,
+per-entry evaluation and the matrix-product derivatives they replaced (kept
+in ``helpers_kx``)."""
 
 from functools import reduce
 import random
@@ -10,11 +11,12 @@ import hypothesis.strategies as st
 
 from quotbilin.bilin import _deformed_image
 from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, express_in_echelon, rand_matrix
-from quotbilin.quot import _horner, kernel_presentation
+from quotbilin.quot import _evaluate, _krylov_relations, kernel_presentation
 
 from helpers_kx import (
     reference_deformed_image,
     reference_kernel_presentation,
+    reference_krylov_relations,
     reference_power_sum,
 )
 from test_quot import univariate_modules
@@ -48,6 +50,15 @@ def test_presentation_is_the_hermite_basis(m):
         assert all(col[i].degree < pivots[i].degree for i in range(j + 1, m.r))
 
 
+@settings(deadline=None, max_examples=150)
+@given(univariate_modules())
+def test_insertion_order_tags_give_the_per_pair_tag_columns(m):
+    # Each column is the unique expression of X^(k_j) g_j in the vectors
+    # inserted before it, whichever slots record it.
+    new, old = _krylov_relations(m), reference_krylov_relations(m)
+    assert [[p.coeffs for p in col] for col in new] == [[p.coeffs for p in col] for col in old]
+
+
 def random_columns(rng, field, s, r, max_degree):
     return [[UniPoly(field, [field.sample(rng) for _ in range(rng.randint(0, max_degree + 1))])
              for _ in range(r)] for _ in range(s)]
@@ -65,9 +76,9 @@ def test_deformed_image_matches_matrix_derivatives(field, d, r, s, seed):
         cols, X, G, Xdot, Gdot)
 
 
-
 def reference_horner(polys, X, G):
-    """sum_a polys[a](X) G[:, a] with one Field call per entry operation."""
+    """sum_a polys[a](X) G[:, a] by Horner, with one Field call per entry
+    operation."""
     f = X.field
     h = [f.zero()] * X.rows
     for m in range(max(p.degree for p in polys), -1, -1):
@@ -81,38 +92,44 @@ def reference_horner(polys, X, G):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 3), st.integers(0, 10 ** 6))
-def test_horner_matches_per_entry_reference(field, d, r, seed):
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 3), st.integers(0, 4),
+       st.integers(0, 10 ** 6))
+def test_evaluate_matches_per_entry_reference(field, d, r, s, seed):
+    # Degrees up to 8 pass d; random lengths give zero and unequal rows.
     rng = random.Random(seed)
     X, G = rand_matrix(rng, field, d, d), rand_matrix(rng, field, d, r)
-    (col,) = random_columns(rng, field, 1, r, 5)
-    assert _horner(col, X, G) == reference_horner(col, X, G)
+    cols = random_columns(rng, field, s, r, 8)
+    assert _evaluate(cols, X, G) == [reference_horner(col, X, G) for col in cols]
 
 
-HORNER_FIELDS = {"Q": QQ, "F3": GF(3), "F101": GF(101)}
+EVAL_FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F101": GF(101)}
 
 
 @st.composite
-def horner_inputs(draw):
-    """(field name, d, X entries, G entries, coefficient lists), as ints."""
-    name = draw(st.sampled_from(sorted(HORNER_FIELDS)))
+def evaluate_inputs(draw):
+    """(field name, d, X entries, G entries, columns of coefficient lists), as
+    ints; up to 8 coefficients against d <= 4."""
+    name = draw(st.sampled_from(sorted(EVAL_FIELDS)))
     d, r = draw(st.integers(0, 4)), draw(st.integers(1, 3))
     ints = st.integers(-150, 150)
     x = draw(st.lists(ints, min_size=d * d, max_size=d * d))
     g = draw(st.lists(ints, min_size=d * r, max_size=d * r))
-    polys = draw(st.lists(st.lists(ints, max_size=6), min_size=r, max_size=r))
-    return name, d, x, g, polys
+    col = st.lists(st.lists(ints, max_size=8), min_size=r, max_size=r)
+    return name, d, x, g, r, draw(st.lists(col, max_size=4))
 
 
 @settings(deadline=None, max_examples=150)
-@given(horner_inputs())
-@example(("Q", 2, [1, 2, 3, 4], [5, 6], [[]]))  # r = 1, the zero polynomial
-@example(("F3", 2, [1, 2, 0, 1], [1, 2], [[0, 0, 3]]))  # zero only mod 3
-@example(("F101", 2, [0, 1, 0, 0], [1, 0, 2, 1], [[], [7, 0, 0, 100]]))
-def test_horner_matches_the_power_sum(inputs):
-    name, d, x, g, coeffs = inputs
-    f = HORNER_FIELDS[name]
+@given(evaluate_inputs())
+@example(("Q", 2, [1, 2, 3, 4], [5, 6], 1, [[[]]]))  # r = 1, the zero polynomial
+@example(("Q", 2, [1, 2, 3, 4], [5, 6, 7, 8], 2, []))  # no columns
+@example(("F2", 2, [1, 1, 0, 1], [1, 0], 1, [[[1, 0, 1, 1, 0, 1]], [[2, 4]]]))  # degree > d
+@example(("F3", 2, [1, 2, 0, 1], [1, 2], 1, [[[0, 0, 3]]]))  # zero only mod 3
+@example(("F101", 2, [0, 1, 0, 0], [1, 0, 2, 1], 2,
+          [[[], [7, 0, 0, 100]], [[1, 2, 3, 4, 5, 6, 7], [1]]]))  # unequal row degrees
+def test_evaluate_matches_the_power_sum(inputs):
+    name, d, x, g, r, coeffs = inputs
+    f = EVAL_FIELDS[name]
     X = Matrix(f, d, d, [f.from_int(v) for v in x])
-    G = Matrix(f, d, len(coeffs), [f.from_int(v) for v in g])
-    polys = [UniPoly.from_ints(f, cs) for cs in coeffs]
-    assert _horner(polys, X, G) == reference_power_sum(polys, X, G)
+    G = Matrix(f, d, r, [f.from_int(v) for v in g])
+    cols = [[UniPoly.from_ints(f, cs) for cs in col] for col in coeffs]
+    assert _evaluate(cols, X, G) == [reference_power_sum(col, X, G) for col in cols]

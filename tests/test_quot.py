@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -399,3 +400,36 @@ def test_tangent_sweep_script_finds_no_mismatch():
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "5 samples over F:5, 0 mismatches" in run.stdout
+
+
+def test_tangent_sweep_script_checks_hom_triples_over_f101():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "tangent_sweep.py"), "3", "0",
+                          "F:101"], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "3 samples over F:101, 0 mismatches" in run.stdout
+    assert run.stdout.count("triples=") == 3
+
+
+def _load_tangent_sweep(monkeypatch, argv):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "tangent_sweep.py"
+    spec = importlib.util.spec_from_file_location("tangent_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["tangent_sweep.py", *argv])
+    return sweep
+
+
+def _raise_arithmetic(b, triple):
+    raise ArithmeticError("cross-check failed")
+
+
+@pytest.mark.parametrize("check", [lambda b, triple: False, _raise_arithmetic],
+                         ids=["incompatible", "raises"])
+def test_tangent_sweep_counts_a_failed_triple_check_as_a_mismatch(monkeypatch, capsys, check):
+    sweep = _load_tangent_sweep(monkeypatch, ["2", "0", "F:101"])
+    assert sweep.main() == 0
+    monkeypatch.setattr(sweep, "hom_triple_check", check)
+    assert sweep.main() == 1
+    assert "2 samples over F:101, 2 mismatches" in capsys.readouterr().out
