@@ -4,13 +4,20 @@ check every cell against its closed form in q.  For q <= 3 it also runs the
 membership cross-check (census_cross_check), which compares the census's
 kernel counts with the pairings the membership solver finds directly.
 
-Usage: python scripts/census_222.py [q]
+Usage: python scripts/census_222.py [q ...]     (default q = 2)
 
-Exits 1 when a cell differs from its closed form, when a border-rank-3
-tensor or a forced-consequence failure appears, or when the cross-check
-fails.
+Several primes run one after another, for example ``5 7 11``.  For each q
+it prints the wall time of enumerate_222(q) and the sha256 of the sorted
+table (``json.dumps(census.rows())``), so two checkouts can be compared by
+time and answer.
+
+Exits 1 when, for any q, a cell differs from its closed form, a
+border-rank-3 tensor or a forced-consequence failure appears, or the
+cross-check fails.
 """
 
+import hashlib
+import json
 import sys
 import time
 
@@ -34,11 +41,17 @@ def closed_form_counts(q: int) -> dict:
     }
 
 
-def main() -> int:
-    q = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    start = time.time()
+def table_sha256(census) -> str:
+    """sha256 of the sorted (label, tensor class, count) rows, as JSON."""
+    return hashlib.sha256(json.dumps(census.rows()).encode()).hexdigest()
+
+
+def run_census(q: int) -> bool:
+    """Print the census over F_q against its closed forms; True when every
+    check passes."""
+    start = time.perf_counter()
     census = enumerate_222(q)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     print(f"census over F_{q}: {census.total_points} points from "
           f"{census.quot_classes}^2 framed-module class pairs with "
           f"{q * q + q} distinct actions ({elapsed:.1f}s)")
@@ -56,13 +69,24 @@ def main() -> int:
     ok = census.counts == expected and census.border_rank_3 == census.forced_failures == 0
     print("every cell matches its closed form" if census.counts == expected
           else "some cell differs from its closed form")
+    print(f"F_{q}: enumerate_222 wall {elapsed:.3f}s, table sha256 {table_sha256(census)}")
     if q <= 3:
-        start = time.time()
+        start = time.perf_counter()
         cross = census_cross_check(q)
         print(f"membership cross-check: {'passed' if cross else 'FAILED'} "
-              f"({time.time() - start:.1f}s)")
+              f"({time.perf_counter() - start:.1f}s)")
         ok = ok and cross
-    return 0 if ok else 1
+    return ok
+
+
+def main() -> int:
+    qs = [int(a) for a in sys.argv[1:]] or [2]
+    results = []
+    for k, q in enumerate(qs):
+        if k:
+            print()
+        results.append(run_census(q))
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .modcore import (
     InvalidPoint,
     framed_from_json,
     framed_to_json,
+    kron_lifts,
     make_degenerate,
     make_tuple_of_points,
     validate_framed,
@@ -132,24 +133,29 @@ def validate_pairing(b: BilinPoint) -> PairingValidation:
     ``failure`` names the first failed check (Z commuting, X- or
     Y-equivariance, surjectivity); equivariance failures carry a residual.
     """
-    f = b.field
+    return _validate_pairing(b, kron_lifts(b.m1.X, b.m2.X))
+
+
+def _validate_pairing(b: BilinPoint, lifts) -> PairingValidation:
+    """validate_pairing(b), given lifts = kron_lifts(b.m1.X, b.m2.X), which
+    depend on the actions alone and so can be shared by the points of one
+    action pair (see TensorProductResult.lifts)."""
     failure = None
     z_comm = True
     for i in range(b.n):
         for j in range(i + 1, b.n):
             if z_comm and b.Z[i] * b.Z[j] != b.Z[j] * b.Z[i]:
                 z_comm, failure = False, f"Z commuting at indices {i}, {j}"
-    eye1 = Matrix.identity(f, b.m1.d)
-    eye2 = Matrix.identity(f, b.m2.d)
     equivariant = True
     residual = None
-    for i in range(b.n):
-        resx = b.pihat * b.m1.X[i].kron(eye2) - b.Z[i] * b.pihat
+    for i, (xl, yl) in enumerate(lifts):
+        zp = b.Z[i] * b.pihat
+        resx = b.pihat * xl - zp
         if not resx.is_zero():
             equivariant, residual = False, resx
             failure = failure or f"X-equivariance at index {i}"
             break
-        resy = b.pihat * eye1.kron(b.m2.X[i]) - b.Z[i] * b.pihat
+        resy = b.pihat * yl - zp
         if not resy.is_zero():
             equivariant, residual = False, resy
             failure = failure or f"Y-equivariance at index {i}"
@@ -199,13 +205,10 @@ def _equivariance_rows(m1: FramedModule, m2: FramedModule,
                        Z: tuple[Matrix, ...]) -> list[list]:
     """Rows of Pihat -> Pihat A_i - Z_i Pihat on vec(Pihat), with A_i = X_i (x) 1
     and then 1 (x) Y_i for each i, entry (k, c) within each."""
-    f = m1.field
-    eye1 = Matrix.identity(f, m1.d)
-    eye2 = Matrix.identity(f, m2.d)
     rows = []
-    for x, y, z in zip(m1.X, m2.X, Z):
-        rows.extend(_intertwiner_rows(x.kron(eye2), z))
-        rows.extend(_intertwiner_rows(eye1.kron(y), z))
+    for (xl, yl), z in zip(kron_lifts(m1.X, m2.X), Z):
+        rows.extend(_intertwiner_rows(xl, z))
+        rows.extend(_intertwiner_rows(yl, z))
     return rows
 
 
@@ -482,9 +485,6 @@ def _unpack_tangent(b: BilinPoint, offsets, v: tuple) -> BilinTangentVector:
 
 def tangent_residuals(b: BilinPoint, tv: BilinTangentVector) -> bool:
     """Re-check both first-order systems on a tangent vector, exactly."""
-    f = b.field
-    eye1 = Matrix.identity(f, b.m1.d)
-    eye2 = Matrix.identity(f, b.m2.d)
     for X, Xd in ((b.m1.X, tv.xdot), (b.m2.X, tv.ydot), (b.Z, tv.zdot)):
         for i in range(b.n):
             for j in range(i + 1, b.n):
@@ -492,14 +492,12 @@ def tangent_residuals(b: BilinPoint, tv: BilinTangentVector) -> bool:
                 rhs = Xd[j] * X[i] + X[j] * Xd[i]
                 if lhs != rhs:
                     return False
-    for i in range(b.n):
-        lhs = tv.pihatdot * b.m1.X[i].kron(eye2) + b.pihat * tv.xdot[i].kron(eye2)
+    lifts = zip(kron_lifts(b.m1.X, b.m2.X), kron_lifts(tv.xdot, tv.ydot))
+    for i, ((xl, yl), (xdl, ydl)) in enumerate(lifts):
         rhs = tv.zdot[i] * b.pihat + b.Z[i] * tv.pihatdot
-        if lhs != rhs:
+        if tv.pihatdot * xl + b.pihat * xdl != rhs:
             return False
-        lhs = tv.pihatdot * eye1.kron(b.m2.X[i]) + b.pihat * eye1.kron(tv.ydot[i])
-        rhs = tv.zdot[i] * b.pihat + b.Z[i] * tv.pihatdot
-        if lhs != rhs:
+        if tv.pihatdot * yl + b.pihat * ydl != rhs:
             return False
     return True
 

@@ -31,7 +31,6 @@ from .exactalg import (
     InfeasibleEnumeration,
     Matrix,
     ShapeError,
-    char_poly,
     gaussian_binomial,
     rank_and_kernel,
 )
@@ -43,7 +42,7 @@ from .modcore import (
     tensor_over_S,
     validate_framed,
 )
-from .bilin import BilinPoint, MembershipSystem, validate_bilin, validate_pairing
+from .bilin import BilinPoint, MembershipSystem, _validate_pairing, validate_bilin
 from .quot import NonSplitSupport
 from .tensorlab import Classification222, Tensor3, _pairing_tensor, classify_2x2x2
 
@@ -331,14 +330,18 @@ def _action_groups(reps: list[FramedModule]) -> dict:
     return groups
 
 
-def _linked_pairs(groups: dict) -> list[tuple]:
-    """The action pairs (X1, X2) of the grouped classes whose characteristic
-    polynomials have a common factor, in group order; for any other pair
-    M1 (x)_S M2 = 0 (see enumerate_222).  The polynomials are computed once
-    per action."""
-    polys = {X: char_poly(X) for X in groups}
-    return [(X1, X2) for X1 in groups for X2 in groups
-            if polys[X1].gcd(polys[X2]).degree > 0]
+def _linked_pairs(actions: list[Matrix]) -> list[tuple[int, int]]:
+    """The index pairs (i, j), in order, of the 2 x 2 actions X_i, X_j whose
+    characteristic polynomials have a common factor; for any other pair
+    M1 (x)_S M2 = 0.  Decided by the resultant of the two polynomials (see
+    enumerate_222), a few integer products per pair."""
+    p = actions[0].field.characteristic
+    coeffs = []
+    for X in actions:
+        a, b, c, d = X.entries
+        coeffs.append((-(a + d), a * d - b * c))
+    return [(i, j) for i, (a1, b1) in enumerate(coeffs) for j, (a2, b2) in enumerate(coeffs)
+            if ((b1 - b2) ** 2 + (a1 - a2) * (a1 * b2 - a2 * b1)) % p == 0]
 
 
 def enumerate_222(q: int, cap: int = 200_000) -> Census:
@@ -362,19 +365,32 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
 
     The work is done in layers.  The class representatives are grouped by
     action X (q^2 + q actions: 12 for 117 classes at q = 3), and each
-    action's type, support and characteristic polynomial are computed once.
-    The tensor product and its invariant subspaces depend on the action pair
-    (X1, X2) alone, so each pair gets at most one tensor product, and a pair
-    whose characteristic polynomials are coprime gets none (_linked_pairs):
-    chi_X1(x) is zero on M1 (Cayley-Hamilton) and invertible on M2 (with
-    a chi_X1 + b chi_X2 = 1, a(X2) inverts chi_X1(X2)), and x acts on
-    M1 (x)_S M2 through either factor, so chi_X1(x) is both zero and
-    invertible there and the product is 0, which has no point (dim12 < 2).
-    That leaves 48 of the 144 action pairs at q = 3, and 46 tensor products,
-    since the q scalar pairs share lambda = 0's (translation, below).  Each
-    (X1, X2, kernel) family is then assembled, validated and classified
-    once, with M3's facts looked up by its action Z, and counted
-    len(group1) * len(group2) times, once per class pair sharing it.
+    action's type and support are computed once and read once per action
+    pair.  The tensor product and its invariant subspaces depend on the
+    action pair (X1, X2) alone, so each pair gets at most one tensor
+    product, and a pair whose characteristic polynomials are coprime gets
+    none (_linked_pairs): chi_X1(x) is zero on M1 (Cayley-Hamilton) and
+    invertible on M2 (with a chi_X1 + b chi_X2 = 1, a(X2) inverts
+    chi_X1(X2)), and x acts on M1 (x)_S M2 through either factor, so
+    chi_X1(x) is both zero and invertible there and the product is 0, which
+    has no point (dim12 < 2).  That leaves 48 of the 144 action pairs at
+    q = 3, and 46 tensor products, since the q scalar pairs share lambda =
+    0's (translation, below).  Each (X1, X2, kernel) family is then
+    assembled, validated and classified once, with M3's facts looked up by
+    its action Z, and counted len(group1) * len(group2) times, once per
+    class pair sharing it.
+
+    Link test.  The characteristic polynomial of a 2 x 2 action is the monic
+    quadratic x^2 + a x + b with a = -tr X and b = det X.  Two monic
+    polynomials have a common factor over F_q iff they have a common root
+    over its algebraic closure (their gcd does not change when the field
+    grows), iff their resultant prod_{f(alpha) = 0} g(alpha) is zero.  For
+    f = x^2 + a1 x + b1 with roots alpha1, alpha2 and g = x^2 + a2 x + b2,
+    g(alpha) = g(alpha) - f(alpha) = (a2 - a1) alpha + (b2 - b1), and
+    alpha1 alpha2 = b1, alpha1 + alpha2 = -a1 give the resultant
+    (b1 - b2)^2 + (a1 - a2)(a1 b2 - a2 b1).  It is an integer polynomial in
+    the entries, so reducing it mod q decides the link exactly, with no
+    char_poly or gcd per pair.
 
     Translation.  For a scalar pair (lambda*I, lambda*I) the relations
     X1 (x) 1 - 1 (x) X2 of tensor_over_S are all zero, so the tensor product
@@ -399,12 +415,13 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     Z commuting, X- and Y-equivariance and surjectivity.  The pairing checks
     read only (X1, X2, Z, Pihat), and tensor_over_S and _assemble_point read
     no framing, so they depend on (X1, X2, kernel) alone: validate_pairing
-    runs once per assembled family, and the family's check is every
-    member's check (and, by translation, every scalar lambda's).  m1-ok and
-    m2-ok read one class each: enumerate_quot_classes_22 validates every
-    companion class it returns, and here each action's first class (the one
-    every family of that action is assembled from, a scalar class included)
-    is validated once more.  The types, supports, tensor and forced
+    runs once per assembled family, with the lifts X1 (x) 1 and 1 (x) X2
+    that tensor_over_S built for the action pair, and the family's check is
+    every member's check (and, by translation, every scalar lambda's).
+    m1-ok and m2-ok read one class each: enumerate_quot_classes_22 validates
+    every companion class it returns, and here each action's first class
+    (the one every family of that action is assembled from, a scalar class
+    included) is validated once more.  The types, supports, tensor and forced
     consequences read no framing either.  The tensor classification reads
     Pihat alone, so it runs once per distinct Pihat (130 at q = 3) and is
     shared by the families that have it.
@@ -419,6 +436,7 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
         if not validate_framed(group[0]).ok:
             raise ArithmeticError(f"census class failed validation at action X = {X!r}")
     facts = {X: _action_facts(X) for X in groups}
+    actions, members, action_facts = list(groups), list(groups.values()), list(facts.values())
     eye = Matrix.identity(field, 2)
     scalars = {eye.scale(lam) for lam in range(q)}
     census = Census(q=q, counts={}, quot_classes=len(reps), total_points=0,
@@ -426,16 +444,17 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     tensors: dict = {}
     zero = groups[eye.scale(0)][0]
     scalar_tensors = [tensor for _, tensor in _families(zero, zero, field, tensors)]
-    for X1, X2 in _linked_pairs(groups):
-        weight = len(groups[X1]) * len(groups[X2])
-        if X1 == X2 and X1 in scalars:
+    for i, j in _linked_pairs(actions):
+        weight = len(members[i]) * len(members[j])
+        facts1, facts2 = action_facts[i], action_facts[j]
+        if i == j and actions[i] in scalars:
             for tensor in scalar_tensors:
-                _tally(census, tensor, facts[X1], facts[X1], facts[X1], weight)
+                _tally(census, tensor, facts1, facts1, facts1, weight)
             continue
-        for Z, tensor in _families(groups[X1][0], groups[X2][0], field, tensors):
+        for Z, tensor in _families(members[i][0], members[j][0], field, tensors):
             # Z is conjugate to a table action but need not equal one.
-            facts3 = facts[Z] if Z in facts else _action_facts(Z)
-            _tally(census, tensor, facts[X1], facts[X2], facts3, weight)
+            facts3 = facts.get(Z) or _action_facts(Z)
+            _tally(census, tensor, facts1, facts2, facts3, weight)
     return census
 
 
@@ -448,7 +467,7 @@ def _families(m1, m2, field, tensors: dict):
         return
     for basis in _invariant_subspaces(prod.actions, prod.dim12, prod.dim12 - 2, field):
         point = _assemble_point(m1, m2, prod, basis, field)
-        val = validate_pairing(point)
+        val = _validate_pairing(point, prod.lifts)
         if not val.ok:
             raise ArithmeticError(
                 f"census point failed validation: {val.failure}"
@@ -537,15 +556,19 @@ def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
     pair_sample of the class pairs whose tensor product has dimension at
     least 2, evenly spaced in class order.  The products are computed once
     per action pair, and not at all for a pair with coprime characteristic
-    polynomials, whose product is 0 (_linked_pairs)."""
+    polynomials, whose product is 0 (_linked_pairs); a class pair finds its
+    product by the indices of its two actions."""
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
-    prods = {(X1, X2): tensor_over_S(groups[X1][0], groups[X2][0])
-             for X1, X2 in _linked_pairs(groups)}
+    index = {X: i for i, X in enumerate(groups)}
+    members = list(groups.values())
+    prods = {(i, j): tensor_over_S(members[i][0], members[j][0])
+             for i, j in _linked_pairs(list(groups))}
+    indexed = [(m, index[m.X[0]]) for m in reps]
     pairs = []
-    for m1 in reps:
-        for m2 in reps:
-            prod = prods.get((m1.X[0], m2.X[0]))
+    for m1, i in indexed:
+        for m2, j in indexed:
+            prod = prods.get((i, j))
             if prod is not None and prod.dim12 >= 2:
                 pairs.append((m1, m2, prod))
     step = max(1, len(pairs) // pair_sample)

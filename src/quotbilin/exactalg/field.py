@@ -285,7 +285,10 @@ def GF(p: int) -> PrimeField:
 
 
 def parse_field(spec: str) -> Field:
-    """Parse a field spec string: ``"Q"`` or ``"F:<p>"``."""
+    """Parse a field spec string: ``"Q"`` or ``"F:<p>"``; anything that is
+    not a string (a JSON null, number, bool, list or object) is malformed."""
+    if not isinstance(spec, str):
+        raise FieldError(f"a field spec must be a string, got {spec!r}")
     if spec == "Q":
         return QQ
     if spec.startswith("F:"):

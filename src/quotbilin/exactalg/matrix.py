@@ -130,7 +130,7 @@ class Matrix:
         return tuple(self.entries[i * self.cols: (i + 1) * self.cols])
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.entries[j::self.cols])
 
     def row_lists(self) -> list[list]:
         c, e = self.cols, self.entries
@@ -147,10 +147,15 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols) or (
                 f is not other.field and f != other.field):
             return False
+        p = f.characteristic
+        if p:
+            return not any((a - b) % p for a, b in zip(self.entries, other.entries))
         return all(f.eq(a, b) for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
-        canon = tuple(map(self.field.canonical, self.entries))
+        p = self.field.characteristic
+        canon = (tuple([x % p for x in self.entries]) if p
+                 else tuple(map(self.field.canonical, self.entries)))
         return hash((self.field.name, self.rows, self.cols, canon))
 
     def __repr__(self):
@@ -158,9 +163,16 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
+        p = self.field.characteristic
+        if p:
+            return not any(x % p for x in self.entries)
         return all(self.field.is_zero(x) for x in self.entries)
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Over F_p the entry-wise operations, like the products, run on plain
+    # ints with one ``% p`` per entry, so they return canonical residues
+    # whatever the residues of their operands.
 
     def _same_shape(self, other: "Matrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -170,22 +182,34 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [f.add(a, b) for a, b in zip(self.entries, other.entries)])
+        p = f.characteristic
+        if p:
+            out = [(a + b) % p for a, b in zip(self.entries, other.entries)]
+        else:
+            out = [f.add(a, b) for a, b in zip(self.entries, other.entries)]
+        return Matrix(f, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [f.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        p = f.characteristic
+        if p:
+            out = [(a - b) % p for a, b in zip(self.entries, other.entries)]
+        else:
+            out = [f.sub(a, b) for a, b in zip(self.entries, other.entries)]
+        return Matrix(f, self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, self.rows, self.cols, [f.neg(a) for a in self.entries])
+        p = f.characteristic
+        out = [-a % p for a in self.entries] if p else [f.neg(a) for a in self.entries]
+        return Matrix(f, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
+        p = f.characteristic
+        out = [c * a % p for a in self.entries] if p else [f.mul(c, a) for a in self.entries]
+        return Matrix(f, self.rows, self.cols, out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.  Over F_p each output entry is the plain ``int``

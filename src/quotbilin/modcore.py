@@ -145,12 +145,23 @@ class TensorProductResult:
     ``q`` is the full-row-rank surjection onto the quotient, ``section`` a
     right inverse of it, and ``actions`` the induced commuting action on the
     quotient (computed from the first factor; equivariance makes the second
-    factor act identically).
+    factor act identically).  ``lifts`` holds kron_lifts(X, Y) of the two
+    modules' actions, from which the relations were built.
     """
     dim12: int
     q: Matrix
     section: Matrix
     actions: tuple[Matrix, ...]
+    lifts: tuple[tuple[Matrix, Matrix], ...]
+
+
+def kron_lifts(X: Sequence[Matrix], Y: Sequence[Matrix]) -> tuple[tuple[Matrix, Matrix], ...]:
+    """The pairs (X_i (x) 1, 1 (x) Y_i): how X_i (d1 x d1) and Y_i (d2 x d2)
+    act on k^(d1*d2) = k^d1 (x) k^d2, for i = 1..n (n >= 1)."""
+    field = X[0].field
+    eye1 = Matrix.identity(field, X[0].rows)
+    eye2 = Matrix.identity(field, Y[0].rows)
+    return tuple((x.kron(eye2), eye1.kron(y)) for x, y in zip(X, Y))
 
 
 def tensor_over_S(m1: FramedModule, m2: FramedModule) -> TensorProductResult:
@@ -162,20 +173,18 @@ def tensor_over_S(m1: FramedModule, m2: FramedModule) -> TensorProductResult:
     if m1.n != m2.n:
         raise ShapeError("variable count mismatch")
     field = same_field(m1.field, m2.field)
-    d1, d2 = m1.d, m2.d
-    dim = d1 * d2
-    eye1 = Matrix.identity(field, d1)
-    eye2 = Matrix.identity(field, d2)
+    dim = m1.d * m2.d
+    lifts = kron_lifts(m1.X, m2.X)
     span_vectors = []
-    for i in range(m1.n):
-        rel = m1.X[i].kron(eye2) - eye1.kron(m2.X[i])
+    for xl, yl in lifts:
+        rel = xl - yl
         for j in range(dim):
             col = rel.col(j)
             if not all(field.is_zero(c) for c in col):
                 span_vectors.append(col)
     q, section = quotient_map(span_vectors, field, dim)
-    actions = tuple(q * m1.X[i].kron(eye2) * section for i in range(m1.n))
-    return TensorProductResult(dim12=q.rows, q=q, section=section, actions=actions)
+    actions = tuple(q * xl * section for xl, _ in lifts)
+    return TensorProductResult(dim12=q.rows, q=q, section=section, actions=actions, lifts=lifts)
 
 
 def annihilator_algebra_dim(m: FramedModule) -> int:

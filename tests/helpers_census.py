@@ -4,8 +4,9 @@ the quot-class pairs, the per-action-pair loop, which assembles and validates
 every (X1, X2, kernel) family of every action pair, scalar pairs included,
 the class enumerator that marks whole GL_2 orbits over
 all q^8 pairs (X, G), the invariant-subspace enumerator that tests every
-candidate, the cross-check loop over all q^8 target framings, and the
-module-type rule on a framed module."""
+candidate, the cross-check loop over all q^8 target framings, the
+module-type rule on a framed module, and the link test by a polynomial gcd
+per action pair."""
 
 import itertools
 
@@ -25,7 +26,7 @@ from quotbilin.cases222 import (
     classify_point_222,
     enumerate_quot_classes_22,
 )
-from quotbilin.exactalg import GF, InfeasibleEnumeration, Matrix
+from quotbilin.exactalg import GF, InfeasibleEnumeration, Matrix, char_poly
 from quotbilin.modcore import (
     FramedModule,
     annihilator_algebra_dim,
@@ -45,6 +46,15 @@ def reference_module_type(m):
         return ModuleType.TUPLE
     alg = annihilator_algebra_dim(m)
     return ModuleType.JORDAN if alg == 2 else ModuleType.SEMISIMPLE
+
+
+def reference_linked_pairs(groups: dict) -> list[tuple]:
+    """The action pairs (X1, X2) of the grouped classes whose characteristic
+    polynomials have a common factor, in group order, by one UniPoly.gcd per
+    ordered pair."""
+    polys = {X: char_poly(X) for X in groups}
+    return [(X1, X2) for X1 in groups for X2 in groups
+            if polys[X1].gcd(polys[X2]).degree > 0]
 
 
 def reference_gl2(field) -> list[Matrix]:

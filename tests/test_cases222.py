@@ -1,6 +1,9 @@
+import dataclasses
 import importlib.util
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from helpers_census import (
     reference_cross_check_pairs,
     reference_invariant_subspaces,
     reference_gl2,
+    reference_linked_pairs,
     reference_module_type,
     reference_quot_classes_22,
 )
@@ -26,6 +30,8 @@ from quotbilin.exactalg import (
     InfeasibleEnumeration,
     Matrix,
     ShapeError,
+    UniPoly,
+    char_poly,
     gaussian_binomial,
     rand_invertible,
 )
@@ -535,11 +541,11 @@ def test_classify_point_matches_census_core_per_family_q2():
 
 
 def test_census_failure_names_actions_and_kernel(monkeypatch):
-    def failing(point):
+    def failing(point, lifts):
         return PairingValidation(z_commutes=True, equivariant=False, surjective=True,
                                  failure="X-equivariance at index 0", residual=None)
 
-    monkeypatch.setattr(cases222, "validate_pairing", failing)
+    monkeypatch.setattr(cases222, "_validate_pairing", failing)
     # the first action pair is (0, 0), whose tensor product is 4-dimensional
     with pytest.raises(ArithmeticError) as err:
         enumerate_222(2)
@@ -556,7 +562,7 @@ def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch)
     # distinct pairings.  46 tensor products: 48 action pairs have
     # characteristic polynomials with a common factor, and the three scalar
     # pairs among them share lambda = 0's.
-    calls = {"validate_pairing": 0, "classify_2x2x2": 0, "tensor_over_S": 0}
+    calls = {"_validate_pairing": 0, "classify_2x2x2": 0, "tensor_over_S": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -568,7 +574,84 @@ def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch)
         monkeypatch.setattr(cases222, name, counted(name, getattr(cases222, name)))
     census = enumerate_222(3)
     assert census.counts == CENSUS_Q3_COUNTS
-    assert calls == {"validate_pairing": 157, "classify_2x2x2": 130, "tensor_over_S": 46}
+    assert calls == {"_validate_pairing": 157, "classify_2x2x2": 130, "tensor_over_S": 46}
+
+
+_CENSUS_FAILURE = re.compile(
+    r"census point failed validation: .+ at actions X1 = Matrix\(F:3, 2x2: [^)]+\), "
+    r"X2 = Matrix\(F:3, 2x2: [^)]+\), kernel basis \[.*\]")
+
+
+def test_census_with_kronecker_factors_in_the_wrong_order_fails(monkeypatch):
+    # The families are checked with the lifts tensor_over_S returns.  Built
+    # in the wrong order, (1 (x) X1, X2 (x) 1), they agree with the true
+    # lifts on scalar pairs and, as a set, on pairs X1 = X2, but not on a
+    # scalar with a companion at its root: the census must stop there.
+    real = cases222.tensor_over_S
+
+    def wrong_order(m1, m2):
+        prod = real(m1, m2)
+        eye = Matrix.identity(m1.field, 2)
+        lifts = tuple((eye.kron(x), y.kron(eye)) for x, y in zip(m1.X, m2.X))
+        return dataclasses.replace(prod, lifts=lifts)
+
+    monkeypatch.setattr(cases222, "tensor_over_S", wrong_order)
+    with pytest.raises(ArithmeticError) as err:
+        enumerate_222(3)
+    assert _CENSUS_FAILURE.fullmatch(str(err.value))
+    assert "-equivariance at index 0" in str(err.value)
+
+
+def test_census_with_a_perturbed_pihat_fails(monkeypatch):
+    real = cases222._assemble_point
+
+    def perturbed(m1, m2, prod, basis, field):
+        point = real(m1, m2, prod, basis, field)
+        pihat = point.pihat + Matrix(field, point.pihat.rows, point.pihat.cols,
+                                     [1] + [0] * (len(point.pihat.entries) - 1))
+        return dataclasses.replace(point, pihat=pihat)
+
+    monkeypatch.setattr(cases222, "_assemble_point", perturbed)
+    with pytest.raises(ArithmeticError) as err:
+        enumerate_222(3)
+    assert _CENSUS_FAILURE.fullmatch(str(err.value))
+
+
+def test_tensor_product_lifts_are_the_pairing_check_lifts():
+    # enumerate_222 checks each family with prod.lifts; validate_pairing
+    # builds the lifts from the point.  Both give the same verdict.
+    field = GF(3)
+    groups = cases222._action_groups(enumerate_quot_classes_22(3))
+    for X1, X2 in [(a, b) for a in groups for b in groups][::7]:
+        m1, m2 = groups[X1][0], groups[X2][0]
+        prod = tensor_over_S(m1, m2)
+        if prod.dim12 < 2:
+            continue
+        for basis in cases222._invariant_subspaces(prod.actions, prod.dim12,
+                                                   prod.dim12 - 2, field):
+            point = cases222._assemble_point(m1, m2, prod, basis, field)
+            assert cases222._validate_pairing(point, prod.lifts) == validate_pairing(point)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_linked_pairs_equal_the_gcd_reference(q):
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    actions = list(groups)
+    got = [(actions[i], actions[j]) for i, j in cases222._linked_pairs(actions)]
+    assert got == reference_linked_pairs(groups)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_resultant_decides_a_common_factor_of_monic_quadratics(q):
+    # every pair of monic quadratics x^2 + a x + b, as companion matrices
+    field = GF(q)
+    coeffs = list(itertools.product(range(q), repeat=2))
+    companions = [Matrix(field, 2, 2, [0, -b % q, 1, -a % q]) for a, b in coeffs]
+    polys = [UniPoly(field, [b, a, 1]) for a, b in coeffs]
+    assert [char_poly(X) for X in companions] == polys
+    want = [(i, j) for i, f in enumerate(polys) for j, g in enumerate(polys)
+            if f.gcd(g).degree > 0]
+    assert cases222._linked_pairs(companions) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -615,7 +698,8 @@ def test_scalar_pair_families_are_translated_zero_families(q):
 def test_coprime_action_pairs_have_zero_tensor_product(q):
     # _linked_pairs drops exactly the action pairs whose product is 0.
     groups = cases222._action_groups(enumerate_quot_classes_22(q))
-    linked = set(cases222._linked_pairs(groups))
+    actions = list(groups)
+    linked = {(actions[i], actions[j]) for i, j in cases222._linked_pairs(actions)}
     skipped = 0
     for X1, group1 in groups.items():
         for X2, group2 in groups.items():
@@ -668,6 +752,20 @@ def test_census_script_reports_the_q2_census():
     header = run.stdout.splitlines()[0]
     assert "308 points" in header
     assert "6 distinct actions" in header
+
+
+def test_census_script_runs_several_q_and_hashes_each_table():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "census_222.py"), "2", "5"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = [line for line in run.stdout.splitlines() if "table sha256" in line]
+    script = load_census_script()
+    assert [line.split()[0] for line in lines] == ["F_2:", "F_5:"]
+    assert [line.split()[-1] for line in lines] == [
+        script.table_sha256(enumerate_222(q)) for q in (2, 5)]
+    assert lines[0].split()[-1].startswith("4a296d4580567600")
 
 
 # -- label vs tensor class -----------------------------------------------------------------

@@ -574,3 +574,25 @@ def test_limits_sample_the_field_cannot_read_is_malformed(field, samples, capsys
     assert main(["limits", "--name", "mu2_t", "--field", field, "--samples", samples]) \
         == EXIT_MALFORMED
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [None, 3, True, ["F:3"], {"p": 3}], ids=repr)
+@pytest.mark.parametrize("command", [["validate"], ["tangent", "quot"]], ids=" ".join)
+def test_point_field_that_is_not_a_string_is_malformed(tmp_path, framed_file, command, spec,
+                                                       capsys):
+    obj = json.loads(Path(framed_file).read_text())
+    obj["X"][0]["field"] = spec
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(command + ["--point", str(path)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "a field spec must be a string" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [None, 3, True, ["F:3"], {"p": 3}], ids=repr)
+def test_tensor_field_that_is_not_a_string_is_malformed(tmp_path, spec, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"field": spec, "dims": [2, 2, 2],
+                                "coeffs": ["1", "0", "0", "0", "0", "0", "0", "1"]}))
+    assert main(["classify222", "--tensor", str(path)]) == EXIT_MALFORMED
+    assert "a field spec must be a string" in capsys.readouterr().err

@@ -92,6 +92,12 @@ def test_parse_field_specs():
         parse_field("R")
 
 
+@pytest.mark.parametrize("spec", [None, 3, 2.5, True, ["F:3"], {"p": 3}], ids=repr)
+def test_parse_field_refuses_a_spec_that_is_not_a_string(spec):
+    with pytest.raises(FieldError, match="must be a string"):
+        parse_field(spec)
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
@@ -257,6 +263,51 @@ def test_kron_matches_per_entry_reference(field, r1, c1, r2, c2, data):
     assert (got.rows, got.cols) == (r1 * r2, c1 * c2)
     assert got.entries == want.entries
     assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+
+
+def reference_entrywise(a, b, c):
+    """a + b, a - b, -a and c * a by one Field call per entry."""
+    f = a.field
+    return [[op(x, y) for x, y in zip(a.entries, b.entries)] for op in (f.add, f.sub)] + [
+        [f.neg(x) for x in a.entries], [f.mul(c, x) for x in a.entries]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(101)]), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+def test_entrywise_ops_match_per_entry_reference(field, rows, cols, data):
+    # over F_p the operands are unreduced; the results are canonical residues
+    def draw(n):
+        return data.draw(st.lists(matvec_scalars(field), min_size=n, max_size=n))
+
+    a, b = (Matrix(field, rows, cols, draw(rows * cols)) for _ in range(2))
+    c = draw(1)[0]
+    got = [m.entries for m in (a + b, a - b, -a, a.scale(c))]
+    want = reference_entrywise(a, b, c)
+    if field.characteristic:
+        want = [[x % field.p for x in w] for w in want]
+        assert all(0 <= x < field.p for g in got for x in g)
+    assert got == want
+    assert [[type(x) for x in g] for g in got] == [[type(x) for x in w] for w in want]
+    assert a.is_zero() == all(field.is_zero(x) for x in a.entries)
+    for j in range(cols):
+        assert a.col(j) == tuple(a[i, j] for i in range(rows))
+
+
+def test_noncanonical_fp_entries_equal_and_hash_as_their_residues():
+    F3 = GF(3)
+    raw = Matrix(F3, 2, 3, [3, 4, -1, 5, -6, 7])
+    canon = Matrix(F3, 2, 3, [0, 1, 2, 2, 0, 1])
+    assert raw == canon and canon == raw and hash(raw) == hash(canon)
+    assert len({raw, canon}) == 1 and raw.key() != canon.key()
+    assert raw != Matrix(F3, 2, 3, [0, 1, 2, 2, 0, 2])
+    assert Matrix(F3, 2, 2, [3, -3, 0, 9]).is_zero()
+    assert not Matrix(F3, 2, 2, [3, -3, 0, 10]).is_zero()
+    assert (raw + canon).entries == [0, 2, 1, 1, 0, 2]
+    assert (raw - canon).entries == [0] * 6
+    assert (-raw).entries == [0, 2, 1, 1, 0, 2]
+    assert raw.scale(-2).entries == canon.entries
+    assert raw.scale(4).entries == canon.entries
 
 
 # -- gaussian binomials ------------------------------------------------------------

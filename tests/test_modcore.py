@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from quotbilin.modcore import (
     framed_from_json,
     framed_to_json,
     gauge_transform,
+    kron_lifts,
     make_degenerate,
     make_tuple_of_points,
     rand_framed_module,
@@ -163,6 +165,21 @@ def test_tensor_result_invariants():
         left = res.q * m1.X[i].kron(eye2)
         right = res.q * eye1.kron(m2.X[i])
         assert left == right == res.actions[i] * res.q
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_tensor_lifts_are_the_kronecker_lifts(field):
+    # X_i (x) 1 and 1 (x) Y_i, built entry by entry
+    rng = random.Random(3)
+    m1 = rand_framed_module(rng, field, 2, 2, 2)
+    m2 = rand_framed_module(rng, field, 2, 3, 1)
+    lifts = tensor_over_S(m1, m2).lifts
+    assert lifts == kron_lifts(m1.X, m2.X)
+    for (xl, yl), x, y in zip(lifts, m1.X, m2.X):
+        assert (xl.rows, yl.rows) == (6, 6)
+        for (a, b), (c, e) in itertools.product(itertools.product(range(2), range(3)), repeat=2):
+            assert xl[3 * a + b, 3 * c + e] == (x[a, c] if b == e else 0)
+            assert yl[3 * a + b, 3 * c + e] == (y[b, e] if a == c else 0)
 
 
 def test_tensor_induced_actions_commute_two_variables():
