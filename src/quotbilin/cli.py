@@ -233,7 +233,7 @@ def _cmd_reducibility(args: argparse.Namespace) -> int:
 
 def _cmd_secant_dim(args: argparse.Namespace) -> int:
     rep = secant_dimension(args.d, args.r, trials=args.trials, seed=args.seed,
-                           field=parse_field(args.field))
+                           field=parse_field(args.field), cap=args.cap)
     payload = {"d": rep.d, "r": rep.r, "ambient": rep.ambient, "bound": rep.bound,
                "terracini_dim": rep.terracini_dim, "fills": rep.fills_ambient,
                "per_trial": rep.per_trial, "seed": args.seed}
@@ -354,7 +354,8 @@ def run(args: argparse.Namespace) -> int:
 _FLAGS = {
     "field": dict(default="Q", help="computation field: Q or F:<p>"),
     "seed": dict(type=int, default=0, help="random seed"),
-    "cap": dict(type=int, default=2_000_000, help="enumeration size cap"),
+    "cap": dict(type=int, default=2_000_000,
+                help="enumeration size cap (secant-dim: entries of all trials' rows)"),
     "check": dict(action="store_true", help="run debug consistency assertions"),
 }
 
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, required=True)
 
     p = _subcommand(sub, "secant-dim", _cmd_secant_dim,
-                    "Terracini secant dimension of the triple Segre", "field", "seed")
+                    "Terracini secant dimension of the triple Segre", "field", "seed", "cap")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=5,

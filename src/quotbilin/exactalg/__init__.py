@@ -4,6 +4,7 @@ from .field import (
     Field, FieldError, GF, PrimeField, QQ, RationalField, parse_field, rational, same_field,
 )
 from .matrix import (
+    CERTIFICATE_PRIME,
     EchelonBasis,
     Matrix,
     ShapeError,
@@ -32,7 +33,7 @@ from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_ve
 __all__ = [
     "Field", "FieldError", "GF", "PrimeField", "QQ", "RationalField",
     "parse_field", "rational", "same_field",
-    "EchelonBasis", "Matrix", "ShapeError", "in_span", "json_int", "kernel_mod_span",
+    "CERTIFICATE_PRIME", "EchelonBasis", "Matrix", "ShapeError", "in_span", "json_int", "kernel_mod_span",
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",
     "UniPoly", "char_poly", "express_in_echelon", "express_in_span",

@@ -40,7 +40,7 @@ from operator import mul
 from sys import byteorder
 from typing import Optional, Sequence
 
-from .field import Field, FieldError, parse_field, rational, same_field
+from .field import GF, QQ, Field, FieldError, parse_field, rational, same_field
 
 
 # An F_p system runs on packed rows when it has more entries than
@@ -58,6 +58,25 @@ from .field import Field, FieldError, parse_field, rational, same_field
 # rows (d^2 nonzeros).
 _PACKED_MIN_CELLS = 400
 _PACKED_MIN_ROW_NONZEROS = 5
+
+# The prime of the modular rank certificates over Q (Terracini ranks in
+# ``tensorlab.secant_dimension``, gauge pivots in :func:`kernel_mod_span`):
+# a rank mod P is at most the rank over Q, and a minor that is nonzero mod P
+# is a nonzero integer.  P = 2^24 - 3 lies above the Q sampling window of
+# ``tensorlab`` (so no sampled coordinate vanishes mod P), and its packed
+# slot, 2*24 + bitlen(m) + 1 bits, fits one 64-bit word for every system
+# with min(rows, cols) < 2^15.
+CERTIFICATE_PRIME = 2 ** 24 - 3
+
+# Over Q, a system with no rows whose gauge has at least this many vectors
+# takes its right pivots modulo CERTIFICATE_PRIME first (kernel_mod_span).
+# Measured on the Quot gauges at n = 1, r = 2, the empty systems that occur:
+# the pivots mod P were the prefix at even d, so no exact elimination runs
+# (quot_tangent 10 -> 3 ms at d = 8, 1.5 s -> 55 ms at d = 16).  At odd d they
+# were not, and the exact elimination of the columns up to the last of them
+# (d^2 + 1 of d^2 + 2d) saved more than the modular one cost (24 -> 21 ms at
+# d = 9).  Below d = 8 either saves about a millisecond or less.
+_MODULAR_GAUGE_MIN = 64
 
 
 class ShapeError(ValueError):
@@ -427,9 +446,10 @@ def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced
     the scaled list is its final row; with ``reduced`` the pivot rows are
     unpacked at the end.  The rows past the rank are 0 mod p in every slot
     and are returned as zero rows.  A slot is one unsigned machine word of
-    8, 16 or 32 bits, the narrowest that holds ``need`` bits, or as many
-    32-bit words as it takes, so packing and unpacking a row are ``array``
-    and ``memoryview`` conversions rather than one call per entry.
+    8, 16, 32 or 64 bits, the narrowest that holds ``need`` bits, or as many
+    64-bit words as it takes, so packing and unpacking a row are ``array``
+    and ``memoryview`` conversions rather than one call per entry
+    (:func:`_slot_words`).
 
     No slot overflows into the next.  Let b = bitlen(p), m = min(rows, cols)
     and need = 2b + bitlen(m) + 1 <= w.  A slot starts in [0, p).  The pivot
@@ -437,15 +457,14 @@ def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced
     (p - c)*rp has p - c in [1, p - 1] and slots in [0, p - 1]: it adds less
     than 2^(2b) to each slot, and nothing is ever subtracted, so no slot
     borrows.  A row receives at most one addend per pivot and there are at
-    most m pivots, so a slot stays below p + m*2^(2b) < 2^need.
+    most m pivots, so a slot stays below p + m*2^(2b) < 2^need.  For
+    p = ``CERTIFICATE_PRIME`` need = 49 + bitlen(m), one 64-bit word while
+    m < 2^15; for p <= 101 need <= 15 + bitlen(m), one 32-bit word while
+    m < 2^17.
     """
     nr = len(rows)
-    need = 2 * p.bit_length() + min(nr, ncols).bit_length() + 1
-    for fmt in "BHI":
-        wb = 8 * array(fmt).itemsize
-        if wb >= need:
-            break
-    k = -(-need // wb)
+    fmt, k = _slot_words(p, min(nr, ncols))
+    wb = 8 * array(fmt).itemsize
     w = k * wb
     mask = (1 << w) - 1
     wmask = (1 << wb) - 1
@@ -496,6 +515,20 @@ def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced
     return done + [[0] * ncols for _ in range(nr - len(done))], pivots
 
 
+def _slot_words(p: int, m: int) -> tuple[str, int]:
+    """The ``array`` type code of the words of one packed slot and how many
+    words a slot takes, for an F_p system with min(rows, cols) = m: the
+    narrowest of 8, 16, 32 and 64 bits that holds need = 2*bitlen(p) +
+    bitlen(m) + 1 bits, or as many 64-bit words as need takes (see
+    :func:`_eliminate_packed`)."""
+    need = 2 * p.bit_length() + m.bit_length() + 1
+    for fmt in "BHIQ":
+        wb = 8 * array(fmt).itemsize
+        if wb >= need:
+            break
+    return fmt, -(-need // wb)
+
+
 def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:
     """Rank and a right kernel basis of ``m``.
 
@@ -530,6 +563,26 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
     proves them independent, so the nullity - len(vectors) kept vectors
     complete them to a basis.
 
+    Over Q, when ``m`` has no rows and there are at least
+    ``_MODULAR_GAUGE_MIN`` vectors, the restricted vectors are first
+    eliminated modulo P = ``CERTIFICATE_PRIME`` (see
+    :func:`_modular_right_pivots`), each row times the lcm of its
+    denominators (a row scale, which changes no pivot).  Let S be the pivots
+    mod P and k = len(vectors).  A minor on the columns S is nonzero mod P,
+    so it is a nonzero integer, and the columns S are independent over Q.
+
+    - If S is exactly 0, ..., k - 1, these are the right pivots over Q.  In
+      an echelon form a column is a pivot exactly when it is independent of
+      the columns before it, so each column of S is a pivot over Q; there
+      are k rows, so there is no other.  The rank is then k, so the
+      certificate above holds as well.
+    - If S has k columns but is not that prefix, the Q pivots may differ
+      from S (P may divide a minor that is nonzero over Q).  But the
+      columns up to max(S) already have rank k over Q, so every Q pivot
+      lies among them, and the exact elimination runs on those columns
+      only.
+    - Otherwise the exact elimination runs on every column.
+
     Only the kept vectors are built.  The vector of non-pivot column fc is 1
     at fc, zero at the other non-pivot columns, and -row[fc]/row[pc] at the
     pivot column pc of each reduced row: ``rational(-row[fc], row[pc])`` over
@@ -539,7 +592,10 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
     rows, pivots = _eliminate(m.field, m.row_lists(), m.cols, reduced=True)
     free = sorted(set(range(m.cols)).difference(pivots))
     restricted = [[v[fc] for fc in reversed(free)] for v in vectors]
-    right = _eliminate(m.field, restricted, len(free), reduced=False)[1] if vectors else []
+    if not p and not m.rows and len(vectors) >= _MODULAR_GAUGE_MIN:
+        right = _modular_right_pivots(restricted, len(free))
+    else:
+        right = _eliminate(m.field, restricted, len(free), reduced=False)[1] if vectors else []
     if len(right) != len(vectors):
         raise ArithmeticError(f"{len(vectors)} vectors have rank {len(right)} in kernel coordinates")
     basis = []
@@ -552,6 +608,23 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
                 v[pc] = (-x) % p if p else rational(-x, row[pc])
         basis.append(tuple(v))
     return len(free), basis
+
+
+def _modular_right_pivots(restricted: Sequence[Sequence], ncols: int) -> list[int]:
+    """The pivots over Q of the rational ``restricted`` rows, of ``ncols``
+    entries, from their pivots modulo ``CERTIFICATE_PRIME`` first: taken
+    as they are when they are the prefix 0, ..., k - 1 for k rows, else an
+    exact elimination of the columns up to the last of them when they are k
+    columns, else of every column (see :func:`kernel_mod_span`)."""
+    k = len(restricted)
+    cleared = [_cleared(row)[0] for row in restricted]
+    modular = _eliminate(GF(CERTIFICATE_PRIME), cleared, ncols, reduced=False)[1]
+    if modular == list(range(k)):
+        return modular
+    if len(modular) == k:
+        ncols = modular[-1] + 1
+        restricted = [row[:ncols] for row in restricted]
+    return _eliminate(QQ, restricted, ncols, reduced=False)[1]
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

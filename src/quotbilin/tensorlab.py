@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactalg import (
+    CERTIFICATE_PRIME,
     EchelonBasis,
     Field,
     FieldError,
@@ -467,9 +468,11 @@ class SecantReport:
     per_trial: list[int]
 
 
-# A prime just below 2^31: a Terracini minor that vanishes mod it but not over
-# Q costs one exact re-elimination, never a wrong answer.
-_TERRACINI_PRIME = 2 ** 31 - 1
+# Over Q, secant_dimension samples point coordinates from 1..Q_SAMPLE_MAX: a
+# window wide enough that projective collisions between sampled Segre points
+# are vanishingly rare, and below CERTIFICATE_PRIME, so no sampled
+# coordinate vanishes mod that prime.
+Q_SAMPLE_MAX = 9973
 
 
 def _tangent_rows(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> list[list[int]]:
@@ -513,19 +516,19 @@ def _tangent_rows(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> list[
 def _terracini_rank(field: Field, rows: list[list[int]], ncols: int, full: int) -> int:
     """Rank over ``field`` of integer rows whose rank over Q is at most
     ``full``.  Over F_p: one elimination of the rows mod p.  Over Q: one
-    elimination mod ``_TERRACINI_PRIME``, and the exact elimination over Q
+    elimination mod ``CERTIFICATE_PRIME``, and the exact elimination over Q
     only when that rank falls short of ``full`` (the rank mod a prime is at
     most the rank over Q, so reaching ``full`` certifies it)."""
     if field.characteristic:
         return len(_eliminate(field, rows, ncols, reduced=False)[1])
-    rank = len(_eliminate(GF(_TERRACINI_PRIME), rows, ncols, reduced=False)[1])
+    rank = len(_eliminate(GF(CERTIFICATE_PRIME), rows, ncols, reduced=False)[1])
     if rank < full:
         rank = len(_eliminate(QQ, rows, ncols, reduced=False)[1])
     return rank
 
 
 def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
-                     field: Field = QQ) -> SecantReport:
+                     field: Field = QQ, cap: int = 2_000_000) -> SecantReport:
     """Generic dimension of the r-th secant of the triple Segre of P^(d-1).
 
     Per trial: r random points a (x) b (x) c, tangent spaces spanned by
@@ -538,8 +541,9 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
     Each point contributes the 3d - 2 rows of ``_tangent_rows``, which span
     its tangent space.  The r(3d - 2) x d^3 rows are integers: the sampled
     coordinates over Q, their residues over F_p, where one elimination mod p
-    gives the rank.  Over Q the rank is taken mod the prime
-    P = ``_TERRACINI_PRIME`` first, and certified by the bound:
+    gives the rank.  Over Q the coordinates come from 1..``Q_SAMPLE_MAX``,
+    and the rank is taken mod the prime P = ``CERTIFICATE_PRIME`` first,
+    and certified by the bound:
 
     - rank_P <= rank_Q, since a minor that is nonzero mod P is a nonzero
       integer;
@@ -547,22 +551,34 @@ def secant_dimension(d: int, r: int, trials: int = 5, seed: int = 0,
       = bound + 1;
     - so rank_P - 1 == bound proves rank_Q - 1 == bound.
 
-    A trial whose rank mod P falls short of bound + 1 (every trial of a
-    defective secant) is ranked again by the exact elimination over Q.
+    P exceeds ``Q_SAMPLE_MAX``, so every sampled coordinate is a unit mod P
+    and the rows mod P are the tangent rows of the points mod P.  A trial
+    whose rank mod P falls short of bound + 1 (every trial of a defective
+    secant) is ranked again by the exact elimination over Q; P only decides
+    how often that happens, never the answer.  The elimination mod P packs
+    one 64-bit word per entry, since min(r(3d - 2), d^3) < 2^15 for every
+    shape within the default cap (see ``exactalg.matrix._eliminate_packed``).
+
+    ``InfeasibleEnumeration`` is raised, before any row is built, when
+    trials * r(3d - 2) * d^3, the entries of every trial's rows, exceeds
+    ``cap``.
     """
     if d < 1 or r < 1:
         raise ValueError("need d, r >= 1")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    entries = trials * r * (3 * d - 2) * d ** 3
+    if entries > cap:
+        raise InfeasibleEnumeration(
+            f"{trials} trials of {r * (3 * d - 2)} x {d ** 3} Terracini rows "
+            f"({entries} entries) exceed cap {cap}")
     rng = random.Random(seed)
     ambient = d ** 3 - 1
     bound = min(ambient, r * (3 * (d - 1) + 1) - 1)
 
     def sample_point():
-        # Over Q, positive integers from a window wide enough that projective
-        # collisions between sampled Segre points are vanishingly rare.
         if field.characteristic == 0:
-            return [rng.randint(1, 9973) for _ in range(d)]
+            return [rng.randint(1, Q_SAMPLE_MAX) for _ in range(d)]
         return rand_nonzero_vector(rng, field, d)
 
     per_trial = []

@@ -261,6 +261,16 @@ def test_grcount_command(tmp_path):
     assert payload["enumerated"] == payload["formula"] == 35
 
 
+@pytest.mark.parametrize("argv", [
+    ["secant-dim", "--d", "30", "--r", "200"],
+    ["secant-dim", "--d", "3", "--r", "4", "--trials", "1000000000"],
+    ["secant-dim", "--d", "3", "--r", "3", "--cap", "100"],
+], ids=["large-shape", "many-trials", "small-cap"])
+def test_secant_dim_cap_exit(argv, capsys):
+    assert main(argv) == EXIT_CAP
+    assert "exceed cap" in capsys.readouterr().err
+
+
 def test_grcount_cap_exit(tmp_path):
     assert main(["grcount", "--d", "3", "--r", "6", "--q", "5",
                  "--cap", "100"]) == EXIT_CAP
@@ -323,7 +333,7 @@ READ_FLAGS = {
     "member": set(),
     "dims": set(),
     "reducibility": set(),
-    "secant-dim": {"--field", "--seed"},
+    "secant-dim": {"--field", "--seed", "--cap"},
     "classify222": {"--field", "--cap", "--check"},
     "limits": {"--field"},
     "grcount": {"--cap"},

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
 from quotbilin import quot
@@ -22,6 +22,7 @@ from quotbilin.bilin import (
     main_component_point,
 )
 from quotbilin.exactalg import (
+    CERTIFICATE_PRIME,
     GF,
     QQ,
     EchelonBasis,
@@ -34,6 +35,8 @@ from quotbilin.exactalg import (
     solve,
     solve_with_rank,
 )
+from quotbilin.exactalg import matrix
+from quotbilin.exactalg.matrix import _cleared, _eliminate, _modular_right_pivots
 from quotbilin.modcore import rand_framed_module
 from quotbilin.quot import quot_tangent
 
@@ -210,6 +213,160 @@ def test_kernel_mod_span_rejects_a_dependent_gauge(field):
     for gauge in ([kernel[0], twice], [kernel[1], kernel[1]], [tuple([field.zero()] * 4)]):
         with pytest.raises(ArithmeticError):
             kernel_mod_span(m, gauge)
+
+
+# -- the modular right pivots of an empty system's gauge ---------------------------
+
+P = CERTIFICATE_PRIME
+
+
+def _empty_system_case(restricted):
+    """An empty system over Q whose gauge restricts to the given rows
+    (every column is free, so restricting reverses each vector)."""
+    ncols = len(restricted[0])
+    return Matrix(QQ, 0, ncols, []), [tuple(reversed(row)) for row in restricted]
+
+
+def _exact_kernel_mod_span(m, gauge):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_MODULAR_GAUGE_MIN", float("inf"))
+        return kernel_mod_span(m, gauge)
+
+
+def _pivots_mod_p(restricted, ncols):
+    return _eliminate(GF(P), [_cleared(row)[0] for row in restricted], ncols, reduced=False)[1]
+
+
+def _accept_any_full_rank(restricted, ncols):
+    """A mutant of ``_modular_right_pivots`` that takes every full-rank
+    pivot set mod P, prefix or not."""
+    pivots = _pivots_mod_p(restricted, ncols)
+    if len(pivots) == len(restricted):
+        return pivots
+    return _eliminate(QQ, restricted, ncols, reduced=False)[1]
+
+
+# Restricted gauge rows whose leading block is singular mod P but not over Q:
+# the mod-P pivots skip column k - 1 and take column k, the Q pivots are the
+# prefix.  With fractional entries, so the rows are cleared first.
+def _p_divides_the_minor(k):
+    rows = [[int(i == j) for j in range(k + 2)] for i in range(k - 1)]
+    rows.append([0] * (k - 1) + [Fraction(P, 2), Fraction(1, 3), 0])
+    return rows
+
+
+@pytest.mark.parametrize("k", [2, 64])
+def test_modular_pivots_fall_back_when_p_divides_the_leading_minor(k):
+    m, gauge = _empty_system_case(_p_divides_the_minor(k))
+    restricted = [list(reversed(v)) for v in gauge]
+    assert _pivots_mod_p(restricted, k + 2) == list(range(k - 1)) + [k]
+    assert _modular_right_pivots(restricted, k + 2) == list(range(k))
+    # Q pivots 0..k-1 exclude the free columns k+1, ..., 2: e_0 and e_1 are kept.
+    want = (k + 2, [tuple(int(j == i) for j in range(k + 2)) for i in (0, 1)])
+    assert _exact_kernel_mod_span(m, gauge) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_MODULAR_GAUGE_MIN", 1)
+        assert kernel_mod_span(m, gauge) == want
+
+
+def test_accepting_any_full_rank_modular_pivots_fails(monkeypatch):
+    # The mutation the prefix rule guards against: at 64 vectors, the real
+    # threshold, a rule taking the full-rank mod-P pivots keeps e_0 and e_2.
+    m, gauge = _empty_system_case(_p_divides_the_minor(64))
+    monkeypatch.setattr(matrix, "_modular_right_pivots", _accept_any_full_rank)
+    assert kernel_mod_span(m, gauge) != _exact_kernel_mod_span(m, gauge)
+
+
+def _spy_eliminations(monkeypatch):
+    """Record (field, rows, columns) of every elimination."""
+    calls = []
+    real = matrix._eliminate
+
+    def spy(field, rows, ncols, reduced):
+        calls.append((field.name, len(rows), ncols))
+        return real(field, rows, ncols, reduced)
+
+    monkeypatch.setattr(matrix, "_eliminate", spy)
+    return calls
+
+
+def test_modular_prefix_takes_no_exact_elimination(monkeypatch):
+    rows = [[Fraction(i + 1, j + 2) if j >= i else 0 for j in range(70)] for i in range(64)]
+    m, gauge = _empty_system_case(rows)
+    want = _exact_kernel_mod_span(m, gauge)
+    calls = _spy_eliminations(monkeypatch)
+    assert kernel_mod_span(m, gauge) == want
+    # The empty system itself, then the gauge mod P only.
+    assert calls == [("Q", 0, 70), (f"F:{P}", 64, 70)]
+
+
+def test_modular_non_prefix_eliminates_exactly_up_to_its_last_pivot(monkeypatch):
+    m, gauge = _empty_system_case(_p_divides_the_minor(64))
+    calls = _spy_eliminations(monkeypatch)
+    kernel_mod_span(m, gauge)
+    assert calls == [("Q", 0, 66), (f"F:{P}", 64, 66), ("Q", 64, 65)]
+
+
+def test_modular_pivots_only_for_large_empty_systems_over_q(monkeypatch):
+    rows = [[Fraction(i + 1, j + 2) if j >= i else 0 for j in range(70)] for i in range(64)]
+    m, gauge = _empty_system_case(rows)
+    calls = _spy_eliminations(monkeypatch)
+    kernel_mod_span(m, gauge[:63])
+    kernel_mod_span(Matrix(GF(101), 0, 70, []), [[x % 101 for x in _cleared(v)[0]] for v in gauge])
+    kernel_mod_span(Matrix(QQ, 1, 71, [0] * 71), [v + (0,) for v in gauge])
+    assert f"F:{P}" not in {field for field, _, _ in calls}
+
+
+def _gauge_entries():
+    """Entries that are often zero or multiples of P (in numerator or
+    denominator), so the leading block is often singular mod P, over Q or
+    both."""
+    return st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7])),
+        st.builds(lambda a, b: Fraction(a * P, b), st.integers(-3, 3), st.sampled_from([1, 5])),
+        st.builds(lambda a: Fraction(a, P), st.integers(1, 3)),
+    )
+
+
+@st.composite
+def empty_system_gauges(draw):
+    """Up to 6 restricted rows of up to 8 rational entries; some rows are
+    combinations of others, so some gauges are dependent."""
+    ncols = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(k):
+        if len(rows) >= 2 and draw(st.booleans()) and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_gauge_entries()), draw(_gauge_entries())
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(_gauge_entries(), min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(empty_system_gauges())
+def test_modular_pivots_equal_the_exact_path(rows):
+    m, gauge = _empty_system_case(rows)
+    kernel = reference_kernel(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_MODULAR_GAUGE_MIN", 1)
+        if rank_of(gauge, QQ) < len(gauge):
+            with pytest.raises(ArithmeticError):
+                kernel_mod_span(m, gauge)
+            return
+        got = kernel_mod_span(m, gauge)
+    assert got == _exact_kernel_mod_span(m, gauge) == (m.cols, full_rref_greedy(kernel, gauge, QQ))
+    # Both outcomes occur: an accepted prefix, and a fallback whose Q pivots
+    # are or are not the prefix.
+    exact = _eliminate(QQ, rows, m.cols, reduced=False)[1]
+    assert _modular_right_pivots(rows, m.cols) == exact
+    modular = _pivots_mod_p(rows, m.cols)
+    prefix = list(range(len(rows)))
+    event(f"mod P {'prefix' if modular == prefix else 'full rank' if len(modular) == len(rows) else 'rank deficient'}, "
+          f"Q {'prefix' if exact == prefix else 'non-prefix'}")
 
 
 # -- against the engine with one Field call per entry -------------------------------

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from quotbilin.exactalg import GF, QQ, Matrix
+from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix
 from quotbilin.exactalg import matrix
 from quotbilin.exactalg.matrix import (
-    _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _eliminate_lists, _eliminate_packed,
+    _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _eliminate_lists, _eliminate_packed, _slot_words,
 )
+from quotbilin.tensorlab import _tangent_rows
 
 from helpers_echelon import is_canonical_rational, reference_rref
 
@@ -97,7 +98,10 @@ def test_unreduced_entries_over_gf5():
     assert r.entries == [1, 0, 1, 0, 0, 0]
 
 
-PRIMES = [2, 3, 101, 2 ** 31 - 1]
+# Up to 60 x 70 (m < 64), the slots are one 16-bit word for p = 2, one 32-bit
+# word for p = 101, one 64-bit word for CERTIFICATE_PRIME, and two and three
+# 64-bit words for 2^31 - 1 and 2^61 - 1.
+PRIMES = [2, 3, 101, CERTIFICATE_PRIME, 2 ** 31 - 1, 2 ** 61 - 1]
 
 
 @st.composite
@@ -131,6 +135,24 @@ def test_packed_and_list_elimination_agree(system, reduced):
     p, rows, ncols = system
     want = _eliminate_lists(GF(p), [list(r) for r in rows], ncols, reduced)
     assert _eliminate_packed(p, [list(r) for r in rows], ncols, reduced) == want
+
+
+@pytest.mark.parametrize("p, m, words", [
+    (2, 7, ("B", 1)), (2, 60, ("H", 1)), (101, 60, ("I", 1)), (101, 2 ** 17 - 1, ("I", 1)),
+    (CERTIFICATE_PRIME, 60, ("Q", 1)), (CERTIFICATE_PRIME, 2 ** 15 - 1, ("Q", 1)),
+    (CERTIFICATE_PRIME, 2 ** 15, ("Q", 2)), (2 ** 31 - 1, 60, ("Q", 2)),
+    (2 ** 61 - 1, 60, ("Q", 3)),
+])
+def test_slot_words(p, m, words):
+    assert _slot_words(p, m) == words
+
+
+def test_terracini_rows_take_one_64_bit_word_per_slot():
+    # The largest secant rung, (d, r) = (9, 13): 13 points of 3d - 2 rows each.
+    d, r = 9, 13
+    rows = [row for s in range(r) for row in _tangent_rows(*[[s + t + 1] * d for t in range(3)])]
+    assert (len(rows), len(rows[0])) == (r * (3 * d - 2), d ** 3)
+    assert _slot_words(CERTIFICATE_PRIME, min(len(rows), d ** 3)) == ("Q", 1)
 
 
 def test_eliminate_selects_the_packed_path_by_size(monkeypatch):

@@ -17,7 +17,8 @@ from quotbilin.bilin import (
     gauge_transform_bilin,
     main_component_point,
 )
-from quotbilin.exactalg import GF, QQ, Matrix, rand_invertible
+from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix, matrix, rand_invertible
+from quotbilin.exactalg.matrix import _eliminate, _modular_right_pivots
 from quotbilin.modcore import make_degenerate, make_tuple_of_points, rand_framed_module
 from quotbilin.quot import _gauge_vectors_quot, quot_tangent
 from helpers_gauge import reference_gauge_vectors_bilin, reference_gauge_vectors_quot
@@ -81,6 +82,48 @@ def test_bilin_gauge_equals_dense_products(field, n):
     assert {(b.m1.d, b.m2.d, b.d3) for b in points} == {(2, 2, 2), (2, 3, 3)}
     for b in points:
         assert _gauge_vectors_bilin(b) == reference_gauge_vectors_bilin(b)
+
+
+# -- right pivots of the univariate Quot gauge ---------------------------------------
+
+def _restricted_quot_gauge(d, seed):
+    """The n = 1, r = 2 Quot gauge over Q in kernel coordinates: the system
+    has no rows, so every column is free and restricting reverses each
+    vector."""
+    m = rand_framed_module(random.Random(seed), QQ, 1, d, 2)
+    return [list(reversed(v)) for v in _gauge_vectors_quot(m)]
+
+
+# At even d the right pivots are the prefix 0..d^2 - 1, and the modular
+# ones are accepted.  At odd d the right pivots skip column d^2 - 1 and take
+# column d^2, over Q and mod P alike, so the exact elimination runs, on the
+# columns up to d^2.
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quot_gauge_right_pivots_at_n1(d, seed):
+    rows = _restricted_quot_gauge(d, seed)
+    k, ncols = d * d, d * d + 2 * d
+    right = _eliminate(QQ, rows, ncols, reduced=False)[1]
+    assert right == (list(range(k - 1)) + [k] if d % 2 else list(range(k)))
+    assert _eliminate(GF(CERTIFICATE_PRIME), rows, ncols, reduced=False)[1] == right
+    assert _modular_right_pivots(rows, ncols) == right
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_quot_tangent_at_n1_equals_the_exact_path(monkeypatch, d):
+    # d = 8 has the smallest gauge that tries the modular pivots (64 vectors).
+    m = rand_framed_module(random.Random(0), QQ, 1, d, 2)
+    fields = []
+    real = matrix._eliminate
+    monkeypatch.setattr(matrix, "_eliminate",
+                        lambda field, *args, **kw: fields.append(field.name) or real(field, *args, **kw))
+    fast = quot_tangent(m)
+    # The system, the gauge mod P, and at odd d the exact gauge elimination.
+    assert fields == ["Q", f"F:{CERTIFICATE_PRIME}"] + ["Q"] * (d % 2)
+    monkeypatch.setattr(matrix, "_MODULAR_GAUGE_MIN", float("inf"))
+    exact = quot_tangent(m)
+    assert (fast.dim, fast.nullity, fast.basis) == (exact.dim, exact.nullity, exact.basis)
+    assert fast.dim == 2 * d
 
 
 # -- the check path ----------------------------------------------------------------

@@ -40,7 +40,10 @@ from quotbilin.tensorlab import (
     unit_tensor,
 )
 from quotbilin.cases222 import _NAMED, named_tensor
-from quotbilin.tensorlab import _TERRACINI_PRIME, _pairing_tensor, _tangent_rows, _terracini_rank
+from quotbilin import tensorlab
+from quotbilin.exactalg import CERTIFICATE_PRIME, InfeasibleEnumeration
+from quotbilin.exactalg.field import _is_prime
+from quotbilin.tensorlab import Q_SAMPLE_MAX, _pairing_tensor, _tangent_rows, _terracini_rank
 from helpers_tensor import (
     reference_apply_gl,
     reference_flattening,
@@ -401,10 +404,51 @@ def test_secant_per_trial_matches_the_reference_at_seeds_0_to_2(d, r, field):
 
 
 def test_terracini_rank_falls_back_to_q_when_the_prime_drops_rank():
-    rows = [[1, 0, 3], [0, _TERRACINI_PRIME, 2 * _TERRACINI_PRIME]]
-    assert _terracini_rank(GF(_TERRACINI_PRIME), rows, 3, 2) == 1
+    rows = [[1, 0, 3], [0, CERTIFICATE_PRIME, 2 * CERTIFICATE_PRIME]]
+    assert _terracini_rank(GF(CERTIFICATE_PRIME), rows, 3, 2) == 1
     assert _terracini_rank(QQ, rows, 3, 2) == 2
     assert _terracini_rank(GF(5), rows, 3, 2) == 2
+
+
+def test_certificate_prime_lies_above_the_q_sampling_window():
+    # secant_dimension's docstring relies on every sampled coordinate being
+    # a unit mod the prime.
+    assert _is_prime(CERTIFICATE_PRIME)
+    assert CERTIFICATE_PRIME > Q_SAMPLE_MAX
+
+
+class RowsBuilt(Exception):
+    pass
+
+
+def _refuse_rows(*args):
+    raise RowsBuilt
+
+
+# Every README example and every ladder rung, with 5 trials, and the
+# perfbench shapes (4, 4) and (3, 5).
+ADMITTED = [(2, 2), (3, 3), (3, 4), (4, 4), (3, 5), (5, 5), (6, 7), (7, 9), (8, 11), (9, 13)]
+
+
+@pytest.mark.parametrize("d,r", ADMITTED)
+def test_the_default_secant_cap_admits_the_documented_shapes(monkeypatch, d, r):
+    monkeypatch.setattr(tensorlab, "_tangent_rows", _refuse_rows)
+    with pytest.raises(RowsBuilt):
+        secant_dimension(d, r, trials=5)
+
+
+@pytest.mark.parametrize("d,r,trials,cap", [
+    (30, 200, 5, 2_000_000), (3, 4, 10 ** 9, 2_000_000), (9, 13, 9, 2_000_000),
+    (3, 3, 1, 3 * 7 * 27 - 1),
+])
+def test_secant_cap_refuses_before_building_a_row(monkeypatch, d, r, trials, cap):
+    monkeypatch.setattr(tensorlab, "_tangent_rows", _refuse_rows)
+    with pytest.raises(InfeasibleEnumeration, match="exceed cap"):
+        secant_dimension(d, r, trials=trials, cap=cap)
+
+
+def test_secant_cap_counts_the_entries_of_every_trial():
+    assert secant_dimension(3, 3, trials=1, cap=3 * 7 * 27).per_trial == [20]
 
 
 def test_secant_monotone_in_r():
