@@ -11,6 +11,7 @@ framed module of rank r1*r2 and is never stored separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import chain, product
 from operator import mul
 from typing import Iterator, Optional
@@ -43,7 +44,6 @@ from .modcore import (
     validate_framed,
 )
 from .quot import (
-    KernelPresentation,
     _commutation_rows,
     _family_gauge,
     _intertwiner_rows,
@@ -60,10 +60,6 @@ class BilinPoint:
     d3: int
     Z: tuple[Matrix, ...]
     pihat: Matrix
-    # One slot for :func:`hom_triple_check`: the presentations of the last
-    # triple checked and the K3 coefficients of its members.  Not a field of
-    # the point: it takes no part in ==, hash, repr or the JSON form.
-    _k3_memo: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m1.n != self.m2.n:
@@ -95,6 +91,58 @@ class BilinPoint:
         """M3 as a framed module of rank r1*r2 with the induced framing."""
         return FramedModule(n=self.n, d=self.d3, r=self.m1.r * self.m2.r,
                             X=self.Z, G=self.induced_framing())
+
+    @cached_property
+    def _k3_coefficients(self) -> Optional[list[list[UniPoly]]]:
+        """The coefficients in K3's basis of the members of K3 that
+        :func:`hom_triple_check` compares, in its order, or None when some
+        member is not in K3 (univariate only).  Computed on the first check
+        at the point; not a field, so it takes no part in ==, hash, repr or
+        the JSON form.
+
+        The members are kappa (x) e for generators kappa of K1 and free basis
+        vectors e of F2, then e (x) kappa for F1 and K2.  Every member is
+        written in K3's basis twice: by the echelon division, one member at a
+        time (a failed division means the member is not in K3), and by one
+        truncated k[x] solve of all the members against the same generators.
+        The generators are a basis, so both must give the same coefficients.
+        Raises ArithmeticError, and stores nothing, when the solve finds no
+        solution or writes any member differently.
+        """
+        f = self.field
+        r1, r2 = self.m1.r, self.m2.r
+        height = r1 * r2
+        zero = UniPoly.zero(f)
+        vecs = []
+        # K1 (x) F2 side
+        for kappa in kernel_presentation(self.m1).cols:
+            for bb in range(r2):
+                vec = [zero] * height
+                for a in range(r1):
+                    vec[a * r2 + bb] = kappa[a]
+                vecs.append(vec)
+        # F1 (x) K2 side
+        for kappa in kernel_presentation(self.m2).cols:
+            for a in range(r1):
+                vec = [zero] * height
+                for bb in range(r2):
+                    vec[a * r2 + bb] = kappa[bb]
+                vecs.append(vec)
+        cols3 = kernel_presentation(self.target_module()).cols
+        coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
+        if any(c is None for c in coeffs):
+            return None
+        solved = express_in_span(cols3, height, vecs, f)
+        if solved is None:
+            raise ArithmeticError(
+                f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
+                f"but express_in_span against the same basis finds no solution")
+        for c, s in zip(coeffs, solved):
+            if s != c:
+                raise ArithmeticError(
+                    f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
+                    f"but {s} by express_in_span against the same basis")
+        return coeffs
 
 
 @dataclass
@@ -526,12 +574,9 @@ def _deformed_image(gens_cols, X: Matrix, G: Matrix, Xdot: Matrix, Gdot: Matrix)
 
 @dataclass
 class HomTriple:
-    phi1: Matrix  # d1 x s1
-    phi2: Matrix  # d2 x s2
-    phi3: Matrix  # d3 x s3
-    pres1: KernelPresentation
-    pres2: KernelPresentation
-    pres3: KernelPresentation
+    phi1: Matrix  # d1 x r1
+    phi2: Matrix  # d2 x r2
+    phi3: Matrix  # d3 x r1*r2
 
 
 def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
@@ -540,79 +585,15 @@ def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
     m3 = b.target_module()
-    pres1 = kernel_presentation(b.m1)
-    pres2 = kernel_presentation(b.m2)
-    pres3 = kernel_presentation(m3)
-    phi1 = _deformed_image(pres1.cols, b.m1.X[0], b.m1.G, tv.xdot[0], tv.gdot)
-    phi2 = _deformed_image(pres2.cols, b.m2.X[0], b.m2.G, tv.ydot[0], tv.hdot)
+    phi1 = _deformed_image(kernel_presentation(b.m1).cols, b.m1.X[0], b.m1.G,
+                           tv.xdot[0], tv.gdot)
+    phi2 = _deformed_image(kernel_presentation(b.m2).cols, b.m2.X[0], b.m2.G,
+                           tv.ydot[0], tv.hdot)
     # The induced framing of M3 deforms along with (Pihat, G, H).
     G, H = b.m1.G, b.m2.G
     f3dot = tv.pihatdot * G.kron(H) + b.pihat * (tv.gdot.kron(H) + G.kron(tv.hdot))
-    phi3 = _deformed_image(pres3.cols, b.Z[0], m3.G, tv.zdot[0], f3dot)
-    return HomTriple(phi1=phi1, phi2=phi2, phi3=phi3,
-                     pres1=pres1, pres2=pres2, pres3=pres3)
-
-
-def _k3_coefficients(b: BilinPoint, triple: HomTriple) -> Optional[list[list[UniPoly]]]:
-    """The coefficients in K3's basis of the members of K3 that
-    :func:`hom_triple_check` compares, in its order, or None when some member
-    is not in K3.
-
-    The members are kappa (x) e for generators kappa of K1 and free basis
-    vectors e of F2, then e (x) kappa for F1 and K2.  They and their
-    coefficients depend on the three presentations alone, so the point holds
-    one slot: the presentations last looked up and their coefficients.  A
-    triple whose presentations equal those reuses them; any other triple is
-    computed afresh and takes the slot.
-
-    Every member is written in K3's basis twice: by the echelon division,
-    one member at a time (a failed division means the member is not in K3),
-    and by one truncated k[x] solve of all the members against the same
-    generators.  The generators are a basis, so both must give the same
-    coefficients.  Raises ArithmeticError, and leaves the slot as it was,
-    when the solve finds no solution or writes any member differently.
-    """
-    key = tuple(tuple(map(tuple, pres.cols))
-                for pres in (triple.pres1, triple.pres2, triple.pres3))
-    memo = b._k3_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    f = b.field
-    r1, r2 = b.m1.r, b.m2.r
-    height = r1 * r2
-    zero = UniPoly.zero(f)
-    vecs = []
-    # K1 (x) F2 side
-    for kappa in triple.pres1.cols:
-        for bb in range(r2):
-            vec = [zero] * height
-            for a in range(r1):
-                vec[a * r2 + bb] = kappa[a]
-            vecs.append(vec)
-    # F1 (x) K2 side
-    for kappa in triple.pres2.cols:
-        for a in range(r1):
-            vec = [zero] * height
-            for bb in range(r2):
-                vec[a * r2 + bb] = kappa[bb]
-            vecs.append(vec)
-    cols3 = triple.pres3.cols
-    coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
-    if any(c is None for c in coeffs):
-        coeffs = None
-    else:
-        solved = express_in_span(cols3, height, vecs, f)
-        if solved is None:
-            raise ArithmeticError(
-                f"all {len(vecs)} vectors of K3 have coefficients in the echelon basis of K3 "
-                f"but express_in_span against the same basis finds no solution")
-        for c, s in zip(coeffs, solved):
-            if s != c:
-                raise ArithmeticError(
-                    f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
-                    f"but {s} by express_in_span against the same basis")
-    object.__setattr__(b, "_k3_memo", (key, coeffs))
-    return coeffs
+    phi3 = _deformed_image(kernel_presentation(m3).cols, b.Z[0], m3.G, tv.zdot[0], f3dot)
+    return HomTriple(phi1=phi1, phi2=phi2, phi3=phi3)
 
 
 def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
@@ -623,47 +604,43 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
 
     The image under phi3 is read off the coefficients writing kappa (x) e in
-    K3's basis.  Those depend on the presentations only, not on the maps, so
-    :func:`_k3_coefficients` computes and cross-checks them once per point
-    and keeps them for the next triple whose three presentations are equal
-    to these; per triple, only the pairing sides and the members' images
-    under phi3 remain, all from one power table of Z on phi3's columns (see
-    :func:`quot._evaluate`), with no pass over Z per member.  Raises
-    ArithmeticError when the cross-check fails, so that a failed solve never
-    reads as incompatible; a disagreement is caught on every member, even
-    one after a member that fails its compatibility check.
+    K3's basis.  Those depend on the point only, not on the maps, so they are
+    computed and cross-checked on the first check at the point (see
+    ``BilinPoint._k3_coefficients``); per triple, only the pairing sides and
+    the members' images under phi3 remain, all from one power table of Z on
+    phi3's columns (see :func:`quot._evaluate`), with no pass over Z per
+    member.  Raises ArithmeticError when the cross-check fails, so that a
+    failed solve never reads as incompatible; a disagreement is caught on
+    every member, even one after a member that fails its compatibility check.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
-    coeffs = _k3_coefficients(b, triple)
+    coeffs = b._k3_coefficients
     if coeffs is None:
         return False
     f = b.field
+    # K1 and K2 have r1 and r2 generators (kernel_presentation's certificate).
     r1, r2 = b.m1.r, b.m2.r
-    s1, s2 = len(triple.pres1.cols), len(triple.pres2.cols)
     # Column jgen*r2 + bb is Pihat((phi1 kappa_jgen) (x) h_bb); column
-    # a*s2 + jgen is Pihat(g_a (x) (phi2 kappa_jgen)).
+    # a*r2 + jgen is Pihat(g_a (x) (phi2 kappa_jgen)).
     side1 = b.pihat * triple.phi1.kron(b.m2.G)
     side2 = b.pihat * b.m1.G.kron(triple.phi2)
-    sides = ([side1.col(jgen * r2 + bb) for jgen in range(s1) for bb in range(r2)]
-             + [side2.col(a * s2 + jgen) for jgen in range(s2) for a in range(r1)])
+    sides = ([side1.col(jgen * r2 + bb) for jgen in range(r1) for bb in range(r2)]
+             + [side2.col(a * r2 + jgen) for jgen in range(r2) for a in range(r1)])
     images = quot._evaluate(coeffs, b.Z[0], triple.phi3)
     return all(all(f.eq(x, y) for x, y in zip(image, side))
                for image, side in zip(images, sides))
 
 
 def zero_triple(b: BilinPoint) -> HomTriple:
-    """The zero homomorphism triple at a point (univariate)."""
-    f = b.field
-    m3 = b.target_module()
-    pres1 = kernel_presentation(b.m1)
-    pres2 = kernel_presentation(b.m2)
-    pres3 = kernel_presentation(m3)
+    """The zero homomorphism triple at a point (univariate).  K1, K2 and K3
+    are free of ranks r1, r2 and r1*r2 (kernel_presentation's certificate),
+    so the maps are d x r zero matrices."""
+    f, r1, r2 = b.field, b.m1.r, b.m2.r
     return HomTriple(
-        phi1=Matrix.zeros(f, b.m1.d, len(pres1.cols)),
-        phi2=Matrix.zeros(f, b.m2.d, len(pres2.cols)),
-        phi3=Matrix.zeros(f, b.d3, len(pres3.cols)),
-        pres1=pres1, pres2=pres2, pres3=pres3,
+        phi1=Matrix.zeros(f, b.m1.d, r1),
+        phi2=Matrix.zeros(f, b.m2.d, r2),
+        phi3=Matrix.zeros(f, b.d3, r1 * r2),
     )
 
 

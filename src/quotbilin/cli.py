@@ -69,7 +69,10 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows=None, csv_header=Non
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level must be a JSON object, got {type(obj).__name__}")
     return obj

@@ -8,7 +8,6 @@ from .matrix import (
     EchelonBasis,
     Matrix,
     ShapeError,
-    in_span,
     json_int,
     kernel_mod_span,
     matrix_from_json,
@@ -33,7 +32,7 @@ from .sampling import rand_invertible, rand_matrix, rand_nonzero_vector, rand_ve
 __all__ = [
     "Field", "FieldError", "GF", "PrimeField", "QQ", "RationalField",
     "parse_field", "rational", "same_field",
-    "CERTIFICATE_PRIME", "EchelonBasis", "Matrix", "ShapeError", "in_span", "json_int", "kernel_mod_span",
+    "CERTIFICATE_PRIME", "EchelonBasis", "Matrix", "ShapeError", "json_int", "kernel_mod_span",
     "matrix_from_json", "matrix_to_json", "quotient_map", "rank_and_kernel",
     "solve", "solve_with_rank",
     "UniPoly", "char_poly", "express_in_echelon", "express_in_span",

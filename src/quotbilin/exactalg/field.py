@@ -17,7 +17,9 @@ over F_p.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 
@@ -119,12 +121,6 @@ class Field:
         """A random element, small enough to keep exact arithmetic cheap."""
         raise NotImplementedError
 
-    def sample_nonzero(self, rng: random.Random):
-        while True:
-            a = self.sample(rng)
-            if not self.is_zero(a):
-                return a
-
     def elements(self):
         """Iterate all field elements (finite fields only)."""
         raise FieldError(f"cannot enumerate elements of {self.name}")
@@ -186,13 +182,30 @@ class RationalField(Field):
         # int(s, 10) reads the integer strings without Fraction's regex and
         # raises for the rest; the base makes it refuse non-strings, which
         # Fraction reads exactly (int(2.5) would truncate).  Fraction would
-        # read true as 1, and raises ZeroDivisionError on "5/0": both are
-        # malformed input, so both raise ValueError.
+        # read true as 1, raises ZeroDivisionError on "5/0" and OverflowError
+        # on an infinite float, and builds 10**k for an exponent k however
+        # large: all are malformed input, so all raise ValueError.  An
+        # exponent is refused when 10**|k| has more digits than int reads
+        # from a string (sys.get_int_max_str_digits(), 0 for no limit);
+        # Fraction reads the mantissa and k themselves with int.
         try:
             return int(s, 10)
         except (TypeError, ValueError):
-            if type(s) is bool:
+            t = type(s)
+            if t is bool:
                 raise ValueError(f"an element of Q must be a number or a string, got {s!r}") from None
+            if t is float and not math.isfinite(s):
+                raise ValueError(f"an element of Q must be finite, got {s!r}") from None
+            if t is str:
+                _, e, k = s.lower().partition("e")
+                limit = sys.get_int_max_str_digits()
+                try:
+                    k = abs(int(k)) if e else 0
+                except ValueError:
+                    k = 0  # Fraction refuses it
+                if limit and k >= limit:
+                    raise ValueError(f"the exponent of {s[:40]!r} needs more than {limit} "
+                                     f"digits") from None
             try:
                 a = Fraction(s)
             except ZeroDivisionError:

@@ -288,13 +288,6 @@ class Matrix:
             ents.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, ents)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ShapeError("column count mismatch in vstack")
-        same_field(self.field, other.field)
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
-
     def matvec(self, v: Sequence) -> list:
         """``self * v`` as a list: each output entry is the plain dot product
         of a row and ``v``, reduced mod p once over F_p."""
@@ -676,11 +669,6 @@ def quotient_map(span_vectors: Sequence[Sequence], field: Field, dim: int
         c = max(j for j, x in enumerate(v) if not field.is_zero(x))
         lift.entries[c * qdim + a] = field.one()
     return q, lift
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence, field: Field) -> bool:
-    """Membership of ``v`` in the span of the given row vectors."""
-    return EchelonBasis(field, len(v), vectors).contains(v)
 
 
 class EchelonBasis:

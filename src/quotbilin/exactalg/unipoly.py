@@ -149,16 +149,6 @@ class UniPoly:
             acc = f.add(f.mul(acc, point), c)
         return acc
 
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        """Evaluate at a square matrix argument."""
-        f = same_field(self.field, m.field)
-        acc = Matrix.zeros(f, m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m
-            for i in range(m.rows):
-                acc.entries[i * m.cols + i] = f.add(acc.entries[i * m.cols + i], c)
-        return acc
-
     def __repr__(self):
         if self.is_zero():
             return "0"

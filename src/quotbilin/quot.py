@@ -186,7 +186,6 @@ class KernelPresentation:
     are the distinct, increasing pivot rows :func:`express_in_echelon`
     expects.
     """
-    r: int
     cols: list[list[UniPoly]]
 
 
@@ -292,7 +291,7 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
         raise ArithmeticError(
             f"kernel generators give {len(cols)} echelon columns of pivot-degree sum {colength}; "
             f"K needs {r} lower triangular columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(r=r, cols=cols)
+    return KernelPresentation(cols=cols)
 
 
 def _image_basis(P: FramedModule) -> list[tuple]:

@@ -98,7 +98,7 @@ def reference_kernel_presentation(P):
         raise ArithmeticError(
             f"kernel generators give {len(ech)} echelon columns of pivot-degree sum "
             f"{colength}; K needs {r} columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(r=r, cols=ech)
+    return KernelPresentation(cols=ech)
 
 
 def reference_krylov_relations(P):
@@ -171,7 +171,11 @@ def reference_deformed_image(gens_cols, X, G, Xdot, Gdot):
         for a, poly in enumerate(col):
             if poly.is_zero():
                 continue
-            pa = poly.eval_matrix(X)
+            pa = Matrix.zeros(f, d, d)  # poly(X) by Horner's rule
+            for c in reversed(poly.coeffs):
+                pa = pa * X
+                for i in range(d):
+                    pa.entries[i * d + i] = f.add(pa.entries[i * d + i], c)
             term = pa.matvec(list(Gdot.col(a)))
             dterm = reference_poly_matrix_derivative(poly, X, Xdot).matvec(list(G.col(a)))
             for i in range(d):

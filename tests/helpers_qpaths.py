@@ -2,10 +2,17 @@
 entry, before they moved to C calls: ``_primitive`` tested every entry's type
 before clearing denominators, ``QQ.parse`` read every string through
 ``Fraction`` and ``matrix_to_json`` formatted every entry through
-``Field.fmt``.  Kept as the references the fast paths must equal."""
+``Field.fmt``.  Kept as the references the fast paths must equal.  One rule
+was added to ``QQ.parse`` since: a string whose exponent k has |k| at or past
+``sys.get_int_max_str_digits()`` is refused, since 10**|k| would have more
+digits than ``int`` reads from a string (0 means no limit)."""
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def reference_primitive(row):
@@ -20,6 +27,11 @@ def reference_primitive(row):
 
 
 def reference_parse_q(s):
+    if isinstance(s, str):
+        m = _EXPONENT.search(s)
+        limit = sys.get_int_max_str_digits()
+        if m and limit and abs(int(m.group(1))) >= limit:
+            raise ValueError(f"the exponent of {s!r} is past the digit limit {limit}")
     a = Fraction(s)
     return a.numerator if a.denominator == 1 else a
 

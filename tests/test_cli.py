@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import quotbilin
 from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, build_parser, main
@@ -606,3 +612,74 @@ def test_tensor_field_that_is_not_a_string_is_malformed(tmp_path, spec, capsys):
                                 "coeffs": ["1", "0", "0", "0", "0", "0", "0", "1"]}))
     assert main(["classify222", "--tensor", str(path)]) == EXIT_MALFORMED
     assert "a field spec must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-1e400", '"1e10000000"'])
+def test_point_entry_q_non_finite_or_huge_exponent_is_malformed(tmp_path, framed_file, token,
+                                                                 capsys):
+    # JSON Infinity and -1e400 load as floats Fraction refuses with
+    # OverflowError; "1e10000000" would make Fraction build a power of ten
+    # of ten million digits.  All three are malformed input, read at once.
+    obj = json.loads(Path(framed_file).read_text())
+    obj["G"]["entries"][0] = "ENTRY"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj).replace('"ENTRY"', token))
+    start = time.perf_counter()
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    assert time.perf_counter() - start < 1.0
+    assert "malformed matrix JSON" in capsys.readouterr().err
+
+
+def test_json_nested_too_deeply_is_malformed(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--point", str(path)]) == EXIT_MALFORMED
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def _json_paths(obj, path=()):
+    """Every node of a JSON value, as the key/index path from the root."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) \
+        else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = copy.copy(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+FUZZ_POINTS = {
+    "F:5 pairing": (["tangent", "bilin"], bilin_to_json(main_component_point(
+        [GF(5).from_int(1), GF(5).from_int(3)], Matrix.identity(GF(5), 2),
+        Matrix.from_int_rows(GF(5), [[1, 2], [0, 1]])))),
+    "Q framed": (["tangent", "quot"], framed_to_json(make_tuple_of_points(
+        [QQ.from_int(0), QQ.from_int(1), QQ.from_int(-2)],
+        Matrix.from_int_rows(QQ, [[1, 0], [0, 1], [1, 1]])))),
+}
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 3, 2.5, float("inf"), float("-inf"), "1e5000",
+               [], ["1"], [[0]], {}, {"field": "Q"}, "F:4", "F:x", "F:", "R", ""]
+
+
+@settings(deadline=None, max_examples=1000, derandomize=True)
+@given(st.sampled_from(sorted(FUZZ_POINTS)), st.data())
+def test_cli_on_a_point_with_one_node_replaced_exits_0_1_or_3(name, data):
+    # Whatever one JSON node of a valid point file is replaced with, validate
+    # and tangent report a result or an exit code; none raises.
+    tangent, obj = FUZZ_POINTS[name]
+    path = data.draw(st.sampled_from(list(_json_paths(obj))), label="path")
+    value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        point = os.path.join(tmp, "point.json")
+        with open(point, "w") as fh:
+            json.dump(_replaced(obj, path, value), fh)
+        for command in (["validate"], tangent):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(command + ["--point", point])
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_MALFORMED), (command, path, value)

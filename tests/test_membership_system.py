@@ -140,7 +140,9 @@ def test_system_matches_per_target_elimination(seed, field, n, d1, d2, r1, r2):
     consistent = point.target_module()
     Z = tuple(unreduced(rng, z) for z in consistent.X)
     d3, r3 = consistent.d, consistent.r
-    c = field.sample_nonzero(rng)
+    c = field.sample(rng)
+    while field.is_zero(c):
+        c = field.sample(rng)
     framings = [
         consistent.G,                                   # factors
         consistent.G.scale(c),                          # factors

@@ -67,9 +67,15 @@ FRACTION_TEXT = st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**6, 10**6),
 @example("0x10")
 @example("5/0")
 @example("")
+@example("0E5000")
+@example("1e4299")
+@example("1e-4300")
+@example("-2.5e+4_300")
+@example("1e9999999")
 def test_parse_q_equals_reference(s):
-    # Fraction raises ZeroDivisionError on a zero denominator; QQ.parse
-    # rejects every such string with ValueError, malformed input.
+    # Fraction raises ZeroDivisionError on a zero denominator, and the
+    # reference refuses an exponent past the digit limit; QQ.parse rejects
+    # every such string with ValueError, malformed input.
     try:
         want = reference_parse_q(s)
     except (ValueError, ZeroDivisionError):
@@ -77,7 +83,7 @@ def test_parse_q_equals_reference(s):
             QQ.parse(s)
         except ValueError:
             return
-        raise AssertionError(f"QQ.parse accepted {s!r}, which Fraction rejects")
+        raise AssertionError(f"QQ.parse accepted {s!r}, which the reference rejects")
     got = QQ.parse(s)
     assert (type(got), got) == (type(want), want)
 
