@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import mul
 from typing import Iterator, Optional
 
@@ -31,7 +31,7 @@ from .exactalg import (
     rational,
     same_field,
 )
-from .exactalg.matrix import _cleared, _eliminate
+from .exactalg.matrix import _cleared, _dots, _eliminate
 from .modcore import (
     FramedModule,
     FramedValidation,
@@ -552,23 +552,24 @@ def tangent_residuals(b: BilinPoint, tv: BilinTangentVector) -> bool:
 
 # -- homomorphism-triple oracle (univariate) -----------------------------------
 
-def _deformed_image(gens_cols, X: Matrix, G: Matrix, Xdot: Matrix, Gdot: Matrix) -> Matrix:
+def _deformed_image(pres, X: Matrix, Xdot: Matrix, Gdot: Matrix) -> Matrix:
     """phi(kappa) = -(directional derivative of evaluation) applied to each
-    generator column; returns d x s with column j the image of generator j.
+    generator column of the presentation ``pres``; returns d x s with column
+    j the image of generator j.
 
-    p(B) [g; gdot] = [p(X) g; p(X) gdot + Dp(X)[Xdot] g] for B = [[X, 0],
-    [Xdot, X]], so the lower half of the generators' values at B is the
-    derivative.  All generators are evaluated in one call, from one power
-    table of B on the columns of [G; Gdot] (see :func:`quot._evaluate`).
+    Along (Xdot, gdot), X^m g has derivative w_m, with w_0 = gdot and
+    w_(m+1) = Xdot X^m g + X w_m = [Xdot | X] [X^m g; w_m]: one d x 2d matvec
+    per step, X^m g read from ``pres.powers`` (see :func:`quot._evaluate`).
     """
-    f, d = X.field, X.rows
-    zeros = [f.zero()] * d
-    xrows = X.row_lists()
-    top = [x + zeros for x in xrows]
-    bottom = [xd + x for xd, x in zip(Xdot.row_lists(), xrows)]
-    B = Matrix(f, 2 * d, 2 * d, chain.from_iterable(top + bottom))
-    stacked = Matrix(f, 2 * d, G.cols, G.entries + Gdot.entries)
-    images = [v[d:] for v in quot._evaluate(gens_cols, B, stacked)]
+    f, d, p, rows = X.field, X.rows, X.field.characteristic, X.row_lists()
+    brows = [xd + x for xd, x in zip(Xdot.row_lists(), rows)]
+    tables = []
+    for a, k in enumerate(quot._counts(pres.cols, Gdot.cols)):
+        table = [Gdot.entries[a::Gdot.cols]]
+        for v in quot._krylov(rows, p, pres.powers[a], max(k - 1, 0)):
+            table.append(_dots(brows, v + table[-1], p))
+        tables.append(table[:k])
+    images = quot._combine(pres.cols, tables, d, p)
     return Matrix(f, d, len(images), [f.neg(v[i]) for i in range(d) for v in images])
 
 
@@ -584,15 +585,14 @@ def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
     kernel presentations (univariate only)."""
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
-    m3 = b.target_module()
-    phi1 = _deformed_image(kernel_presentation(b.m1).cols, b.m1.X[0], b.m1.G,
-                           tv.xdot[0], tv.gdot)
-    phi2 = _deformed_image(kernel_presentation(b.m2).cols, b.m2.X[0], b.m2.G,
-                           tv.ydot[0], tv.hdot)
-    # The induced framing of M3 deforms along with (Pihat, G, H).
+    phi1 = _deformed_image(kernel_presentation(b.m1), b.m1.X[0], tv.xdot[0], tv.gdot)
+    phi2 = _deformed_image(kernel_presentation(b.m2), b.m2.X[0], tv.ydot[0], tv.hdot)
+    # M3's framing Pihat (G (x) H) (see target_module) deforms with (Pihat, G, H).
     G, H = b.m1.G, b.m2.G
-    f3dot = tv.pihatdot * G.kron(H) + b.pihat * (tv.gdot.kron(H) + G.kron(tv.hdot))
-    phi3 = _deformed_image(kernel_presentation(m3).cols, b.Z[0], m3.G, tv.zdot[0], f3dot)
+    gh = G.kron(H)
+    m3 = FramedModule(n=1, d=b.d3, r=b.m1.r * b.m2.r, X=b.Z, G=b.pihat * gh)
+    f3dot = tv.pihatdot * gh + b.pihat * (tv.gdot.kron(H) + G.kron(tv.hdot))
+    phi3 = _deformed_image(kernel_presentation(m3), b.Z[0], tv.zdot[0], f3dot)
     return HomTriple(phi1=phi1, phi2=phi2, phi3=phi3)
 
 

@@ -20,6 +20,7 @@ tensors are the non-concise rank-2 types, so nothing new arises.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -408,7 +409,8 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     classified with that family's tensor classification (it reads Pihat
     alone) and lambda's own facts: M1, M2 and M3 all have action lambda*I.
     Labels and forced consequences therefore still read each lambda's
-    actions, and no other family is assembled for a scalar pair.
+    actions, and no other family is assembled for a scalar pair.  Its three
+    facts are equal, so each distinct classification is tallied once, times its kernels.
 
     This still checks every point, each invariant where it is decided.
     validate_bilin(point) is m1-ok and m2-ok and validate_pairing(point):
@@ -443,13 +445,13 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
                     border_rank_3=0, forced_failures=0)
     tensors: dict = {}
     zero = groups[eye.scale(0)][0]
-    scalar_tensors = [tensor for _, tensor in _families(zero, zero, field, tensors)]
+    scalar_classes = Counter(tensor for _, tensor in _families(zero, zero, field, tensors))
     for i, j in _linked_pairs(actions):
         weight = len(members[i]) * len(members[j])
         facts1, facts2 = action_facts[i], action_facts[j]
         if i == j and actions[i] in scalars:
-            for tensor in scalar_tensors:
-                _tally(census, tensor, facts1, facts1, facts1, weight)
+            for tensor, count in scalar_classes.items():
+                _tally(census, tensor, facts1, facts1, facts1, weight * count)
             continue
         for Z, tensor in _families(members[i][0], members[j][0], field, tensors):
             # Z is conjugate to a table action but need not equal one.

@@ -293,12 +293,7 @@ class Matrix:
         of a row and ``v``, reduced mod p once over F_p."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        c, e = self.cols, self.entries
-        rows = [e[i * c:(i + 1) * c] for i in range(self.rows)]
-        p = self.field.characteristic
-        if p:
-            return [sum(map(mul, row, v)) % p for row in rows]
-        return [sum(map(mul, row, v)) for row in rows]
+        return _dots(self.row_lists(), v, self.field.characteristic)
 
     # -- elimination ---------------------------------------------------------
 
@@ -334,6 +329,13 @@ class Matrix:
         for i in range(n):
             ents.extend(r.row(i)[n:])
         return Matrix(self.field, n, n, ents)
+
+
+def _dots(rows: Sequence[Sequence], v: Sequence, p: int) -> list:
+    """The plain dot products of ``rows`` with v, reduced mod p once over F_p."""
+    if p:
+        return [sum(map(mul, row, v)) % p for row in rows]
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def _cleared(row: Sequence) -> tuple[list[int], int]:

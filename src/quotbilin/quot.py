@@ -10,8 +10,8 @@ kernel presentation, by entirely different linear algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from operator import mul, sub
+from dataclasses import dataclass, field as dc_field
+from operator import sub
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -25,6 +25,7 @@ from .exactalg import (
     gaussian_binomial,
     kernel_mod_span,
 )
+from .exactalg.matrix import _dots
 from .modcore import FramedModule, InvalidPoint, _support, validate_framed
 
 
@@ -184,48 +185,61 @@ class KernelPresentation:
     Krylov index of g_j: a monic pivot of degree k_j in row j, zeros above
     it, and entries below it of lower degree than their row's pivot.  These
     are the distinct, increasing pivot rows :func:`express_in_echelon`
-    expects.
+    expects.  ``powers[a]`` holds X^m g_a for m <= k_a from the Krylov pass;
+    they describe X and G, not K, so they take no part in == or repr.
     """
     cols: list[list[UniPoly]]
+    powers: list[list[list]] = dc_field(default_factory=list, compare=False, repr=False)
 
 
-def _evaluate(cols: Sequence[Sequence[UniPoly]], X: Matrix, G: Matrix) -> list[list]:
-    """sum_a col[a](X) G[:, a] for every column of ``cols`` at once.
-
-    One power table serves all the columns: for each generator a, the
-    vectors X^m g_a for m below the largest coefficient count in row a over
-    the columns, by plain matvecs reduced mod p over F_p.  A column's value
-    is then one dot product per row of its coefficients, each row zero
-    padded to that count, with the transposed table; so the table covers
-    any column degree, and no column costs a matrix pass.  Over Q the sums
-    are exact ``int``/``Fraction`` values.
-    """
-    p = X.field.characteristic
-    rows = X.row_lists()
-    ge, r = G.entries, G.cols
-    counts = [max((len(col[a].coeffs) for col in cols), default=0) for a in range(r)]
-    table = []
-    for a, k in enumerate(counts):
-        v = ge[a::r]
-        for m in range(k):
-            table.append(v)
-            if m + 1 < k:
-                v = ([sum(map(mul, row, v)) % p for row in rows] if p
-                     else [sum(map(mul, row, v)) for row in rows])
-    t = list(zip(*table)) if table else [()] * X.rows
-    out = []
-    for col in cols:
-        cvec = []
-        for poly, k in zip(col, counts):
-            cvec += poly.coeffs
-            cvec += [0] * (k - len(poly.coeffs))
-        out.append([sum(map(mul, cvec, ti)) % p for ti in t] if p
-                   else [sum(map(mul, cvec, ti)) for ti in t])
+def _krylov(rows: list[list], p: int, known: Sequence[list], k: int) -> list[list]:
+    """X^m g for m < k, given X's ``rows`` and ``known`` = [g, X g, ...]
+    (at least g): the known vectors as they are, the rest by matvecs."""
+    out = list(known[:k])
+    while len(out) < k:
+        out.append(_dots(rows, out[-1], p))
     return out
 
 
-def _krylov_relations(P: FramedModule) -> list[list[UniPoly]]:
-    """The columns of the Hermite basis of K, j = 0, ..., r - 1.
+def _counts(cols: Sequence[Sequence[UniPoly]], r: int) -> list[int]:
+    """For each row a, the largest coefficient count of a row-a entry over ``cols``."""
+    return [max((len(col[a].coeffs) for col in cols), default=0) for a in range(r)]
+
+
+def _combine(cols: Sequence[Sequence[UniPoly]], tables: list, n: int, p: int) -> list[list]:
+    """sum_a sum_m col[a]_m tables[a][m] for every column, tables[a] holding
+    :func:`_counts` vectors of length n: n dot products with the coefficients."""
+    # A list: unpacking an iterator resizes the argument tuple, filling tuple free lists.
+    t = list(zip(*[v for table in tables for v in table])) or [()] * n
+    out = []
+    for col in cols:
+        cvec = []
+        for poly, table in zip(col, tables):
+            cvec += poly.coeffs
+            cvec += [0] * (len(table) - len(poly.coeffs))
+        out.append(_dots(t, cvec, p))
+    return out
+
+
+def _evaluate(cols: Sequence[Sequence[UniPoly]], X: Matrix, G: Matrix,
+              powers: Optional[Sequence[Sequence[list]]] = None) -> list[list]:
+    """sum_a col[a](X) G[:, a] for every column of ``cols`` at once.
+
+    One power table serves all the columns: for each generator a, X^m g_a
+    for m below the largest coefficient count in row a over the columns, read
+    from ``powers[a]`` (a presentation's Krylov vectors) as far as it reaches
+    and by matvecs past it.  So the table covers any column degree, and no
+    column costs a matrix pass.  Over Q the sums are exact.
+    """
+    p, rows, r = X.field.characteristic, X.row_lists(), G.cols
+    known = powers or [[G.entries[a::r]] for a in range(r)]
+    tables = [_krylov(rows, p, known[a], k) for a, k in enumerate(_counts(cols, r))]
+    return _combine(cols, tables, X.rows, p)
+
+
+def _krylov_relations(P: FramedModule) -> tuple[list[list[UniPoly]], list[list[list]]]:
+    """The columns of the Hermite basis of K, j = 0, ..., r - 1, and the
+    vectors X^m g_a, m <= k_a, that the pass computed for each a.
 
     For j = r - 1 down to 0, X^l g_j for l = 0, 1, ... go into one echelon
     basis of k^d x k^(d+1), each with a unit tag in the next free slot: the
@@ -244,17 +258,19 @@ def _krylov_relations(P: FramedModule) -> list[list[UniPoly]]:
     d vectors are inserted, so the basis has width 2d + 1 rather than
     d + r(d + 1).
     """
-    f, d, r, X = P.field, P.d, P.r, P.X[0]
+    f, d, r, rows = P.field, P.d, P.r, P.X[0].row_lists()
     span = EchelonBasis(f, 2 * d + 1)
     owner = []
     cols = []
+    powers = []
     for j in range(r - 1, -1, -1):
         v = list(P.G.col(j))
+        powers.append([v])
         for l in range(d + 1):
             tagged = v + [f.zero()] * (d + 1)
             tagged[d + len(owner)] = f.one()
             w = span.reduce(tagged)
-            if all(f.is_zero(c) for c in w[:d]):
+            if not any(w[:d]):  # reduce returns canonical values: zero is 0
                 coeffs = [[f.zero()] * (d + 1) for _ in range(r)]
                 for (i, m), c in zip(owner + [(j, l)], w[d:]):
                     coeffs[i][m] = c
@@ -262,8 +278,9 @@ def _krylov_relations(P: FramedModule) -> list[list[UniPoly]]:
                 break
             span.insert(w)
             owner.append((j, l))
-            v = X.matvec(v)
-    return cols[::-1]
+            v = _dots(rows, v, f.characteristic)
+            powers[-1].append(v)
+    return cols[::-1], powers[::-1]
 
 
 def kernel_presentation(P: FramedModule) -> KernelPresentation:
@@ -278,20 +295,23 @@ def kernel_presentation(P: FramedModule) -> KernelPresentation:
     """
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
-    f, r = P.field, P.r
-    cols = _krylov_relations(P)
-    for value in _evaluate(cols, P.X[0], P.G):
-        if not all(f.is_zero(c) for c in value):
-            raise ArithmeticError("kernel column fails substitution check")
+    r = P.r
+    cols, powers = _krylov_relations(P)
+    values = _evaluate(cols, P.X[0], P.G, powers)
+    # The values are reduced mod p over F_p and canonical over Q: zero is 0.
+    bad = next(((j, i) for j, v in enumerate(values) for i, c in enumerate(v) if c), None)
+    if bad is not None:
+        raise ArithmeticError("kernel column %d fails substitution check: its value at X "
+                              "is nonzero first in row %d" % bad)
     triangular = all(not col[j].is_zero() and all(e.is_zero() for e in col[:j])
                      for j, col in enumerate(cols))
     img_dim = len(_image_basis(P))
-    colength = sum(col[j].degree for j, col in enumerate(cols))
-    if len(cols) != r or not triangular or colength != img_dim:
+    degrees = [col[j].degree for j, col in enumerate(cols)]
+    if len(cols) != r or not triangular or sum(degrees) != img_dim:
         raise ArithmeticError(
-            f"kernel generators give {len(cols)} echelon columns of pivot-degree sum {colength}; "
+            f"kernel generators give {len(cols)} echelon columns of pivot degrees {degrees}; "
             f"K needs {r} lower triangular columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(cols=cols)
+    return KernelPresentation(cols=cols, powers=powers)
 
 
 def _image_basis(P: FramedModule) -> list[tuple]:

@@ -181,7 +181,7 @@ LABEL_GENERIC = "generic"
 LABEL_W_TYPE = "W-type"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification222:
     rank: int
     border_rank: int

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from quotbilin.bilin import _deformed_image
 from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, express_in_echelon, rand_matrix
-from quotbilin.quot import _evaluate, _krylov_relations, kernel_presentation
+from quotbilin.quot import KernelPresentation, _evaluate, _krylov_relations, kernel_presentation
 
 from helpers_kx import (
     reference_deformed_image,
@@ -55,8 +55,32 @@ def test_presentation_is_the_hermite_basis(m):
 def test_insertion_order_tags_give_the_per_pair_tag_columns(m):
     # Each column is the unique expression of X^(k_j) g_j in the vectors
     # inserted before it, whichever slots record it.
-    new, old = _krylov_relations(m), reference_krylov_relations(m)
+    new, old = _krylov_relations(m)[0], reference_krylov_relations(m)
     assert [[p.coeffs for p in col] for col in new] == [[p.coeffs for p in col] for col in old]
+
+
+def matrix_power_columns(X, G, count):
+    """Column a of X^m G for m < count, by matrix products."""
+    power, out = G, []
+    for _ in range(count):
+        out.append([list(power.col(a)) for a in range(G.cols)])
+        power = X * power
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(univariate_modules())
+def test_presentation_keeps_the_krylov_vectors_of_its_pass(m):
+    # powers[a] is X^m g_a for m = 0, ..., k_a, k_a the degree of the pivot
+    # of column a: every power the Hermite columns read, and no more.
+    pres = kernel_presentation(m)
+    table = matrix_power_columns(m.X[0], m.G, m.d + 1)
+    assert len(pres.powers) == m.r
+    for a, (col, vectors) in enumerate(zip(pres.cols, pres.powers)):
+        assert len(vectors) == col[a].degree + 1
+        assert vectors == [table[k][a] for k in range(len(vectors))]
+    assert pres == KernelPresentation(cols=pres.cols)
+    assert "powers" not in repr(pres)
 
 
 def random_columns(rng, field, s, r, max_degree):
@@ -68,12 +92,27 @@ def random_columns(rng, field, s, r, max_degree):
 @given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 3), st.integers(0, 3),
        st.integers(0, 10 ** 6))
 def test_deformed_image_matches_matrix_derivatives(field, d, r, s, seed):
+    # Each generator's stored Krylov vectors stop at a random power, below or
+    # past the column degrees, so both the stored and the computed powers are read.
     rng = random.Random(seed)
     X, Xdot = rand_matrix(rng, field, d, d), rand_matrix(rng, field, d, d)
     G, Gdot = rand_matrix(rng, field, d, r), rand_matrix(rng, field, d, r)
     cols = random_columns(rng, field, s, r, 5)
-    assert _deformed_image(cols, X, G, Xdot, Gdot) == reference_deformed_image(
+    table = matrix_power_columns(X, G, 8)
+    powers = [[table[m][a] for m in range(rng.randint(1, 8))] for a in range(r)]
+    pres = KernelPresentation(cols=cols, powers=powers)
+    assert _deformed_image(pres, X, Xdot, Gdot) == reference_deformed_image(
         cols, X, G, Xdot, Gdot)
+
+
+@settings(deadline=None, max_examples=100)
+@given(univariate_modules(), st.integers(0, 10 ** 6))
+def test_deformed_image_of_a_presentation_matches_matrix_derivatives(m, seed):
+    rng = random.Random(seed)
+    Xdot, Gdot = rand_matrix(rng, m.field, m.d, m.d), rand_matrix(rng, m.field, m.d, m.r)
+    pres = kernel_presentation(m)
+    assert _deformed_image(pres, m.X[0], Xdot, Gdot) == reference_deformed_image(
+        pres.cols, m.X[0], m.G, Xdot, Gdot)
 
 
 def reference_horner(polys, X, G):

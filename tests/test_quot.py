@@ -206,12 +206,23 @@ SMALLER_SPAN_CASES = [
 ]
 
 
+def _patch_columns(monkeypatch, mutate):
+    """Make quot._krylov_relations return mutate(columns, P) with the Krylov
+    vectors of the real pass, which cover the unmutated columns only."""
+    real = quot._krylov_relations
+
+    def patched(P):
+        cols, powers = real(P)
+        return mutate(cols, P), powers
+
+    monkeypatch.setattr(quot, "_krylov_relations", patched)
+
+
 @pytest.mark.parametrize("module, mutate, entry", SMALLER_SPAN_CASES)
 def test_kernel_certificate_rejects_a_smaller_span(monkeypatch, module, mutate, entry):
     # Each mutation keeps the columns inside the kernel but shrinks their span.
-    real = quot._krylov_relations
     entry(module)  # passes unmutated
-    monkeypatch.setattr(quot, "_krylov_relations", lambda P: mutate(real(P), P.field))
+    _patch_columns(monkeypatch, lambda cols, P: mutate(cols, P.field))
     with pytest.raises(ArithmeticError, match="echelon columns"):
         entry(module)
 
@@ -221,14 +232,11 @@ def test_kernel_certificate_rejects_columns_out_of_echelon_form(monkeypatch, mod
     # Both of [c0 + c1, c0 + c1] lie in K and their entries in rows 0 and 1
     # have the pivot degrees k0 and k1, so the colength count alone passes;
     # they span a submodule of rank 1, and only the shape check sees it.
-    real = quot._krylov_relations
-
-    def summed(P):
-        cols = real(P)
+    def summed(cols, P):
         s = [a + b for a, b in zip(cols[0], cols[1])]
         return [s, s] + cols[2:]
 
-    monkeypatch.setattr(quot, "_krylov_relations", summed)
+    _patch_columns(monkeypatch, summed)
     with pytest.raises(ArithmeticError, match="lower triangular"):
         kernel_presentation(module)
 
@@ -238,16 +246,31 @@ def test_kernel_certificate_rejects_columns_out_of_echelon_form(monkeypatch, mod
 def test_kernel_certificate_rejects_a_column_outside_the_kernel(monkeypatch, module):
     # Adding 1 to the constant term of the first pivot adds g_0 != 0 to the
     # relation's value at X, so the column leaves K.
-    real = quot._krylov_relations
-
-    def perturbed(P):
-        cols = real(P)
+    def perturbed(cols, P):
         one = UniPoly.const(P.field, P.field.one())
         return [[cols[0][0] + one] + cols[0][1:]] + cols[1:]
 
     kernel_presentation(module)  # passes unmutated
-    monkeypatch.setattr(quot, "_krylov_relations", perturbed)
+    _patch_columns(monkeypatch, perturbed)
     with pytest.raises(ArithmeticError, match="substitution check"):
+        kernel_presentation(module)
+
+
+@pytest.mark.parametrize("module", CERTIFIED_MODULES[:2], ids=CERTIFIED_IDS[:2])
+def test_kernel_certificate_rejects_a_column_past_the_krylov_vectors(monkeypatch, module):
+    # Adding x^(k_0 + 1) to the first pivot adds X^(k_0 + 1) g_0 != 0 to the
+    # relation's value at X, one power past the vectors the pass computed, so
+    # the check must compute that power rather than drop the coefficient.
+    pres = kernel_presentation(module)
+    past = len(pres.powers[0])
+    assert past == len(pres.cols[0][0].coeffs)
+
+    def raised(cols, P):
+        top = UniPoly(P.field, [P.field.zero()] * past + [P.field.one()])
+        return [[cols[0][0] + top] + cols[0][1:]] + cols[1:]
+
+    _patch_columns(monkeypatch, raised)
+    with pytest.raises(ArithmeticError, match="column 0 fails substitution check"):
         kernel_presentation(module)
 
 
@@ -400,6 +423,16 @@ def test_tangent_sweep_script_finds_no_mismatch():
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "5 samples over F:5, 0 mismatches" in run.stdout
+
+
+def test_tangent_sweep_script_checks_hom_triples_over_q():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "tangent_sweep.py"), "3", "0"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "3 samples over Q, 0 mismatches" in run.stdout
+    assert run.stdout.count("triples=") == 3
 
 
 def test_tangent_sweep_script_checks_hom_triples_over_f101():
