@@ -259,34 +259,69 @@ def enumerate_quot_classes_22(q: int) -> list[FramedModule]:
     Classes are orbits of valid (X, G) under (g X g^-1, g G), and each meets
     one X in rational canonical form.  For the q scalars X the generating G
     are GL_2, one class, represented by G = I.  A companion X = [[0, -n],
-    [1, t]] (q^2 of them) is fixed by the units of k[X], acting by G -> gG;
-    a bitmap over the q^4 framings marks k[X]G for each new generating G,
-    the first of its class in enumeration order.  G fails to generate iff
-    its columns lie on one eigenline of X, as do those of gG for a non-unit
-    g, and the units act freely on generating G (gG = G fixes the span the
-    columns of G generate), so X has (generating G) / |k[X]^x| classes: q
-    scalars, 1 each; q(q-1)/2 split, (q^2-1)^2 / (q-1)^2 = (q+1)^2 each; q
-    Jordan, (q^4-q^2) / (q(q-1)) = q(q+1) each; q(q-1)/2 irreducible,
-    (q^4-1) / (q^2-1) = q^2+1 each.  In all q^4 + q^3 + q^2.
+    [1, t]] (q^2 of them, in (n, t) order after the scalars) is fixed by the
+    units of A = k[X], acting by G -> gG, so its classes are the generating
+    framings modulo A^x, listed by _companion_classes in closed form.
+
+    Since X e1 = e2, the map a -> a(X) e1 identifies A with k^2, a0 + a1 X
+    with the column (a0, a1), and an A-linear one: a(X) (b(X) e1) = (ab)(X)
+    e1.  So a framing G is a pair (a, b) in A^2, it generates iff a and b
+    generate A as an ideal (a unimodular pair), and g(X) G is (ga, gb).
+    The classes are therefore the points of P^1(A): unimodular pairs modulo
+    A^x.  A pair with a a unit is (1, c) up to a unit, c = b/a; otherwise,
+    with b a unit, it is (m, 1) with m = a/b a non-unit; otherwise a and b
+    are both non-units.  A is F_q x F_q when the characteristic polynomial
+    x^2 - t x + n has two roots, F_q[e] (e^2 = 0) with one and F_q^2 with
+    none.  A local ring's non-units form its maximal ideal, so two of them
+    are never unimodular.  In F_q x F_q the non-units are (x, 0) and (0, y);
+    a unimodular pair of them is ((x, 0), (0, y)) or ((0, y), (x, 0)) with
+    x, y != 0, the unit (1/x, 1/y) takes it to (e, 1 - e) for an idempotent
+    e = (1, 0) or (0, 1), and no unit moves one idempotent to the other.
+    The three kinds are told apart by which of a and b is a unit, and within
+    a kind the unit is 1, so each class is listed once: (1, c) for the q^2
+    c in A, (m, 1) for the non-units m (0, and c(X - r) for c != 0 and each
+    root r: 2q - 1, q or 1 of them) and (e, 1 - e) for the two nontrivial
+    idempotents e = (X - r2)/(r1 - r2) of a split A.  That is (q+1)^2 classes
+    for each of the q(q-1)/2 split companions, q(q+1) for each of the q
+    Jordan ones and q^2+1 for each of the q(q-1)/2 irreducible ones; with
+    the q scalar classes, q^4 + q^3 + q^2 in all.  Every listed module is
+    still validated, and each companion's count is checked against its
+    algebra type; either failing raises ArithmeticError.
     """
     field = GF(q)
     eye = Matrix.identity(field, 2)
     reps = [FramedModule(1, 2, 2, (eye.scale(lam),), eye) for lam in range(q)]
-    weights = (q ** 3, q ** 2, q, 1)
+    expected = {2: (q + 1) ** 2, 1: q * (q + 1), 0: q * q + 1}
     for n, t in itertools.product(range(q), repeat=2):
         X = Matrix(field, 2, 2, [0, -n % q, 1, t])
-        seen = bytearray(q ** 4)
-        for code, ents in enumerate(itertools.product(range(q), repeat=4)):
-            if seen[code]:
-                continue
-            mod = FramedModule(1, 2, 2, (X,), Matrix(field, 2, 2, list(ents)))
+        roots = [r for r in range(q) if (r * r - t * r + n) % q == 0]
+        pairs = _companion_classes(q, roots)
+        if len(pairs) != expected[len(roots)]:
+            raise ArithmeticError(f"{len(pairs)} classes listed at action X = {X!r}, "
+                                  f"expected {expected[len(roots)]}")
+        for (a0, a1), (b0, b1) in pairs:
+            mod = FramedModule(1, 2, 2, (X,), Matrix(field, 2, 2, [a0, b0, a1, b1]))
             if not validate_framed(mod).ok:
-                continue
+                raise ArithmeticError(f"listed class {mod.G!r} does not generate at "
+                                      f"action X = {X!r}")
             reps.append(mod)
-            XG = (X * mod.G).entries
-            for a, b in itertools.product(range(q), repeat=2):
-                seen[sum(w * ((a * g + b * h) % q) for w, g, h in zip(weights, ents, XG))] = 1
     return reps
+
+
+def _companion_classes(q: int, roots: list[int]) -> list[tuple]:
+    """P^1(A) for A = F_q[X], X a companion matrix whose characteristic
+    polynomial has the given distinct roots: one unimodular pair (a, b) per
+    class, each element a0 + a1 X of A written (a0, a1) (see
+    enumerate_quot_classes_22)."""
+    pairs = [((1, 0), c) for c in itertools.product(range(q), repeat=2)]
+    nonunits = [(0, 0)] + [(-c * r % q, c) for r in roots for c in range(1, q)]
+    pairs += [(a, (1, 0)) for a in nonunits]
+    if len(roots) == 2:
+        for r1, r2 in (roots, roots[::-1]):
+            inv = pow(r1 - r2, q - 2, q)
+            # e = (X - r2)/(r1 - r2) and 1 - e = (X - r1)/(r2 - r1)
+            pairs.append(((-r2 * inv % q, inv), (r1 * inv % q, -inv % q)))
+    return pairs
 
 
 def _invariant_subspaces(actions, dim: int, sub_dim: int, field) -> list[list[tuple]]:
@@ -355,14 +390,15 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     validate; the census asserts no border-rank-3 tensor and every forced
     consequence of the case analysis.
 
-    Any prime q runs.  cap bounds the candidate kernels over all action
-    pairs, [dim12 choose 2]_q per pair: M1 (x)_S M2 has dimension 4 for the
-    q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs of a companion with
-    itself or with a scalar at one of its roots, and less otherwise.  So
-    q(q^2+1)(q^2+q+1) + 3q^2 (417 at q = 3) is checked before any work;
-    the default cap first refuses q = 13, the command line's q = 19.  Of
-    these families only [4 choose 2]_q + 3q^2 (157 at q = 3) are assembled
-    (translation, below).
+    Any prime q runs.  cap bounds the (X1, X2, kernel) families the census
+    assembles and validates, [4 choose 2]_q + 3q^2 = (q^2+1)(q^2+q+1) + 3q^2
+    (157 at q = 3), which is checked before any work.  M1 (x)_S M2 has
+    dimension 4 for the q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs
+    of a companion with itself or with a scalar at one of its roots, and
+    less otherwise, and each pair has [dim12 choose 2]_q candidate kernels;
+    but the scalar pairs share lambda = 0's [4 choose 2]_q families
+    (translation, below), so only the 3q^2 kernels of the other pairs are
+    added.  The default cap first refuses q = 23, the command line's q = 41.
 
     The work is done in layers.  The class representatives are grouped by
     action X (q^2 + q actions: 12 for 117 classes at q = 3), and each
@@ -429,9 +465,9 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     shared by the families that have it.
     """
     field = GF(q)
-    work = q * gaussian_binomial(2, 4, q) + 3 * q * q
+    work = gaussian_binomial(2, 4, q) + 3 * q * q
     if work > cap:
-        raise InfeasibleEnumeration(f"{work} candidate kernels exceed cap {cap}")
+        raise InfeasibleEnumeration(f"{work} census families exceed cap {cap}")
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
     for X, group in groups.items():

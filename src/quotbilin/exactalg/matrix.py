@@ -689,6 +689,8 @@ class EchelonBasis:
     (over Q) or by its pivot (over F_p).  It accepts a vector exactly when it
     is independent of the vectors inserted before it, which keeps greedy
     basis choices identical to comparing ranks of the growing matrix.
+    A caller that has just reduced a vector to test it stores the residue
+    with ``insert_reduced``, which skips the second pass.
     """
 
     __slots__ = ("field", "dim", "rows", "pivots")
@@ -777,19 +779,26 @@ class EchelonBasis:
                             w[j] = (w[j] - c * y) % p
         else:
             w = self._rational_residue(v)[0]
+        return self.insert_reduced(w)
+
+    def insert_reduced(self, w: list) -> bool:
+        """Add ``w``, a vector already reduced against the rows (a residue
+        :meth:`reduce` returned, or its integer multiple over Q), without
+        reducing it again; False (and no change) if it is zero.  The row
+        stored is ``w`` scaled to pivot 1 over F_p and its primitive integer
+        row over Q."""
         for pc, a in enumerate(w):
             if a:
                 break
         else:
             return False
+        p = self.field.characteristic
         if p:
             if a != 1:
                 inv = pow(a, p - 2, p)
                 w = [x * inv % p for x in w]
         else:
-            g = gcd(*w)
-            if g != 1:
-                w = [x // g for x in w]
+            w = _primitive(w)
         self.rows.append(w)
         self.pivots.append(pc)
         return True

@@ -276,7 +276,7 @@ def _krylov_relations(P: FramedModule) -> tuple[list[list[UniPoly]], list[list[l
                     coeffs[i][m] = c
                 cols.append([UniPoly(f, cs) for cs in coeffs])
                 break
-            span.insert(w)
+            span.insert_reduced(w)
             owner.append((j, l))
             v = _dots(rows, v, f.characteristic)
             powers[-1].append(v)

@@ -227,17 +227,51 @@ def hyperdeterminant_222(t: Tensor3):
 
 def _pencil_form(t: Tensor3):
     """Coefficients (alpha, beta, gamma) of det(x*A + y*B) for the two
-    third-factor slices A, B of a 2x2x2 tensor."""
+    third-factor slices A, B of a 2x2x2 tensor, read off its coefficients:
+    A[i, j] is coefficient (i, j, 0), at position 4i + 2j, and B[i, j] the
+    next one."""
     f = t.field
-    a = t.slice3(0)
-    b = t.slice3(1)
-    alpha = f.sub(f.mul(a[0, 0], a[1, 1]), f.mul(a[0, 1], a[1, 0]))
-    gamma = f.sub(f.mul(b[0, 0], b[1, 1]), f.mul(b[0, 1], b[1, 0]))
+    a00, b00, a01, b01, a10, b10, a11, b11 = t.coeffs
+    alpha = f.sub(f.mul(a00, a11), f.mul(a01, a10))
+    gamma = f.sub(f.mul(b00, b11), f.mul(b01, b10))
     beta = f.sub(
-        f.add(f.mul(a[0, 0], b[1, 1]), f.mul(b[0, 0], a[1, 1])),
-        f.add(f.mul(a[0, 1], b[1, 0]), f.mul(b[0, 1], a[1, 0])),
+        f.add(f.mul(a00, b11), f.mul(b00, a11)),
+        f.add(f.mul(a01, b10), f.mul(b01, a10)),
     )
     return alpha, beta, gamma
+
+
+# The coefficient positions of the two slices along each factor: factor 1
+# fixes i (positions 4i + 2j + k), factor 2 fixes j, factor 3 fixes k.
+_SLICE_POSITIONS = (
+    ((0, 1, 2, 3), (4, 5, 6, 7)),
+    ((0, 1, 4, 5), (2, 3, 6, 7)),
+    ((0, 2, 4, 6), (1, 3, 5, 7)),
+)
+_MINORS = tuple(itertools.combinations(range(4), 2))
+
+
+def _flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
+    """The ranks of the three flattenings of a 2x2x2 tensor.
+
+    The factor-k flattening has two columns, the two slices u and v along
+    factor k read as vectors of length 4, so its rank is that of (u, v): 2
+    when some 2x2 minor u_a v_b - u_b v_a is nonzero, else 1 when u or v is
+    nonzero, else 0.  Scalars are plain ``int`` or ``Fraction`` values (see
+    :mod:`.exactalg.field`), so each minor is taken with the operators and
+    only its zero test goes through the field.
+    """
+    is_zero = t.field.is_zero
+    c = t.coeffs
+    ranks = []
+    for upos, vpos in _SLICE_POSITIONS:
+        u = [c[a] for a in upos]
+        v = [c[a] for a in vpos]
+        if any(not is_zero(u[a] * v[b] - u[b] * v[a]) for a, b in _MINORS):
+            ranks.append(2)
+        else:
+            ranks.append(0 if all(is_zero(x) for x in u + v) else 1)
+    return tuple(ranks)
 
 
 def _discriminant(f: Field, alpha, beta, gamma):
@@ -296,14 +330,16 @@ def classify_2x2x2(t: Tensor3, check: bool = False) -> Classification222:
     by separability of the binary form det(x*A + y*B) on the third-factor
     slices: separable pencils are the rank-2 orbit, inseparable ones the
     rank-3 orbit of border rank 2.  Border rank never exceeds 2 because the
-    second secant of the triple Segre fills the ambient space.
+    second secant of the triple Segre fills the ambient space.  Both the
+    ranks and the form are read off the eight coefficients, with no
+    elimination (_flattening_ranks, _pencil_form).
     """
     if t.dims != (2, 2, 2):
         raise ShapeError("classifier needs a 2x2x2 tensor")
     f = t.field
-    ranks = tuple(t.flattening(k).rank() for k in (1, 2, 3))
+    ranks = _flattening_ranks(t)
     concise = tuple(r == d for r, d in zip(ranks, t.dims))
-    if t.is_zero():
+    if ranks[0] == 0:
         return Classification222(rank=0, border_rank=0, concise=concise, label=LABEL_ZERO)
     if all(r == 1 for r in ranks):
         return Classification222(rank=1, border_rank=1, concise=concise, label=LABEL_RANK_ONE)

@@ -3,7 +3,8 @@ builds a tensor product and validates and classifies every point for each of
 the quot-class pairs, the per-action-pair loop, which assembles and validates
 every (X1, X2, kernel) family of every action pair, scalar pairs included,
 the class enumerator that marks whole GL_2 orbits over
-all q^8 pairs (X, G), the invariant-subspace enumerator that tests every
+all q^8 pairs (X, G), the one that scans the q^4 framings of each companion
+action with a bitmap of k[X]^x-orbits, the invariant-subspace enumerator that tests every
 candidate, the cross-check loop over all q^8 target framings, the
 module-type rule on a framed module, and the link test by a polynomial gcd
 per action pair."""
@@ -91,6 +92,47 @@ def reference_quot_classes_22(q: int) -> list[FramedModule]:
             for g, gi in gl2:
                 seen[code(g * X * gi, g * G)] = 1
     return reps
+
+
+def reference_bitmap_quot_classes_22(q: int) -> list[FramedModule]:
+    """enumerate_quot_classes_22 by a scan: the q scalar classes (lambda*I,
+    I), then for each companion X = [[0, -n], [1, t]] in (n, t) order the
+    first generating framing G of each k[X]^x-orbit in enumeration order, a
+    bitmap over the q^4 framings marking k[X]G = {aG + bXG} for each new
+    representative."""
+    field = GF(q)
+    eye = Matrix.identity(field, 2)
+    reps = [FramedModule(1, 2, 2, (eye.scale(lam),), eye) for lam in range(q)]
+    weights = (q ** 3, q ** 2, q, 1)
+    for n, t in itertools.product(range(q), repeat=2):
+        X = Matrix(field, 2, 2, [0, -n % q, 1, t])
+        seen = bytearray(q ** 4)
+        for code, ents in enumerate(itertools.product(range(q), repeat=4)):
+            if seen[code]:
+                continue
+            mod = FramedModule(1, 2, 2, (X,), Matrix(field, 2, 2, list(ents)))
+            if not validate_framed(mod).ok:
+                continue
+            reps.append(mod)
+            XG = (X * mod.G).entries
+            for a, b in itertools.product(range(q), repeat=2):
+                seen[sum(w * ((a * g + b * h) % q) for w, g, h in zip(weights, ents, XG))] = 1
+    return reps
+
+
+def unit_orbit(m: FramedModule) -> frozenset:
+    """The k[X]^x-orbit {(aI + bX) G : aI + bX invertible} of a framed
+    module's framing, as entry tuples."""
+    field = m.field
+    q = field.characteristic
+    X, G = m.X[0], m.G
+    eye = Matrix.identity(field, 2)
+    out = set()
+    for a, b in itertools.product(range(q), repeat=2):
+        g = eye.scale(a) + X.scale(b)
+        if g.is_invertible():
+            out.add(tuple(x % q for x in (g * G).entries))
+    return frozenset(out)
 
 
 def reference_census(q: int, cap: int = 200_000) -> Census:

@@ -121,8 +121,12 @@ class ReferenceEchelonBasis:
 
     def insert(self, v: Sequence) -> bool:
         """Add ``v`` to the span; False (and no change) if it already lies in it."""
+        return self.insert_reduced(self.reduce(v))
+
+    def insert_reduced(self, w: Sequence) -> bool:
+        """Add ``w``, already reduced against the rows, scaled to pivot 1;
+        False (and no change) if it is zero."""
         f = self.field
-        w = self.reduce(v)
         pc = next((j for j, x in enumerate(w) if not f.is_zero(x)), None)
         if pc is None:
             return False

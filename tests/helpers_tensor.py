@@ -31,6 +31,21 @@ def reference_slice3(t: Tensor3, k: int) -> Matrix:
     return Matrix(t.field, d1, d2, [t.get(i, j, k) for i in range(d1) for j in range(d2)])
 
 
+def reference_pencil_form(t: Tensor3):
+    """(alpha, beta, gamma) of det(x*A + y*B) for the slices A = slice3(0)
+    and B = slice3(1) of a 2x2x2 tensor, read from the two slice matrices."""
+    f = t.field
+    a = t.slice3(0)
+    b = t.slice3(1)
+    alpha = f.sub(f.mul(a[0, 0], a[1, 1]), f.mul(a[0, 1], a[1, 0]))
+    gamma = f.sub(f.mul(b[0, 0], b[1, 1]), f.mul(b[0, 1], b[1, 0]))
+    beta = f.sub(
+        f.add(f.mul(a[0, 0], b[1, 1]), f.mul(b[0, 0], a[1, 1])),
+        f.add(f.mul(a[0, 1], b[1, 0]), f.mul(b[0, 1], a[1, 0])),
+    )
+    return alpha, beta, gamma
+
+
 def reference_apply_gl(t: Tensor3, g1: Matrix, g2: Matrix, g3: Matrix) -> Tensor3:
     """Coefficient (i, j, k) is the sum of g1[i, a] g2[j, b] g3[k, c] t[a, b, c]."""
     d1, d2, d3 = t.dims

@@ -20,7 +20,9 @@ from helpers_census import (
     reference_gl2,
     reference_linked_pairs,
     reference_module_type,
+    reference_bitmap_quot_classes_22,
     reference_quot_classes_22,
+    unit_orbit,
 )
 from quotbilin.exactalg import (
     GF,
@@ -292,6 +294,62 @@ def test_quot_classes_are_one_per_reference_orbit(q):
     assert sorted(orbit_of[m.X[0], m.G] for m in reps) == list(range(len(reference)))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_closed_form_classes_equal_the_bitmap_scan_as_orbits(q):
+    # Same actions in the same order with the same group sizes, and per
+    # action the same set of k[X]^x-orbits.
+    new = cases222._action_groups(enumerate_quot_classes_22(q))
+    old = cases222._action_groups(reference_bitmap_quot_classes_22(q))
+    assert list(new) == list(old)
+    for X, group in new.items():
+        assert len(group) == len(old[X])
+        orbits = {unit_orbit(m) for m in group}
+        assert len(orbits) == len(group)
+        assert orbits == {unit_orbit(m) for m in old[X]}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_companion_class_counts_match_the_algebra_type(q):
+    # k[X] is F_q x F_q, F_q[e] or F_q^2 as X is a tuple of points, a Jordan
+    # block or has no root: |P^1(k[X])| is (q+1)^2, q(q+1) or q^2+1.  A
+    # scalar (a semisimple double point) has one class.
+    want = {ModuleType.TUPLE: (q + 1) ** 2, ModuleType.JORDAN: q * (q + 1),
+            ModuleType.NON_SPLIT: q * q + 1, ModuleType.SEMISIMPLE: 1}
+    groups = cases222._action_groups(enumerate_quot_classes_22(q))
+    assert len(groups) == q * q + q
+    for X, group in groups.items():
+        assert len(group) == want[cases222._action_facts(X)[0]]
+
+
+@pytest.mark.parametrize("mutation, message", [
+    # a pair of non-units of one maximal ideal: the columns span an eigenline
+    (lambda pairs: pairs[:-1] + [((0, 0), (0, 0))], "does not generate"),
+    (lambda pairs: pairs[:-1], "classes listed"),
+    (lambda pairs: pairs + pairs[:1], "classes listed"),
+])
+def test_a_wrong_class_listing_raises(monkeypatch, mutation, message):
+    real = cases222._companion_classes
+    monkeypatch.setattr(cases222, "_companion_classes",
+                        lambda q, roots: mutation(real(q, roots)))
+    with pytest.raises(ArithmeticError, match=message):
+        enumerate_quot_classes_22(3)
+
+
+def test_non_unimodular_pair_in_a_split_algebra_raises(monkeypatch):
+    # X = [[0, 0], [1, 1]] has roots 0 and 1; (X, X) lies in the ideal (X)
+    # though neither entry is 0, so its framing does not generate.
+    real = cases222._companion_classes
+
+    def mutated(q, roots):
+        pairs = real(q, roots)
+        return pairs[:-1] + [((0, 1), (0, 1))] if roots == [0, 1] else pairs
+
+    monkeypatch.setattr(cases222, "_companion_classes", mutated)
+    with pytest.raises(ArithmeticError, match=r"^listed class .* does not generate "
+                                              r"at action X = Matrix\(F:3, 2x2: 0 0; 1 1\)$"):
+        enumerate_quot_classes_22(3)
+
+
 @pytest.fixture(scope="module")
 def census_q2():
     return enumerate_222(2)
@@ -345,32 +403,36 @@ def test_census_deterministic(census_q2):
 
 
 def test_census_cap_guard():
-    # q = 3 tests 417 candidate kernels, one more than this cap allows
-    with pytest.raises(InfeasibleEnumeration, match="^417 candidate kernels exceed cap 416$"):
-        enumerate_222(3, cap=416)
+    # q = 3 assembles 157 families, one more than this cap allows
+    with pytest.raises(InfeasibleEnumeration, match="^157 census families exceed cap 156$"):
+        enumerate_222(3, cap=156)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
-def test_census_cap_counts_the_candidate_kernels(q):
+def test_census_cap_counts_the_assembled_families(monkeypatch, q):
     # The cap is checked before anything is enumerated; the count it checks
-    # must be the subspaces _invariant_subspaces tests over all action pairs.
-    groups = cases222._action_groups(enumerate_quot_classes_22(q))
-    dims = [tensor_over_S(group1[0], group2[0]).dim12
-            for group1 in groups.values() for group2 in groups.values()]
-    work = sum(gaussian_binomial(2, dim, q) for dim in dims if dim >= 2)
-    with pytest.raises(InfeasibleEnumeration, match=f"^{work} candidate kernels "):
+    # must be the families the census assembles and validates.
+    calls = []
+    real = cases222._validate_pairing
+    monkeypatch.setattr(cases222, "_validate_pairing",
+                        lambda point, lifts: calls.append(1) or real(point, lifts))
+    enumerate_222(q)
+    work = len(calls)
+    assert work == gaussian_binomial(2, 4, q) + 3 * q * q
+    with pytest.raises(InfeasibleEnumeration, match=f"^{work} census families "):
         enumerate_222(q, cap=work - 1)
+    enumerate_222(q, cap=work)
 
 
-def test_census_default_caps_first_refuse_q13_and_q19():
+def test_census_default_caps_first_refuse_q23_and_q41():
     def work(q):
         with pytest.raises(InfeasibleEnumeration) as err:
             enumerate_222(q, cap=0)
         return int(str(err.value).split()[0])
 
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    assert [q for q in primes if work(q) > 200_000][0] == 13
-    assert [q for q in primes if work(q) > 2_000_000][0] == 19
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+    assert [q for q in primes if work(q) > 200_000][0] == 23
+    assert [q for q in primes if work(q) > 2_000_000][0] == 41
     # refused at once, before any enumeration
     with pytest.raises(InfeasibleEnumeration):
         enumerate_222(1_000_000_007)

@@ -101,6 +101,25 @@ def test_echelon_basis_matches_rank_and_solve(seed, field, dim, count, rank_cap)
         assert all(field.is_zero(x) for x in red) == inside
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FIELDS), st.integers(0, 6),
+       st.integers(0, 7), st.integers(0, 5))
+def test_insert_reduced_stores_what_insert_stores(seed, field, dim, count, rank_cap):
+    # Storing reduce(v) is storing v: the same pivots, and the same rows up
+    # to sign (over Q a primitive row has two signs; over F_p pivot 1 fixes
+    # it), so every later residue is the same.
+    rng = random.Random(seed)
+    vectors = random_vectors(rng, field, count, dim, rank_cap)
+    plain, reduced = EchelonBasis(field, dim), EchelonBasis(field, dim)
+    for v in vectors:
+        assert reduced.reduce(v) == plain.reduce(v)
+        assert reduced.insert_reduced(reduced.reduce(v)) == plain.insert(v)
+        assert reduced.pivots == plain.pivots
+        for a, b in zip(reduced.rows, plain.rows):
+            assert a == b if field.characteristic else a in (b, [-x for x in b])
+    assert all(type(x) is int for row in reduced.rows for x in row)
+
+
 def test_echelon_basis_rejects_wrong_length():
     for field in FIELDS:
         span = EchelonBasis(field, 3, [(field.one(), field.zero(), field.zero())])

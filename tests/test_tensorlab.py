@@ -18,6 +18,7 @@ from quotbilin.modcore import (
 from quotbilin.bilin import BilinPoint, degenerate_point, main_component_point
 from quotbilin.tensorlab import (
     _binary_quadratic_separable,
+    _flattening_ranks,
     _has_sqrt,
     _pencil_form,
     LABEL_GENERIC,
@@ -48,6 +49,7 @@ from helpers_tensor import (
     reference_apply_gl,
     reference_flattening,
     reference_pairing_tensor,
+    reference_pencil_form,
     reference_secant_per_trial,
     reference_slice3,
 )
@@ -171,7 +173,8 @@ def test_hyperdeterminant_zero_locus_matches_pencil():
 
 def reference_classify_2x2x2(t: Tensor3) -> Classification222:
     """classify_2x2x2 as it was with conciseness() taken separately from the
-    three flattening ranks (six eliminations per tensor)."""
+    three flattening ranks (six eliminations per tensor) and the pencil form
+    read from the slice matrices."""
     f = t.field
     concise = conciseness(t)
     ranks = tuple(t.flattening(k).rank() for k in (1, 2, 3))
@@ -182,7 +185,7 @@ def reference_classify_2x2x2(t: Tensor3) -> Classification222:
     if min(ranks) == 1:
         return Classification222(rank=2, border_rank=2, concise=concise,
                                  label=LABEL_NON_CONCISE)
-    alpha, beta, gamma = _pencil_form(t)
+    alpha, beta, gamma = reference_pencil_form(t)
     separable, split = _binary_quadratic_separable(f, alpha, beta, gamma)
     if separable:
         return Classification222(rank=2, border_rank=2, concise=concise,
@@ -208,6 +211,30 @@ def test_classify_derives_conciseness_from_its_ranks(field, data):
     cls = classify_2x2x2(t)
     assert cls.concise == conciseness(t)
     assert cls == reference_classify_2x2x2(t)
+
+
+def assert_coefficient_reads_match(t: Tensor3):
+    f = t.field
+    assert _flattening_ranks(t) == tuple(t.flattening(k).rank() for k in (1, 2, 3))
+    assert all(f.eq(x, y) for x, y in zip(_pencil_form(t), reference_pencil_form(t)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_minor_ranks_and_pencil_form_on_every_tensor(q):
+    field = GF(q)
+    for ents in itertools.product(range(q), repeat=8):
+        assert_coefficient_reads_match(Tensor3(field, (2, 2, 2), list(ents)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([GF(101), QQ]), st.data())
+def test_minor_ranks_and_pencil_form_match_eliminations(field, data):
+    entries = data.draw(st.lists(tensor_entries(field), min_size=8, max_size=8))
+    # rank-one and rank-two flattenings: a multiple of one slice in the other
+    if data.draw(st.booleans()):
+        c = data.draw(tensor_entries(field))
+        entries[4:] = [field.mul(c, x) for x in entries[:4]]
+    assert_coefficient_reads_match(Tensor3(field, (2, 2, 2), entries))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
