@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Run the exhaustive two-points census over F_q, print the breakdown and
-check every cell against its closed form in q.  For q <= 3 it also runs the
-membership cross-check (census_cross_check), which compares the census's
-kernel counts with the pairings the membership solver finds directly.
+check every cell against its closed form in q.  The census tallies the
+scalar pair's families from the counts of 2-planes of M_2(F_q) by the type
+of det on them; for q <= 7 the script also assembles, validates and
+classifies every one of those families and compares them with the counts,
+so the TOTALLY_DEGENERATE cells are checked by enumeration there.  For
+q <= 3 it also runs the membership cross-check (census_cross_check), which
+compares the census's kernel counts with the pairings the membership solver
+finds directly.
 
 Usage: python scripts/census_222.py [q ...]     (default q = 2)
 
@@ -14,7 +19,8 @@ includes its own listing, and the sha256 of the sorted table
 and answer and the ladder shows where the time goes.
 
 Exits 1 when, for any q, a cell differs from its closed form, a
-border-rank-3 tensor or a forced-consequence failure appears, or the
+border-rank-3 tensor or a forced-consequence failure appears, the
+enumerated scalar-pair families differ from the plane counts, or the
 cross-check fails.
 """
 
@@ -22,8 +28,16 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 
-from quotbilin.cases222 import census_cross_check, enumerate_222, enumerate_quot_classes_22
+from quotbilin.cases222 import (
+    _families,
+    _scalar_pair_classes,
+    census_cross_check,
+    enumerate_222,
+    enumerate_quot_classes_22,
+)
+from quotbilin.exactalg import GF
 from quotbilin.tensorlab import LABEL_GENERIC, LABEL_NON_CONCISE, LABEL_W_TYPE
 
 
@@ -52,7 +66,7 @@ def run_census(q: int) -> bool:
     """Print the census over F_q against its closed forms; True when every
     check passes."""
     start = time.perf_counter()
-    enumerate_quot_classes_22(q)
+    zero = enumerate_quot_classes_22(q)[0]
     listing = time.perf_counter() - start
     start = time.perf_counter()
     census = enumerate_222(q)
@@ -76,6 +90,15 @@ def run_census(q: int) -> bool:
           else "some cell differs from its closed form")
     print(f"F_{q}: enumerate_quot_classes_22 wall {listing:.3f}s, enumerate_222 wall "
           f"{elapsed:.3f}s, table sha256 {table_sha256(census)}")
+    if q <= 7:
+        start = time.perf_counter()
+        field = GF(q)
+        enumerated = Counter(t for _, t in _families(zero, zero, field, {}))
+        same = enumerated == _scalar_pair_classes(q, field)
+        print(f"scalar pair (0, 0): {sum(enumerated.values())} families enumerated, "
+              f"{'equal to' if same else 'DIFFERENT FROM'} the plane counts "
+              f"({time.perf_counter() - start:.1f}s)")
+        ok = ok and same
     if q <= 3:
         start = time.perf_counter()
         cross = census_cross_check(q)

@@ -9,7 +9,9 @@ tensor product, its invariant subspaces and the pairing (Z, Pihat) only on
 the action pair (X1, X2); the framings decide only whether a class
 generates.  The census therefore groups the class representatives by
 action and assembles, validates and classifies each (X1, X2, kernel) family
-once, counting it for every class pair that shares it.
+once, counting it for every class pair that shares it.  The scalar pairs'
+families, the 2-planes of M_2(k), are not assembled: they are tallied by the
+type of det on the plane, from proved counts.
 
 Two additional split-mixed labels cover pairs (tuple-of-points, semisimple
 double point): such points are valid (the tensor product localizes onto the
@@ -32,7 +34,6 @@ from .exactalg import (
     InfeasibleEnumeration,
     Matrix,
     ShapeError,
-    gaussian_binomial,
     rank_and_kernel,
 )
 from .modcore import (
@@ -390,15 +391,16 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     validate; the census asserts no border-rank-3 tensor and every forced
     consequence of the case analysis.
 
-    Any prime q runs.  cap bounds the (X1, X2, kernel) families the census
-    assembles and validates, [4 choose 2]_q + 3q^2 = (q^2+1)(q^2+q+1) + 3q^2
-    (157 at q = 3), which is checked before any work.  M1 (x)_S M2 has
-    dimension 4 for the q pairs (lambda*I, lambda*I), 2 for the 3q^2 pairs
-    of a companion with itself or with a scalar at one of its roots, and
-    less otherwise, and each pair has [dim12 choose 2]_q candidate kernels;
-    but the scalar pairs share lambda = 0's [4 choose 2]_q families
-    (translation, below), so only the 3q^2 kernels of the other pairs are
-    added.  The default cap first refuses q = 23, the command line's q = 41.
+    Any prime q runs.  cap bounds the work the census does, the q^4 + q^3 +
+    q^2 quot classes it lists plus the 3q^2 (X1, X2, kernel) families it
+    assembles and validates (144 at q = 3), and is checked before any work.
+    M1 (x)_S M2 has dimension 4 for the q pairs (lambda*I, lambda*I), 2 for
+    the 3q^2 pairs of a companion with itself or with a scalar at one of its
+    roots, and less otherwise, and each pair has [dim12 choose 2]_q
+    candidate kernels; but the scalar pairs' [4 choose 2]_q families each
+    are tallied from five proved counts (scalar pair, below), so only the
+    3q^2 kernels of the other pairs are assembled.  The default cap first
+    refuses q = 23, the command line's q = 41.
 
     The work is done in layers.  The class representatives are grouped by
     action X (q^2 + q actions: 12 for 117 classes at q = 3), and each
@@ -411,11 +413,10 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     chi_X1(X2)), and x acts on M1 (x)_S M2 through either factor, so
     chi_X1(x) is both zero and invertible there and the product is 0, which
     has no point (dim12 < 2).  That leaves 48 of the 144 action pairs at
-    q = 3, and 46 tensor products, since the q scalar pairs share lambda =
-    0's (translation, below).  Each (X1, X2, kernel) family is then
-    assembled, validated and classified once, with M3's facts looked up by
-    its action Z, and counted len(group1) * len(group2) times, once per
-    class pair sharing it.
+    q = 3, and 45 tensor products, since the 3 scalar pairs need none.  Each
+    other (X1, X2, kernel) family is then assembled, validated and
+    classified once, with M3's facts looked up by its action Z, and counted
+    len(group1) * len(group2) times, once per class pair sharing it.
 
     Link test.  The characteristic polynomial of a 2 x 2 action is the monic
     quadratic x^2 + a x + b with a = -tr X and b = det X.  Two monic
@@ -440,34 +441,109 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     lambda = 0's check plus an identity: Z commutes with itself; the X- and
     Y-equivariance residuals are Z Pihat - Pihat (X1 (x) 1) = lambda Pihat -
     lambda Pihat = 0 and likewise for X2; surjectivity is rank Pihat = 2,
-    which does not depend on lambda.  So the lambda = 0 families are
-    assembled and validated once, and every lambda's family on a kernel is
-    classified with that family's tensor classification (it reads Pihat
-    alone) and lambda's own facts: M1, M2 and M3 all have action lambda*I.
-    Labels and forced consequences therefore still read each lambda's
-    actions, and no other family is assembled for a scalar pair.  Its three
-    facts are equal, so each distinct classification is tallied once, times its kernels.
+    which does not depend on lambda.  So every lambda's family on a kernel is
+    valid iff lambda = 0's is, and has that family's tensor classification
+    (it reads Pihat alone), classified with lambda's own facts: M1, M2 and
+    M3 all have action lambda*I.  Labels and forced consequences therefore
+    still read each lambda's actions.  Its three facts are equal, so each
+    distinct classification is tallied once, times its kernels.
 
-    This still checks every point, each invariant where it is decided.
-    validate_bilin(point) is m1-ok and m2-ok and validate_pairing(point):
-    Z commuting, X- and Y-equivariance and surjectivity.  The pairing checks
-    read only (X1, X2, Z, Pihat), and tensor_over_S and _assemble_point read
-    no framing, so they depend on (X1, X2, kernel) alone: validate_pairing
-    runs once per assembled family, with the lifts X1 (x) 1 and 1 (x) X2
-    that tensor_over_S built for the action pair, and the family's check is
-    every member's check (and, by translation, every scalar lambda's).
-    m1-ok and m2-ok read one class each: enumerate_quot_classes_22 validates
-    every companion class it returns, and here each action's first class
-    (the one every family of that action is assembled from, a scalar class
-    included) is validated once more.  The types, supports, tensor and forced
-    consequences read no framing either.  The tensor classification reads
-    Pihat alone, so it runs once per distinct Pihat (130 at q = 3) and is
-    shared by the families that have it.
+    Scalar pair.  No lambda = 0 family is assembled either.  Each is valid:
+    X1 = X2 = 0 and Z = 0, so Z commutes, both equivariance residuals are
+    0 Pihat - Pihat 0 = 0, and Pihat is the kernel's quotient map k^4 -> k^2,
+    of rank 2 by construction; M1 = M2 = (0, I) is the class validated below.
+    Its pairing tensor has coefficient (i, j, k) = Pihat[k, 2i + j], so its
+    two third-factor slices are the rows of Pihat read as 2 x 2 matrices, a
+    basis of the 2-plane W = K^perp of M_2(k) = (k^2 (x) k^2)*, K the kernel;
+    K -> K^perp is a bijection onto the 2-planes.  classify_2x2x2 reads the
+    factor-3 rank (dim W = 2), the factor-1 rank (1 when W's members share
+    a left null vector, that is a common image line), the factor-2 rank (1
+    when they share a common kernel) and, on a concise tensor, whether the
+    binary form det(x A + y B) = det|_W is separable and splits over k.  A
+    change of basis of W substitutes the form invertibly, so all of these
+    depend on W alone, through the type of det|_W, and _scalar_pair_classes
+    classifies one representative per type (mu3, mu4, mu2, mu1, and slices
+    I and a companion of an irreducible quadratic) weighted by
+    _plane_counts.  The counts: det is a quadratic form on M_2(k) whose
+    polar form B(M, N) = det(M + N) - det M - det N = m00 n11 + m11 n00 -
+    m01 n10 - m10 n01 has a signed permutation as Gram matrix, so it is
+    non-degenerate in every characteristic, also in 2, where B is
+    alternating.  Its zeros are the rank-1 matrices u v^T, (q + 1)^2 points
+    of P^3, and det(u v^T + u' v'^T) = det[u u'] det[v v'], so B(u v^T,
+    u' v'^T) = 0 iff u || u' or v || v'.  A finite field is perfect, so a
+    form det|_W that is not identically zero is c l^2 (inseparable: one
+    rational zero, in characteristic 2 too, where it is alpha x^2 + gamma
+    y^2), or has two distinct zeros, rational (split) or conjugate over
+    F_q^2 (anisotropic).
+    - Isotropic (det|_W = 0): in a basis u v^T, u' v'^T of rank-1 members,
+      u, u' independent and v, v' independent would make the sum rank 2,
+      so u || u' (W = {u w^T}, a common image, factor 1 not concise: mu3)
+      or v || v' (W = {w v^T}, a common kernel, factor 2 not concise: mu4),
+      not both as dim W = 2.  These are the two rulings of the quadric,
+      q + 1 planes each, one per line of k^2.  A plane that is not
+      isotropic has a member of rank 2, so it is concise.
+    - Rank 1 (W-type): with p = [P] the zero of c l^2 and W = span(P, N),
+      det(x P + y N) = x y B(P, N) + y^2 det N is a constant times a square
+      iff B(P, N) = 0 and det N != 0, so these are the non-isotropic planes
+      W with p in W inside p^perp, and each has one such p.  The planes
+      between the line p and the 3-space p^perp are the q + 1 lines of
+      p^perp / p, two of them the rulings through p: (q - 1)(q + 1)^2.
+    - Split (generic, pencil_split): W = span(P1, P2) for two zeros with
+      B(P1, P2) != 0, else det(x P1 + y P2) = x y B(P1, P2) vanishes.  The
+      zeros in p1^perp are the two rulings through p1, 2q + 1 points, so
+      q^2 choices of p2 for each of the (q + 1)^2 points p1, and each plane
+      has two: q^2 (q + 1)^2 / 2.
+    - Anisotropic (generic, not split): the rest, (q^2 + 1)(q^2 + q + 1) -
+      2(q + 1) - (q - 1)(q + 1)^2 - q^2 (q + 1)^2 / 2 = q^2 (q - 1)^2 / 2.
+      Its representative's slices I and [[0, -n], [1, t]] span a plane on
+      which det(x I + y C) = x^2 + t x y + n y^2 has no rational zero,
+      since x^2 - t x + n is irreducible.
+
+    Cell polynomials (scripts/census_222.py closed_form_counts).  An action
+    X has one class if scalar, and as a companion with characteristic
+    polynomial chi, (q + 1)^2 classes if chi has two roots (q(q - 1)/2 such
+    X), q(q + 1) if one double root (q such X) and q^2 + 1 if none
+    (q(q - 1)/2 such X); see enumerate_quot_classes_22.  A cyclic M = A =
+    k[x]/chi gives A (x)_S A' = k[x]/(chi, chi'), so two distinct
+    companions (dim12 = deg gcd <= 1) and a scalar r I with a companion
+    without the root r (dim12 = 0) give no point.  The points are:
+    - X with itself: A (x)_S A = A, one kernel 0, Z = X, the pairing A's
+      multiplication, weight classes(X)^2: MAIN_SPLIT generic (k x k,
+      mu1) q(q - 1)/2 * (q + 1)^4, CYCLIC_NILPOTENT W-type (k[e]/e^2, mu2)
+      q * q^2 (q + 1)^2 = q^3 (q + 1)^2, NON_SPLIT generic (F_q^2)
+      q(q - 1)/2 * (q^2 + 1)^2.
+    - r I with X at a root r, in either order: k^2 (x)_S A = k^2 (x) A/(x -
+      r) = k^2, one kernel, the pairing factors through A -> k, so the
+      tensor is non-concise; weight classes(X).  MIXED_12 and MIXED_21
+      (X Jordan) q * q(q + 1) = q^2 (q + 1) each; SPLIT_MIXED_12 and
+      SPLIT_MIXED_21 (X split, two roots) 2 * q(q - 1)/2 * (q + 1)^2 =
+      q(q - 1)(q + 1)^2 each.  With the q^2 pairs of the first kind that
+      is q^2 + 2(q(q - 1) + q) = 3q^2 families.
+    - (lambda I, lambda I), q of them, weight 1, all TOTALLY_DEGENERATE, by
+      the plane counts times q: W-type q(q - 1)(q + 1)^2, generic
+      q(q^2 (q + 1)^2 + q^2 (q - 1)^2)/2 = q^3 (q^2 + 1), non-concise
+      2q(q + 1).
+
+    This still checks every assembled point, each invariant where it is
+    decided.  validate_bilin(point) is m1-ok and m2-ok and
+    validate_pairing(point): Z commuting, X- and Y-equivariance and
+    surjectivity.  The pairing checks read only (X1, X2, Z, Pihat), and
+    tensor_over_S and _assemble_point read no framing, so they depend on
+    (X1, X2, kernel) alone: validate_pairing runs once per assembled family,
+    with the lifts X1 (x) 1 and 1 (x) X2 that tensor_over_S built for the
+    action pair, and the family's check is every member's check.  m1-ok and
+    m2-ok read one class each: enumerate_quot_classes_22 validates every
+    companion class it returns, and here each action's first class (the
+    one every family of that action is assembled from, a scalar class
+    included) is validated once more.  The types, supports, tensor and
+    forced consequences read no framing either.  The tensor classification
+    reads Pihat alone, so it runs once per distinct Pihat (15 at q = 3) and
+    is shared by the families that have it, plus once per plane type.
     """
     field = GF(q)
-    work = gaussian_binomial(2, 4, q) + 3 * q * q
+    work = q ** 4 + q ** 3 + q ** 2 + 3 * q * q
     if work > cap:
-        raise InfeasibleEnumeration(f"{work} census families exceed cap {cap}")
+        raise InfeasibleEnumeration(f"{work} census classes and families exceed cap {cap}")
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
     for X, group in groups.items():
@@ -480,8 +556,7 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
     census = Census(q=q, counts={}, quot_classes=len(reps), total_points=0,
                     border_rank_3=0, forced_failures=0)
     tensors: dict = {}
-    zero = groups[eye.scale(0)][0]
-    scalar_classes = Counter(tensor for _, tensor in _families(zero, zero, field, tensors))
+    scalar_classes = _scalar_pair_classes(q, field)
     for i, j in _linked_pairs(actions):
         weight = len(members[i]) * len(members[j])
         facts1, facts2 = action_facts[i], action_facts[j]
@@ -494,6 +569,30 @@ def enumerate_222(q: int, cap: int = 200_000) -> Census:
             facts3 = facts.get(Z) or _action_facts(Z)
             _tally(census, tensor, facts1, facts2, facts3, weight)
     return census
+
+
+def _plane_counts(q: int) -> dict:
+    """The number of 2-planes W of M_2(F_q) of each type of det|_W, keyed by
+    the name of a tensor whose third-factor slices span a plane of that type
+    (see enumerate_222): common image, common kernel, det|_W a nonzero
+    square, split, anisotropic."""
+    return {"mu3": q + 1, "mu4": q + 1, "mu2": (q - 1) * (q + 1) ** 2,
+            "mu1": q * q * (q + 1) ** 2 // 2, "anisotropic": q * q * (q - 1) ** 2 // 2}
+
+
+def _scalar_pair_classes(q: int, field) -> Counter:
+    """The tensor classifications of lambda = 0's scalar-pair families, each
+    counted by its number of kernels: _plane_counts, with each plane type
+    classified on one representative.  The anisotropic one has third-factor
+    slices I and the companion matrix of an irreducible x^2 - t x + n."""
+    n, t = next((n, t) for n, t in itertools.product(range(q), repeat=2)
+                if all((r * r - t * r + n) % q for r in range(q)))
+    anisotropic = Tensor3(field, (2, 2, 2), [1, 0, 0, -n % q, 0, 1, 1, t])
+    classes: Counter = Counter()
+    for name, count in _plane_counts(q).items():
+        rep = anisotropic if name == "anisotropic" else named_tensor(name, field)
+        classes[classify_2x2x2(rep)] += count
+    return classes
 
 
 def _families(m1, m2, field, tensors: dict):

@@ -122,11 +122,6 @@ class Tensor3:
             return self.flat
         raise ValueError("factor must be 1, 2 or 3")
 
-    def slice3(self, k: int) -> Matrix:
-        """The d1 x d2 slice with third index fixed."""
-        d1, d2, _ = self.dims
-        return Matrix(self.field, d1, d2, self.flat.col(k))
-
     def apply_gl(self, g1: Matrix, g2: Matrix, g3: Matrix) -> "Tensor3":
         """Basis change on the three factors (covariant on each):
         (g1 (x) g2) * flat * g3^T on the third flattening."""

@@ -32,11 +32,12 @@ def reference_slice3(t: Tensor3, k: int) -> Matrix:
 
 
 def reference_pencil_form(t: Tensor3):
-    """(alpha, beta, gamma) of det(x*A + y*B) for the slices A = slice3(0)
-    and B = slice3(1) of a 2x2x2 tensor, read from the two slice matrices."""
+    """(alpha, beta, gamma) of det(x*A + y*B) for the third-factor slices
+    A = reference_slice3(t, 0) and B = reference_slice3(t, 1) of a 2x2x2
+    tensor, read from the two slice matrices."""
     f = t.field
-    a = t.slice3(0)
-    b = t.slice3(1)
+    a = reference_slice3(t, 0)
+    b = reference_slice3(t, 1)
     alpha = f.sub(f.mul(a[0, 0], a[1, 1]), f.mul(a[0, 1], a[1, 0]))
     gamma = f.sub(f.mul(b[0, 0], b[1, 1]), f.mul(b[0, 1], b[1, 0]))
     beta = f.sub(

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -403,23 +404,26 @@ def test_census_deterministic(census_q2):
 
 
 def test_census_cap_guard():
-    # q = 3 assembles 157 families, one more than this cap allows
-    with pytest.raises(InfeasibleEnumeration, match="^157 census families exceed cap 156$"):
-        enumerate_222(3, cap=156)
+    # q = 3 lists 117 classes and assembles 27 families, 144 in all, one
+    # more than this cap allows
+    with pytest.raises(InfeasibleEnumeration,
+                       match="^144 census classes and families exceed cap 143$"):
+        enumerate_222(3, cap=143)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_census_cap_counts_the_assembled_families(monkeypatch, q):
     # The cap is checked before anything is enumerated; the count it checks
-    # must be the families the census assembles and validates.
+    # must be the classes the census lists plus the families it assembles
+    # and validates.
     calls = []
     real = cases222._validate_pairing
     monkeypatch.setattr(cases222, "_validate_pairing",
                         lambda point, lifts: calls.append(1) or real(point, lifts))
-    enumerate_222(q)
-    work = len(calls)
-    assert work == gaussian_binomial(2, 4, q) + 3 * q * q
-    with pytest.raises(InfeasibleEnumeration, match=f"^{work} census families "):
+    census = enumerate_222(q)
+    work = census.quot_classes + len(calls)
+    assert work == q ** 4 + q ** 3 + q ** 2 + 3 * q * q
+    with pytest.raises(InfeasibleEnumeration, match=f"^{work} census classes and families "):
         enumerate_222(q, cap=work - 1)
     enumerate_222(q, cap=work)
 
@@ -608,22 +612,24 @@ def test_census_failure_names_actions_and_kernel(monkeypatch):
                                  failure="X-equivariance at index 0", residual=None)
 
     monkeypatch.setattr(cases222, "_validate_pairing", failing)
-    # the first action pair is (0, 0), whose tensor product is 4-dimensional
+    # the first action pair is the scalar pair (0, 0), which is tallied, not
+    # assembled; the first family assembled is 0 with the nilpotent
+    # companion, whose tensor product is 2-dimensional
     with pytest.raises(ArithmeticError) as err:
         enumerate_222(2)
     assert str(err.value) == (
         "census point failed validation: X-equivariance at index 0 at actions "
-        "X1 = Matrix(F:2, 2x2: 0 0; 0 0), X2 = Matrix(F:2, 2x2: 0 0; 0 0), "
-        "kernel basis [(1, 0, 0, 0), (0, 1, 0, 0)]")
+        "X1 = Matrix(F:2, 2x2: 0 0; 0 0), X2 = Matrix(F:2, 2x2: 0 0; 1 0), "
+        "kernel basis []")
 
 
 def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch):
-    # Of the 417 families at q = 3 (the cap test's count), the 130 of lambda
-    # = 0's scalar pair and the 3q^2 = 27 of the other pairs are assembled
-    # and validated; the scalar pairs of lambda = 1, 2 are translated.  130
-    # distinct pairings.  46 tensor products: 48 action pairs have
-    # characteristic polynomials with a common factor, and the three scalar
-    # pairs among them share lambda = 0's.
+    # Of the 417 families at q = 3, only the 3q^2 = 27 of the non-scalar
+    # pairs are assembled and validated; the scalar pairs' 3 * 130 are
+    # tallied from the plane counts.  20 classifications: 15 distinct
+    # pairings and the five plane-type representatives.  45 tensor
+    # products: 48 action pairs have characteristic polynomials with a
+    # common factor, and the three scalar pairs among them need none.
     calls = {"_validate_pairing": 0, "classify_2x2x2": 0, "tensor_over_S": 0}
 
     def counted(name, fn):
@@ -636,7 +642,7 @@ def test_census_checks_every_family_and_classifies_each_tensor_once(monkeypatch)
         monkeypatch.setattr(cases222, name, counted(name, getattr(cases222, name)))
     census = enumerate_222(3)
     assert census.counts == CENSUS_Q3_COUNTS
-    assert calls == {"_validate_pairing": 157, "classify_2x2x2": 130, "tensor_over_S": 46}
+    assert calls == {"_validate_pairing": 27, "classify_2x2x2": 20, "tensor_over_S": 45}
 
 
 _CENSUS_FAILURE = re.compile(
@@ -756,6 +762,45 @@ def test_scalar_pair_families_are_translated_zero_families(q):
             assert direct == cases222._classify_valid(tensor, facts, facts, facts)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_scalar_pair_tally_equals_the_enumerated_families(q):
+    # The reference: every lambda = 0 family assembled, validated and
+    # classified, one per 2-dimensional kernel of k^4.
+    field = GF(q)
+    zero = enumerate_quot_classes_22(q)[0]
+    assert zero.X[0] == Matrix.zeros(field, 2, 2)
+    enumerated = Counter(t for _, t in cases222._families(zero, zero, field, {}))
+    assert cases222._scalar_pair_classes(q, field) == enumerated
+    assert sum(cases222._plane_counts(q).values()) == gaussian_binomial(2, 4, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_plane_type_representatives_classify_to_five_classes(q):
+    classes = cases222._scalar_pair_classes(q, GF(q))
+    assert len(classes) == 5
+    assert {(c.label, c.concise, c.pencil_split): n for c, n in classes.items()} == {
+        (LABEL_NON_CONCISE, (False, True, True), None): q + 1,
+        (LABEL_NON_CONCISE, (True, False, True), None): q + 1,
+        (LABEL_W_TYPE, (True, True, True), True): (q - 1) * (q + 1) ** 2,
+        (LABEL_GENERIC, (True, True, True), True): q * q * (q + 1) ** 2 // 2,
+        (LABEL_GENERIC, (True, True, True), False): q * q * (q - 1) ** 2 // 2,
+    }
+
+
+@pytest.fixture(scope="module")
+def action_census_q2():
+    return reference_action_census(2)
+
+
+@pytest.mark.parametrize("name", ["mu3", "mu4", "mu2", "mu1", "anisotropic"])
+def test_census_with_a_plane_count_off_by_one_differs_from_the_reference(
+        monkeypatch, action_census_q2, name):
+    real = cases222._plane_counts
+    monkeypatch.setattr(cases222, "_plane_counts",
+                        lambda q: {**real(q), name: real(q)[name] + 1})
+    assert enumerate_222(2) != action_census_q2
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_coprime_action_pairs_have_zero_tensor_product(q):
     # _linked_pairs drops exactly the action pairs whose product is 0.
@@ -814,6 +859,20 @@ def test_census_script_reports_the_q2_census():
     header = run.stdout.splitlines()[0]
     assert "308 points" in header
     assert "6 distinct actions" in header
+    # the scalar pair's 35 = [4 choose 2]_2 families, enumerated
+    scalar = [line for line in run.stdout.splitlines() if line.startswith("scalar pair")]
+    assert len(scalar) == 1
+    assert scalar[0].startswith(
+        "scalar pair (0, 0): 35 families enumerated, equal to the plane counts (")
+
+
+def test_census_script_fails_when_the_plane_counts_differ(monkeypatch, capsys):
+    script = load_census_script()
+    real = script._scalar_pair_classes
+    monkeypatch.setattr(script, "_scalar_pair_classes",
+                        lambda q, field: real(q, field) + Counter({LABEL_W_TYPE: 1}))
+    assert script.run_census(2) is False
+    assert "35 families enumerated, DIFFERENT FROM the plane counts" in capsys.readouterr().out
 
 
 def test_census_script_runs_several_q_and_hashes_each_table():

@@ -51,7 +51,6 @@ from helpers_tensor import (
     reference_pairing_tensor,
     reference_pencil_form,
     reference_secant_per_trial,
-    reference_slice3,
 )
 
 F2 = GF(2)
@@ -570,8 +569,6 @@ def test_matrix_backed_operations_equal_the_per_index_references(field, dims, da
         flat = t.flattening(factor)
         ref = reference_flattening(t, factor)
         assert (flat.rows, flat.cols) == (ref.rows, ref.cols) and flat == ref
-    for k in range(d3):
-        assert t.slice3(k) == reference_slice3(t, k)
     g1, g2, g3 = (draw_matrix(data, field, d, d) for d in dims)
     moved = t.apply_gl(g1, g2, g3)
     assert moved.dims == dims and moved == reference_apply_gl(t, g1, g2, g3)
