@@ -5,9 +5,9 @@ scalar pair's families from the counts of 2-planes of M_2(F_q) by the type
 of det on them; for q <= 7 the script also assembles, validates and
 classifies every one of those families and compares them with the counts,
 so the TOTALLY_DEGENERATE cells are checked by enumeration there.  For
-q <= 3 it also runs the membership cross-check (census_cross_check), which
+q <= 5 it also runs the membership cross-check (census_cross_check), which
 compares the census's kernel counts with the pairings the membership solver
-finds directly.
+finds directly, over one target action per similarity class.
 
 Usage: python scripts/census_222.py [q ...]     (default q = 2)
 
@@ -99,7 +99,7 @@ def run_census(q: int) -> bool:
               f"{'equal to' if same else 'DIFFERENT FROM'} the plane counts "
               f"({time.perf_counter() - start:.1f}s)")
         ok = ok and same
-    if q <= 3:
+    if q <= 5:
         start = time.perf_counter()
         cross = census_cross_check(q)
         print(f"membership cross-check: {'passed' if cross else 'FAILED'} "

@@ -248,12 +248,6 @@ class Census:
         return out
 
 
-def _all_matrices(field, rows, cols):
-    p = field.characteristic
-    for ents in itertools.product(range(p), repeat=rows * cols):
-        yield Matrix(field, rows, cols, list(ents))
-
-
 def enumerate_quot_classes_22(q: int) -> list[FramedModule]:
     """Representatives of rank-2, dimension-2 framed-module classes over F_q.
 
@@ -649,8 +643,9 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
     """Validate the census enumeration against the direct target loop.
 
     For a few module pairs, find every valid rank-4 target framed module
-    over F_q that the membership solver lifts, deduplicate the lifted points
-    by pairing kernel, and compare with the subspace count.
+    over F_q that the membership solver lifts, up to a change of basis of
+    the target, deduplicate the lifted points by pairing kernel, and compare
+    with the subspace count.  pair_sample below 1 raises ValueError.
 
     Each target action Z gives one membership system per pair.  Its solve
     finds a lift for a target framing G iff every check row (an eliminated
@@ -658,8 +653,24 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
     the whole consistency condition, and a consistent target always gets a
     lift.  So the targets solve accepts are exactly the kernel of the check
     rows, which consistent_targets enumerates, each once; a target outside
-    it has no lift, so a loop over all q^8 framings finds no more.  Every
-    target in the kernel is still validated as a framed module, solved, and
+    it has no lift, so a loop over all q^8 framings finds no more.
+
+    Nor does a loop over all q^4 actions Z, or over every framing at a
+    scalar Z.  If Pihat lifts (Z, G), then for g in GL_2 the map g Pihat
+    lifts (g Z g^-1, g G): it sends g_a (x) h_b to g times column ab of G,
+    and g Pihat (X1 (x) 1) = g Z Pihat = (g Z g^-1) g Pihat, likewise for
+    1 (x) X2.  The lift is unique, (g Z g^-1, g G) is valid iff (Z, G) is,
+    and ker(g Pihat section) = ker(Pihat section) as g is invertible.  So
+    conjugate actions give the same keys, and every Z in M_2(F_q) is
+    similar to exactly one of the q + q^2 actions in rational canonical
+    form that the census groups its classes by (_cross_check_pairs).  At
+    Z = lambda I every g fixes Z, so the keys are found on one target per
+    GL_2-orbit {g G}.  There a target generates iff it has rank 2 (k[Z] G
+    is the column space of G), and the orbit of a rank-2 G, the 2 x 4
+    matrices with its row space, holds exactly one matrix in reduced row
+    echelon form, rref(G).  So at a scalar action only the RREF targets are
+    solved, and at every other listed action all consistent targets are.
+    Every kept target is still validated as a framed module, solved, and
     keyed by the kernel of its lifted pairing.
     """
     field = GF(q)
@@ -671,14 +682,16 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
 
 def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
     """The census_cross_check pairs, each with the set of pairing-kernel keys
-    its membership loop finds."""
-    field = GF(q)
-    chosen = _cross_check_pairs(q, pair_sample)
+    its membership loop finds over the listed target actions."""
+    actions, chosen = _cross_check_pairs(q, pair_sample)
     found = [set() for _ in chosen]
-    for Z in _all_matrices(field, 2, 2):
+    for Z in actions:
+        rref_only = _is_scalar(Z)
         for (m1, m2, prod), keys in zip(chosen, found):
             system = MembershipSystem(m1, m2, (Z,))
             for F3 in system.consistent_targets():
+                if rref_only and not _is_rref(F3):
+                    continue
                 if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
                     continue
                 rep = system.solve(F3)
@@ -688,19 +701,41 @@ def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
     return list(zip(chosen, found))
 
 
-def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
-    """The (m1, m2, tensor product) triples census_cross_check checks:
+def _is_scalar(Z: Matrix) -> bool:
+    """Whether a 2 x 2 action is lambda * I."""
+    return Z[0, 1] == Z[1, 0] == 0 and Z[0, 0] == Z[1, 1]
+
+
+def _is_rref(G: Matrix) -> bool:
+    """Whether a 2-row framing is in reduced row echelon form with both rows
+    nonzero, read off its pivots: each row's first nonzero entry is 1, the
+    second row's lies right of the first's, and the first row is 0 above
+    it."""
+    r0, r1 = G.row(0), G.row(1)
+    p0 = next((c for c, x in enumerate(r0) if x), None)
+    p1 = next((c for c, x in enumerate(r1) if x), None)
+    return (p0 is not None and p1 is not None and p0 < p1
+            and r0[p0] == r1[p1] == 1 and r0[p1] == 0)
+
+
+def _cross_check_pairs(q: int, pair_sample: int) -> tuple[list, list]:
+    """The target actions and the (m1, m2, tensor product) triples
+    census_cross_check checks.  The actions are the census's q + q^2
+    actions in rational canonical form, in class order.  The triples are
     pair_sample of the class pairs whose tensor product has dimension at
     least 2, evenly spaced in class order.  The products are computed once
     per action pair, and not at all for a pair with coprime characteristic
     polynomials, whose product is 0 (_linked_pairs); a class pair finds its
     product by the indices of its two actions."""
+    if pair_sample < 1:
+        raise ValueError(f"pair_sample must be at least 1, got {pair_sample}")
     reps = enumerate_quot_classes_22(q)
     groups = _action_groups(reps)
-    index = {X: i for i, X in enumerate(groups)}
+    actions = list(groups)
+    index = {X: i for i, X in enumerate(actions)}
     members = list(groups.values())
     prods = {(i, j): tensor_over_S(members[i][0], members[j][0])
-             for i, j in _linked_pairs(list(groups))}
+             for i, j in _linked_pairs(actions)}
     indexed = [(m, index[m.X[0]]) for m in reps]
     pairs = []
     for m1, i in indexed:
@@ -709,7 +744,7 @@ def _cross_check_pairs(q: int, pair_sample: int) -> list[tuple]:
             if prod is not None and prod.dim12 >= 2:
                 pairs.append((m1, m2, prod))
     step = max(1, len(pairs) // pair_sample)
-    return pairs[::step][:pair_sample]
+    return actions, pairs[::step][:pair_sample]
 
 
 def _pairing_kernel_key(point: BilinPoint, prod) -> tuple:

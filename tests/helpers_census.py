@@ -5,9 +5,9 @@ every (X1, X2, kernel) family of every action pair, scalar pairs included,
 the class enumerator that marks whole GL_2 orbits over
 all q^8 pairs (X, G), the one that scans the q^4 framings of each companion
 action with a bitmap of k[X]^x-orbits, the invariant-subspace enumerator that tests every
-candidate, the cross-check loop over all q^8 target framings, the
-module-type rule on a framed module, and the link test by a polynomial gcd
-per action pair."""
+candidate, the cross-check loop over all q^8 target framings, the one over
+every consistent target of all q^4 target actions, the module-type rule on
+a framed module, and the link test by a polynomial gcd per action pair."""
 
 import itertools
 
@@ -18,7 +18,6 @@ from quotbilin.cases222 import (
     ModuleType,
     _action_facts,
     _action_groups,
-    _all_matrices,
     _assemble_point,
     _classify_valid,
     _invariant_subspaces,
@@ -37,6 +36,13 @@ from quotbilin.modcore import (
 )
 from quotbilin.quot import NonSplitSupport
 from quotbilin.tensorlab import _pairing_tensor, classify_2x2x2, tensor_from_bilin
+
+
+def all_matrices(field, rows, cols):
+    """Every rows x cols matrix over F_p, entries in lexicographic order."""
+    p = field.characteristic
+    for ents in itertools.product(range(p), repeat=rows * cols):
+        yield Matrix(field, rows, cols, list(ents))
 
 
 def reference_module_type(m):
@@ -59,7 +65,7 @@ def reference_linked_pairs(groups: dict) -> list[tuple]:
 
 
 def reference_gl2(field) -> list[Matrix]:
-    return [m for m in _all_matrices(field, 2, 2) if m.is_invertible()]
+    return [m for m in all_matrices(field, 2, 2) if m.is_invertible()]
 
 
 def reference_quot_classes_22(q: int) -> list[FramedModule]:
@@ -81,8 +87,8 @@ def reference_quot_classes_22(q: int) -> list[FramedModule]:
 
     seen = bytearray(q ** 8)
     reps = []
-    for X in _all_matrices(field, 2, 2):
-        for G in _all_matrices(field, 2, 2):
+    for X in all_matrices(field, 2, 2):
+        for G in all_matrices(field, 2, 2):
             if seen[code(X, G)]:
                 continue
             mod = FramedModule(1, 2, 2, (X,), G)
@@ -257,9 +263,9 @@ def reference_cross_check_kernels(chosen, q: int) -> list[set]:
     membership system and key each lifted point by its pairing kernel."""
     field = GF(q)
     found = [set() for _ in chosen]
-    for Z in _all_matrices(field, 2, 2):
+    for Z in all_matrices(field, 2, 2):
         systems = [MembershipSystem(m1, m2, (Z,)) for m1, m2, _ in chosen]
-        for F3 in _all_matrices(field, 2, 4):
+        for F3 in all_matrices(field, 2, 4):
             if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
                 continue
             for system, (_, _, prod), keys in zip(systems, chosen, found):
@@ -267,3 +273,35 @@ def reference_cross_check_kernels(chosen, q: int) -> list[set]:
                 if rep.found:
                     keys.add(_pairing_kernel_key(rep.point, prod))
     return found
+
+
+def reference_all_action_cross_check_kernels(chosen, q: int) -> list[set]:
+    """The cross-check's membership loop over all q^4 target actions Z,
+    solving every consistent target that validates, scalar Z included."""
+    field = GF(q)
+    found = [set() for _ in chosen]
+    for Z in all_matrices(field, 2, 2):
+        for (m1, m2, prod), keys in zip(chosen, found):
+            system = MembershipSystem(m1, m2, (Z,))
+            for F3 in system.consistent_targets():
+                if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
+                    continue
+                rep = system.solve(F3)
+                if not rep.found:
+                    raise ArithmeticError(f"consistent target {F3!r} has no pairing lift")
+                keys.add(_pairing_kernel_key(rep.point, prod))
+    return found
+
+
+def conjugacy_classes(field) -> list[frozenset]:
+    """The GL_2-conjugacy classes of M_2(F_p), each a set of entry tuples."""
+    gl2 = [(g, g.inverse()) for g in reference_gl2(field)]
+    seen: set = set()
+    classes = []
+    for X in all_matrices(field, 2, 2):
+        if tuple(X.entries) in seen:
+            continue
+        orbit = frozenset(tuple((g * X * gi).entries) for g, gi in gl2)
+        seen |= orbit
+        classes.append(orbit)
+    return classes

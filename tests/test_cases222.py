@@ -13,7 +13,10 @@ from types import SimpleNamespace
 import pytest
 
 from helpers_census import (
+    all_matrices,
+    conjugacy_classes,
     reference_action_census,
+    reference_all_action_cross_check_kernels,
     reference_census,
     reference_cross_check_kernels,
     reference_cross_check_pairs,
@@ -468,7 +471,7 @@ def test_census_matches_direct_membership_loop_q3():
     assert census_cross_check(3)
 
 
-@pytest.mark.parametrize("pair_sample", [2, 4, 7])
+@pytest.mark.parametrize("pair_sample", [2, 4, 7, 10])
 def test_cross_check_finds_the_kernels_of_the_full_target_loop(pair_sample):
     checked = cases222._cross_check_kernels(2, pair_sample)
     chosen = [pair for pair, _ in checked]
@@ -476,20 +479,83 @@ def test_cross_check_finds_the_kernels_of_the_full_target_loop(pair_sample):
     assert all(keys for _, keys in checked)
 
 
+@pytest.mark.parametrize("pair_sample", [4, 12])
+def test_cross_check_finds_the_kernels_of_the_all_action_loop_q3(pair_sample):
+    checked = cases222._cross_check_kernels(3, pair_sample)
+    chosen = [pair for pair, _ in checked]
+    assert [keys for _, keys in checked] == reference_all_action_cross_check_kernels(chosen, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cross_check_actions_meet_each_conjugacy_class_once(q):
+    actions, _ = cases222._cross_check_pairs(q, 1)
+    assert len(actions) == q + q * q
+    classes = conjugacy_classes(GF(q))
+    assert [sum(tuple(Z.entries) in c for Z in actions) for c in classes] == [1] * len(classes)
+    assert [cases222._is_scalar(Z) for Z in actions] == [True] * q + [False] * (q * q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rref_targets_are_the_reduced_rank_2_framings(q):
+    # every 2 x 4 framing at q = 2, a sample at q = 3
+    field = GF(q)
+    if q == 2:
+        framings = list(all_matrices(field, 2, 4))
+    else:
+        rng = random.Random(q)
+        framings = [Matrix(field, 2, 4, [rng.randrange(q) for _ in range(8)])
+                    for _ in range(400)]
+        framings += [G.rref()[0] for G in framings]
+    kept = 0
+    for G in framings:
+        reduced, pivots = G.rref()
+        assert cases222._is_rref(G) == (len(pivots) == 2 and reduced == G)
+        kept += cases222._is_rref(G)
+    assert kept
+
+
+def test_cross_check_misses_kernels_without_any_one_action(monkeypatch):
+    # at pair sample 10 over F_2 each of the six actions finds a kernel
+    # that no other action finds
+    full = [keys for _, keys in cases222._cross_check_kernels(2, 10)]
+    real = cases222._cross_check_pairs
+    for drop in range(6):
+        def fewer(q, pair_sample, drop=drop):
+            actions, chosen = real(q, pair_sample)
+            return actions[:drop] + actions[drop + 1:], chosen
+        monkeypatch.setattr(cases222, "_cross_check_pairs", fewer)
+        assert [keys for _, keys in cases222._cross_check_kernels(2, 10)] != full
+        assert census_cross_check(2, 10) is False
+
+
+def test_cross_check_misses_kernels_with_rref_targets_at_every_action(monkeypatch):
+    # one target per GL_2-orbit is enough only where GL_2 fixes the action
+    full = [keys for _, keys in cases222._cross_check_kernels(2, 10)]
+    monkeypatch.setattr(cases222, "_is_scalar", lambda Z: True)
+    assert [keys for _, keys in cases222._cross_check_kernels(2, 10)] != full
+    assert census_cross_check(2, 10) is False
+
+
+@pytest.mark.parametrize("pair_sample", [0, -1])
+def test_census_cross_check_needs_a_positive_pair_sample(pair_sample):
+    with pytest.raises(ValueError, match="pair_sample"):
+        census_cross_check(2, pair_sample)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_consistent_targets_are_the_targets_solve_lifts(q):
     # every target framing of every (pair, Z) at q = 2, and a sample at q = 3
     field = GF(q)
     rng = random.Random(q)
-    for m1, m2, _ in cases222._cross_check_pairs(q, 3):
-        for Z in cases222._all_matrices(field, 2, 2):
+    for m1, m2, _ in cases222._cross_check_pairs(q, 3)[1]:
+        for Z in all_matrices(field, 2, 2):
             system = MembershipSystem(m1, m2, (Z,))
             targets = list(system.consistent_targets())
             keys = {G.key() for G in targets}
             assert len(keys) == len(targets) == q ** (8 - len(system._checks))
             assert all(system.solve(G).found for G in targets)
             if q == 2:
-                framings = list(cases222._all_matrices(field, 2, 4))
+                framings = list(all_matrices(field, 2, 4))
             else:
                 framings = [Matrix(field, 2, 4, [rng.randrange(q) for _ in range(8)])
                             for _ in range(40)]
@@ -842,7 +908,7 @@ def test_census_validates_the_first_class_of_each_action(monkeypatch):
 
 def test_cross_check_pairs_match_per_class_pair_construction():
     for pair_sample in (2, 4, 7):
-        chosen = cases222._cross_check_pairs(2, pair_sample)
+        chosen = cases222._cross_check_pairs(2, pair_sample)[1]
         reference = reference_cross_check_pairs(2, pair_sample)
         assert len(chosen) == len(reference) == pair_sample
         for (m1, m2, prod), (r1, r2, rprod) in zip(chosen, reference):
