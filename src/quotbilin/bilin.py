@@ -343,28 +343,38 @@ class MembershipSystem:
         return MembershipReport(found=True, point=point,
                                 solution_dim=self.nvars - self.rank)
 
+    def target_checks(self) -> Matrix:
+        """The check rows (the rows of T past rank(A)) as a matrix on the
+        entries of G in row-major order: :meth:`solve` finds a lift for G iff
+        this matrix kills them."""
+        nab = self.m1.r * self.m2.r
+        d3 = self.d3
+        # vec(G) holds G[k, ab] at ab*d3 + k; G's entries are row-major.
+        order = [ab * d3 + k for k in range(d3) for ab in range(nab)]
+        return Matrix(self.field, len(self._checks), nab * d3,
+                      [t[i] for t in self._checks for i in order])
+
     def consistent_targets(self) -> Iterator[Matrix]:
         """Every target framing G that :meth:`solve` finds a lift for, each
         once, over a finite field.
 
         solve finds a lift iff every check row t (a row of T past rank(A))
-        gives t . vec(G) = 0, so these targets are exactly the kernel of the
-        check rows.  Over F_q that kernel is the q^k combinations of a basis
-        of k vectors, all distinct.  It is enumerated whether or not a target
-        is a valid framing; over Q it is infinite unless zero, so Q raises.
+        gives t . vec(G) = 0, so these targets are exactly the kernel of
+        :meth:`target_checks`.  Over F_q that kernel is the q^k combinations
+        of a basis of k vectors, all distinct.  It is enumerated whether or
+        not a target is a valid framing; over Q it is infinite unless zero,
+        so Q raises.
         """
         f = self.field
         p = f.characteristic
         if not p:
             raise FieldError("consistent targets are enumerated over a finite field only")
-        nab = self.m1.r * self.m2.r
-        d3 = self.d3
-        checks = Matrix(f, len(self._checks), nab * d3, [x for t in self._checks for x in t])
+        checks = self.target_checks()
         _, basis = rank_and_kernel(checks)
-        # vec(G) holds G[k, ab] at ab*d3 + k; G's entries are row-major.
-        cols = [[v[ab * d3 + k] for v in basis] for k in range(d3) for ab in range(nab)]
+        cols = [[v[i] for v in basis] for i in range(checks.cols)]
         for coeffs in product(range(p), repeat=len(basis)):
-            yield Matrix(f, d3, nab, [sum(map(mul, coeffs, col)) % p for col in cols])
+            yield Matrix(f, self.d3, checks.cols // self.d3,
+                         [sum(map(mul, coeffs, col)) % p for col in cols])
 
 
 def factor_membership_detail(m1: FramedModule, m2: FramedModule,

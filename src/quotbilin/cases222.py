@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import mul
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +35,8 @@ from .exactalg import (
     InfeasibleEnumeration,
     Matrix,
     ShapeError,
+    UniPoly,
+    char_poly,
     rank_and_kernel,
 )
 from .modcore import (
@@ -669,9 +672,22 @@ def census_cross_check(q: int, pair_sample: int = 4) -> bool:
     is the column space of G), and the orbit of a rank-2 G, the 2 x 4
     matrices with its row space, holds exactly one matrix in reduced row
     echelon form, rref(G).  So at a scalar action only the RREF targets are
-    solved, and at every other listed action all consistent targets are.
-    Every kept target is still validated as a framed module, solved, and
-    keyed by the kernel of its lifted pairing.
+    solved, listed directly (_rref_targets), and at every other listed
+    action all consistent targets are.
+
+    Nor is a system built where no lift can exist: Z is skipped for a pair
+    unless chi(Z) divides the characteristic polynomial of the pair's
+    product action prod.actions[0] (_may_lift).  If Pihat lifts a valid
+    target (Z, G), Pihat section is a module map M1 (x)_S M2 -> (k^2, Z),
+    since Pihat intertwines both actions with Z and vanishes on the image
+    of X1 (x) 1 - 1 (x) X2.  Its image is Z-stable and holds the columns of
+    G, so it holds k[Z] G = k^2: the map is onto, and (k^2, Z) is a
+    quotient module of M1 (x)_S M2.  The characteristic polynomial of a
+    module is the product of those of a submodule and its quotient (in a
+    basis extending one of the kernel the action is block triangular), so
+    chi(Z) divides chi(prod.actions[0]).  Every kept target is still
+    validated as a framed module, solved, and keyed by the kernel of its
+    lifted pairing.
     """
     field = GF(q)
     return all(
@@ -685,13 +701,15 @@ def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
     its membership loop finds over the listed target actions."""
     actions, chosen = _cross_check_pairs(q, pair_sample)
     found = [set() for _ in chosen]
+    chis = [char_poly(prod.actions[0]) for _, _, prod in chosen]
     for Z in actions:
         rref_only = _is_scalar(Z)
-        for (m1, m2, prod), keys in zip(chosen, found):
+        chi_z = char_poly(Z)
+        for (m1, m2, prod), chi, keys in zip(chosen, chis, found):
+            if not _may_lift(chi_z, chi):
+                continue
             system = MembershipSystem(m1, m2, (Z,))
-            for F3 in system.consistent_targets():
-                if rref_only and not _is_rref(F3):
-                    continue
+            for F3 in _rref_targets(system) if rref_only else system.consistent_targets():
                 if not validate_framed(FramedModule(1, 2, 4, (Z,), F3)).ok:
                     continue
                 rep = system.solve(F3)
@@ -701,21 +719,63 @@ def _cross_check_kernels(q: int, pair_sample: int) -> list[tuple]:
     return list(zip(chosen, found))
 
 
+def _may_lift(chi_z: UniPoly, chi: UniPoly) -> bool:
+    """Whether chi_z, the characteristic polynomial of a target action Z,
+    divides chi, that of a tensor product's action: else no target with
+    action Z lifts (see census_cross_check)."""
+    return (chi % chi_z).is_zero()
+
+
 def _is_scalar(Z: Matrix) -> bool:
     """Whether a 2 x 2 action is lambda * I."""
     return Z[0, 1] == Z[1, 0] == 0 and Z[0, 0] == Z[1, 1]
 
 
-def _is_rref(G: Matrix) -> bool:
-    """Whether a 2-row framing is in reduced row echelon form with both rows
-    nonzero, read off its pivots: each row's first nonzero entry is 1, the
-    second row's lies right of the first's, and the first row is 0 above
-    it."""
-    r0, r1 = G.row(0), G.row(1)
-    p0 = next((c for c, x in enumerate(r0) if x), None)
-    p1 = next((c for c, x in enumerate(r1) if x), None)
-    return (p0 is not None and p1 is not None and p0 < p1
-            and r0[p0] == r1[p1] == 1 and r0[p1] == 0)
+def _rref_targets(system: MembershipSystem):
+    """The consistent targets of a membership system (consistent_targets)
+    in reduced row echelon form with both rows nonzero, listed without a
+    filter pass.
+
+    For pivot columns p0 < p1 those 2 x n framings are G0 + F y: G0 has 1
+    at (0, p0) and (1, p1) and 0 elsewhere, and y fills the free entries
+    (0, c) for c > p0, c != p1, and (1, c) for c > p1.  G is consistent iff
+    the check matrix C kills its entries, C F y + C g0 = 0, so (y, 1) is a
+    kernel vector of [C F | C g0].  A rank_and_kernel basis vector is 1 at
+    its own non-pivot column and 0 at the others, so when the last column
+    is not a pivot the last basis vector is a solution (y0, 1) and the
+    others (y, 0) span the homogeneous ones; when it is a pivot every
+    kernel vector ends in 0 and no target has these pivots.  Each solution
+    is listed once, as the basis is independent.
+    """
+    checks = system.target_checks()
+    field = checks.field
+    p = field.characteristic
+    n = checks.cols // 2
+    crows = checks.row_lists()
+    for p0, p1 in itertools.combinations(range(n), 2):
+        free = [c for c in range(p0 + 1, n) if c != p1] + [n + c for c in range(p1 + 1, n)]
+        rows = [[row[c] for c in free] + [row[p0] + row[n + p1]] for row in crows]
+        _, basis = rank_and_kernel(Matrix(field, len(rows), len(free) + 1,
+                                          [x for row in rows for x in row]))
+        if not basis or not basis[-1][-1]:
+            continue
+        *homogeneous, particular = basis
+        cols = list(zip(particular, *homogeneous))[:-1]
+        for coeffs in itertools.product(range(p), repeat=len(homogeneous)):
+            entries = [0] * (2 * n)
+            entries[p0] = entries[n + p1] = 1
+            for c, col in zip(free, cols):
+                entries[c] = sum(map(mul, (1, *coeffs), col)) % p
+            yield Matrix(field, 2, n, entries)
+
+
+def _tensor_dim(X1: Matrix, X2: Matrix) -> int:
+    """dim M1 (x)_S M2 for one-variable modules with actions X1 and X2: the
+    cokernel of X1 (x) 1 - 1 (x) X2 that defines it (tensor_over_S)."""
+    field = X1.field
+    d1, d2 = X1.rows, X2.rows
+    rel = X1.kron(Matrix.identity(field, d2)) - Matrix.identity(field, d1).kron(X2)
+    return d1 * d2 - rel.rank()
 
 
 def _cross_check_pairs(q: int, pair_sample: int) -> tuple[list, list]:
@@ -723,28 +783,41 @@ def _cross_check_pairs(q: int, pair_sample: int) -> tuple[list, list]:
     census_cross_check checks.  The actions are the census's q + q^2
     actions in rational canonical form, in class order.  The triples are
     pair_sample of the class pairs whose tensor product has dimension at
-    least 2, evenly spaced in class order.  The products are computed once
-    per action pair, and not at all for a pair with coprime characteristic
-    polynomials, whose product is 0 (_linked_pairs); a class pair finds its
-    product by the indices of its two actions."""
+    least 2, evenly spaced in class order.  Those class pairs are counted,
+    not listed: the classes of one action are consecutive, so the pairs of
+    a class m1 of action i are, for each action j linked to i (_linked_pairs)
+    with a product of dimension at least 2 (_tensor_dim), the classes of j
+    in order.  A sampled pair is located by its index, and a product is
+    computed once per action pair that a sampled class pair has."""
     if pair_sample < 1:
         raise ValueError(f"pair_sample must be at least 1, got {pair_sample}")
-    reps = enumerate_quot_classes_22(q)
-    groups = _action_groups(reps)
+    groups = _action_groups(enumerate_quot_classes_22(q))
     actions = list(groups)
-    index = {X: i for i, X in enumerate(actions)}
     members = list(groups.values())
-    prods = {(i, j): tensor_over_S(members[i][0], members[j][0])
-             for i, j in _linked_pairs(actions)}
-    indexed = [(m, index[m.X[0]]) for m in reps]
-    pairs = []
-    for m1, i in indexed:
-        for m2, j in indexed:
-            prod = prods.get((i, j))
-            if prod is not None and prod.dim12 >= 2:
-                pairs.append((m1, m2, prod))
-    step = max(1, len(pairs) // pair_sample)
-    return actions, pairs[::step][:pair_sample]
+    partners = [[] for _ in actions]
+    for i, j in _linked_pairs(actions):
+        if _tensor_dim(actions[i], actions[j]) >= 2:
+            partners[i].append(j)
+    # per_class[i]: the class pairs of each class of action i
+    per_class = [sum(len(members[j]) for j in js) for js in partners]
+    total = sum(len(group) * n for group, n in zip(members, per_class))
+    step = max(1, total // pair_sample)
+    prods: dict = {}
+    chosen = []
+    i = start = 0
+    for index in range(0, total, step)[:pair_sample]:
+        while index >= start + len(members[i]) * per_class[i]:
+            start += len(members[i]) * per_class[i]
+            i += 1
+        a, b = divmod(index - start, per_class[i])
+        for j in partners[i]:
+            if b < len(members[j]):
+                break
+            b -= len(members[j])
+        if (i, j) not in prods:
+            prods[i, j] = tensor_over_S(members[i][0], members[j][0])
+        chosen.append((members[i][a], members[j][b], prods[i, j]))
+    return actions, chosen
 
 
 def _pairing_kernel_key(point: BilinPoint, prod) -> tuple:

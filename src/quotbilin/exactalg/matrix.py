@@ -84,6 +84,13 @@ class ShapeError(ValueError):
 
 
 class Matrix:
+    """A rows x cols matrix over a field, its entries one row-major list.
+
+    The constructor copies and shape-checks the caller's entries, so a
+    later change to the caller's sequence leaves the matrix unchanged.  The
+    methods that build a fresh entry list hand it over with _adopt.
+    """
+
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
@@ -108,7 +115,7 @@ class Matrix:
             if len(row) != c:
                 raise ShapeError("ragged rows")
             flat.extend(row)
-        return cls(field, r, c, flat)
+        return _adopt(field, r, c, flat)
 
     @classmethod
     def from_int_rows(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -116,8 +123,9 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ShapeError("negative dimensions")
+        return _adopt(field, rows, cols, [field.zero()] * (rows * cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -137,7 +145,7 @@ class Matrix:
 
     @classmethod
     def column(cls, field: Field, values: Sequence) -> "Matrix":
-        return cls(field, len(values), 1, list(values))
+        return _adopt(field, len(values), 1, list(values))
 
     # -- access ------------------------------------------------------------
 
@@ -206,7 +214,7 @@ class Matrix:
             out = [(a + b) % p for a, b in zip(self.entries, other.entries)]
         else:
             out = [f.add(a, b) for a, b in zip(self.entries, other.entries)]
-        return Matrix(f, self.rows, self.cols, out)
+        return _adopt(f, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -216,19 +224,19 @@ class Matrix:
             out = [(a - b) % p for a, b in zip(self.entries, other.entries)]
         else:
             out = [f.sub(a, b) for a, b in zip(self.entries, other.entries)]
-        return Matrix(f, self.rows, self.cols, out)
+        return _adopt(f, self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         f = self.field
         p = f.characteristic
         out = [-a % p for a in self.entries] if p else [f.neg(a) for a in self.entries]
-        return Matrix(f, self.rows, self.cols, out)
+        return _adopt(f, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         p = f.characteristic
         out = [c * a % p for a in self.entries] if p else [f.mul(c, a) for a in self.entries]
-        return Matrix(f, self.rows, self.cols, out)
+        return _adopt(f, self.rows, self.cols, out)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.  Over F_p each output entry is the plain ``int``
@@ -243,7 +251,7 @@ class Matrix:
         if p:
             rows = [se[i * m:(i + 1) * m] for i in range(n)]
             cols = [oe[j::k] for j in range(k)]
-            return Matrix(f, n, k, [sum(map(mul, row, col)) % p for row in rows for col in cols])
+            return _adopt(f, n, k, [sum(map(mul, row, col)) % p for row in rows for col in cols])
         out = [f.zero()] * (n * k)
         for i in range(n):
             base = i * m
@@ -255,12 +263,12 @@ class Matrix:
                 rb = i * k
                 for j in range(k):
                     out[rb + j] = f.add(out[rb + j], f.mul(a, oe[ob + j]))
-        return Matrix(f, n, k, out)
+        return _adopt(f, n, k, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return _adopt(self.field, self.cols, self.rows,
+                     [self.entries[i * self.cols + j]
+                      for j in range(self.cols) for i in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i,j] * other.
@@ -276,7 +284,7 @@ class Matrix:
             out = [a * b % p for arow in arows for orow in orows for a in arow for b in orow]
         else:
             out = [a * b if a else 0 for arow in arows for orow in orows for a in arow for b in orow]
-        return Matrix(f, r1 * r2, c1 * c2, out)
+        return _adopt(f, r1 * r2, c1 * c2, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -286,7 +294,7 @@ class Matrix:
         for i in range(self.rows):
             ents.extend(self.row(i))
             ents.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, ents)
+        return _adopt(self.field, self.rows, self.cols + other.cols, ents)
 
     def matvec(self, v: Sequence) -> list:
         """``self * v`` as a list: each output entry is the plain dot product
@@ -309,7 +317,7 @@ class Matrix:
                 pv = row[pc]
                 flat.extend([rational(x, pv) if x else 0 for x in row])
             flat.extend([0] * ((self.rows - len(pivots)) * self.cols))
-        return Matrix(f, self.rows, self.cols, flat), tuple(pivots)
+        return _adopt(f, self.rows, self.cols, flat), tuple(pivots)
 
     def rank(self) -> int:
         return len(_eliminate(self.field, self.row_lists(), self.cols, reduced=False)[1])
@@ -328,7 +336,18 @@ class Matrix:
         ents = []
         for i in range(n):
             ents.extend(r.row(i)[n:])
-        return Matrix(self.field, n, n, ents)
+        return _adopt(self.field, n, n, ents)
+
+
+_new = object.__new__
+
+
+def _adopt(field: Field, rows: int, cols: int, entries: list) -> Matrix:
+    """A Matrix that owns ``entries``, a fresh list of rows * cols entries,
+    with neither the constructor's copy nor its shape check."""
+    m = _new(Matrix)
+    m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
+    return m
 
 
 def _dots(rows: Sequence[Sequence], v: Sequence, p: int) -> list:

@@ -6,8 +6,9 @@ the class enumerator that marks whole GL_2 orbits over
 all q^8 pairs (X, G), the one that scans the q^4 framings of each companion
 action with a bitmap of k[X]^x-orbits, the invariant-subspace enumerator that tests every
 candidate, the cross-check loop over all q^8 target framings, the one over
-every consistent target of all q^4 target actions, the module-type rule on
-a framed module, and the link test by a polynomial gcd per action pair."""
+every consistent target of all q^4 target actions, the RREF test on a
+2-row framing, the module-type rule on a framed module, and the link test
+by a polynomial gcd per action pair."""
 
 import itertools
 
@@ -291,6 +292,18 @@ def reference_all_action_cross_check_kernels(chosen, q: int) -> list[set]:
                     raise ArithmeticError(f"consistent target {F3!r} has no pairing lift")
                 keys.add(_pairing_kernel_key(rep.point, prod))
     return found
+
+
+def is_rref(G) -> bool:
+    """Whether a 2-row framing is in reduced row echelon form with both rows
+    nonzero, read off its pivots: each row's first nonzero entry is 1, the
+    second row's lies right of the first's, and the first row is 0 above
+    it."""
+    r0, r1 = G.row(0), G.row(1)
+    p0 = next((c for c, x in enumerate(r0) if x), None)
+    p1 = next((c for c, x in enumerate(r1) if x), None)
+    return (p0 is not None and p1 is not None and p0 < p1
+            and r0[p0] == r1[p1] == 1 and r0[p1] == 0)
 
 
 def conjugacy_classes(field) -> list[frozenset]:

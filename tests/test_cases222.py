@@ -15,6 +15,7 @@ import pytest
 from helpers_census import (
     all_matrices,
     conjugacy_classes,
+    is_rref,
     reference_action_census,
     reference_all_action_cross_check_kernels,
     reference_census,
@@ -509,8 +510,8 @@ def test_rref_targets_are_the_reduced_rank_2_framings(q):
     kept = 0
     for G in framings:
         reduced, pivots = G.rref()
-        assert cases222._is_rref(G) == (len(pivots) == 2 and reduced == G)
-        kept += cases222._is_rref(G)
+        assert is_rref(G) == (len(pivots) == 2 and reduced == G)
+        kept += is_rref(G)
     assert kept
 
 
@@ -532,6 +533,84 @@ def test_cross_check_misses_kernels_with_rref_targets_at_every_action(monkeypatc
     # one target per GL_2-orbit is enough only where GL_2 fixes the action
     full = [keys for _, keys in cases222._cross_check_kernels(2, 10)]
     monkeypatch.setattr(cases222, "_is_scalar", lambda Z: True)
+    assert [keys for _, keys in cases222._cross_check_kernels(2, 10)] != full
+    assert census_cross_check(2, 10) is False
+
+
+def test_cross_check_sees_every_lost_action_q3_from_the_script_pair_sample(monkeypatch):
+    # over F_3 pair sample 20 is the smallest at which losing any one of the
+    # twelve actions fails the cross-check; at 19 losing action 1 passes
+    sample = load_census_script().CROSS_CHECK_PAIR_SAMPLE
+    assert sample == 20
+    real = cases222._cross_check_pairs
+    for drop in range(12):
+        def fewer(q, pair_sample, drop=drop):
+            actions, chosen = real(q, pair_sample)
+            return actions[:drop] + actions[drop + 1:], chosen
+        monkeypatch.setattr(cases222, "_cross_check_pairs", fewer)
+        assert census_cross_check(3, sample) is False
+        assert census_cross_check(3, sample - 1) is (drop == 1)
+
+
+@pytest.mark.parametrize("q, pair_sample", [(2, 10), (3, 12)])
+def test_actions_the_characteristic_polynomial_skips_have_no_valid_target(q, pair_sample):
+    actions, chosen = cases222._cross_check_pairs(q, pair_sample)
+    skipped = 0
+    for Z in actions:
+        for m1, m2, prod in chosen:
+            if cases222._may_lift(char_poly(Z), char_poly(prod.actions[0])):
+                continue
+            skipped += 1
+            targets = MembershipSystem(m1, m2, (Z,)).consistent_targets()
+            assert not any(validate_framed(FramedModule(1, 2, 4, (Z,), G)).ok for G in targets)
+    assert skipped > len(actions) * len(chosen) // 2
+
+
+@pytest.mark.parametrize("q, pair_sample", [(2, 10), (3, 12)])
+def test_rref_targets_are_the_consistent_targets_in_rref(q, pair_sample):
+    # at every listed action, scalar or not, and whether or not chi divides
+    actions, chosen = cases222._cross_check_pairs(q, pair_sample)
+    listed = 0
+    for Z in actions:
+        for m1, m2, _ in chosen:
+            system = MembershipSystem(m1, m2, (Z,))
+            got = [G.key() for G in cases222._rref_targets(system)]
+            want = {G.key() for G in system.consistent_targets() if is_rref(G)}
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            listed += len(got)
+    assert listed
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tensor_dimension_is_the_rank_of_the_defining_relations(q):
+    # every action pair of the census, linked or not
+    actions = list(cases222._action_groups(enumerate_quot_classes_22(q)))
+    for X1 in actions:
+        for X2 in actions:
+            m1 = FramedModule(1, 2, 2, (X1,), Matrix.identity(GF(q), 2))
+            m2 = FramedModule(1, 2, 2, (X2,), Matrix.identity(GF(q), 2))
+            assert cases222._tensor_dim(X1, X2) == tensor_over_S(m1, m2).dim12
+
+
+def test_cross_check_misses_kernels_when_chi_must_equal_the_products(monkeypatch):
+    # a quotient's characteristic polynomial divides the product's; equality
+    # holds only when the product has dimension 2
+    full = [keys for _, keys in cases222._cross_check_kernels(2, 10)]
+    monkeypatch.setattr(cases222, "_may_lift", lambda chi_z, chi: chi_z == chi)
+    assert [keys for _, keys in cases222._cross_check_kernels(2, 10)] != full
+    assert census_cross_check(2, 10) is False
+
+
+@pytest.mark.parametrize("pivots", list(itertools.combinations(range(4), 2)))
+def test_cross_check_misses_kernels_without_any_one_pivot_pattern(monkeypatch, pivots):
+    full = [keys for _, keys in cases222._cross_check_kernels(2, 10)]
+    real = cases222._rref_targets
+
+    def fewer(system):
+        return (G for G in real(system) if G.rref()[1] != pivots)
+
+    monkeypatch.setattr(cases222, "_rref_targets", fewer)
     assert [keys for _, keys in cases222._cross_check_kernels(2, 10)] != full
     assert census_cross_check(2, 10) is False
 

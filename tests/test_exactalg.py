@@ -310,6 +310,29 @@ def test_noncanonical_fp_entries_equal_and_hash_as_their_residues():
     assert raw.scale(4).entries == canon.entries
 
 
+def test_matrix_copies_the_callers_entries_and_results_own_theirs():
+    # the constructor, from_rows and column copy what the caller passes;
+    # the arithmetic methods hand over lists they built, shared with no operand
+    F5 = GF(5)
+    entries, rows, values = [1, 2, 3, 4], [[1, 2], [3, 4]], [1, 2]
+    m = Matrix(F5, 2, 2, entries)
+    r = Matrix.from_rows(F5, rows)
+    c = Matrix.column(F5, values)
+    entries[0] = rows[0][0] = values[0] = 0
+    assert m.entries == r.entries == [1, 2, 3, 4]
+    assert c.entries == [1, 2]
+    results = [m + m, m - m, -m, m.scale(2), m * m, m.transpose(), m.kron(m), m.hstack(m),
+               m.rref()[0], m.inverse(), Matrix.identity(F5, 2), Matrix.zeros(F5, 2, 2)]
+    for res in results:
+        res.entries[0] = 7
+    assert m.entries == [1, 2, 3, 4]
+    assert Matrix.identity(F5, 2).entries == [1, 0, 0, 1]
+    with pytest.raises(ShapeError, match="needs 4 entries, got 3"):
+        Matrix(F5, 2, 2, [1, 2, 3])
+    with pytest.raises(ShapeError, match="negative dimensions"):
+        Matrix.zeros(F5, -1, 0)
+
+
 # -- gaussian binomials ------------------------------------------------------------
 
 def test_gaussian_binomial_values():
