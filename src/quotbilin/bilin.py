@@ -31,7 +31,7 @@ from .exactalg import (
     rational,
     same_field,
 )
-from .exactalg.matrix import _cleared, _dots, _eliminate
+from .exactalg.matrix import _adopt, _cleared, _dots, _eliminate
 from .modcore import (
     FramedModule,
     FramedValidation,
@@ -528,7 +528,7 @@ def _unpack_tangent(b: BilinPoint, offsets, v: tuple) -> BilinTangentVector:
         mats = []
         for i in range(count):
             size = rows * cols
-            mats.append(Matrix(f, rows, cols, list(v[base + i * size: base + (i + 1) * size])))
+            mats.append(_adopt(f, rows, cols, list(v[base + i * size: base + (i + 1) * size])))
         return mats
 
     return BilinTangentVector(

@@ -9,16 +9,23 @@ vector at a time.
 
 Both run on plain ``int`` rows rather than one ``Field`` call per entry.
 Whole-matrix elimination (``rref``, ``rank`` and everything built on them)
-is one kernel, :func:`_eliminate`.  Over F_p the entries are reduced mod p
-once, on entry, and the row operations are inlined modular arithmetic.  A
-large F_p system that is not very sparse (see ``_PACKED_MIN_CELLS``) runs on
-packed rows instead (:func:`_eliminate_packed`): each row is one ``int`` of
-fixed-width slots, a row operation is one big-integer multiply-add, and
-slots are reduced mod p only when read.  Both give the same rows and
-pivots.  Over Q each row is scaled to a primitive integer row (denominators
-cleared, content divided out); a row with entry c in the pivot column of a
-pivot row with pivot a becomes ``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``,
-and is divided by its content again.  Rows with a zero in the pivot column
+is one kernel, :func:`_eliminate`, with three representations of its rows,
+chosen per system by its size and its nonzero entries per row (see
+``_PACKED_MIN_CELLS``).  Small systems, and large ones of middling density,
+run on lists of ``int`` entries (:func:`_eliminate_lists`).  A large system
+with few nonzero entries per row, over Q or F_p, runs on sparse rows
+(:func:`_eliminate_sparse`): each row is a dict of its nonzero entries and
+each column keeps the set of rows nonzero there, so a pivot touches only
+those rows.  A large F_p system that is not very sparse runs on packed rows
+(:func:`_eliminate_packed`): each row is one ``int`` of fixed-width slots, a
+row operation is one big-integer multiply-add, and slots are reduced mod p
+only when read.  All three give the same rows and pivots.  Over F_p the
+entries are reduced mod p once, on entry, and the row operations are
+inlined modular arithmetic.  Over Q each row is scaled to a primitive
+integer row (denominators cleared, content divided out); a row with entry c
+in the pivot column of a pivot row with pivot a becomes
+``(a/g)*row - (c/g)*pivot_row`` with ``g = gcd(a, c)``, and is divided by
+its content again.  Rows with a zero in the pivot column
 are not touched, and keeping every row primitive keeps the integers near the
 size of the matrix's minors.  Textbook fraction-free (Bareiss) elimination
 rescales every row at every step instead, which is slower on the sparse
@@ -35,6 +42,7 @@ entry of their result.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from sys import byteorder
@@ -43,21 +51,35 @@ from typing import Optional, Sequence
 from .field import GF, QQ, Field, FieldError, parse_field, rational, same_field
 
 
-# An F_p system runs on packed rows when it has more entries than
-# _PACKED_MIN_CELLS and more nonzero entries than _PACKED_MIN_ROW_NONZEROS
-# per row on average; see BENCH_secant.json for the measurements.  On dense
-# random rows the packed path overtakes the list path at about 100 entries
-# for p = 101, 150 for p = 2^31 - 1, 150-250 for p = 3 and 250-500 for
-# p = 2; above 400 it was the faster one for every p measured, with and
+# A system of at most _PACKED_MIN_CELLS entries runs on lists.  A larger
+# one runs on sparse rows when it has at most _SPARSE_MAX_ROW_NONZEROS
+# nonzero entries per row on average, over Q or F_p; else, over F_p, on
+# packed rows when it has more than _PACKED_MIN_ROW_NONZEROS; else on lists.
+# See BENCH_secant.json and BENCH_tangent.json for the measurements.
+#
+# On dense random rows the packed path overtakes the list path at about 100
+# entries for p = 101, 150 for p = 2^31 - 1, 150-250 for p = 3 and 250-500
+# for p = 2; above 400 it was the faster one for every p measured, with and
 # without ``reduced``.  Every system of the F_2 and F_3 censuses has at most
-# 24 x 16 = 384 entries and stays on lists.  A sparse row costs the list
-# path one lookup per column, and the packed path a shift of the whole row:
-# on 16 x 28 to 128 x 128 systems the list path won at 1 to 2.7 nonzeros
-# per row, and on the F_101 tangent and K3 systems of the Hom oracle up to
-# 4.3; the packed path won on random rows at 5.5 and more, and on Terracini
-# rows (d^2 nonzeros).
+# 24 x 16 = 384 entries and stays on lists.
+#
+# A sparse row costs the list path one lookup per column in each pivot
+# search, the packed path a shift of the whole row, and the sparse path
+# nothing at a pivot column where the row is zero.  The list path beat the
+# packed path at 1 to 2.7 nonzeros per row on 16 x 28 to 128 x 128 systems,
+# and up to 4.3 on the F_101 systems of the Hom oracle; the packed path won
+# on random rows at 5.5 and more, and on Terracini rows (d^2 nonzeros).  The
+# sparse path beat the list path on each of the 15 tangent systems over Q
+# and Hom-oracle systems over F_101 of more than 400 entries and 0.67 to 4.3
+# nonzeros per row: 1.56 -> 0.52 ms on the 128 x 144 system of a d = 4
+# pairing point, and by 0.4 % and 7 % on the smallest, 16 x 28 and 27 x 42.
+# On random rows of 24 x 20 to 100 x 120 it beat both other paths at up to
+# 3 nonzeros per row over both fields, with and without ``reduced``; above
+# 3 it lost to the list path on 24 x 20 over Q (from 3.5 or 4 on) and to
+# the packed path on most F_101 systems.
 _PACKED_MIN_CELLS = 400
 _PACKED_MIN_ROW_NONZEROS = 5
+_SPARSE_MAX_ROW_NONZEROS = 3
 
 # The prime of the modular rank certificates over Q (Terracini ranks in
 # ``tensorlab.secant_dimension``, gauge pivots in :func:`kernel_mod_span`):
@@ -394,16 +416,23 @@ def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
     Over Q each row is a primitive integer row (see the module docstring), so
     with ``reduced`` row i divided by its pivot entry is row i of the rref.
 
-    An F_p system of more than ``_PACKED_MIN_CELLS`` entries and more than
-    ``_PACKED_MIN_ROW_NONZEROS`` nonzero entries per row runs on packed rows
-    (:func:`_eliminate_packed`), any other on lists
-    (:func:`_eliminate_lists`); both give the same rows and pivots.
+    A system of at most ``_PACKED_MIN_CELLS`` entries runs on lists
+    (:func:`_eliminate_lists`).  A larger one has its nonzero entries
+    counted once: at most ``_SPARSE_MAX_ROW_NONZEROS`` per row on average,
+    over either field, it runs on sparse rows (:func:`_eliminate_sparse`);
+    over F_p, more than ``_PACKED_MIN_ROW_NONZEROS`` per row, on packed rows
+    (:func:`_eliminate_packed`); anything else on lists.  All three give the
+    same rows and pivots.
     """
-    p = field.characteristic
-    cells = len(rows) * ncols
-    if (p and cells > _PACKED_MIN_CELLS
-            and cells - sum(row.count(0) for row in rows) > _PACKED_MIN_ROW_NONZEROS * len(rows)):
-        return _eliminate_packed(p, rows, ncols, reduced)
+    nr = len(rows)
+    cells = nr * ncols
+    if cells > _PACKED_MIN_CELLS:
+        nonzeros = cells - sum(row.count(0) for row in rows)
+        if nonzeros <= _SPARSE_MAX_ROW_NONZEROS * nr:
+            return _eliminate_sparse(field, rows, ncols, reduced)
+        p = field.characteristic
+        if p and nonzeros > _PACKED_MIN_ROW_NONZEROS * nr:
+            return _eliminate_packed(p, rows, ncols, reduced)
     return _eliminate_lists(field, rows, ncols, reduced)
 
 
@@ -444,6 +473,95 @@ def _eliminate_lists(field: Field, rows: Sequence[Sequence], ncols: int, reduced
                 work[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(pc)
     return work, pivots
+
+
+def _eliminate_sparse(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
+                      ) -> tuple[list[list[int]], list[int]]:
+    """:func:`_eliminate` with each row a dict of its nonzero entries.
+
+    ``cols[j]`` holds the ids of the rows that are nonzero at column j, kept
+    up to date on fill-in and cancellation, so a pivot at column pc reads and
+    updates only the rows in ``cols[pc]`` rather than every column of every
+    remaining row.  The row operations are those of :func:`_eliminate_lists`
+    restricted to nonzero entries, and the pivot row is chosen by its rule:
+    the first remaining row, in the order its swaps leave the rows in, that
+    is nonzero at pc.  ``order`` is that order and ``pos`` its inverse, so
+    every row, and with it the size of the Q entries, is the list path's.
+    """
+    p = field.characteristic
+    nr = len(rows)
+    every = range(ncols)
+    work = []
+    cols: list[set[int]] = [set() for _ in every]
+    for i, row in enumerate(rows):
+        keys = list(compress(every, row))
+        if p:
+            entries = {j: row[j] % p for j in keys}
+            if 0 in entries.values():
+                entries = {j: x for j, x in entries.items() if x}
+        else:
+            entries = dict(zip(keys, _primitive([row[j] for j in keys])))
+        for j in entries:
+            cols[j].add(i)
+        work.append(entries)
+    order = list(range(nr))
+    pos = order[:]
+    pivots: list[int] = []
+    for pc in every:
+        pr = len(pivots)
+        if pr == nr:
+            break
+        first = nr
+        for i in cols[pc]:
+            if pr <= pos[i] < first:
+                first = pos[i]
+        if first == nr:
+            continue
+        v, u = order[first], order[pr]
+        order[pr], order[first] = v, u
+        pos[v], pos[u] = pr, first
+        rp = work[v]
+        a = rp[pc]
+        if p and a != 1:
+            inv = pow(a, p - 2, p)
+            rp = work[v] = {j: x * inv % p for j, x in rp.items()}
+        targets = [i for i in cols[pc] if i != v and (reduced or pos[i] > pr)]
+        for i in targets:
+            # ri - c*rp over F_p, (a/g)*ri - (c/g)*rp over Q.
+            ri = work[i]
+            c = ri[pc]
+            if not p:
+                g = gcd(a, c)
+                a_g, c = a // g, c // g
+                if a_g != 1:
+                    ri = {j: a_g * x for j, x in ri.items()}
+            for j, y in rp.items():
+                x = ri.get(j)
+                if x is None:
+                    ri[j] = -c * y % p if p else -c * y
+                    cols[j].add(i)
+                    continue
+                x -= c * y
+                if p:
+                    x %= p
+                if x:
+                    ri[j] = x
+                else:
+                    del ri[j]
+                    cols[j].discard(i)
+            if not p:
+                g = gcd(*ri.values())
+                if g > 1:
+                    ri = {j: x // g for j, x in ri.items()}
+            work[i] = ri
+        pivots.append(pc)
+    out = []
+    for i in order:
+        row = [0] * ncols
+        for j, x in work[i].items():
+            row[j] = x
+        out.append(row)
+    return out, pivots
 
 
 def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced: bool

@@ -25,7 +25,7 @@ from .exactalg import (
     gaussian_binomial,
     kernel_mod_span,
 )
-from .exactalg.matrix import _dots
+from .exactalg.matrix import _adopt, _dots
 from .modcore import FramedModule, InvalidPoint, _support, validate_framed
 
 
@@ -143,7 +143,7 @@ def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
     ``check`` also verifies directly that the gauge solves the system, which
     the argument above and the kept representatives rely on.
     """
-    m = Matrix(f, len(rows), nvars, itertools.chain.from_iterable(rows))
+    m = _adopt(f, len(rows), nvars, list(itertools.chain.from_iterable(rows)))
     if check:
         for v in gauge:
             if not all(f.is_zero(c) for c in m.matvec(list(v))):
@@ -168,8 +168,8 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
     gauge = _gauge_vectors_quot(P)
     nullity, reps = _tangent_tail(_commutation_rows(P.X, 0, nvars), gauge, f, nvars, check)
     basis = [QuotTangentVector(
-        xdot=tuple(Matrix(f, d, d, list(v[i * dd:(i + 1) * dd])) for i in range(n)),
-        gdot=Matrix(f, d, r, list(v[n * dd:]))) for v in reps]
+        xdot=tuple(_adopt(f, d, d, list(v[i * dd:(i + 1) * dd])) for i in range(n)),
+        gdot=_adopt(f, d, r, list(v[n * dd:]))) for v in reps]
     return QuotTangentReport(dim=nullity - len(gauge), nullity=nullity,
                              gauge_dim=len(gauge), basis=basis)
 

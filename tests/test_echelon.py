@@ -162,6 +162,9 @@ TANGENT_CASES = {
     "quot-Q-d4": lambda: quot_tangent(rand_framed_module(random.Random(1), QQ, 1, 4, 2)),
     "bilin-main-Q-d3": lambda: bilin_tangent(_main_point(QQ, 3, 0)),
     "bilin-main-F101-d3": lambda: bilin_tangent(_main_point(GF(101), 3, 1)),
+    # d = 4: first-order systems of 128 x 144 entries, on sparse rows.
+    "bilin-main-Q-d4": lambda: bilin_tangent(_main_point(QQ, 4, 0)),
+    "bilin-main-F101-d4": lambda: bilin_tangent(_main_point(GF(101), 4, 1)),
     "bilin-degenerate-Q-d3": lambda: bilin_tangent(_degenerate_d3()),
 }
 

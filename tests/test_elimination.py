@@ -1,5 +1,5 @@
 """``Matrix.rref``/``Matrix.rank`` against a textbook elimination loop, and
-the packed F_p elimination against the list one.
+the packed F_p elimination and the sparse elimination against the list one.
 
 The library eliminates on plain ints (primitive integer rows over Q, entries
 reduced mod p over F_p); the reference, ``helpers_echelon.reference_rref``,
@@ -8,16 +8,19 @@ call per entry.  The reduced row
 echelon form is unique, so both must give the same matrix and pivots.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix
+from quotbilin.bilin import bilin_tangent, main_component_point
+from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix, rand_invertible
 from quotbilin.exactalg import matrix
 from quotbilin.exactalg.matrix import (
-    _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _eliminate_lists, _eliminate_packed, _slot_words,
+    _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _SPARSE_MAX_ROW_NONZEROS, _eliminate_lists,
+    _eliminate_packed, _eliminate_sparse, _slot_words,
 )
 from quotbilin.tensorlab import _tangent_rows
 
@@ -137,6 +140,55 @@ def test_packed_and_list_elimination_agree(system, reduced):
     assert _eliminate_packed(p, [list(r) for r in rows], ncols, reduced) == want
 
 
+@st.composite
+def sparse_systems(draw):
+    """Rows over Q (integer rows with non-unit pivots, and Fraction rows) or
+    over F_2, F_3, F_101 and CERTIFICATE_PRIME (negative and unreduced
+    entries) of up to 40 x 48, including 0-row and 0-column shapes.  Each
+    fresh row has up to ``per_row`` nonzero entries, so the average number
+    per row lies on both sides of _SPARSE_MAX_ROW_NONZEROS; other rows are
+    zero, repeated or combinations of earlier rows."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101), GF(CERTIFICATE_PRIME)]))
+    nrows, ncols = draw(st.sampled_from([(0, 6), (6, 0), (3, 4), (12, 30), (24, 17),
+                                         (30, 30), (40, 48)]))
+    per_row = draw(st.integers(1, 2 * _SPARSE_MAX_ROW_NONZEROS))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    p = field.characteristic
+
+    def entry(fractions):
+        if p:
+            return rng.randint(-3 * p, 3 * p)
+        x = rng.choice([-1, 1]) * rng.randint(1, 12)
+        return Fraction(x, rng.choice([1, 2, 3, 7])) if fractions else x
+
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind == "combination" and len(rows) >= 2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = entry(False), entry(False)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            row = [0] * ncols
+            fractions = rng.random() < 0.3
+            for j in rng.sample(range(ncols), min(ncols, rng.randint(1, per_row))):
+                row[j] = entry(fractions)
+            rows.append(row)
+    return field, rows, ncols
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_systems(), st.booleans())
+def test_sparse_and_list_elimination_agree(system, reduced):
+    field, rows, ncols = system
+    want = _eliminate_lists(field, [list(r) for r in rows], ncols, reduced)
+    assert _eliminate_sparse(field, [list(r) for r in rows], ncols, reduced) == want
+
+
 @pytest.mark.parametrize("p, m, words", [
     (2, 7, ("B", 1)), (2, 60, ("H", 1)), (101, 60, ("I", 1)), (101, 2 ** 17 - 1, ("I", 1)),
     (CERTIFICATE_PRIME, 60, ("Q", 1)), (CERTIFICATE_PRIME, 2 ** 15 - 1, ("Q", 1)),
@@ -176,3 +228,26 @@ def test_eliminate_selects_the_packed_path_by_size(monkeypatch):
     for nonzeros in (k, k + 1):
         Matrix(GF(101), 30, 30, [int(j < nonzeros) for i in range(30) for j in range(30)]).rank()
     assert sizes == [(101, n + 1, 20)] * 2 + [(101, 30, 30)]
+
+
+def test_eliminate_selects_the_sparse_path_by_density(monkeypatch):
+    paths = []
+    for name in ("_eliminate_sparse", "_eliminate_packed"):
+        def spy(first, rows, ncols, reduced, real=getattr(matrix, name), name=name):
+            paths.append((name, len(rows), ncols))
+            return real(first, rows, ncols, reduced)
+        monkeypatch.setattr(matrix, name, spy)
+    # The first-order system of a main-component pairing point at d = 4,
+    # 128 x 144 with about 1.25 nonzero entries per row.
+    rng = random.Random(0)
+    points = [QQ.from_int(v) for v in rng.sample(range(-9, 10), 4)]
+    bilin_tangent(main_component_point(points, rand_invertible(rng, QQ, 4),
+                                       rand_invertible(rng, QQ, 4)))
+    assert ("_eliminate_sparse", 128, 144) in paths
+    paths.clear()
+    # A census-size system (24 x 16 = 384 entries) stays on lists however sparse.
+    Matrix(GF(3), 24, 16, [int(i == j) for i in range(24) for j in range(16)]).rank()
+    assert paths == []
+    # A dense F_101 system still runs on packed rows.
+    Matrix(GF(101), 30, 30, [(i * 7 + 3) % 11 for i in range(900)]).rank()
+    assert paths == [("_eliminate_packed", 30, 30)]
