@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 from typing import Iterator, Optional
 
@@ -93,12 +93,20 @@ class BilinPoint:
                             X=self.Z, G=self.induced_framing())
 
     @cached_property
-    def _k3_coefficients(self) -> Optional[list[list[UniPoly]]]:
+    def _m3(self) -> tuple[FramedModule, Matrix]:
+        """M3 (see :meth:`target_module`) and G (x) H for the Hom-triple
+        oracle, once per point; like ``_k3_coefficients``, not a field."""
+        return self.target_module(), self.m1.G.kron(self.m2.G)
+
+    @cached_property
+    def _k3_coefficients(self) -> Optional[tuple[list[list], list[int]]]:
         """The coefficients in K3's basis of the members of K3 that
         :func:`hom_triple_check` compares, in its order, or None when some
         member is not in K3 (univariate only).  Computed on the first check
         at the point; not a field, so it takes no part in ==, hash, repr or
-        the JSON form.
+        the JSON form.  Kept ready for :func:`quot._evaluate` as (rows,
+        counts): counts[a] is generator a's largest coefficient count over the
+        members, and each row holds one member's coefficients, padded to it.
 
         The members are kappa (x) e for generators kappa of K1 and free basis
         vectors e of F2, then e (x) kappa for F1 and K2.  Every member is
@@ -113,22 +121,12 @@ class BilinPoint:
         r1, r2 = self.m1.r, self.m2.r
         height = r1 * r2
         zero = UniPoly.zero(f)
-        vecs = []
-        # K1 (x) F2 side
-        for kappa in kernel_presentation(self.m1).cols:
-            for bb in range(r2):
-                vec = [zero] * height
-                for a in range(r1):
-                    vec[a * r2 + bb] = kappa[a]
-                vecs.append(vec)
-        # F1 (x) K2 side
-        for kappa in kernel_presentation(self.m2).cols:
-            for a in range(r1):
-                vec = [zero] * height
-                for bb in range(r2):
-                    vec[a * r2 + bb] = kappa[bb]
-                vecs.append(vec)
-        cols3 = kernel_presentation(self.target_module()).cols
+        # Entry a*r2 + bb of kappa (x) e_bb is kappa[a]; of e_a (x) kappa, kappa[bb].
+        vecs = [[kappa[i // r2] if i % r2 == bb else zero for i in range(height)]
+                for kappa in kernel_presentation(self.m1).cols for bb in range(r2)]
+        vecs += [[kappa[i % r2] if i // r2 == a else zero for i in range(height)]
+                 for kappa in kernel_presentation(self.m2).cols for a in range(r1)]
+        cols3 = kernel_presentation(self._m3[0]).cols
         coeffs = [express_in_echelon(cols3, height, vec, f) for vec in vecs]
         if any(c is None for c in coeffs):
             return None
@@ -142,7 +140,10 @@ class BilinPoint:
                 raise ArithmeticError(
                     f"a vector of K3 has coefficients {c} in the echelon basis of K3 "
                     f"but {s} by express_in_span against the same basis")
-        return coeffs
+        counts = [max(len(c[a].coeffs) for c in coeffs) for a in range(height)]
+        return [[x for poly, k in zip(c, counts)
+                 for x in poly.coeffs + (f.zero(),) * (k - len(poly.coeffs))]
+                for c in coeffs], counts
 
 
 @dataclass
@@ -421,24 +422,13 @@ class BilinTangentReport:
 
 
 def _layout(b: BilinPoint):
-    n = b.n
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    r1, r2 = b.m1.r, b.m2.r
-    dim = d1 * d2
-    sizes = {
-        "xdot": n * d1 * d1,
-        "gdot": d1 * r1,
-        "ydot": n * d2 * d2,
-        "hdot": d2 * r2,
-        "zdot": n * d3 * d3,
-        "pihatdot": d3 * dim,
-    }
-    offsets = {}
-    pos = 0
-    for name in ("xdot", "gdot", "ydot", "hdot", "zdot", "pihatdot"):
-        offsets[name] = pos
-        pos += sizes[name]
-    return offsets, pos
+    """The offset of each block of tangent unknowns, in the field order of
+    :class:`BilinTangentVector`, and the number of unknowns."""
+    n, d1, d2, d3 = b.n, b.m1.d, b.m2.d, b.d3
+    sizes = {"xdot": n * d1 * d1, "gdot": d1 * b.m1.r, "ydot": n * d2 * d2,
+             "hdot": d2 * b.m2.r, "zdot": n * d3 * d3, "pihatdot": d3 * d1 * d2}
+    ends = list(accumulate(sizes.values(), initial=0))
+    return dict(zip(sizes, ends)), ends[-1]
 
 
 def _first_order_rows(b: BilinPoint, offsets, nvars: int) -> list[list]:
@@ -517,28 +507,17 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
 
 
 def _unpack_tangent(b: BilinPoint, offsets, v: tuple) -> BilinTangentVector:
-    f = b.field
-    n = b.n
-    d1, d2, d3 = b.m1.d, b.m2.d, b.d3
-    r1, r2 = b.m1.r, b.m2.r
-    dim = d1 * d2
+    f, n, d1, d2, d3 = b.field, b.n, b.m1.d, b.m2.d, b.d3
 
     def grab(name, count, rows, cols):
-        base = offsets[name]
-        mats = []
-        for i in range(count):
-            size = rows * cols
-            mats.append(_adopt(f, rows, cols, list(v[base + i * size: base + (i + 1) * size])))
-        return mats
+        base, size = offsets[name], rows * cols
+        return tuple(_adopt(f, rows, cols, list(v[base + i * size:base + (i + 1) * size]))
+                     for i in range(count))
 
     return BilinTangentVector(
-        xdot=tuple(grab("xdot", n, d1, d1)),
-        gdot=grab("gdot", 1, d1, r1)[0],
-        ydot=tuple(grab("ydot", n, d2, d2)),
-        hdot=grab("hdot", 1, d2, r2)[0],
-        zdot=tuple(grab("zdot", n, d3, d3)),
-        pihatdot=grab("pihatdot", 1, d3, dim)[0],
-    )
+        xdot=grab("xdot", n, d1, d1), gdot=grab("gdot", 1, d1, b.m1.r)[0],
+        ydot=grab("ydot", n, d2, d2), hdot=grab("hdot", 1, d2, b.m2.r)[0],
+        zdot=grab("zdot", n, d3, d3), pihatdot=grab("pihatdot", 1, d3, d1 * d2)[0])
 
 
 def tangent_residuals(b: BilinPoint, tv: BilinTangentVector) -> bool:
@@ -569,18 +548,18 @@ def _deformed_image(pres, X: Matrix, Xdot: Matrix, Gdot: Matrix) -> Matrix:
 
     Along (Xdot, gdot), X^m g has derivative w_m, with w_0 = gdot and
     w_(m+1) = Xdot X^m g + X w_m = [Xdot | X] [X^m g; w_m]: one d x 2d matvec
-    per step, X^m g read from ``pres.powers`` (see :func:`quot._evaluate`).
+    per step, X^m g read from ``pres.powers``; column j's image is
+    -sum_s tags[j][s] w_s, the w in the vectors' order (see quot.KernelPresentation).
     """
     f, d, p, rows = X.field, X.rows, X.field.characteristic, X.row_lists()
     brows = [xd + x for xd, x in zip(Xdot.row_lists(), rows)]
-    tables = []
-    for a, k in enumerate(quot._counts(pres.cols, Gdot.cols)):
-        table = [Gdot.entries[a::Gdot.cols]]
-        for v in quot._krylov(rows, p, pres.powers[a], max(k - 1, 0)):
+    table = []
+    for a, vectors in enumerate(pres.powers):
+        table.append(Gdot.entries[a::Gdot.cols])
+        for v in vectors[:-1]:
             table.append(_dots(brows, v + table[-1], p))
-        tables.append(table[:k])
-    images = quot._combine(pres.cols, tables, d, p)
-    return Matrix(f, d, len(images), [f.neg(v[i]) for i in range(d) for v in images])
+    images = quot._combine(pres.tags, table, d, p)
+    return _adopt(f, d, len(images), [f.neg(v[i]) for i in range(d) for v in images])
 
 
 @dataclass
@@ -598,10 +577,8 @@ def extract_hom_triple(b: BilinPoint, tv: BilinTangentVector) -> HomTriple:
     phi1 = _deformed_image(kernel_presentation(b.m1), b.m1.X[0], tv.xdot[0], tv.gdot)
     phi2 = _deformed_image(kernel_presentation(b.m2), b.m2.X[0], tv.ydot[0], tv.hdot)
     # M3's framing Pihat (G (x) H) (see target_module) deforms with (Pihat, G, H).
-    G, H = b.m1.G, b.m2.G
-    gh = G.kron(H)
-    m3 = FramedModule(n=1, d=b.d3, r=b.m1.r * b.m2.r, X=b.Z, G=b.pihat * gh)
-    f3dot = tv.pihatdot * gh + b.pihat * (tv.gdot.kron(H) + G.kron(tv.hdot))
+    m3, gh = b._m3
+    f3dot = tv.pihatdot * gh + b.pihat * (tv.gdot.kron(b.m2.G) + b.m1.G.kron(tv.hdot))
     phi3 = _deformed_image(kernel_presentation(m3), b.Z[0], tv.zdot[0], f3dot)
     return HomTriple(phi1=phi1, phi2=phi2, phi3=phi3)
 
@@ -614,14 +591,11 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     applied to (phi1 kappa) (x) p2(e); both sides are evaluated in M3.
 
     The image under phi3 is read off the coefficients writing kappa (x) e in
-    K3's basis.  Those depend on the point only, not on the maps, so they are
-    computed and cross-checked on the first check at the point (see
-    ``BilinPoint._k3_coefficients``); per triple, only the pairing sides and
-    the members' images under phi3 remain, all from one power table of Z on
-    phi3's columns (see :func:`quot._evaluate`), with no pass over Z per
-    member.  Raises ArithmeticError when the cross-check fails, so that a
-    failed solve never reads as incompatible; a disagreement is caught on
-    every member, even one after a member that fails its compatibility check.
+    K3's basis, kept per point (``BilinPoint._k3_coefficients``), by one
+    power table of Z on phi3's columns (see :func:`quot._evaluate`).  Raises
+    ArithmeticError when their cross-check fails, so that a failed solve
+    never reads as incompatible; a disagreement is caught on every member,
+    even one after a member that fails its compatibility check.
     """
     if b.n != 1:
         raise ShapeError("hom triples are univariate only")
@@ -637,7 +611,7 @@ def hom_triple_check(b: BilinPoint, triple: HomTriple) -> bool:
     side2 = b.pihat * b.m1.G.kron(triple.phi2)
     sides = ([side1.col(jgen * r2 + bb) for jgen in range(r1) for bb in range(r2)]
              + [side2.col(a * r2 + jgen) for jgen in range(r2) for a in range(r1)])
-    images = quot._evaluate(coeffs, b.Z[0], triple.phi3)
+    images = quot._evaluate(*coeffs, b.Z[0], triple.phi3)
     return all(all(f.eq(x, y) for x, y in zip(image, side))
                for image, side in zip(images, sides))
 
@@ -709,8 +683,15 @@ def bilin_dims(n: int, d: int, r1: int, r2: int) -> DimensionReport:
 
     main = nd + (r1-1)d + (r2-1)d; degenerate = (r1-d)d + (r2-d)d + (d^2-d)d
     when both framing ranks reach d.  Count-based reducibility compares the
-    two; the secant route applies whenever d >= 3 with framing ranks >= d;
-    d <= 2 is irreducible for every n.
+    two; the secant route applies whenever d >= 3 with framing ranks >= d.
+
+    d = 1 is irreducible for every n: the modules are lines, so the actions
+    are scalars, equivariance makes x_i = y_i = z_i, and the points are the
+    image of the irreducible k^n x (k^r1 - 0) x (k^r2 - 0) x (k - 0) of
+    actions, framings and pairing.  d = 2 with r1 or r2 >= 2 is reducible:
+    the valid point the reason names has chi(X_1) != chi(Y_1), while the
+    three characteristic polynomials agree on the main component, a closed
+    condition.  d = 2 with r1 = r2 = 1 keeps ``irreducible`` True, unproved.
     """
     if n < 1 or d < 1 or r1 < 1 or r2 < 1:
         raise ValueError("need positive parameters")
@@ -720,7 +701,18 @@ def bilin_dims(n: int, d: int, r1: int, r2: int) -> DimensionReport:
     threshold = d * d - 3 * d + 2
     red_count = has_degenerate and n < threshold
     red_secant = has_degenerate and d >= 3
-    irreducible = d <= 2
+    witness = d == 2 and max(r1, r2) >= 2
+    irreducible = d <= 2 and not witness
+    if witness:
+        why = ("d = 2 with r1 or r2 >= 2: a valid point off the main component, X_1 = "
+               "diag(0, 1), Y = 0, Z = 0, other actions 0, G = [I | 0] or (1, 1)^T at rank 1, "
+               "H = [I | 0], Pihat = [[1,0,0,0],[0,1,0,0]] (at r2 = 1 the mirror, Y_1 = "
+               "diag(0, 1), Pihat = [[1,0,0,0],[0,0,1,0]]), has chi(X_1) != chi(Y_1), while "
+               "the three characteristic polynomials agree on the main component (closed)")
+    else:
+        why = {1: "d = 1: proved, the points are the image of an open subset of an affine space",
+               2: "d = 2 with r1 = r2 = 1: no point off the main component is known; "
+                  "not proved"}.get(d, "reducible route available")
     reasons = {
         "count_threshold": threshold,
         "count": f"n = {n} {'<' if n < threshold else '>='} d^2-3d+2 = {threshold}"
@@ -729,8 +721,7 @@ def bilin_dims(n: int, d: int, r1: int, r2: int) -> DimensionReport:
                    "cannot fill the ambient space" if red_secant else
                    "no secant obstruction for d <= 2" if d <= 2 else
                    "degenerate locus absent: r_i < d"),
-        "irreducible": "d <= 2: every pairing tensor has minimal border rank"
-                       if irreducible else "reducible route available",
+        "irreducible": why,
     }
     return DimensionReport(n=n, d=d, r1=r1, r2=r2, main_dim=main,
                            degenerate_dim=degenerate,

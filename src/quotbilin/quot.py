@@ -4,7 +4,8 @@ The tangent space at a framed module is computed on the deformation side: the
 nullity of the first-order commutation system in (Xdot, Gdot) minus the d^2
 gauge directions coming from infinitesimal basis changes.  A univariate
 oracle recomputes the same dimension as module homomorphisms out of the
-kernel presentation, by entirely different linear algebra.
+kernel presentation, by entirely different linear algebra, its k[x] columns
+kept as coefficient rows over the Krylov pass's vectors X^m g_a.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional, Sequence
 
 from .exactalg import (
     GF,
+    Field,
     AffineFamily,
     EchelonBasis,
     InfeasibleEnumeration,
@@ -178,68 +180,67 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
 
 @dataclass
 class KernelPresentation:
-    """The Hermite basis of K = ker(k[x]^r -> M) for a univariate framed module.
+    """The Hermite basis of K = ker(k[x]^r -> M) for a univariate framed
+    module, in the layout of the Krylov pass that found it.
 
-    ``cols`` holds r columns of k[x]^r.  Column j is x^(k_j) e_j - sum
-    c_(i,m) x^m e_i over i > j, m < k_i and i = j, m < k_j, with k_j the
-    Krylov index of g_j: a monic pivot of degree k_j in row j, zeros above
-    it, and entries below it of lower degree than their row's pivot.  These
-    are the distinct, increasing pivot rows :func:`express_in_echelon`
-    expects.  ``powers[a]`` holds X^m g_a for m <= k_a from the Krylov pass;
-    they describe X and G, not K, so they take no part in == or repr.
+    Column j is x^(k_j) e_j - sum c_(i,m) x^m e_i over i > j, m < k_i and
+    i = j, m < k_j, with k_j the Krylov index of g_j: a monic pivot of degree
+    k_j in row j, zeros above it, and entries below it of lower degree than
+    their row's pivot, the distinct, increasing pivot rows
+    :func:`express_in_echelon` expects.  ``tags[j]`` is column j as one
+    coefficient row, the x^m coefficient of row a at counts[0] + ... +
+    counts[a-1] + m with counts[a] = k_a + 1, over the Krylov vectors
+    ``powers[a]`` = [X^m g_a for m <= k_a] in the same order: column j's
+    value at X is sum_s tags[j][s] v_s.  The vectors describe X and G, not
+    K, so they take no part in == or repr; ``cols`` builds ``UniPoly``
+    columns on request.
     """
-    cols: list[list[UniPoly]]
-    powers: list[list[list]] = dc_field(default_factory=list, compare=False, repr=False)
+    field: Field = dc_field(repr=False)
+    tags: list[list]
+    counts: list[int]
+    powers: list[list[list]] = dc_field(compare=False, repr=False)
+
+    @property
+    def cols(self) -> list[list[UniPoly]]:
+        cuts = list(itertools.accumulate(self.counts, initial=0))
+        return [[UniPoly(self.field, tag[a:b]) for a, b in zip(cuts, cuts[1:])]
+                for tag in self.tags]
 
 
-def _krylov(rows: list[list], p: int, known: Sequence[list], k: int) -> list[list]:
-    """X^m g for m < k, given X's ``rows`` and ``known`` = [g, X g, ...]
-    (at least g): the known vectors as they are, the rest by matvecs."""
-    out = list(known[:k])
-    while len(out) < k:
-        out.append(_dots(rows, out[-1], p))
-    return out
-
-
-def _counts(cols: Sequence[Sequence[UniPoly]], r: int) -> list[int]:
-    """For each row a, the largest coefficient count of a row-a entry over ``cols``."""
-    return [max((len(col[a].coeffs) for col in cols), default=0) for a in range(r)]
-
-
-def _combine(cols: Sequence[Sequence[UniPoly]], tables: list, n: int, p: int) -> list[list]:
-    """sum_a sum_m col[a]_m tables[a][m] for every column, tables[a] holding
-    :func:`_counts` vectors of length n: n dot products with the coefficients."""
+def _combine(vecs: Sequence[Sequence], table: Sequence[list], n: int, p: int) -> list[list]:
+    """sum_s vec[s] table[s] for every vec of ``vecs``, the table holding
+    vectors of length n: n dot products per vec.  A vec whose length is not
+    the table's is refused, never cut short."""
     # A list: unpacking an iterator resizes the argument tuple, filling tuple free lists.
-    t = list(zip(*[v for table in tables for v in table])) or [()] * n
-    out = []
-    for col in cols:
-        cvec = []
-        for poly, table in zip(col, tables):
-            cvec += poly.coeffs
-            cvec += [0] * (len(table) - len(poly.coeffs))
-        out.append(_dots(t, cvec, p))
-    return out
+    t = list(zip(*table)) or [()] * n
+    for i, vec in enumerate(vecs):
+        if len(vec) != len(table):
+            raise ArithmeticError(f"coefficient vector {i} has {len(vec)} entries "
+                                  f"for a table of {len(table)} vectors")
+    return [_dots(t, vec, p) for vec in vecs]
 
 
-def _evaluate(cols: Sequence[Sequence[UniPoly]], X: Matrix, G: Matrix,
-              powers: Optional[Sequence[Sequence[list]]] = None) -> list[list]:
-    """sum_a col[a](X) G[:, a] for every column of ``cols`` at once.
-
-    One power table serves all the columns: for each generator a, X^m g_a
-    for m below the largest coefficient count in row a over the columns, read
-    from ``powers[a]`` (a presentation's Krylov vectors) as far as it reaches
-    and by matvecs past it.  So the table covers any column degree, and no
-    column costs a matrix pass.  Over Q the sums are exact.
-    """
+def _evaluate(vecs: Sequence[Sequence], counts: Sequence[int], X: Matrix,
+              G: Matrix) -> list[list]:
+    """sum_a col[a](X) G[:, a] for columns in the layout of
+    :class:`KernelPresentation`, each a row ``vec`` with counts[a]
+    coefficients for row a: one power table X^m G[:, a], m < counts[a], by
+    matvecs, and one dot product per output row with it (see
+    :func:`_combine`).  Over Q the sums are exact."""
     p, rows, r = X.field.characteristic, X.row_lists(), G.cols
-    known = powers or [[G.entries[a::r]] for a in range(r)]
-    tables = [_krylov(rows, p, known[a], k) for a, k in enumerate(_counts(cols, r))]
-    return _combine(cols, tables, X.rows, p)
+    table = []
+    for a, k in enumerate(counts):
+        if k:
+            table.append(G.entries[a::r])
+            for _ in range(k - 1):
+                table.append(_dots(rows, table[-1], p))
+    return _combine(vecs, table, X.rows, p)
 
 
-def _krylov_relations(P: FramedModule) -> tuple[list[list[UniPoly]], list[list[list]]]:
-    """The columns of the Hermite basis of K, j = 0, ..., r - 1, and the
-    vectors X^m g_a, m <= k_a, that the pass computed for each a.
+def _krylov_relations(P: FramedModule) -> tuple[list[list], list[list[list]]]:
+    """The columns of the Hermite basis of K, j = 0, ..., r - 1, as tags over
+    the vectors X^m g_a, m <= k_a, that the pass computed for each a, and
+    those vectors (the layout of :class:`KernelPresentation`).
 
     For j = r - 1 down to 0, X^l g_j for l = 0, 1, ... go into one echelon
     basis of k^d x k^(d+1), each with a unit tag in the next free slot: the
@@ -247,21 +248,18 @@ def _krylov_relations(P: FramedModule) -> tuple[list[list[UniPoly]], list[list[l
     X^m g_i.  Every vector in the basis has k^d part sum tag_s X^m g_i over
     its slots, since reduction only subtracts such vectors.  When the k^d
     part of the candidate X^l g_j reduces to zero, at l = k_j <= d, its
-    reduced tag is a relation X^l g_j - sum c_s X^m g_i = 0, and writing
-    each tag at its owner's (i, m) gives the x^m coefficients of column j.
-
-    These are the columns a fixed tag slot per (i, l) gives.  With either
-    tagging, a reduced tag is nonzero only at the vectors inserted before
-    the candidate and at the candidate itself, where it is 1.  The inserted
-    vectors are independent in k^d, so X^(k_j) g_j has exactly one
-    expression in them, and both taggings record that expression.  At most
-    d vectors are inserted, so the basis has width 2d + 1 rather than
-    d + r(d + 1).
+    reduced tag is a relation X^l g_j - sum c_s X^m g_i = 0, nonzero only at
+    the vectors inserted before the candidate and at the candidate itself,
+    where it is 1; writing each entry at its owner's (i, m) gives column j.
+    A fixed tag slot per (i, l) gives the same columns: the inserted vectors
+    are independent in k^d, so X^(k_j) g_j has exactly one expression in
+    them.  At most d vectors are inserted, so the basis has width 2d + 1
+    rather than d + r(d + 1).
     """
     f, d, r, rows = P.field, P.d, P.r, P.X[0].row_lists()
     span = EchelonBasis(f, 2 * d + 1)
     owner = []
-    cols = []
+    relations = []
     powers = []
     for j in range(r - 1, -1, -1):
         v = list(P.G.col(j))
@@ -271,47 +269,58 @@ def _krylov_relations(P: FramedModule) -> tuple[list[list[UniPoly]], list[list[l
             tagged[d + len(owner)] = f.one()
             w = span.reduce(tagged)
             if not any(w[:d]):  # reduce returns canonical values: zero is 0
-                coeffs = [[f.zero()] * (d + 1) for _ in range(r)]
-                for (i, m), c in zip(owner + [(j, l)], w[d:]):
-                    coeffs[i][m] = c
-                cols.append([UniPoly(f, cs) for cs in coeffs])
+                relations.append((owner + [(j, l)], w[d:d + len(owner) + 1]))
                 break
             span.insert_reduced(w)
             owner.append((j, l))
             v = _dots(rows, v, f.characteristic)
             powers[-1].append(v)
-    return cols[::-1], powers[::-1]
+    powers.reverse()
+    cuts = list(itertools.accumulate(map(len, powers), initial=0))
+    tags = []
+    for slots, coeffs in reversed(relations):
+        tag = [f.zero()] * cuts[-1]
+        for (i, m), c in zip(slots, coeffs):
+            tag[cuts[i] + m] = c
+        tags.append(tag)
+    return tags, powers
 
 
 def kernel_presentation(P: FramedModule) -> KernelPresentation:
     """Present K = ker(evaluation : k[x]^r -> M), n = 1 only, by its Hermite
     basis, read off the Krylov relations of the framing.
 
-    Certificate: the columns pass a substitution check, all r evaluated at
-    X from one power table (see :func:`_evaluate`), so they span some K' in
-    K.  They are r lower triangular columns, so K' has colength deg det =
-    sum k_j, which must equal the image dimension found by ``krylov_span``
-    (= d when the framing generates), the colength of K; so K' = K.
+    Certificate: the columns pass a substitution check, each value at X one
+    dot product per output row of its tag with the Krylov vectors of the pass
+    (see :func:`_combine`, which refuses a tag of another length), so they
+    span some K' in K.  Their tags show r lower triangular columns, so K' has
+    colength deg det = sum k_j, which must equal the image dimension found by
+    ``krylov_span`` (= d when the framing generates), the colength of K; so
+    K' = K.
     """
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
     r = P.r
-    cols, powers = _krylov_relations(P)
-    values = _evaluate(cols, P.X[0], P.G, powers)
+    tags, powers = _krylov_relations(P)
+    values = _combine(tags, [v for vs in powers for v in vs], P.d, P.field.characteristic)
     # The values are reduced mod p over F_p and canonical over Q: zero is 0.
     bad = next(((j, i) for j, v in enumerate(values) for i, c in enumerate(v) if c), None)
     if bad is not None:
         raise ArithmeticError("kernel column %d fails substitution check: its value at X "
                               "is nonzero first in row %d" % bad)
-    triangular = all(not col[j].is_zero() and all(e.is_zero() for e in col[:j])
-                     for j, col in enumerate(cols))
+    # Column j's row-j entry has degree the last m at which its coefficient is nonzero.
+    counts = [len(v) for v in powers]
+    cuts = list(itertools.accumulate(counts, initial=0))
+    degrees = [max((m for m, c in enumerate(tag[cuts[j]:cuts[j + 1]]) if c), default=-1)
+               for j, tag in zip(range(r), tags)]
+    triangular = all(k >= 0 and not any(tag[:cuts[j]])
+                     for j, (k, tag) in enumerate(zip(degrees, tags)))
     img_dim = len(_image_basis(P))
-    degrees = [col[j].degree for j, col in enumerate(cols)]
-    if len(cols) != r or not triangular or sum(degrees) != img_dim:
+    if len(tags) != r or not triangular or sum(degrees) != img_dim:
         raise ArithmeticError(
-            f"kernel generators give {len(cols)} echelon columns of pivot degrees {degrees}; "
+            f"kernel generators give {len(tags)} echelon columns of pivot degrees {degrees}; "
             f"K needs {r} lower triangular columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(cols=cols, powers=powers)
+    return KernelPresentation(P.field, tags, counts, powers)
 
 
 def _image_basis(P: FramedModule) -> list[tuple]:
@@ -336,7 +345,7 @@ def hom_KM_univariate(P: FramedModule) -> HomReport:
     """
     if P.n != 1:
         raise ShapeError("oracle is univariate only")
-    return HomReport(dim=P.d * len(kernel_presentation(P).cols))
+    return HomReport(dim=P.d * len(kernel_presentation(P).tags))
 
 
 # -- dimension formulas -------------------------------------------------------

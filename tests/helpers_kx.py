@@ -1,12 +1,16 @@
-"""The k[x] kernel presentation and the deformed images as the library built
-them before: a Euclidean column reduction of the pencil [G | X - x I] over
-k[x]; the Krylov relations with one tag per (generator, power) pair; and
-p(X) and its directional derivative formed as d x d matrices.  Kept as the
-references the new code must match.  Column sets are plain lists of lists
-of ``UniPoly``."""
+"""The k[x] kernel presentation, its evaluation and the deformed images as
+the library built them before: a Euclidean column reduction of the pencil
+[G | X - x I] over k[x]; the Krylov relations with one tag per (generator,
+power) pair; evaluation of ``UniPoly`` columns by padding their coefficients
+against one power table, and the Hom-triple check on it; and p(X) and its
+directional derivative formed as d x d matrices.  Kept as the references the
+new code must match.  Column sets are plain lists of lists of ``UniPoly``.
+Also the layout helpers that write such columns as
+:class:`quotbilin.quot.KernelPresentation` tags."""
 
 from quotbilin.exactalg import EchelonBasis, Matrix, ShapeError, UniPoly, express_in_echelon
-from quotbilin.quot import KernelPresentation, _image_basis
+from quotbilin.exactalg.matrix import _dots
+from quotbilin.quot import _image_basis, kernel_presentation
 
 
 def reference_kernel_columns(cols, height, f):
@@ -79,9 +83,24 @@ def same_span(a, b, height, field):
     return True
 
 
+def hermite_form(ech, f):
+    """The Hermite form of r lower triangular columns with nonzero diagonal:
+    monic pivots, and each entry below a pivot reduced modulo that pivot by
+    subtracting a multiple of its column, last column first."""
+    out = {}
+    for j in range(len(ech) - 1, -1, -1):
+        col = [e.scale(f.inv(ech[j][j].lead())) for e in ech[j]]
+        for i in range(j + 1, len(col)):
+            q, _ = col[i].divmod(out[i][i])
+            col = [a - q * b for a, b in zip(col, out[i])]
+        out[j] = col
+    return [out[j] for j in range(len(ech))]
+
+
 def reference_kernel_presentation(P):
     """K = ker(k[x]^r -> M) as the projection to the first r coordinates of
-    ker[G | X - x*I], in column echelon form certified by colength."""
+    ker[G | X - x*I], in column echelon form certified by colength, and
+    returned as its Hermite columns (see :func:`hermite_form`)."""
     if P.n != 1:
         raise ShapeError("kernel presentation is univariate only")
     f = P.field
@@ -98,7 +117,7 @@ def reference_kernel_presentation(P):
         raise ArithmeticError(
             f"kernel generators give {len(ech)} echelon columns of pivot-degree sum "
             f"{colength}; K needs {r} columns of colength {img_dim} (image dimension)")
-    return KernelPresentation(cols=ech)
+    return hermite_form(ech, f)
 
 
 def reference_krylov_relations(P):
@@ -186,3 +205,82 @@ def reference_deformed_image(gens_cols, X, G, Xdot, Gdot):
         for c in out_cols:
             ents.append(c[i])
     return Matrix(f, d, len(out_cols), ents)
+
+
+def krylov_vectors(X, G, counts):
+    """powers[a] = [X^m g_a for m < counts[a]], by matvecs."""
+    p, rows, out = X.field.characteristic, X.row_lists(), []
+    for a, k in enumerate(counts):
+        vs = [list(G.col(a))][:k]
+        while len(vs) < k:
+            vs.append(_dots(rows, vs[-1], p))
+        out.append(vs)
+    return out
+
+
+def lay_out(cols, counts, f):
+    """The tags of ``UniPoly`` columns in the layout of KernelPresentation:
+    row a's coefficients padded to counts[a], which must reach its longest
+    entry."""
+    tags = []
+    for col in cols:
+        tag = []
+        for poly, k in zip(col, counts):
+            assert len(poly.coeffs) <= k
+            tag += list(poly.coeffs) + [f.zero()] * (k - len(poly.coeffs))
+        tags.append(tag)
+    return tags
+
+
+def row_counts(cols, r):
+    """For each row a, the largest coefficient count of a row-a entry over ``cols``."""
+    return [max((len(col[a].coeffs) for col in cols), default=0) for a in range(r)]
+
+
+def reference_combine(cols, tables, n, p):
+    """sum_a sum_m col[a]_m tables[a][m] for every column, tables[a] holding
+    row_counts vectors of length n: n dot products with the coefficients,
+    each row's padded to its table."""
+    t = list(zip(*[v for table in tables for v in table])) or [()] * n
+    out = []
+    for col in cols:
+        cvec = []
+        for poly, table in zip(col, tables):
+            cvec += poly.coeffs
+            cvec += [0] * (len(table) - len(poly.coeffs))
+        out.append(_dots(t, cvec, p))
+    return out
+
+
+def reference_evaluate(cols, X, G):
+    """sum_a col[a](X) G[:, a] for every column of ``cols`` at once, from one
+    power table X^m g_a, m below the largest coefficient count in row a."""
+    p = X.field.characteristic
+    tables = krylov_vectors(X, G, row_counts(cols, G.cols))
+    return reference_combine(cols, tables, X.rows, p)
+
+
+def reference_hom_triple_check(b, triple):
+    """hom_triple_check on ``UniPoly`` columns: each member of K3 written in
+    K3's basis by the echelon division alone, and its image under phi3
+    evaluated by :func:`reference_evaluate`."""
+    f, r1, r2 = b.field, b.m1.r, b.m2.r
+    height, zero = r1 * r2, UniPoly.zero(f)
+    members = []
+    for kappa in kernel_presentation(b.m1).cols:
+        for bb in range(r2):
+            members.append([kappa[i // r2] if i % r2 == bb else zero for i in range(height)])
+    for kappa in kernel_presentation(b.m2).cols:
+        for a in range(r1):
+            members.append([kappa[i % r2] if i // r2 == a else zero for i in range(height)])
+    cols3 = kernel_presentation(b.target_module()).cols
+    coeffs = [express_in_echelon(cols3, height, m, f) for m in members]
+    if any(c is None for c in coeffs):
+        return False
+    side1 = b.pihat * triple.phi1.kron(b.m2.G)
+    side2 = b.pihat * b.m1.G.kron(triple.phi2)
+    sides = ([list(side1.col(j * r2 + bb)) for j in range(r1) for bb in range(r2)]
+             + [list(side2.col(a * r2 + j)) for j in range(r2) for a in range(r1)])
+    images = reference_evaluate(coeffs, b.Z[0], triple.phi3)
+    return all(all(f.eq(x, y) for x, y in zip(image, side))
+               for image, side in zip(images, sides))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible, unipoly
+from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, char_poly, rand_invertible, unipoly
 from quotbilin.modcore import (
     FramedModule,
     cyclic_module_univariate,
@@ -13,7 +13,7 @@ from quotbilin.modcore import (
     rand_framed_module,
     validate_framed,
 )
-from quotbilin import bilin
+from quotbilin import bilin, quot
 from quotbilin.bilin import (
     BilinPoint,
     HomTriple,
@@ -50,6 +50,7 @@ def canonical_degenerate(field=QQ):
 
 
 from helpers_membership import random_target
+from helpers_kx import reference_hom_triple_check
 
 
 # -- validation ---------------------------------------------------------------------
@@ -271,6 +272,63 @@ ORACLE_POINTS = {"main": canonical_main, "nilpotent": nilpotent_point,
                  "degenerate": lambda: canonical_degenerate(GF(101))}
 
 
+def perturbed_triples(b, triple):
+    """The triple with one entry of phi1, phi2 or phi3 moved by 1, for each
+    entry: (map name, triple)."""
+    f, out = b.field, []
+    for name in ("phi1", "phi2", "phi3"):
+        m = getattr(triple, name)
+        for k in range(len(m.entries)):
+            entries = list(m.entries)
+            entries[k] = f.add(entries[k], f.one())
+            out.append((name, replace(triple, **{name: Matrix(f, m.rows, m.cols, entries)})))
+    return out
+
+
+@pytest.mark.parametrize("point", ["main", "nilpotent", "degenerate"])
+def test_hom_triple_check_matches_the_padded_unipoly_evaluation(point):
+    # Verdicts on extracted triples and on every one-entry perturbation of
+    # them equal those of the UniPoly reference evaluation, and some
+    # perturbation of each map is rejected.
+    b = ORACLE_POINTS[point]()
+    rejected = set()
+    for tv in bilin_tangent(b).basis:
+        triple = extract_hom_triple(b, tv)
+        assert hom_triple_check(b, triple) and reference_hom_triple_check(b, triple)
+        for name, bad in perturbed_triples(b, triple):
+            verdict = hom_triple_check(b, bad)
+            assert verdict == reference_hom_triple_check(b, bad)
+            if not verdict:
+                rejected.add(name)
+    assert rejected == {"phi1", "phi2", "phi3"}
+
+
+@pytest.mark.parametrize("point", ["main", "nilpotent", "degenerate"])
+def test_warm_triples_and_hom_oracle_build_no_unipoly(monkeypatch, point):
+    # The library makes every UniPoly through __init__ (the constructor, the
+    # classmethods and the arithmetic all call it).  Once K3's coefficients
+    # are kept, extracting and checking triples and the Hom(K, M) oracle
+    # build none: the columns stay in the Krylov pass's coefficient rows.
+    b = ORACLE_POINTS[point]()
+    basis = bilin_tangent(b).basis
+    assert hom_triple_check(b, extract_hom_triple(b, basis[0]))  # warm
+    built = []
+    real = UniPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(UniPoly, "__init__", counted)
+    for tv in basis:
+        assert hom_triple_check(b, extract_hom_triple(b, tv))
+    for m in (b.m1, b.m2, b.target_module()):
+        assert quot.hom_KM_univariate(m).dim == m.d * m.r
+    assert built == []
+    UniPoly.zero(b.field)
+    assert len(built) == 1  # the count sees a construction
+
+
 def test_zero_triple_passes():
     b = canonical_main()
     assert hom_triple_check(b, zero_triple(b))
@@ -449,7 +507,7 @@ def test_random_triple_fails():
 # -- dimension formulas ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,d,r1,r2,main,degen,by_count,by_secant,irred", [
-    (1, 2, 2, 2, 6, 4, False, False, True),
+    (1, 2, 2, 2, 6, 4, False, False, False),
     (1, 3, 3, 3, 15, 18, True, True, False),
     (5, 3, 3, 3, 27, 18, False, True, False),
 ])
@@ -460,6 +518,56 @@ def test_bilin_dims_table(n, d, r1, r2, main, degen, by_count, by_secant, irred)
     assert rep.reducible_by_count is by_count
     assert rep.reducible_by_secant is by_secant
     assert rep.irreducible is irred
+
+
+def off_main_witness(field, n, r1, r2):
+    """The valid d = 2 point bilin_dims names: X_1 = diag(0, 1) and Y = 0
+    when r2 >= 2, the mirror point otherwise; Z = 0, other actions 0, and
+    framings [I | 0], or (1, 1) for the cyclic module at rank 1."""
+    zero, diag = Matrix.zeros(field, 2, 2), Matrix.diag(field, [field.zero(), field.one()])
+
+    def framing(r):
+        if r == 1:
+            return Matrix.from_int_rows(field, [[1], [1]])
+        return Matrix.identity(field, 2).hstack(Matrix.zeros(field, 2, r - 2))
+
+    cyclic = (diag,) + (zero,) * (n - 1)
+    X, Y = (cyclic, (zero,) * n) if r2 >= 2 else ((zero,) * n, cyclic)
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0]] if r2 >= 2 else [[1, 0, 0, 0], [0, 0, 1, 0]]
+    return BilinPoint(m1=FramedModule(n, 2, r1, X, framing(r1)),
+                      m2=FramedModule(n, 2, r2, Y, framing(r2)), d3=2,
+                      Z=(zero,) * n, pihat=Matrix.from_int_rows(field, rows))
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r1, r2", [(2, 2), (1, 2), (2, 1), (3, 2)])
+def test_d2_reducibility_witness_lies_off_the_main_component(field, n, r1, r2):
+    # The point validates, and chi(X_1) != chi(Y_1) while the characteristic
+    # polynomials agree on the main component; its tangent space is also
+    # smaller than the main component (4 / 6 / 8 against 6 / 8 / 10 at
+    # r1 = r2 = 2), so no main point is near it.
+    b = off_main_witness(field, n, r1, r2)
+    assert validate_bilin(b).ok
+    assert char_poly(b.m1.X[0]) != char_poly(b.m2.X[0])
+    rep = bilin_dims(n, 2, r1, r2)
+    assert bilin_tangent(b).dim == rep.main_dim - 2 == 2 * n + 2 * (r1 + r2) - 6
+    assert not rep.irreducible and "chi(X_1) != chi(Y_1)" in rep.reasons["irreducible"]
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_main_points_never_separate_the_characteristic_polynomials(field):
+    b = canonical_main(field)
+    assert char_poly(b.m1.X[0]) == char_poly(b.m2.X[0]) == char_poly(b.Z[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bilin_dims_names_what_it_proves(n):
+    # d = 1 is proved irreducible, d = 2 at rank 1 keeps True unproved.
+    one = bilin_dims(n, 1, 1, 3)
+    assert one.irreducible and one.reasons["irreducible"].startswith("d = 1: proved")
+    two = bilin_dims(n, 2, 1, 1)
+    assert two.irreducible and "not proved" in two.reasons["irreducible"]
 
 
 def test_bilin_dims_degenerate_undefined():

@@ -32,12 +32,13 @@ from quotbilin.quot import (
     NonSplitSupport,
     degenerate_grassmannian_check,
     hom_KM_univariate,
+    KernelPresentation,
     kernel_presentation,
     quot2_limit_family,
     quot_dims,
     quot_tangent,
 )
-from helpers_kx import same_span
+from helpers_kx import krylov_vectors, lay_out, row_counts, same_span
 
 F5 = GF(5)
 
@@ -206,16 +207,29 @@ SMALLER_SPAN_CASES = [
 ]
 
 
-def _patch_columns(monkeypatch, mutate):
-    """Make quot._krylov_relations return mutate(columns, P) with the Krylov
-    vectors of the real pass, which cover the unmutated columns only."""
+def _patch_columns(monkeypatch, mutate, run_on=True):
+    """Make quot._krylov_relations return mutate(columns, P) as tags over the
+    Krylov vectors of the real pass, which cover the unmutated columns only;
+    with ``run_on`` those vectors go on by true powers X^m g_a as far as the
+    mutated columns reach, so the tags fit their table."""
     real = quot._krylov_relations
 
     def patched(P):
-        cols, powers = real(P)
-        return mutate(cols, P), powers
+        tags, powers = real(P)
+        counts = [len(v) for v in powers]
+        cols = mutate(KernelPresentation(P.field, tags, counts, powers).cols, P)
+        counts = [max(k, c) for k, c in zip(counts, row_counts(cols, P.r))]
+        if run_on:
+            powers = krylov_vectors(P.X[0], P.G, counts)
+        return lay_out(cols, counts, P.field), powers
 
     monkeypatch.setattr(quot, "_krylov_relations", patched)
+
+
+def _patch_pass(monkeypatch, mutate):
+    """Make quot._krylov_relations return mutate(tags, powers, P)."""
+    real = quot._krylov_relations
+    monkeypatch.setattr(quot, "_krylov_relations", lambda P: mutate(*real(P), P))
 
 
 @pytest.mark.parametrize("module, mutate, entry", SMALLER_SPAN_CASES)
@@ -256,21 +270,58 @@ def test_kernel_certificate_rejects_a_column_outside_the_kernel(monkeypatch, mod
         kernel_presentation(module)
 
 
+def _raise_first_pivot(cols, P):
+    """Add x^(k_0 + 1) to the first pivot: one power past the vectors the
+    pass computed for g_0."""
+    top = UniPoly(P.field, [P.field.zero()] * len(cols[0][0].coeffs) + [P.field.one()])
+    return [[cols[0][0] + top] + cols[0][1:]] + cols[1:]
+
+
 @pytest.mark.parametrize("module", CERTIFIED_MODULES[:2], ids=CERTIFIED_IDS[:2])
 def test_kernel_certificate_rejects_a_column_past_the_krylov_vectors(monkeypatch, module):
-    # Adding x^(k_0 + 1) to the first pivot adds X^(k_0 + 1) g_0 != 0 to the
-    # relation's value at X, one power past the vectors the pass computed, so
-    # the check must compute that power rather than drop the coefficient.
+    # Over the pass's own vectors the raised column's tag is one longer than
+    # its table, so it must be refused rather than cut short; over true
+    # powers run on past them, X^(k_0 + 1) g_0 != 0 joins its value at X.
     pres = kernel_presentation(module)
-    past = len(pres.powers[0])
-    assert past == len(pres.cols[0][0].coeffs)
-
-    def raised(cols, P):
-        top = UniPoly(P.field, [P.field.zero()] * past + [P.field.one()])
-        return [[cols[0][0] + top] + cols[0][1:]] + cols[1:]
-
-    _patch_columns(monkeypatch, raised)
+    assert pres.counts[0] == len(pres.cols[0][0].coeffs) == len(pres.powers[0])
+    n = sum(pres.counts)
+    _patch_columns(monkeypatch, _raise_first_pivot, run_on=False)
+    with pytest.raises(ArithmeticError, match=f"coefficient vector 0 has {n + 1} entries "
+                                              f"for a table of {n} vectors"):
+        kernel_presentation(module)
+    _patch_columns(monkeypatch, _raise_first_pivot)
     with pytest.raises(ArithmeticError, match="column 0 fails substitution check"):
+        kernel_presentation(module)
+
+
+@pytest.mark.parametrize("module", CERTIFIED_MODULES[:2], ids=CERTIFIED_IDS[:2])
+def test_kernel_certificate_rejects_a_perturbed_krylov_vector(monkeypatch, module):
+    # The check reads the stored vectors: column 0 has coefficient 1 at
+    # X^(k_0) g_0, so adding e_0 to that stored vector adds e_0 to its value.
+    def perturbed(tags, powers, P):
+        top = list(powers[0][-1])
+        top[0] = P.field.add(top[0], P.field.one())
+        return tags, [powers[0][:-1] + [top]] + powers[1:]
+
+    kernel_presentation(module)  # passes unmutated
+    _patch_pass(monkeypatch, perturbed)
+    with pytest.raises(ArithmeticError, match="kernel column 0 fails substitution check: "
+                                              "its value at X is nonzero first in row 0"):
+        kernel_presentation(module)
+
+
+@pytest.mark.parametrize("module", CERTIFIED_MODULES, ids=CERTIFIED_IDS)
+@pytest.mark.parametrize("extra", [0, 1])
+def test_kernel_certificate_refuses_a_tag_longer_than_its_table(monkeypatch, module, extra):
+    # A coefficient past the last stored vector has no vector to multiply:
+    # refused, even when it is zero, never dropped by a short zip.
+    def longer(tags, powers, P):
+        return [tags[0] + [P.field.from_int(extra)]] + tags[1:], powers
+
+    n = sum(kernel_presentation(module).counts)
+    _patch_pass(monkeypatch, longer)
+    with pytest.raises(ArithmeticError, match=f"coefficient vector 0 has {n + 1} entries "
+                                              f"for a table of {n} vectors"):
         kernel_presentation(module)
 
 
