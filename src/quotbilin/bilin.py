@@ -31,7 +31,7 @@ from .exactalg import (
     rational,
     same_field,
 )
-from .exactalg.matrix import _adopt, _cleared, _dots, _eliminate
+from .exactalg.matrix import _adopt, _cleared, _dense, _dots, _eliminate
 from .modcore import (
     FramedModule,
     FramedValidation,
@@ -251,13 +251,13 @@ class MembershipReport:
 
 
 def _equivariance_rows(m1: FramedModule, m2: FramedModule,
-                       Z: tuple[Matrix, ...]) -> list[list]:
-    """Rows of Pihat -> Pihat A_i - Z_i Pihat on vec(Pihat), with A_i = X_i (x) 1
-    and then 1 (x) Y_i for each i, entry (k, c) within each."""
+                       Z: tuple[Matrix, ...], base: int = 0) -> list[dict]:
+    """Rows of Pihat -> Pihat A_i - Z_i Pihat on vec(Pihat) at base, with A_i =
+    X_i (x) 1 and then 1 (x) Y_i for each i, entry (k, c) within each, as dicts."""
     rows = []
     for (xl, yl), z in zip(kron_lifts(m1.X, m2.X), Z):
-        rows.extend(_intertwiner_rows(xl, z))
-        rows.extend(_intertwiner_rows(yl, z))
+        rows.extend(_intertwiner_rows(xl, z, base))
+        rows.extend(_intertwiner_rows(yl, z, base))
     return rows
 
 
@@ -304,8 +304,7 @@ class MembershipSystem:
                 rows.append(row)
         # Equivariance rows: Pihat (X_i (x) 1) = Z_i Pihat and the
         # second-factor twin.
-        pad = [0] * nf
-        rows.extend(row + pad for row in _equivariance_rows(m1, m2, self.Z))
+        rows.extend(_dense(row, nvars + nf) for row in _equivariance_rows(m1, m2, self.Z))
         work, pivots = _eliminate(f, rows, nvars + nf, reduced=True)
         rank = sum(1 for pc in pivots if pc < nvars)
         self.nvars = nvars
@@ -431,59 +430,55 @@ def _layout(b: BilinPoint):
     return dict(zip(sizes, ends)), ends[-1]
 
 
-def _first_order_rows(b: BilinPoint, offsets, nvars: int) -> list[list]:
-    """The first-order system at a pairing point: commutation for the three
-    action families plus the linearised double equivariance
+def _first_order_rows(b: BilinPoint, offsets) -> list[dict]:
+    """The first-order system at a pairing point, rows as dicts: commutation
+    for the three action families plus the linearised double equivariance
     Pihatdot A_i + Pihat Adot_i = Zdot_i Pihat + Z_i Pihatdot,
     once with A = X (x) 1 and once with A = 1 (x) Y."""
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
     dim = d1 * d2
     pe = b.pihat.entries
-    rows = (_commutation_rows(b.m1.X, offsets["xdot"], nvars)
-            + _commutation_rows(b.m2.X, offsets["ydot"], nvars)
-            + _commutation_rows(b.Z, offsets["zdot"], nvars))
-    p0 = offsets["pihatdot"]
+    rows = (_commutation_rows(b.m1.X, offsets["xdot"])
+            + _commutation_rows(b.m2.X, offsets["ydot"])
+            + _commutation_rows(b.Z, offsets["zdot"]))
+    # The nonzero Pihat entries of (Pihat (Xdot_i (x) 1))[k,(p,q)] = sum_u
+    # Pihat[k,(u,q)] Xdot_i[u,p], (Pihat (1 (x) Ydot_i))[k,(p,q)] = sum_u
+    # Pihat[k,(p,u)] Ydot_i[u,q] and -(Zdot_i Pihat)[k,c] = -sum_s Zdot_i[k,s] Pihat[s,c].
+    xs = [[[(u * d1, x) for u, x in enumerate(pe[k * dim + q:(k + 1) * dim:d2]) if x]
+           for q in range(d2)] for k in range(d3)]
+    ys = [[[(u * d2, x) for u, x in enumerate(pe[k * dim + p * d2:k * dim + (p + 1) * d2]) if x]
+           for p in range(d1)] for k in range(d3)]
+    zs = [[(s, -x) for s, x in enumerate(pe[c::dim]) if x] for c in range(dim)]
     entries = product(range(b.n), ("x", "y"), range(d3), range(dim))
-    for (i, side, k, c), op in zip(entries, _equivariance_rows(b.m1, b.m2, b.Z)):
-        row = [0] * nvars
-        row[p0:p0 + d3 * dim] = op
+    ops = _equivariance_rows(b.m1, b.m2, b.Z, offsets["pihatdot"])
+    for (i, side, k, c), row in zip(entries, ops):
         p, q = divmod(c, d2)
         if side == "x":
-            # (Pihat (Xdot_i (x) 1))[k,(p,q)] = sum_u Pihat[k,(u,q)] Xdot_i[u,p]
-            xb = offsets["xdot"] + i * d1 * d1
-            for u in range(d1):
-                row[xb + u * d1 + p] = pe[k * dim + u * d2 + q]
+            row.update((offsets["xdot"] + i * d1 * d1 + p + t, x) for t, x in xs[k][q])
         else:
-            # (Pihat (1 (x) Ydot_i))[k,(p,q)] = sum_u Pihat[k,(p,u)] Ydot_i[u,q]
-            yb = offsets["ydot"] + i * d2 * d2
-            for u in range(d2):
-                row[yb + u * d2 + q] = pe[k * dim + p * d2 + u]
-        # -(Zdot_i Pihat)[k,c] = -sum_s Zdot_i[k,s] Pihat[s,c]
-        zb = offsets["zdot"] + i * d3 * d3
-        for s in range(d3):
-            row[zb + k * d3 + s] = -pe[s * dim + c]
+            row.update((offsets["ydot"] + i * d2 * d2 + q + t, x) for t, x in ys[k][p])
+        row.update((offsets["zdot"] + (i * d3 + k) * d3 + s, x) for s, x in zs[c])
         rows.append(row)
     return rows
 
 
-def _gauge_vectors_bilin(b: BilinPoint) -> list[tuple]:
+def _gauge_vectors_bilin(b: BilinPoint) -> list[dict]:
     """Simultaneous infinitesimal basis changes (Delta1, Delta2, Delta3), each
     running over the units E_ac in (a, c) order, first Delta1, then Delta2,
-    then Delta3.  The pairing lift moves by Delta3 Pihat - Pihat (Delta1 (x) 1
-    + 1 (x) Delta2)."""
+    then Delta3, as dicts of their nonzero entries.  The pairing lift moves
+    by Delta3 Pihat - Pihat (Delta1 (x) 1 + 1 (x) Delta2)."""
     f = b.field
     d1, d2, d3 = b.m1.d, b.m2.d, b.d3
     offsets, _ = _layout(b)
-    y0, z0, p0 = offsets["ydot"], offsets["zdot"], offsets["pihatdot"]
-    zero = [f.zero()]
-    out = [tuple(_module_gauge(b.m1, a, c) + zero * (p0 - y0)
-                 + _unit_action(f, b.pihat, cols=[(a * d2 + q, c * d2 + q) for q in range(d2)]))
-           for a in range(d1) for c in range(d1)]
-    out += [tuple(zero * y0 + _module_gauge(b.m2, a, c) + zero * (p0 - z0)
-                  + _unit_action(f, b.pihat, cols=[(p * d2 + a, p * d2 + c) for p in range(d1)]))
-            for a in range(d2) for c in range(d2)]
-    out += [tuple(zero * z0 + _family_gauge(f, b.Z, a, c) + _unit_action(f, b.pihat, (a, c)))
-            for a in range(d3) for c in range(d3)]
+    p0 = offsets["pihatdot"]
+    out = [_module_gauge(b.m1, a, c, offsets["xdot"])
+           | _unit_action(f, b.pihat, p0, cols=[(a * d2 + q, c * d2 + q) for q in range(d2)])
+           for a, c in product(range(d1), repeat=2)]
+    out += [_module_gauge(b.m2, a, c, offsets["ydot"])
+            | _unit_action(f, b.pihat, p0, cols=[(p * d2 + a, p * d2 + c) for p in range(d1)])
+            for a, c in product(range(d2), repeat=2)]
+    out += [_family_gauge(f, b.Z, a, c, offsets["zdot"]) | _unit_action(f, b.pihat, p0, (a, c))
+            for a, c in product(range(d3), repeat=2)]
     return out
 
 
@@ -499,7 +494,7 @@ def bilin_tangent(b: BilinPoint, check: bool = False) -> BilinTangentReport:
         raise InvalidPoint(f"invalid pairing point: {val.failure}")
     offsets, nvars = _layout(b)
     gauge = _gauge_vectors_bilin(b)
-    nullity, reps = quot._tangent_tail(_first_order_rows(b, offsets, nvars), gauge,
+    nullity, reps = quot._tangent_tail(_first_order_rows(b, offsets), gauge,
                                        b.field, nvars, check)
     basis = [_unpack_tangent(b, offsets, v) for v in reps]
     return BilinTangentReport(dim=nullity - len(gauge), nullity=nullity,
@@ -692,6 +687,7 @@ def bilin_dims(n: int, d: int, r1: int, r2: int) -> DimensionReport:
     the valid point the reason names has chi(X_1) != chi(Y_1), while the
     three characteristic polynomials agree on the main component, a closed
     condition.  d = 2 with r1 = r2 = 1 keeps ``irreducible`` True, unproved.
+    At d >= 3 the reason names the routes that apply, or says "not proved".
     """
     if n < 1 or d < 1 or r1 < 1 or r2 < 1:
         raise ValueError("need positive parameters")
@@ -709,10 +705,13 @@ def bilin_dims(n: int, d: int, r1: int, r2: int) -> DimensionReport:
                "H = [I | 0], Pihat = [[1,0,0,0],[0,1,0,0]] (at r2 = 1 the mirror, Y_1 = "
                "diag(0, 1), Pihat = [[1,0,0,0],[0,0,1,0]]), has chi(X_1) != chi(Y_1), while "
                "the three characteristic polynomials agree on the main component (closed)")
+    elif d >= 3:
+        why = ("reducible by the secant route" + (" and the count route" if red_count else "")
+               if red_secant else "d >= 3 with r_i < d: not proved, both routes need r1, r2 >= d")
     else:
         why = {1: "d = 1: proved, the points are the image of an open subset of an affine space",
                2: "d = 2 with r1 = r2 = 1: no point off the main component is known; "
-                  "not proved"}.get(d, "reducible route available")
+                  "not proved"}[d]
     reasons = {
         "count_threshold": threshold,
         "count": f"n = {n} {'<' if n < threshold else '>='} d^2-3d+2 = {threshold}"

@@ -11,12 +11,13 @@ Both run on plain ``int`` rows rather than one ``Field`` call per entry.
 Whole-matrix elimination (``rref``, ``rank`` and everything built on them)
 is one kernel, :func:`_eliminate`, with three representations of its rows,
 chosen per system by its size and its nonzero entries per row (see
-``_PACKED_MIN_CELLS``).  Small systems, and large ones of middling density,
-run on lists of ``int`` entries (:func:`_eliminate_lists`).  A large system
-with few nonzero entries per row, over Q or F_p, runs on sparse rows
-(:func:`_eliminate_sparse`): each row is a dict of its nonzero entries and
-each column keeps the set of rows nonzero there, so a pivot touches only
-those rows.  A large F_p system that is not very sparse runs on packed rows
+``_PACKED_MIN_CELLS``); it takes list rows or dict rows of nonzero entries.
+Small systems, and large ones of middling density, run on lists of ``int``
+entries (:func:`_eliminate_lists`).  A large system with few nonzero entries
+per row, over Q or F_p, runs on sparse rows (:func:`_eliminate_sparse`):
+each row is a dict of its nonzero entries, in and out, and each column
+keeps the set of rows nonzero there, so a pivot touches only those rows.
+A large F_p system that is not very sparse runs on packed rows
 (:func:`_eliminate_packed`): each row is one ``int`` of fixed-width slots, a
 row operation is one big-integer multiply-add, and slots are reduced mod p
 only when read.  All three give the same rows and pivots.  Over F_p the
@@ -36,13 +37,13 @@ an integral matrix is already an integer row and skips the denominator pass.
 Only ``rref``, ``EchelonBasis.reduce`` and the kernel-vector builder of
 :func:`kernel_mod_span` (which :func:`rank_and_kernel` also reads its basis
 through) divide, each through :func:`.field.rational`, once per nonzero
-entry of their result.
+entry of their result; it reads the rows nonzero at a column off dict rows.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 from sys import byteorder
@@ -55,6 +56,7 @@ from .field import GF, QQ, Field, FieldError, parse_field, rational, same_field
 # one runs on sparse rows when it has at most _SPARSE_MAX_ROW_NONZEROS
 # nonzero entries per row on average, over Q or F_p; else, over F_p, on
 # packed rows when it has more than _PACKED_MIN_ROW_NONZEROS; else on lists.
+# Dict rows stay dicts on the sparse path and are densified for the others.
 # See BENCH_secant.json and BENCH_tangent.json for the measurements.
 #
 # On dense random rows the packed path overtakes the list path at about 100
@@ -82,7 +84,7 @@ _PACKED_MIN_ROW_NONZEROS = 5
 _SPARSE_MAX_ROW_NONZEROS = 3
 
 # The prime of the modular rank certificates over Q (Terracini ranks in
-# ``tensorlab.secant_dimension``, gauge pivots in :func:`kernel_mod_span`):
+# ``tensorlab.secant_dimension``, gauge pivots in :func:`_kernel_mod_span`):
 # a rank mod P is at most the rank over Q, and a minor that is nonzero mod P
 # is a nonzero integer.  P = 2^24 - 3 lies above the Q sampling window of
 # ``tensorlab`` (so no sampled coordinate vanishes mod P), and its packed
@@ -91,7 +93,7 @@ _SPARSE_MAX_ROW_NONZEROS = 3
 CERTIFICATE_PRIME = 2 ** 24 - 3
 
 # Over Q, a system with no rows whose gauge has at least this many vectors
-# takes its right pivots modulo CERTIFICATE_PRIME first (kernel_mod_span).
+# takes its right pivots modulo CERTIFICATE_PRIME first (_kernel_mod_span).
 # Measured on the Quot gauges at n = 1, r = 2, the empty systems that occur:
 # the pivots mod P were the prefix at even d, so no exact elimination runs
 # (quot_tangent 10 -> 3 ms at d = 8, 1.5 s -> 55 ms at d = 16).  At odd d they
@@ -404,13 +406,14 @@ def _primitive(row: Sequence) -> list[int]:
     return [x // g for x in row] if g > 1 else list(row)
 
 
-def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
-               ) -> tuple[list[list[int]], list[int]]:
+def _eliminate(field: Field, rows: Sequence, ncols: int, reduced: bool
+               ) -> tuple[list, list[int]]:
     """Gaussian elimination on plain ``int`` rows; returns the rows and the
     pivot columns.
 
-    Row i < rank is the pivot row of ``pivots[i]``; the rows past the rank are
-    zero.  Only the rows below each pivot are cleared, or every other row when
+    The rows are all lists or all dicts of nonzero entries.  Row i < rank is
+    the pivot row of ``pivots[i]``; the rows past the rank are zero.  Only
+    the rows below each pivot are cleared, or every other row when
     ``reduced``.  Over F_p the entries are reduced mod p on entry and each
     pivot row is scaled to pivot 1, so with ``reduced`` the rows are the rref.
     Over Q each row is a primitive integer row (see the module docstring), so
@@ -419,21 +422,41 @@ def _eliminate(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
     A system of at most ``_PACKED_MIN_CELLS`` entries runs on lists
     (:func:`_eliminate_lists`).  A larger one has its nonzero entries
     counted once: at most ``_SPARSE_MAX_ROW_NONZEROS`` per row on average,
-    over either field, it runs on sparse rows (:func:`_eliminate_sparse`);
+    over either field, it runs on dict rows (:func:`_eliminate_sparse`);
     over F_p, more than ``_PACKED_MIN_ROW_NONZEROS`` per row, on packed rows
     (:func:`_eliminate_packed`); anything else on lists.  All three give the
-    same rows and pivots.
+    same rows and pivots.  List rows come back as lists; dict rows come back
+    as dicts from the sparse path and as lists from the others.
     """
     nr = len(rows)
     cells = nr * ncols
+    dicts = nr > 0 and type(rows[0]) is dict
     if cells > _PACKED_MIN_CELLS:
-        nonzeros = cells - sum(row.count(0) for row in rows)
+        nonzeros = sum(map(len, rows)) if dicts else cells - sum(row.count(0) for row in rows)
         if nonzeros <= _SPARSE_MAX_ROW_NONZEROS * nr:
-            return _eliminate_sparse(field, rows, ncols, reduced)
-        p = field.characteristic
-        if p and nonzeros > _PACKED_MIN_ROW_NONZEROS * nr:
-            return _eliminate_packed(p, rows, ncols, reduced)
+            if dicts:
+                return _eliminate_sparse(field, rows, ncols, reduced)
+            work, pivots = _eliminate_sparse(field, list(map(_nonzeros, rows)), ncols, reduced)
+            return [_dense(row, ncols) for row in work], pivots
+    if dicts:
+        rows = [_dense(row, ncols) for row in rows]
+    p = field.characteristic
+    if p and cells > _PACKED_MIN_CELLS and nonzeros > _PACKED_MIN_ROW_NONZEROS * nr:
+        return _eliminate_packed(p, rows, ncols, reduced)
     return _eliminate_lists(field, rows, ncols, reduced)
+
+
+def _nonzeros(row: Sequence) -> dict:
+    """The nonzero entries of a list row, ``{column: value}``."""
+    return dict(zip(compress(count(), row), filter(None, row)))
+
+
+def _dense(row: dict, ncols: int) -> list:
+    """The list row of ``ncols`` entries with the nonzero entries ``row``."""
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def _eliminate_lists(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
@@ -475,9 +498,9 @@ def _eliminate_lists(field: Field, rows: Sequence[Sequence], ncols: int, reduced
     return work, pivots
 
 
-def _eliminate_sparse(field: Field, rows: Sequence[Sequence], ncols: int, reduced: bool
-                      ) -> tuple[list[list[int]], list[int]]:
-    """:func:`_eliminate` with each row a dict of its nonzero entries.
+def _eliminate_sparse(field: Field, rows: Sequence[dict], ncols: int, reduced: bool
+                      ) -> tuple[list[dict], list[int]]:
+    """:func:`_eliminate` with each row a dict of its nonzero entries, in and out.
 
     ``cols[j]`` holds the ids of the rows that are nonzero at column j, kept
     up to date on fill-in and cancellation, so a pivot at column pc reads and
@@ -487,27 +510,26 @@ def _eliminate_sparse(field: Field, rows: Sequence[Sequence], ncols: int, reduce
     the first remaining row, in the order its swaps leave the rows in, that
     is nonzero at pc.  ``order`` is that order and ``pos`` its inverse, so
     every row, and with it the size of the Q entries, is the list path's.
+    The caller's dicts are not changed.
     """
     p = field.characteristic
     nr = len(rows)
-    every = range(ncols)
     work = []
-    cols: list[set[int]] = [set() for _ in every]
+    cols: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
-        keys = list(compress(every, row))
         if p:
-            entries = {j: row[j] % p for j in keys}
+            entries = {j: x % p for j, x in row.items()}
             if 0 in entries.values():
                 entries = {j: x for j, x in entries.items() if x}
         else:
-            entries = dict(zip(keys, _primitive([row[j] for j in keys])))
+            entries = dict(zip(row, _primitive(list(row.values()))))
         for j in entries:
             cols[j].add(i)
         work.append(entries)
     order = list(range(nr))
     pos = order[:]
     pivots: list[int] = []
-    for pc in every:
+    for pc in range(ncols):
         pr = len(pivots)
         if pr == nr:
             break
@@ -555,13 +577,7 @@ def _eliminate_sparse(field: Field, rows: Sequence[Sequence], ncols: int, reduce
                     ri = {j: x // g for j, x in ri.items()}
             work[i] = ri
         pivots.append(pc)
-    out = []
-    for i in order:
-        row = [0] * ncols
-        for j, x in work[i].items():
-            row[j] = x
-        out.append(row)
-    return out, pivots
+    return [work[i] for i in order], pivots
 
 
 def _eliminate_packed(p: int, rows: Sequence[Sequence[int]], ncols: int, reduced: bool
@@ -672,14 +688,21 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple]]:
     non-pivot columns and zero past its own.  So the coordinates of a kernel
     element in this basis are its entries at the non-pivot columns.
     """
-    nullity, basis = kernel_mod_span(m, ())
+    nullity, basis = _kernel_mod_span(m.field, m.row_lists(), m.cols, ())
     return m.cols - nullity, basis
 
 
 def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[tuple]]:
-    """Nullity of ``m`` and the :func:`rank_and_kernel` basis vectors that
-    extend ``vectors``, which must be independent vectors of the kernel, to
-    a basis of it.
+    """:func:`_kernel_mod_span` on the rows of ``m``, the vectors sequences."""
+    return _kernel_mod_span(m.field, m.row_lists(), m.cols, list(map(_nonzeros, vectors)))
+
+
+def _kernel_mod_span(field: Field, rows: Sequence, ncols: int, vectors: Sequence[dict]
+                     ) -> tuple[int, list[tuple]]:
+    """Nullity of the system ``rows`` in ``ncols`` unknowns (list or dict
+    rows, as :func:`_eliminate` takes them) and the :func:`rank_and_kernel`
+    basis vectors that extend ``vectors``, dicts of the nonzero entries of
+    independent vectors of the kernel, to a basis of it.
 
     The choice is the greedy one in basis order: basis vector a is kept
     exactly when it is independent of ``vectors`` and of the vectors kept
@@ -695,7 +718,7 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
     proves them independent, so the nullity - len(vectors) kept vectors
     complete them to a basis.
 
-    Over Q, when ``m`` has no rows and there are at least
+    Over Q, when the system has no rows and there are at least
     ``_MODULAR_GAUGE_MIN`` vectors, the restricted vectors are first
     eliminated modulo P = ``CERTIFICATE_PRIME`` (see
     :func:`_modular_right_pivots`), each row times the lcm of its
@@ -718,23 +741,32 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
     Only the kept vectors are built.  The vector of non-pivot column fc is 1
     at fc, zero at the other non-pivot columns, and -row[fc]/row[pc] at the
     pivot column pc of each reduced row: ``rational(-row[fc], row[pc])`` over
-    Q, ``(-row[fc]) mod p`` over F_p, where row[pc] = 1.
+    Q, ``(-row[fc]) mod p`` over F_p, where row[pc] = 1, for the reduced
+    rows nonzero at fc, indexed by column from the entries of dict rows.
     """
-    p = m.field.characteristic
-    rows, pivots = _eliminate(m.field, m.row_lists(), m.cols, reduced=True)
-    free = sorted(set(range(m.cols)).difference(pivots))
-    restricted = [[v[fc] for fc in reversed(free)] for v in vectors]
-    if not p and not m.rows and len(vectors) >= _MODULAR_GAUGE_MIN:
+    p = field.characteristic
+    rows, pivots = _eliminate(field, rows, ncols, reduced=True)
+    free = sorted(set(range(ncols)).difference(pivots))
+    where = {fc: k for k, fc in enumerate(reversed(free))} if vectors else {}
+    restricted = [{where[j]: x for j, x in v.items() if j in where} for v in vectors]
+    if not p and not rows and len(vectors) >= _MODULAR_GAUGE_MIN:
         right = _modular_right_pivots(restricted, len(free))
     else:
-        right = _eliminate(m.field, restricted, len(free), reduced=False)[1] if vectors else []
+        right = _eliminate(field, restricted, len(free), reduced=False)[1] if vectors else []
     if len(right) != len(vectors):
         raise ArithmeticError(f"{len(vectors)} vectors have rank {len(right)} in kernel coordinates")
-    basis = []
-    for fc in sorted(set(free).difference(free[-1 - c] for c in right)):
-        v = [m.field.zero()] * m.cols
-        v[fc] = m.field.one()
+    kept = sorted(set(free).difference(free[-1 - c] for c in right))
+    dicts = rows and type(rows[0]) is dict
+    if dicts:
+        at = {fc: [] for fc in kept}
         for row, pc in zip(rows, pivots):
+            for j in row.keys() & at.keys():
+                at[j].append((row, pc))
+    basis = []
+    for fc in kept:
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for row, pc in at[fc] if dicts else zip(rows, pivots):
             x = row[fc]
             if x:
                 v[pc] = (-x) % p if p else rational(-x, row[pc])
@@ -742,20 +774,21 @@ def kernel_mod_span(m: Matrix, vectors: Sequence[Sequence]) -> tuple[int, list[t
     return len(free), basis
 
 
-def _modular_right_pivots(restricted: Sequence[Sequence], ncols: int) -> list[int]:
-    """The pivots over Q of the rational ``restricted`` rows, of ``ncols``
-    entries, from their pivots modulo ``CERTIFICATE_PRIME`` first: taken
-    as they are when they are the prefix 0, ..., k - 1 for k rows, else an
-    exact elimination of the columns up to the last of them when they are k
-    columns, else of every column (see :func:`kernel_mod_span`)."""
+def _modular_right_pivots(restricted: Sequence[dict], ncols: int) -> list[int]:
+    """The pivots over Q of the rational ``restricted`` rows, dicts of
+    nonzero entries in ``ncols`` columns, from their pivots modulo
+    ``CERTIFICATE_PRIME`` first: taken as they are when they are the prefix
+    0, ..., k - 1 for k rows, else an exact elimination of the columns up to
+    the last of them when they are k columns, else of every column (see
+    :func:`_kernel_mod_span`)."""
     k = len(restricted)
-    cleared = [_cleared(row)[0] for row in restricted]
+    cleared = [dict(zip(row, _cleared(list(row.values()))[0])) for row in restricted]
     modular = _eliminate(GF(CERTIFICATE_PRIME), cleared, ncols, reduced=False)[1]
     if modular == list(range(k)):
         return modular
     if len(modular) == k:
         ncols = modular[-1] + 1
-        restricted = [row[:ncols] for row in restricted]
+        restricted = [{j: x for j, x in row.items() if j < ncols} for row in restricted]
     return _eliminate(QQ, restricted, ncols, reduced=False)[1]
 
 

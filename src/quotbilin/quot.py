@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from operator import sub
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -25,9 +24,8 @@ from .exactalg import (
     ShapeError,
     UniPoly,
     gaussian_binomial,
-    kernel_mod_span,
 )
-from .exactalg.matrix import _adopt, _dots
+from .exactalg.matrix import _adopt, _dots, _kernel_mod_span
 from .modcore import FramedModule, InvalidPoint, _support, validate_framed
 
 
@@ -45,9 +43,10 @@ class QuotTangentReport:
     basis: list[QuotTangentVector]
 
 
-def _intertwiner_rows(A: Matrix, B: Matrix) -> list[list]:
+def _intertwiner_rows(A: Matrix, B: Matrix, base: int = 0) -> list[dict]:
     """Rows of the operator M -> M A - B M on vec(M), row-major, one row per
-    entry (k, c) of M A - B M in row-major order.
+    entry (k, c) of M A - B M in row-major order, each a dict of its nonzero
+    entries with vec(M) at columns base, base + 1, ...
 
     Both the first-order commutation of an action family (A = B = X_j) and
     the equivariance of a pairing lift (A = X_i (x) 1 or 1 (x) Y_i, B = Z_i)
@@ -55,102 +54,111 @@ def _intertwiner_rows(A: Matrix, B: Matrix) -> list[list]:
     """
     m, n = B.rows, A.rows
     ae, be = A.entries, B.entries
+    # Row (k, c): A[s, c] at (k, s) from M A, and -B[k, s] at (s, c) from B M.
+    acols = [[(s, x) for s, x in enumerate(ae[c::n]) if x] for c in range(n)]
+    brows = [[(s, x) for s, x in enumerate(be[k * m:(k + 1) * m]) if x] for k in range(m)]
     rows = []
     for k in range(m):
-        bk = be[k * m:(k + 1) * m]
         for c in range(n):
-            row = [0] * (m * n)
-            # (M A)[k,c] = sum_s M[k,s] A[s,c]
-            row[k * n:(k + 1) * n] = ae[c::n]
-            # -(B M)[k,c] = -sum_s B[k,s] M[s,c]
-            for s, bv in enumerate(bk):
-                row[s * n + c] -= bv
+            row = {base + k * n + s: x for s, x in acols[c]}
+            for s, bv in brows[k]:
+                j = base + s * n + c
+                row[j] = row.get(j, 0) - bv
+                if not row[j]:
+                    del row[j]
             rows.append(row)
     return rows
 
 
-def _commutation_rows(X: tuple[Matrix, ...], base: int, nvars: int) -> list[list]:
+def _commutation_rows(X: tuple[Matrix, ...], base: int) -> list[dict]:
     """First-order commutation rows: perturbing X_i, X_j must keep them
     commuting to order one, [Xdot_i, X_j] + [X_i, Xdot_j] = 0 for i < j.
-    Unknown layout: vec(Xdot_i) at base + i*d*d in k^nvars."""
+    Unknown layout: vec(Xdot_i) at base + i*d*d; rows as dicts."""
     dd = X[0].rows ** 2
-    ops = [_intertwiner_rows(x, x) for x in X]  # Xdot -> Xdot X - X Xdot
     rows = []
     for i in range(len(X)):
-        bi = base + i * dd
         for j in range(i + 1, len(X)):
-            bj = base + j * dd
-            for oi, oj in zip(ops[j], ops[i]):
-                row = [0] * nvars
-                row[bi:bi + dd] = oi
-                row[bj:bj + dd] = [-v for v in oj]
-                rows.append(row)
+            # Xdot_i -> Xdot_i X_j - X_j Xdot_i, less Xdot_j -> Xdot_j X_i - X_i Xdot_j.
+            ops = zip(_intertwiner_rows(X[j], X[j], base + i * dd),
+                      _intertwiner_rows(X[i], X[i], base + j * dd))
+            rows.extend(oi | {t: -v for t, v in oj.items()} for oi, oj in ops)
     return rows
 
 
-def _unit_action(f, M: Matrix, row: Optional[tuple[int, int]] = None,
-                 cols: Sequence[tuple[int, int]] = ()) -> list:
-    """vec(E M - M E') for 0/1 matrices E and E' in closed form.
+def _unit_action(f, M: Matrix, base: int = 0, row: Optional[tuple[int, int]] = None,
+                 cols: Sequence[tuple[int, int]] = ()) -> dict:
+    """vec(E M - M E') for 0/1 matrices E and E' in closed form, as a dict of
+    its nonzero entries with vec at columns base, base + 1, ...
 
     ``row`` = (a, b) means E = E_ab, and E_ab M is row b of M moved to row
     a.  Each pair (c, c') in ``cols`` is a 1 of E' at (c, c'), and M E'
     holds column c of M in column c'.  So [E_ab, X] is row=(a, b),
     cols=[(a, b)], and -Pihat (E_ab (x) 1) is cols=[((a, q), (b, q)) for
-    each q], with the column pair (p, q) at p*d2 + q.
+    each q], with the column pair (p, q) at p*d2 + q.  Entries moved by E
+    are raw; those moved by E' are reduced mod p over F_p.
     """
     w, e, p = M.cols, M.entries, f.characteristic
-    out = [f.zero()] * (M.rows * w)
+    out = {}
     if row is not None:
         a, b = row
-        out[a * w:(a + 1) * w] = e[b * w:(b + 1) * w]
+        out = {base + a * w + t: x for t, x in enumerate(e[b * w:(b + 1) * w]) if x}
     for c, c2 in cols:
-        # Column c2 of the output less column c of M, with no Field call per entry.
-        diff = map(sub, out[c2::w], e[c::w])
-        out[c2::w] = [x % p for x in diff] if p else diff
+        # Column c2 of the output less column c of M.
+        for j, y in zip(range(base + c2, base + len(e), w), e[c::w]):
+            if y or j in out:
+                x = out.get(j, 0) - y
+                out[j] = x % p if p else x
+                if not out[j]:
+                    del out[j]
     return out
 
 
-def _family_gauge(f, X: tuple[Matrix, ...], a: int, b: int) -> list:
-    """The gauge direction E_ab on an action family: vec([E_ab, X_i]) for each i."""
-    return list(itertools.chain.from_iterable(_unit_action(f, x, (a, b), [(a, b)]) for x in X))
+def _family_gauge(f, X: tuple[Matrix, ...], a: int, b: int, base: int = 0) -> dict:
+    """The gauge direction E_ab on an action family: vec([E_ab, X_i]) at base + i*d*d."""
+    return {j: v for i, x in enumerate(X)
+            for j, v in _unit_action(f, x, base + i * x.rows * x.rows, (a, b), [(a, b)]).items()}
 
 
-def _module_gauge(P: FramedModule, a: int, b: int) -> list:
+def _module_gauge(P: FramedModule, a: int, b: int, base: int = 0) -> dict:
     """The gauge direction E_ab at a framed module: ([E_ab, X_i]), E_ab G."""
-    return _family_gauge(P.field, P.X, a, b) + _unit_action(P.field, P.G, (a, b))
+    return (_family_gauge(P.field, P.X, a, b, base)
+            | _unit_action(P.field, P.G, base + P.n * P.d * P.d, (a, b)))
 
 
-def _gauge_vectors_quot(P: FramedModule) -> list[tuple]:
+def _gauge_vectors_quot(P: FramedModule) -> list[dict]:
     """Images of the trivial deformations Delta -> (([Delta, X_i]), Delta G),
-    for Delta = E_ab in (a, b) order."""
-    return [tuple(_module_gauge(P, a, b)) for a in range(P.d) for b in range(P.d)]
+    for Delta = E_ab in (a, b) order, as dicts of their nonzero entries."""
+    return [_module_gauge(P, a, b) for a in range(P.d) for b in range(P.d)]
 
 
-def _tangent_tail(rows: list[list], gauge: list[tuple], f, nvars: int,
+def _tangent_tail(rows: list[dict], gauge: list[dict], f, nvars: int,
                   check: bool) -> tuple[int, list[tuple]]:
     """Nullity of a first-order system and representatives of its kernel
-    modulo the gauge directions.
+    modulo the gauge directions, both given as dicts of nonzero entries.
 
     Each gauge vector is the derivative of the basis-change orbit through
     the point: the point moved by 1 + t E_ab over k[t]/(t^2) is the point
     plus t times the vector.  The equations are invariant under a change of
     basis, so that moved point solves them to first order and the vector
     solves the first-order system: the gauge lies in the kernel.
-    :func:`kernel_mod_span` keeps the kernel basis vectors that are not
-    right pivots of the gauge in kernel coordinates (its entries at the
-    non-pivot columns), from one elimination of the system and one of that
-    restriction.  It raises ``ArithmeticError`` unless the restriction has
-    rank len(gauge), which proves the gauge independent on every call, so
-    dim = nullity - len(gauge) is certified with or without ``check``.
-    ``check`` also verifies directly that the gauge solves the system, which
-    the argument above and the kept representatives rely on.
+    :func:`exactalg.matrix._kernel_mod_span` keeps the kernel basis vectors
+    that are not right pivots of the gauge in kernel coordinates (its
+    entries at the non-pivot columns), from one elimination of the dict rows
+    and one of that restriction.  It raises ``ArithmeticError`` unless the
+    restriction has rank len(gauge), which proves the gauge independent on
+    every call, so dim = nullity - len(gauge) is certified with or without
+    ``check``.  ``check`` also verifies directly, by sparse dot products,
+    that the gauge solves the system, which the argument above and the kept
+    representatives rely on.
     """
-    m = _adopt(f, len(rows), nvars, list(itertools.chain.from_iterable(rows)))
     if check:
+        p = f.characteristic
         for v in gauge:
-            if not all(f.is_zero(c) for c in m.matvec(list(v))):
-                raise ArithmeticError("gauge vector violates the deformation system")
-    return kernel_mod_span(m, gauge)
+            for row in rows:
+                s = sum(x * v[j] for j, x in row.items() if j in v)
+                if s % p if p else s:
+                    raise ArithmeticError("gauge vector violates the deformation system")
+    return _kernel_mod_span(f, rows, nvars, gauge)
 
 
 def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
@@ -168,7 +176,7 @@ def quot_tangent(P: FramedModule, check: bool = False) -> QuotTangentReport:
     dd = d * d
     nvars = n * dd + d * r
     gauge = _gauge_vectors_quot(P)
-    nullity, reps = _tangent_tail(_commutation_rows(P.X, 0, nvars), gauge, f, nvars, check)
+    nullity, reps = _tangent_tail(_commutation_rows(P.X, 0), gauge, f, nvars, check)
     basis = [QuotTangentVector(
         xdot=tuple(_adopt(f, d, d, list(v[i * dd:(i + 1) * dd])) for i in range(n)),
         gdot=_adopt(f, d, r, list(v[n * dd:]))) for v in reps]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -568,6 +569,26 @@ def test_bilin_dims_names_what_it_proves(n):
     assert one.irreducible and one.reasons["irreducible"].startswith("d = 1: proved")
     two = bilin_dims(n, 2, 1, 1)
     assert two.irreducible and "not proved" in two.reasons["irreducible"]
+
+
+def test_bilin_dims_reasons_at_d3_name_only_routes_that_apply():
+    # At d >= 3 every reason names a route the report's own flags say
+    # applies, or says "not proved": bilin_dims(1, 3, 2, 2) has neither.
+    seen = set()
+    for n, d, r1, r2 in itertools.product(range(1, 8), range(3, 6), range(1, 7), range(1, 7)):
+        rep = bilin_dims(n, d, r1, r2)
+        why = rep.reasons["irreducible"]
+        assert not rep.irreducible
+        routes = {"count": rep.reducible_by_count, "secant": rep.reducible_by_secant}
+        named = {route for route in routes if f"{route} route" in why}
+        if "not proved" in why:
+            assert not any(routes.values()) and not named, (n, d, r1, r2, why)
+        else:
+            assert named and all(routes[route] for route in named), (n, d, r1, r2, why)
+            assert named == {route for route, applies in routes.items() if applies}
+        seen.add(tuple(sorted(named)) or "not proved")
+    assert seen == {"not proved", ("secant",), ("count", "secant")}
+    assert "not proved" in bilin_dims(1, 3, 2, 2).reasons["irreducible"]
 
 
 def test_bilin_dims_degenerate_undefined():

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,15 +18,21 @@ from hypothesis import given, settings
 
 import quotbilin
 from quotbilin.cli import EXIT_CAP, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, build_parser, main
-from quotbilin.exactalg import GF, QQ, Matrix, UniPoly
+from quotbilin.exactalg import GF, QQ, Matrix, UniPoly, rand_invertible
 from quotbilin.modcore import (
     FramedModule,
     cyclic_module_univariate,
     framed_to_json,
     make_degenerate,
     make_tuple_of_points,
+    rand_framed_module,
 )
-from quotbilin.bilin import bilin_to_json, degenerate_point, main_component_point
+from quotbilin.bilin import (
+    bilin_to_json,
+    degenerate_point,
+    gauge_transform_bilin,
+    main_component_point,
+)
 
 F3 = GF(3)
 
@@ -306,6 +314,60 @@ def test_reports_identical_modulo_timestamp(tmp_path):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b and a["seed"] == 9
+
+
+def _golden_tangent_points():
+    """The tangent-q benchmark's points at seed 0, built in its order from
+    one ``random.Random(0)``, then an n = 2 pairing point in random bases
+    and an n = 2 framed module over F_101."""
+    rng = random.Random(0)
+    points = {}
+    for d in (4, 3, 2):
+        pts = [QQ.from_int(v) for v in rng.sample(range(-9, 10), d)]
+        points[f"bilin.main.d{d}"] = ("bilin", bilin_to_json(main_component_point(
+            pts, rand_invertible(rng, QQ, d), rand_invertible(rng, QQ, d))))
+    pi = Matrix(QQ, 3, 9, [int(j == 4 * i) for i in range(3) for j in range(9)])
+    points["bilin.degenerate.d3"] = ("bilin", bilin_to_json(degenerate_point(
+        3, 3, 3, Matrix.identity(QQ, 3), Matrix.identity(QQ, 3), pi)))
+    for d in (5, 4, 3):
+        points[f"quot.d{d}"] = ("quot", framed_to_json(rand_framed_module(rng, QQ, 1, d, 2)))
+    f = GF(101)
+    rng = random.Random(101)
+    main2 = main_component_point([(f.from_int(1), f.from_int(2)), (f.from_int(3), f.from_int(5)),
+                                  (f.from_int(7), f.from_int(4))],
+                                 rand_invertible(rng, f, 3), rand_invertible(rng, f, 3))
+    points["bilin.main.n2.F101"] = ("bilin", bilin_to_json(gauge_transform_bilin(
+        main2, *(rand_invertible(rng, f, 3) for _ in range(3)))))
+    points["quot.n2.F101"] = ("quot", framed_to_json(rand_framed_module(rng, f, 2, 4, 2)))
+    return points
+
+
+# sha256 of each report, timestamp removed, as the tangent reports read
+# before the tangent path kept its rows sparse.
+GOLDEN_TANGENT_REPORTS = {
+    "bilin.main.d4": "79d343e708582ab30dc0ed22fce5eb7079503431b5344ed21c893c0d3c1f83ae",
+    "bilin.main.d3": "54b78d6f6b67f2be6a328160808d6082ef132268321b0319d81eb33a2532c9fc",
+    "bilin.main.d2": "356eebfd70ab3c4db03d4e5441bb02523c71606eaed612365b087977c219c29a",
+    "bilin.degenerate.d3": "c6bb918056613a08ece82779a937ca0445a1ce25b46f057d8c94394320e72e96",
+    "quot.d5": "d57ac8b8be93186c3dfe2efea9874851ebb6eedfe8cff8d21e763a3e321b0c54",
+    "quot.d4": "af55de0f3f98ac1023061e5df5687321a7cf087d7898eacf09ed09ac9b09e262",
+    "quot.d3": "165a924c90b0cafddbdf62b88f3698166307bb0193c85f854a1e8d70dfcda72d",
+    "bilin.main.n2.F101": "6b158d8985dc0974f53f17edc8a26dae8a986863c501b93bb47cfe761ab7aea3",
+    "quot.n2.F101": "4a914c402096fcfb2551c43537dcceb55b749bd8773ad89a9aa3313066ef57fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TANGENT_REPORTS))
+def test_tangent_reports_equal_their_golden_hashes(tmp_path, name):
+    which, obj = _golden_tangent_points()[name]
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(obj))
+    for check in ([], ["--check"]):
+        code, payload, _ = run_json(tmp_path, ["tangent", which, "--point", str(point), *check])
+        assert code == EXIT_OK
+        payload.pop("timestamp")
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TANGENT_REPORTS[name]
 
 
 def test_tangent_at_invalid_point_exits_like_validate(tmp_path):

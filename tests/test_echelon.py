@@ -35,7 +35,13 @@ from quotbilin.exactalg import (
     solve_with_rank,
 )
 from quotbilin.exactalg import matrix
-from quotbilin.exactalg.matrix import _cleared, _eliminate, _modular_right_pivots
+from quotbilin.exactalg.matrix import (
+    _cleared,
+    _dense,
+    _eliminate,
+    _modular_right_pivots,
+    _nonzeros,
+)
 from quotbilin.modcore import rand_framed_module
 from quotbilin.quot import quot_tangent
 
@@ -171,15 +177,18 @@ TANGENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TANGENT_CASES))
 def test_tangent_representatives_equal_full_rref_greedy(monkeypatch, case):
+    # The tangent path hands its dict rows and gauge vectors to the engine;
+    # the references read them as a Matrix and as dense vectors.
     calls = []
-    engine = quot.kernel_mod_span
+    engine = quot._kernel_mod_span
 
-    def spy(m, vectors):
-        nullity, reps = engine(m, vectors)
-        calls.append((m, vectors, nullity, reps))
+    def spy(field, rows, ncols, vectors):
+        nullity, reps = engine(field, rows, ncols, vectors)
+        m = Matrix(field, len(rows), ncols, [x for row in rows for x in _dense(row, ncols)])
+        calls.append((m, [tuple(_dense(v, ncols)) for v in vectors], nullity, reps))
         return nullity, reps
 
-    monkeypatch.setattr(quot, "kernel_mod_span", spy)
+    monkeypatch.setattr(quot, "_kernel_mod_span", spy)
     report = TANGENT_CASES[case]()
     (m, gauge, nullity, reps), = calls
     kernel = reference_kernel(m)
@@ -188,16 +197,41 @@ def test_tangent_representatives_equal_full_rref_greedy(monkeypatch, case):
     assert len(reps) == report.dim == len(report.basis)
 
 
+def sparse_rows(rng, field, rows, cols):
+    """Rows of 1 to 3 nonzero entries, some of them repeats of earlier rows;
+    over Q the entries are often fractions, so the kernel vectors have
+    fractional entries at pivot columns."""
+    out = []
+    for _ in range(rows):
+        row = [field.zero()] * cols
+        if out and rng.random() < 0.2:
+            row = list(rng.choice(out))
+        else:
+            for j in rng.sample(range(cols), rng.randint(1, 3)):
+                x = field.sample(rng)
+                if not field.characteristic:
+                    x = field.div(x, field.from_int(rng.choice([1, 2, 3, 7])))
+                row[j] = x
+        out.append(tuple(row))
+    return out
+
+
 @st.composite
 def kernel_and_gauge(draw):
     """A random matrix over Q, F_3 or F_101, often rank-deficient, and a
     "gauge" of random combinations of its reference kernel basis; the
     combinations are dependent when there are more of them than the
-    nullity, and sometimes otherwise."""
+    nullity, and sometimes otherwise.  Small matrices are dense; those of
+    more than ``_PACKED_MIN_CELLS`` entries have at most 3 nonzero entries
+    per row, the systems the sparse elimination path takes."""
     field = draw(st.sampled_from([QQ, GF(3), GF(101)]))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
-    vectors = random_vectors(rng, field, rows, cols, draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+        vectors = random_vectors(rng, field, rows, cols, draw(st.integers(0, 5)))
+    else:
+        rows, cols = draw(st.sampled_from([(12, 36), (16, 30), (20, 24), (24, 20), (30, 16)]))
+        vectors = sparse_rows(rng, field, rows, cols)
     m = Matrix(field, rows, cols, [x for v in vectors for x in v])
     kernel = reference_kernel(m)
     gauge = []
@@ -214,15 +248,30 @@ def kernel_and_gauge(draw):
 @settings(deadline=None, max_examples=150)
 @given(kernel_and_gauge())
 def test_kernel_mod_span_equals_the_reference_greedy(inputs):
+    # kernel_mod_span reads list rows; the tangent path hands the same
+    # engine dict rows and dict vectors, which the sparse path keeps as dicts.
     m, gauge = inputs
     field = m.field
     kernel = reference_kernel(m)
     assert rank_and_kernel(m) == (m.cols - len(kernel), kernel)
+    dicts = ([_nonzeros(row) for row in m.row_lists()], [_nonzeros(v) for v in gauge])
+    sparse = m.rows * m.cols > matrix._PACKED_MIN_CELLS
+    event(f"{field.name}, {'sparse' if sparse else 'small'}")
     if rank_of(gauge, field) < len(gauge):
         with pytest.raises(ArithmeticError):
             kernel_mod_span(m, gauge)
-    else:
-        assert kernel_mod_span(m, gauge) == (len(kernel), full_rref_greedy(kernel, gauge, field))
+        with pytest.raises(ArithmeticError):
+            matrix._kernel_mod_span(field, dicts[0], m.cols, dicts[1])
+        return
+    want = (len(kernel), full_rref_greedy(kernel, gauge, field))
+    assert kernel_mod_span(m, gauge) == want
+    with pytest.MonkeyPatch.context() as mp:
+        paths = []
+        real = matrix._eliminate_sparse
+        mp.setattr(matrix, "_eliminate_sparse",
+                   lambda *args: paths.append(len(args[1])) or real(*args))
+        assert matrix._kernel_mod_span(field, dicts[0], m.cols, dicts[1]) == want
+    assert (m.rows in paths) == sparse
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=lambda f: f.name)
@@ -255,7 +304,9 @@ def _exact_kernel_mod_span(m, gauge):
 
 
 def _pivots_mod_p(restricted, ncols):
-    return _eliminate(GF(P), [_cleared(row)[0] for row in restricted], ncols, reduced=False)[1]
+    """The pivots mod P of restricted rows, lists or dicts of nonzero entries."""
+    rows = [_dense(row, ncols) if type(row) is dict else row for row in restricted]
+    return _eliminate(GF(P), [_cleared(row)[0] for row in rows], ncols, reduced=False)[1]
 
 
 def _accept_any_full_rank(restricted, ncols):
@@ -281,7 +332,7 @@ def test_modular_pivots_fall_back_when_p_divides_the_leading_minor(k):
     m, gauge = _empty_system_case(_p_divides_the_minor(k))
     restricted = [list(reversed(v)) for v in gauge]
     assert _pivots_mod_p(restricted, k + 2) == list(range(k - 1)) + [k]
-    assert _modular_right_pivots(restricted, k + 2) == list(range(k))
+    assert _modular_right_pivots(list(map(_nonzeros, restricted)), k + 2) == list(range(k))
     # Q pivots 0..k-1 exclude the free columns k+1, ..., 2: e_0 and e_1 are kept.
     want = (k + 2, [tuple(int(j == i) for j in range(k + 2)) for i in (0, 1)])
     assert _exact_kernel_mod_span(m, gauge) == want
@@ -383,7 +434,7 @@ def test_modular_pivots_equal_the_exact_path(rows):
     # Both outcomes occur: an accepted prefix, and a fallback whose Q pivots
     # are or are not the prefix.
     exact = _eliminate(QQ, rows, m.cols, reduced=False)[1]
-    assert _modular_right_pivots(rows, m.cols) == exact
+    assert _modular_right_pivots(list(map(_nonzeros, rows)), m.cols) == exact
     modular = _pivots_mod_p(rows, m.cols)
     prefix = list(range(len(rows)))
     event(f"mod P {'prefix' if modular == prefix else 'full rank' if len(modular) == len(rows) else 'rank deficient'}, "

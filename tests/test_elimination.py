@@ -20,7 +20,7 @@ from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix, rand_invertibl
 from quotbilin.exactalg import matrix
 from quotbilin.exactalg.matrix import (
     _PACKED_MIN_CELLS, _PACKED_MIN_ROW_NONZEROS, _SPARSE_MAX_ROW_NONZEROS, _eliminate_lists,
-    _eliminate_packed, _eliminate_sparse, _slot_words,
+    _eliminate_packed, _eliminate_sparse, _nonzeros, _slot_words,
 )
 from quotbilin.tensorlab import _tangent_rows
 
@@ -184,9 +184,30 @@ def sparse_systems(draw):
 @settings(deadline=None, max_examples=200)
 @given(sparse_systems(), st.booleans())
 def test_sparse_and_list_elimination_agree(system, reduced):
+    # The sparse path takes and returns dicts of nonzero entries; its rows
+    # are the list path's nonzero entries, and it leaves its input as it was.
     field, rows, ncols = system
-    want = _eliminate_lists(field, [list(r) for r in rows], ncols, reduced)
-    assert _eliminate_sparse(field, [list(r) for r in rows], ncols, reduced) == want
+    want_rows, want_pivots = _eliminate_lists(field, [list(r) for r in rows], ncols, reduced)
+    dicts = [_nonzeros(r) for r in rows]
+    got_rows, got_pivots = _eliminate_sparse(field, dicts, ncols, reduced)
+    assert got_pivots == want_pivots
+    assert got_rows == [_nonzeros(r) for r in want_rows]
+    assert all(type(r) is dict for r in got_rows)
+    assert dicts == [_nonzeros(r) for r in rows]
+
+
+@settings(deadline=None, max_examples=100)
+@given(sparse_systems(), st.booleans())
+def test_eliminate_takes_dict_rows_on_every_path(system, reduced):
+    # Dict rows stay dicts on the sparse path and are densified for the
+    # list and packed paths, whose rows come back as lists.  List rows come
+    # back as lists from every path.
+    field, rows, ncols = system
+    want_rows, want_pivots = matrix._eliminate(field, [list(r) for r in rows], ncols, reduced)
+    got_rows, got_pivots = matrix._eliminate(field, [_nonzeros(r) for r in rows], ncols, reduced)
+    assert all(type(r) is list for r in want_rows)
+    assert got_pivots == want_pivots
+    assert [r if type(r) is dict else _nonzeros(r) for r in got_rows] == list(map(_nonzeros, want_rows))
 
 
 @pytest.mark.parametrize("p, m, words", [

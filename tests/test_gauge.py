@@ -1,8 +1,12 @@
-"""Closed-form gauge vectors and the ``check`` path of the tangent spaces.
+"""Closed-form gauge vectors, sparse first-order rows and the ``check`` path
+of the tangent spaces.
 
 The gauges are built from the rule "E_ab M is row b of M moved to row a,
-M E_ab is column a of M moved to column b"; they must equal the dense
-unit-matrix products of ``helpers_gauge``, vector for vector and in order.
+M E_ab is column a of M moved to column b"; their nonzero entries must
+equal those of the dense unit-matrix products of ``helpers_gauge``, vector
+for vector and in order.  The rows and gauges are dicts of their nonzero
+entries; they must equal the nonzero entries of the dense builders of
+``helpers_tangent``, row for row.
 """
 
 import random
@@ -11,17 +15,27 @@ import pytest
 
 from quotbilin import bilin, quot
 from quotbilin.bilin import (
+    _equivariance_rows,
+    _first_order_rows,
     _gauge_vectors_bilin,
+    _layout,
     bilin_tangent,
     degenerate_point,
     gauge_transform_bilin,
     main_component_point,
 )
 from quotbilin.exactalg import CERTIFICATE_PRIME, GF, QQ, Matrix, matrix, rand_invertible
-from quotbilin.exactalg.matrix import _eliminate, _modular_right_pivots
+from quotbilin.exactalg.matrix import _eliminate, _modular_right_pivots, _nonzeros
 from quotbilin.modcore import make_degenerate, make_tuple_of_points, rand_framed_module
-from quotbilin.quot import _gauge_vectors_quot, quot_tangent
+from quotbilin.quot import _commutation_rows, _gauge_vectors_quot, quot_tangent
 from helpers_gauge import reference_gauge_vectors_bilin, reference_gauge_vectors_quot
+from helpers_tangent import (
+    reference_commutation_rows,
+    reference_dense_gauge_bilin,
+    reference_dense_gauge_quot,
+    reference_equivariance_rows,
+    reference_first_order_rows,
+)
 from helpers_membership import assemble_from_kernel
 
 FIELDS = [QQ, GF(2), GF(3), GF(101)]
@@ -66,12 +80,16 @@ def _bilin_points(field, n, rng):
             _moved(rng, field, unequal)]
 
 
+def _dicts(vectors):
+    return [_nonzeros(v) for v in vectors]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_quot_gauge_equals_dense_products(field, n):
     rng = random.Random(n)
     for m in _quot_points(field, n, rng):
-        assert _gauge_vectors_quot(m) == reference_gauge_vectors_quot(m)
+        assert _gauge_vectors_quot(m) == _dicts(reference_gauge_vectors_quot(m))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -81,17 +99,40 @@ def test_bilin_gauge_equals_dense_products(field, n):
     points = _bilin_points(field, n, rng)
     assert {(b.m1.d, b.m2.d, b.d3) for b in points} == {(2, 2, 2), (2, 3, 3)}
     for b in points:
-        assert _gauge_vectors_bilin(b) == reference_gauge_vectors_bilin(b)
+        assert _gauge_vectors_bilin(b) == _dicts(reference_gauge_vectors_bilin(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_sparse_builders_equal_the_dense_nonzeros(field, n):
+    # Row for row and vector for vector, with the raw values the dense
+    # builders left unreduced, at main, degenerate and moved points.
+    rng = random.Random(n)
+    for m in _quot_points(field, n, rng):
+        nvars = n * m.d * m.d + m.d * m.r
+        rows = _commutation_rows(m.X, 0)
+        assert len(rows) == n * (n - 1) // 2 * m.d * m.d
+        assert rows == _dicts(reference_commutation_rows(m.X, 0, nvars))
+        assert _gauge_vectors_quot(m) == _dicts(reference_dense_gauge_quot(m))
+    for b in _bilin_points(field, n, rng):
+        offsets, nvars = _layout(b)
+        rows = _first_order_rows(b, offsets)
+        assert rows == _dicts(reference_first_order_rows(b))
+        assert all(0 <= j < nvars for row in rows for j in row)
+        assert (_equivariance_rows(b.m1, b.m2, b.Z)
+                == _dicts(reference_equivariance_rows(b.m1, b.m2, b.Z)))
+        assert _gauge_vectors_bilin(b) == _dicts(reference_dense_gauge_bilin(b))
 
 
 # -- right pivots of the univariate Quot gauge ---------------------------------------
 
 def _restricted_quot_gauge(d, seed):
-    """The n = 1, r = 2 Quot gauge over Q in kernel coordinates: the system
-    has no rows, so every column is free and restricting reverses each
-    vector."""
+    """The n = 1, r = 2 Quot gauge over Q in kernel coordinates, as dicts of
+    nonzero entries: the system has no rows, so every column is free and
+    restricting reverses each vector."""
     m = rand_framed_module(random.Random(seed), QQ, 1, d, 2)
-    return [list(reversed(v)) for v in _gauge_vectors_quot(m)]
+    ncols = d * d + 2 * d
+    return [{ncols - 1 - j: x for j, x in v.items()} for v in _gauge_vectors_quot(m)]
 
 
 # At even d the right pivots are the prefix 0..d^2 - 1, and the modular
@@ -129,10 +170,13 @@ def test_quot_tangent_at_n1_equals_the_exact_path(monkeypatch, d):
 # -- the check path ----------------------------------------------------------------
 
 def _perturbed(gauge, field):
-    """The gauge with Xdot_1[0, 1] of its first vector moved by one."""
-    first = list(gauge[0])
-    first[1] = field.add(first[1], field.one())
-    return [tuple(first)] + gauge[1:]
+    """The gauge with Xdot_1[0, 1] of its first vector moved by one; the
+    vectors are dicts of their nonzero entries."""
+    first = dict(gauge[0])
+    first[1] = field.add(first.get(1, field.zero()), field.one())
+    if not first[1]:
+        del first[1]
+    return [first] + gauge[1:]
 
 
 def _duplicated(gauge, field):
